@@ -38,7 +38,6 @@ from .invariants import (
     InvariantTuple,
     MismatchedLoopCount,
     MissingSymbol,
-    OppositeEndDirections,
     canonical_cyclic_word,
     equiv,
     inv1,

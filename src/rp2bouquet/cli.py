@@ -8,7 +8,7 @@ Verbs::
     rp2bouquet equiv      <a.json> <b.json>
     rp2bouquet realize    "<tuple text>" [--out file]
     rp2bouquet enumerate  <n>
-    rp2bouquet fuzz       [--seed S] [--steps K] [--trials T] [--out DIR]
+    rp2bouquet fuzz       [--seed S] [--steps K] [--trials T] [--out DIR] [--cross-check]
     rp2bouquet fuzz       --replay <script>
     rp2bouquet render-svg <diagram.json> [--out file]
 
@@ -18,6 +18,9 @@ count, unrealizable tuple), 2 parse/usage error, 3 fuzz violation found.
 All verbs are deterministic for fixed inputs and seeds, and output is
 byte-stable: rationals are serialized exactly, and SVG converts to decimal
 only at the final formatting step with fixed precision 9.
+
+``fuzz --cross-check`` also compares the analysis each move kept up to date
+with one rebuilt from scratch; a divergence is a fuzz violation.
 
 A fuzz violation produces a self-contained replay script: one comment header,
 the starting diagram as a single JSON line, then one move per line.  Running
@@ -75,8 +78,19 @@ def _artifact_script(seed: int, trial: int, step: int, start: BouquetDiagram,
     return lines
 
 
-def fuzz_trial(seed: int, trial: int, steps: int) -> tuple[int, FuzzViolation | None]:
-    """One deterministic trial: random tuple, realize, random move chain."""
+def _divergence(d: BouquetDiagram, kind: str) -> str | None:
+    """Which part of d's kept analysis differs from a rebuilt one, if any."""
+    kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
+    for name in ("violations", "crossings", "records", "locations"):
+        if getattr(kept, name) != getattr(rebuilt, name):
+            return f"kept {name} diverge from a rebuilt analysis after {kind}"
+    return None
+
+
+def fuzz_trial(seed: int, trial: int, steps: int,
+               cross_check: bool = False) -> tuple[int, FuzzViolation | None]:
+    """One deterministic trial: random tuple, realize, random move chain;
+    with `cross_check` each diagram's kept analysis is checked too."""
     rng = random.Random(f"rp2bouquet-fuzz:{seed}:{trial}")
     n = rng.choice((1, 2, 3))
     start = realize(random_tuple(n, rng.randrange(10 ** 9)))
@@ -91,21 +105,22 @@ def fuzz_trial(seed: int, trial: int, steps: int) -> tuple[int, FuzzViolation | 
                 trial, step, f"move generator exhausted: {exc}",
                 _artifact_script(seed, trial, step, start, applied))
         applied.append(spec)
+        problem = _divergence(d2, spec.kind) if cross_check else None
         current = invariants(d2)
-        if current != reference:
-            return step, FuzzViolation(
-                trial, step,
-                f"invariants changed after {spec.kind}: "
-                f"{reference.text()!r} -> {current.text()!r}",
-                _artifact_script(seed, trial, step, start, applied))
+        if problem is None and current != reference:
+            problem = (f"invariants changed after {spec.kind}: "
+                       f"{reference.text()!r} -> {current.text()!r}")
+        if problem is not None:
+            return step, FuzzViolation(trial, step, problem,
+                                       _artifact_script(seed, trial, step, start, applied))
         d = d2
     return steps, None
 
 
-def run_fuzz(seed: int, steps: int, trials: int, out=None) -> FuzzReport:
+def run_fuzz(seed: int, steps: int, trials: int, out=None, cross_check: bool = False) -> FuzzReport:
     report = FuzzReport(trials=trials, steps=steps, seed=seed)
     for trial in range(trials):
-        done, violation = fuzz_trial(seed, trial, steps)
+        done, violation = fuzz_trial(seed, trial, steps, cross_check)
         report.moves_applied += done
         if violation is not None:
             report.violations.append(violation)
@@ -274,7 +289,7 @@ def _cmd_fuzz(args, stdout) -> int:
         print(message, file=stdout)
         return 0 if ok else 3
     started = time.time()
-    report = run_fuzz(args.seed, args.steps, args.trials, out=stdout)
+    report = run_fuzz(args.seed, args.steps, args.trials, out=stdout, cross_check=args.cross_check)
     elapsed = time.time() - started
     if report.ok:
         print(f"OK {report.trials}/{report.trials} trials, "
@@ -338,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None, help="directory for violation scripts")
     p.add_argument("--replay", default=None, help="re-run a violation script")
+    p.add_argument("--cross-check", action="store_true",
+                   help="compare every diagram's kept analysis with a rebuilt one")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("render-svg", help="render a diagram to a static SVG figure")

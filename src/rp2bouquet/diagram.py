@@ -357,11 +357,13 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 
 @dataclass(frozen=True, slots=True)
 class _Seg:
-    """One segment with its exact bounding box and a float box around it.
+    """One segment with its exact least x and a float box around it.
 
     The float box (`fminx` ...) is rounded outward, so it always contains the
-    exact box; it may only prove two segments disjoint.  Every pair it does
-    not separate is decided on the exact box and the exact predicates.
+    exact bounding box; it may only prove two segments disjoint.  Every pair
+    it does not separate is decided by the exact predicates.  The exact
+    `minx` is the sweep's sort key, which fixes the order of reported
+    violations.
     """
 
     loop: int
@@ -370,9 +372,6 @@ class _Seg:
     a: Point
     b: Point
     minx: Rat
-    maxx: Rat
-    miny: Rat
-    maxy: Rat
     at_vertex: bool
     fminx: float
     fmaxx: float
@@ -386,14 +385,14 @@ def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg
     # valid diagram lie in [-1, 1], so the conversion never overflows
     minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
     miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-    return _Seg(li, ki, si, a, b, minx, maxx, miny, maxy, at_v,
+    return _Seg(li, ki, si, a, b, minx, at_v,
                 nextafter(float(minx), -inf), nextafter(float(maxx), inf),
                 nextafter(float(miny), -inf), nextafter(float(maxy), inf))
 
 
 def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
     """The same segment under a new (leg, seg) address; the boxes are kept."""
-    return _Seg(r.loop, ki, si, r.a, r.b, r.minx, r.maxx, r.miny, r.maxy, at_v,
+    return _Seg(r.loop, ki, si, r.a, r.b, r.minx, at_v,
                 r.fminx, r.fmaxx, r.fminy, r.fmaxy)
 
 
@@ -473,12 +472,10 @@ def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
         kept = []
         for j in active:
             t = records[j]
-            if t.fmaxx < s.fminx or t.maxx < s.minx:
+            if t.fmaxx < s.fminx:
                 continue
             kept.append(j)
-            if t.fminy > s.fmaxy or t.fmaxy < s.fminy:
-                continue  # disjoint for certain
-            if t.miny > s.maxy or t.maxy < s.miny or _skip_pair(s, t):
+            if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t):
                 continue
             yield s, t
         kept.append(idx)

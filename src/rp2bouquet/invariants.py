@@ -40,7 +40,6 @@ __all__ = [
     "DuplicateSymbol",
     "MissingSymbol",
     "MismatchedLoopCount",
-    "OppositeEndDirections",
     "canonical_cyclic_word",
     "inv1",
     "inv2",
@@ -61,10 +60,6 @@ class MissingSymbol(ValueError):
 
 class MismatchedLoopCount(ValueError):
     """Diagrams over bouquets of different sizes cannot be compared."""
-
-
-class OppositeEndDirections(ValueError):
-    """Outgoing and incoming directions of the loop are exactly opposite."""
 
 
 def _check_symbols(symbols: tuple[HalfEdge, ...]) -> int:
@@ -210,10 +205,7 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    lp = d.loops[loop]
-    d0, d1 = lp.first_direction(), lp.last_direction()
-    if d0.cross(d1) == 0 and d0.dot(d1) < 0:
-        raise OppositeEndDirections(f"loop {loop} leaves and returns along one line")
+    d.loops[loop]  # IndexError for a loop the diagram does not have
     total = 0
     for c in _self_crossings(d, loop):
         transport = -1 if c.param_a.leg % 2 else 1

@@ -29,7 +29,10 @@ Templates in segment-local coordinates (e = segment vector, v = left normal):
   crossings with it;
 * seam reroute (edit) - replaces a window with a one-transition trip through
   the seam, flipping the loop's homotopy class bit;
-* single kink (edit) - one curl, flipping the loop's parity bit.
+* single kink (edit) - one curl, flipping the loop's parity bit;
+* jiggle - no template: one interior point moves.  The crossings on its two
+  segments may move with it, so instead of surviving they must keep their
+  strands and frames, and the half-edges at the vertex must keep their order.
 
 Applying a move only re-examines segments the splice touched; the analysis of
 the rest of the diagram is reused and updated, which is what keeps long random
@@ -42,7 +45,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from .geometry import Point, Rat, SegKind, circle_point, mat_apply, rat, seam_reflection, segment_intersection, sign
 from .diagram import (
@@ -118,12 +121,12 @@ def _parse_rat(token: str) -> Rat:
 
 
 @dataclass(frozen=True)
-class MoveSpec:
-    """One invariant-preserving move.
+class _Spec:
+    """One move or edit: a kind, a target (loop, leg, segment) and the
+    kind-specific rationals listed in the module docstring.
 
-    `loop`, `leg`, `segment` address the spliced segment, except for Jiggle
-    where the third index addresses the interior polyline point being moved.
-    `params` are the kind-specific rationals listed in the module docstring.
+    Subclasses fix the kinds they accept and the noun their errors use; a
+    spec equals only specs of its own class.
     """
 
     kind: str
@@ -132,9 +135,12 @@ class MoveSpec:
     segment: int
     params: tuple[Rat, ...]
 
+    _kinds: ClassVar[tuple[str, ...]] = ()
+    _noun: ClassVar[str] = ""
+
     def __post_init__(self):
-        if self.kind not in _PARAM_COUNTS or self.kind in EDIT_KINDS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
+        if self.kind not in self._kinds:
+            raise ValueError(f"unknown {self._noun} kind {self.kind!r}")
         if len(self.params) != _PARAM_COUNTS[self.kind]:
             raise ValueError(f"{self.kind} takes {_PARAM_COUNTS[self.kind]} params")
         if min(self.loop, self.leg, self.segment) < 0:
@@ -143,51 +149,31 @@ class MoveSpec:
     def to_line(self) -> str:
         return f"{self.kind} {self.loop} {self.leg} {self.segment} {_format_params(self.params)}"
 
-    @staticmethod
-    def from_line(line: str) -> "MoveSpec":
+    @classmethod
+    def from_line(cls, line: str) -> "_Spec":
         tokens = line.split()
         if len(tokens) < 4:
-            raise ValueError(f"malformed move line {line!r}")
-        kind = tokens[0]
-        if kind not in MOVE_KINDS:
-            raise ValueError(f"unknown move kind {kind!r}")
+            raise ValueError(f"malformed {cls._noun} line {line!r}")
         loop, leg, seg = (int(t) for t in tokens[1:4])
-        params = tuple(_parse_rat(t) for t in tokens[4:])
-        return MoveSpec(kind, loop, leg, seg, params)
+        return cls(tokens[0], loop, leg, seg, tuple(_parse_rat(t) for t in tokens[4:]))
 
 
-@dataclass(frozen=True)
-class EditSpec:
+class MoveSpec(_Spec):
+    """One invariant-preserving move.
+
+    `loop`, `leg`, `segment` address the spliced segment, except for Jiggle
+    where the third index addresses the interior polyline point being moved.
+    """
+
+    _kinds = MOVE_KINDS
+    _noun = "move"
+
+
+class EditSpec(_Spec):
     """One deliberately non-regular edit (negative control)."""
 
-    kind: str
-    loop: int
-    leg: int
-    segment: int
-    params: tuple[Rat, ...]
-
-    def __post_init__(self):
-        if self.kind not in EDIT_KINDS:
-            raise ValueError(f"unknown edit kind {self.kind!r}")
-        if len(self.params) != _PARAM_COUNTS[self.kind]:
-            raise ValueError(f"{self.kind} takes {_PARAM_COUNTS[self.kind]} params")
-        if min(self.loop, self.leg, self.segment) < 0:
-            raise ValueError("target indices must be non-negative")
-
-    def to_line(self) -> str:
-        return f"{self.kind} {self.loop} {self.leg} {self.segment} {_format_params(self.params)}"
-
-    @staticmethod
-    def from_line(line: str) -> "EditSpec":
-        tokens = line.split()
-        if len(tokens) < 4:
-            raise ValueError(f"malformed edit line {line!r}")
-        kind = tokens[0]
-        if kind not in EDIT_KINDS:
-            raise ValueError(f"unknown edit kind {kind!r}")
-        loop, leg, seg = (int(t) for t in tokens[1:4])
-        params = tuple(_parse_rat(t) for t in tokens[4:])
-        return EditSpec(kind, loop, leg, seg, params)
+    _kinds = EDIT_KINDS
+    _noun = "edit"
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +187,9 @@ class _Splice:
     replaced: set[tuple[int, int]]                      # old (leg, seg) keys no longer present
     remap: Callable[[int, int], tuple[int, int]]        # old key -> new key, for keys not replaced
     changed: set[tuple[int, int]]                       # new (leg, seg) keys to re-examine
-    contract: Callable[[list[Crossing]], str | None]    # additions -> error message or None
+    # crossings to judge -> error message or None; they are the additions, or
+    # every crossing found on `changed` if check_persistence is off
+    contract: Callable[[list[Crossing]], str | None]
     check_persistence: bool = True                      # old crossing locations must survive
 
 
@@ -211,7 +199,8 @@ def _contribution(c: Crossing) -> int:
 
 
 def _changed_pairs(records, changed) -> Iterator[tuple]:
-    """Pairs (changed record, other record) whose boxes meet, in record order."""
+    """Pairs (changed record, other record) whose float boxes meet, in record
+    order; segment_intersection decides each pair exactly."""
     if not changed:
         return
     chkeys = {(u.loop, u.leg, u.seg) for u in changed}
@@ -227,16 +216,12 @@ def _changed_pairs(records, changed) -> Iterator[tuple]:
             if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
                 continue  # disjoint for certain
             kv = (v.loop, v.leg, v.seg)
-            if kv == ku or (kv in chkeys and kv <= ku):
-                continue
-            if v.maxx < u.minx or v.minx > u.maxx or v.maxy < u.miny or v.miny > u.maxy:
-                continue
-            if _skip_pair(u, v):
+            if kv == ku or (kv in chkeys and kv <= ku) or _skip_pair(u, v):
                 continue
             yield u, v
 
 
-def _scan_changed(records, changed, touch: str) -> list[Crossing]:
+def _scan_changed(records, changed) -> list[Crossing]:
     """Crossings of the changed records; MoveBlocked on any other contact."""
     found: list[Crossing] = []
     for u, v in _changed_pairs(records, changed):
@@ -244,7 +229,8 @@ def _scan_changed(records, changed, touch: str) -> list[Crossing]:
         if res.kind is SegKind.PROPER:
             found.append(_pair_crossing(u, v, res))
         elif res.kind is SegKind.DEGENERATE:
-            raise MoveBlocked(touch.format(loop=v.loop, leg=v.leg, segment=v.seg))
+            raise MoveBlocked(f"template touches loop={v.loop} leg={v.leg} "
+                              f"segment={v.seg} non-transversally")
     return found
 
 
@@ -334,15 +320,14 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(f"result not generic: {bad}")
 
     records, changed = _splice_records(base.records, d2, splice)
-    found = _scan_changed(records, changed,
-                          "template touches loop={loop} leg={leg} segment={segment} non-transversally")
+    found = _scan_changed(records, changed)
 
     olds, removed = _split_crossings(base, splice)
     found_locations = _found_locations(found, base.locations, removed, d2.vertex)
     if splice.check_persistence and not removed <= found_locations:
         raise MoveBlocked("an existing crossing would be destroyed")
     additions = [c for c in found if (c.location.x, c.location.y) not in base.locations]
-    err = splice.contract(additions)
+    err = splice.contract(additions if splice.check_persistence else found)
     if err:
         raise MoveBlocked(err)
 
@@ -402,7 +387,7 @@ def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Poin
 
 
 def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
-                  inserted: tuple[Point, ...], contract, check_persistence=True) -> _Splice:
+                  inserted: tuple[Point, ...], contract) -> _Splice:
     legs = d.loops[loop].legs
     pts = legs[leg].points
     new_leg = Leg(pts[:seg + 1] + inserted + pts[seg + 1:])
@@ -415,7 +400,7 @@ def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
         return kk, ss + m
 
     changed = {(leg, seg + j) for j in range(m + 1)}
-    return _Splice(loop, new_legs, {(leg, seg)}, remap, changed, contract, check_persistence)
+    return _Splice(loop, new_legs, {(leg, seg)}, remap, changed, contract)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +644,11 @@ def _vertex_cycle(d: BouquetDiagram):
     return min(seq[r:] + seq[:r] for r in range(len(seq)))
 
 
+def _crossing_signature(crs) -> list:
+    return sorted(((c.loop_a, c.param_a.leg, c.param_a.seg),
+                   (c.loop_b, c.param_b.leg, c.param_b.seg), c.frame) for c in crs)
+
+
 def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     dx, dy = spec.params
     loop, k, idx = spec.loop, spec.leg, spec.segment
@@ -673,44 +663,18 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     new_leg = Leg(pts[:idx] + (moved,) + pts[idx + 1:])
     new_legs = legs[:k] + (new_leg,) + legs[k + 1:]
     changed = {(k, idx - 1), (k, idx)}
-    return _Splice(loop, new_legs, changed, lambda kk, ss: (kk, ss), changed,
-                   lambda adds: None, check_persistence=False)
 
+    def contract(found: list[Crossing]) -> str | None:
+        old = [c for c in analysis(d).crossings if c.involves(loop, changed)]
+        if _crossing_signature(found) != _crossing_signature(old):
+            return "jiggle would change the crossing pattern"
+        if _vertex_cycle(_spliced(d, splice)) != _vertex_cycle(d):
+            return "jiggle would reorder the vertex star"
+        return None
 
-def _apply_jiggle(d: BouquetDiagram, spec: MoveSpec) -> BouquetDiagram:
-    base = analysis(d)
-    if base.violations:
-        raise InvalidDiagram(f"cannot move on an invalid diagram: {base.violations[0]}")
-    splice = _build_jiggle(d, spec)
-    loop, changed = splice.loop, splice.changed
-    old_cycle = _vertex_cycle(d)
-    old_involved = [c for c in base.crossings if c.involves(loop, changed)]
-
-    d2 = _spliced(d, splice)
-    bad = _structural_ok(d, d2, splice)
-    if bad is not None:
-        raise MoveBlocked(f"result not generic: {bad}")
-
-    records, changed_records = _splice_records(base.records, d2, splice)
-    found = _scan_changed(records, changed_records,
-                          "jiggled corner touches loop={loop} leg={leg} segment={segment}")
-
-    def signature(crs):
-        return sorted(
-            ((c.loop_a, c.param_a.leg, c.param_a.seg),
-             (c.loop_b, c.param_b.leg, c.param_b.seg), c.frame)
-            for c in crs
-        )
-
-    if signature(found) != signature(old_involved):
-        raise MoveBlocked("jiggle would change the crossing pattern")
-    if _vertex_cycle(d2) != old_cycle:
-        raise MoveBlocked("jiggle would reorder the vertex star")
-
-    olds, removed = _split_crossings(base, splice)
-    found_locations = _found_locations(found, base.locations, removed, d2.vertex)
-    _set_result(d2, base, olds + found, records, removed, found_locations)
-    return d2
+    splice = _Splice(loop, new_legs, changed, lambda kk, ss: (kk, ss), changed, contract,
+                     check_persistence=False)
+    return splice
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +720,6 @@ def apply_move(d: BouquetDiagram, spec: MoveSpec) -> BouquetDiagram:
     The returned diagram is freshly validated (incrementally) and carries its
     updated crossing analysis, so chains of moves stay cheap.
     """
-    if spec.kind == "Jiggle":
-        return _apply_jiggle(d, spec)
     d2, _ = _apply_splice(d, _MOVE_BUILDERS[spec.kind](d, spec))
     return d2
 
@@ -782,7 +744,8 @@ def _segment_keys(d: BouquetDiagram) -> list[tuple[int, int, int]]:
     return [(li, ki, si) for li, ki, si, _, _ in d.iter_segments()]
 
 
-def _crossing_fracs(d: BouquetDiagram, key: tuple[int, int, int]) -> list[Rat]:
+def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
+    """The parameter intervals of segment `key` free of crossings, in order."""
     loop, leg, seg = key
     fracs = []
     for c in analysis(d).crossings:
@@ -790,14 +753,13 @@ def _crossing_fracs(d: BouquetDiagram, key: tuple[int, int, int]) -> list[Rat]:
             fracs.append(c.param_a.frac)
         if c.loop_b == loop and c.param_b.leg == leg and c.param_b.seg == seg:
             fracs.append(c.param_b.frac)
-    fracs.sort()
-    return fracs
+    cuts = [rat(0)] + sorted(fracs) + [rat(1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 def _free_window(d, rng: random.Random, key) -> tuple[Rat, Rat] | None:
     """A (center, halfwidth) window on the segment avoiding existing crossings."""
-    cuts = [rat(0)] + _crossing_fracs(d, key) + [rat(1)]
-    gaps = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    gaps = _segment_gaps(d, key)
     if not gaps:
         return None
     lo, hi = gaps[rng.randrange(len(gaps))]
@@ -831,6 +793,18 @@ def _outward_u(p: Point, rng: random.Random) -> Rat | None:
     if abs(u) > 12:
         return None
     return rat(round(u * 64) + rng.randrange(-6, 7), 64)
+
+
+def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
+    """Tan-half-angle of a seam exit for a window centred at `center` on
+    segment `key`: mostly roughly outward from there, otherwise uniform."""
+    uq = None
+    if rng.random() < 0.75:
+        a, b = d.segment(*key)
+        uq = _outward_u(a + (b - a).scale(center), rng)
+    if uq is None:
+        uq = _rand_rat(rng, -48, 49, 16)
+    return uq
 
 
 def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
@@ -877,12 +851,7 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
 
     if kind == "Detour":
         sigma = rng.choice([1, -1])
-        a, b = d.segment(loop, leg, seg)
-        uq = None
-        if rng.random() < 0.75:
-            uq = _outward_u(a + (b - a).scale(center), rng)
-        if uq is None:
-            uq = _rand_rat(rng, -48, 49, 16)
+        uq = _seam_u(d, rng, (loop, leg, seg), center)
         if uq == 0:
             return None
         tilt = rat(rng.choice([-1, 1]) * rng.randrange(1, 12), 96)
@@ -946,12 +915,7 @@ def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[
             h = w * rat(rng.choice([-1, 1]), 4)
             spec = EditSpec("SingleKink", loop, leg, seg, (center, w, h))
         else:
-            uq = None
-            if rng.random() < 0.75:
-                a, b = d.segment(loop, leg, seg)
-                uq = _outward_u(a + (b - a).scale(center), rng)
-            if uq is None:
-                uq = _rand_rat(rng, -48, 49, 16)
+            uq = _seam_u(d, rng, (loop, leg, seg), center)
             if uq == 0:
                 continue
             spec = EditSpec("SeamReroute", loop, leg, seg, (center, half, uq))

@@ -30,9 +30,9 @@ import random
 from itertools import permutations
 
 from .geometry import Point, Rat, circle_point, mat_apply, pt, rat, seam_reflection
-from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, analysis, validate
+from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, validate
 from .invariants import CyclicWord, InvariantTuple, invariants, inv3
-from .moves import EditSpec, MoveBlocked, apply_edit
+from .moves import EditSpec, MoveBlocked, _segment_gaps, apply_edit
 
 __all__ = [
     "MAX_ENUM_N",
@@ -119,24 +119,13 @@ def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
     return BouquetDiagram(n, pt(0, 0), tuple(loops))
 
 
-def _segment_gaps(d: BouquetDiagram, loop: int, leg: int, seg: int) -> list[tuple[Rat, Rat]]:
-    fracs = []
-    for c in analysis(d).crossings:
-        if c.loop_a == loop and c.param_a.leg == leg and c.param_a.seg == seg:
-            fracs.append(c.param_a.frac)
-        if c.loop_b == loop and c.param_b.leg == leg and c.param_b.seg == seg:
-            fracs.append(c.param_b.frac)
-    cuts = [rat(0)] + sorted(fracs) + [rat(1)]
-    gaps = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    gaps.sort(key=lambda g: g[1] - g[0], reverse=True)
-    return gaps
-
-
 def _flip_parity(d: BouquetDiagram, loop: int) -> BouquetDiagram:
     """Insert one kink on the loop, flipping exactly its parity bit."""
     for leg_i, leg in enumerate(d.loops[loop].legs):
         for seg_i in range(len(leg.points) - 1):
-            for lo, hi in _segment_gaps(d, loop, leg_i, seg_i)[:2]:
+            gaps = sorted(_segment_gaps(d, (loop, leg_i, seg_i)), key=lambda g: g[1] - g[0],
+                          reverse=True)
+            for lo, hi in gaps[:2]:
                 center = (lo + hi) / 2
                 width = hi - lo
                 for shrink in range(8):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -9,6 +10,7 @@ from rp2bouquet import (
     random_move_applied,
     realize,
 )
+from rp2bouquet import moves as moves_mod
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
 
 
@@ -152,6 +154,25 @@ def test_fuzz_small_campaign():
     code, out = run(["fuzz", "--seed", 11, "--trials", 4, "--steps", 5])
     assert code == 0
     assert out.startswith("OK 4/4 trials, 20 moves")
+
+
+def test_fuzz_cross_check(tmp_path, monkeypatch):
+    args = ["fuzz", "--seed", 20260815, "--trials", 3, "--cross-check", "--out", tmp_path]
+    code, out = run(args)
+    assert code == 0 and out.startswith("OK 3/3 trials, 60 moves")
+
+    splice_records = moves_mod._splice_records
+
+    def corrupted(records, d2, splice):
+        records, changed = splice_records(records, d2, splice)
+        first = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
+        return (first,) + records[1:], changed
+
+    monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
+    code, out = run(args)
+    assert code == 3
+    assert "kept records diverge from a rebuilt analysis" in out
+    assert list(tmp_path.glob("fuzz_violation_seed20260815_trial*.txt"))
 
 
 def test_run_fuzz_report_fields():

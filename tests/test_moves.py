@@ -185,6 +185,18 @@ def test_jiggle_blocked_cases(quad):
         apply_move(quad, MoveSpec("Jiggle", 0, 0, 1, (rat(-1), rat(1, 2))))
 
 
+def test_jiggle_blocked_by_vertex_order():
+    # moving the corner (1/2, 0) up to (1/2, 1/4) turns loop 0's first
+    # half-edge past both half-edges of the petal without meeting it
+    square = LoopPath((Leg((pt(0, 0), pt("1/2", 0), pt("1/2", "-1/2"), pt(0, "-1/2"),
+                            pt(0, 0))),))
+    petal = LoopPath((Leg((pt(0, 0), pt("1/8", "1/40"), pt("1/8", "1/20"), pt(0, 0))),))
+    d = BouquetDiagram(2, pt(0, 0), (square, petal))
+    assert validate(d) == []
+    with pytest.raises(MoveBlocked, match="reorder the vertex star"):
+        apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
+
+
 def test_subdivide_preserves_geometry(chord):
     d2 = apply_move(chord, MoveSpec("Subdivide", 0, 0, 0, (rat(1, 3),)))
     assert validate(d2) == []

@@ -295,6 +295,24 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
                              note="entry direction must match the reflected exit direction"))
 
 
+def _equal_key_pairs(keys: list) -> list[tuple[int, int]]:
+    """Index pairs i < j with keys[i] == keys[j] (None equals nothing), in
+    (i, j) order; hashing keeps this near linear unless many keys are equal."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return sorted((i, j) for group in groups.values()
+                  for a, i in enumerate(group) for j in group[a + 1:])
+
+
+def _ray(v: Point):
+    """A key that codirectional nonzero vectors share exactly; None for 0."""
+    if v.x:
+        return (1 if v.x > 0 else -1, v.y / v.x)
+    return (0, 1 if v.y > 0 else -1) if v.y else None
+
+
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
     vecs: list[tuple[int, Point]] = []
     for li, loop in enumerate(d.loops):
@@ -302,14 +320,9 @@ def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
             return
         vecs.append((li, loop.first_direction()))
         vecs.append((li, -loop.last_direction()))
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            u, v = vecs[i][1], vecs[j][1]
-            if u.is_zero() or v.is_zero():
-                continue
-            if u.cross(v) == 0 and u.dot(v) > 0:
-                out.append(Violation("CodirectionalAtVertex", vecs[i][0],
-                                     note=f"half-edges of loops {vecs[i][0]} and {vecs[j][0]}"))
+    for i, j in _equal_key_pairs([_ray(v) for _, v in vecs]):
+        out.append(Violation("CodirectionalAtVertex", vecs[i][0],
+                             note=f"half-edges of loops {vecs[i][0]} and {vecs[j][0]}"))
 
 
 def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
@@ -317,15 +330,11 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
     for li, loop in enumerate(d.loops):
         for leg in loop.legs[:-1]:
             exits.append((li, leg.points[-1]))
-    for i in range(len(exits)):
-        for j in range(i + 1, len(exits)):
-            p, q = exits[i][1], exits[j][1]
-            if p == q:
-                out.append(Violation("CoincidentSeamPoints", exits[i][0],
-                                     note=f"loops {exits[i][0]} and {exits[j][0]}"))
-            elif p == -q:
-                out.append(Violation("AntipodalSeamPoints", exits[i][0],
-                                     note=f"loops {exits[i][0]} and {exits[j][0]}"))
+    # a point and its antipode share a key
+    for i, j in _equal_key_pairs([max((p.x, p.y), (-p.x, -p.y)) for _, p in exits]):
+        (li, p), (lj, q) = exits[i], exits[j]
+        kind = "CoincidentSeamPoints" if p == q else "AntipodalSeamPoints"
+        out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
 def _structural_violations(d: BouquetDiagram) -> list[Violation]:

@@ -205,7 +205,8 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    d.loops[loop]  # IndexError for a loop the diagram does not have
+    if not 0 <= loop < len(d.loops):
+        raise IndexError(f"no loop {loop} in a diagram of {len(d.loops)}")
     total = 0
     for c in _self_crossings(d, loop):
         transport = -1 if c.param_a.leg % 2 else 1

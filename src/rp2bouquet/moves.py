@@ -5,17 +5,22 @@ preserve the full invariant tuple; edits (:class:`EditSpec`) are deliberate
 invariant breakers used as negative controls.  Everything is applied the same
 way: a template polyline built from the spec's exact rational parameters is
 spliced into the target loop, and the candidate result is then *checked*, not
-trusted -
+trusted, in this order -
 
 * the changed loop, the vertex star and the seam table must still be in
   generic position;
+* in one pass over the changed segments, every contact must be a transversal
+  crossing apart from all other crossings and from the vertex;
 * every crossing of the input diagram must survive at its exact location
   (so a template never lands on top of existing geometry);
 * the freshly created crossings must match the move's contract exactly, e.g.
   a kink pair adds two self-crossings of opposite sign and nothing else.
 
-Any failure raises :class:`MoveBlocked`; there is no notion of an "almost
-legal" move.  Smallness never needs to be argued: the checks are exact.
+Any failure raises :class:`MoveBlocked` at the first certain violation: where
+the contract fixes a count of new crossings, the pass stops once the count is
+exceeded and every crossing on a replaced segment has been found again
+("got more than 2").  There is no notion of an "almost legal" move.
+Smallness never needs to be argued: the checks are exact.
 
 Templates in segment-local coordinates (e = segment vector, v = left normal):
 
@@ -47,7 +52,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterator
 
-from .geometry import Point, Rat, SegKind, circle_point, mat_apply, rat, seam_reflection, segment_intersection, sign
+from .geometry import (Point, Rat, SegKind, angle_sort, circle_point, mat_apply, rat, seam_reflection,
+                       segment_intersection)
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -68,7 +74,6 @@ from .diagram import (
     analysis,
     vertex_directions,
 )
-from .geometry import angle_sort
 
 __all__ = [
     "MOVE_KINDS",
@@ -191,6 +196,10 @@ class _Splice:
     # every crossing found on `changed` if check_persistence is off
     contract: Callable[[list[Crossing]], str | None]
     check_persistence: bool = True                      # old crossing locations must survive
+    # (n, counts, message): the contract fails once more than n additions are
+    # counted (counts None: every one; a loop: its self-crossings), so the scan
+    # may stop there with `message`
+    cap: tuple[int, int | None, str] | None = None
 
 
 def _contribution(c: Crossing) -> int:
@@ -221,17 +230,49 @@ def _changed_pairs(records, changed) -> Iterator[tuple]:
             yield u, v
 
 
-def _scan_changed(records, changed) -> list[Crossing]:
-    """Crossings of the changed records; MoveBlocked on any other contact."""
+def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: Point,
+                  cap) -> tuple[list[Crossing], list[Crossing], set]:
+    """One pass over the pairs of changed records: the crossings found, the
+    additions among them (at no location of the input) and their locations.
+
+    MoveBlocked at the first certain violation: a non-transversal contact, a
+    crossing on another one or on the vertex, or more than `cap` allows once
+    every location in `removed` (those on replaced segments) is found again,
+    so that a destroyed crossing stays the reason when there is one.  The
+    kept crossings are those of a valid diagram, apart from each other and
+    from the vertex; their locations are `locations` minus `removed`.
+    """
+    limit, counts, message = cap or (float("inf"), None, "")
     found: list[Crossing] = []
+    additions: list[Crossing] = []
+    seen: set[tuple[Rat, Rat]] = set()
+    refound = counted = 0
     for u, v in _changed_pairs(records, changed):
         res = segment_intersection(u.a, u.b, v.a, v.b)
-        if res.kind is SegKind.PROPER:
-            found.append(_pair_crossing(u, v, res))
-        elif res.kind is SegKind.DEGENERATE:
+        if res.kind is SegKind.DEGENERATE:
             raise MoveBlocked(f"template touches loop={v.loop} leg={v.leg} "
                               f"segment={v.seg} non-transversally")
-    return found
+        if res.kind is not SegKind.PROPER:
+            continue
+        c = _pair_crossing(u, v, res)
+        key = (res.point.x, res.point.y)
+        if key in seen:
+            raise MoveBlocked("two crossings would coincide")
+        seen.add(key)
+        found.append(c)
+        if key in removed:
+            refound += 1
+        elif key in locations:
+            raise MoveBlocked("two crossings would coincide")
+        elif res.point == vertex:
+            raise MoveBlocked("crossing would land on the vertex")
+        else:
+            additions.append(c)
+            if counts is None or c.loop_a == c.loop_b == counts:
+                counted += 1
+        if counted > limit and refound == len(removed):
+            raise MoveBlocked(message)
+    return found, additions, seen
 
 
 def _remap_crossing(c: Crossing, splice: _Splice) -> Crossing:
@@ -320,52 +361,32 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(f"result not generic: {bad}")
 
     records, changed = _splice_records(base.records, d2, splice)
-    found = _scan_changed(records, changed)
-
-    olds, removed = _split_crossings(base, splice)
-    found_locations = _found_locations(found, base.locations, removed, d2.vertex)
+    kept, removed = _split_crossings(base, splice)
+    found, additions, found_locations = _scan_changed(
+        records, changed, base.locations, removed, d2.vertex,
+        splice.cap if splice.check_persistence else None)
     if splice.check_persistence and not removed <= found_locations:
         raise MoveBlocked("an existing crossing would be destroyed")
-    additions = [c for c in found if (c.location.x, c.location.y) not in base.locations]
     err = splice.contract(additions if splice.check_persistence else found)
     if err:
         raise MoveBlocked(err)
 
+    olds = [_remap_crossing(c, splice) for c in kept]
     _set_result(d2, base, olds + found, records, removed, found_locations)
     return d2, additions
 
 
 def _split_crossings(base: DiagramAnalysis, splice: _Splice) -> tuple[list[Crossing], set]:
-    """The crossings the splice keeps (re-addressed), and the locations of
-    those on replaced segments."""
-    olds: list[Crossing] = []
+    """The crossings the splice keeps (not yet re-addressed), and the
+    locations of those on replaced segments."""
+    kept: list[Crossing] = []
     removed: set[tuple[Rat, Rat]] = set()
     for c in base.crossings:
         if c.involves(splice.loop, splice.replaced):
             removed.add((c.location.x, c.location.y))
         else:
-            olds.append(_remap_crossing(c, splice))
-    return olds, removed
-
-
-def _found_locations(found: list[Crossing], locations: frozenset, removed: set,
-                     vertex: Point) -> set:
-    """Locations of the found crossings; MoveBlocked if a crossing of the
-    result would coincide with another one or land on the vertex.
-
-    The kept crossings are those of a valid diagram, so they are apart from
-    each other and from the vertex; their locations are `locations` minus
-    `removed`.
-    """
-    seen: set[tuple[Rat, Rat]] = set()
-    for c in found:
-        key = (c.location.x, c.location.y)
-        if key in seen or (key in locations and key not in removed):
-            raise MoveBlocked("two crossings would coincide")
-        seen.add(key)
-        if c.location == vertex:
-            raise MoveBlocked("crossing would land on the vertex")
-    return seen
+            kept.append(c)
+    return kept, removed
 
 
 def _set_result(d2: BouquetDiagram, base: DiagramAnalysis, new_crossings: list[Crossing],
@@ -387,7 +408,7 @@ def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Poin
 
 
 def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
-                  inserted: tuple[Point, ...], contract) -> _Splice:
+                  inserted: tuple[Point, ...], contract, cap=None) -> _Splice:
     legs = d.loops[loop].legs
     pts = legs[leg].points
     new_leg = Leg(pts[:seg + 1] + inserted + pts[seg + 1:])
@@ -400,7 +421,7 @@ def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
         return kk, ss + m
 
     changed = {(leg, seg + j) for j in range(m + 1)}
-    return _Splice(loop, new_legs, {(leg, seg)}, remap, changed, contract)
+    return _Splice(loop, new_legs, {(leg, seg)}, remap, changed, contract, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +452,19 @@ def _build_kink_pair(d, spec) -> _Splice:
         raise MoveBlocked("kink windows must be disjoint and inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
+    exactly = "kink pair must add exactly 2 crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
         if len(additions) != 2:
-            return f"kink pair must add exactly 2 crossings, got {len(additions)}"
+            return f"{exactly}, got {len(additions)}"
         if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "kink pair may only add self-crossings of the target loop"
         if sorted(_contribution(c) for c in additions) != [-1, 1]:
             return "kink pair crossings must have opposite signs"
         return None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract)
+    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
+                         (2, None, f"{exactly}, got more than 2"))
 
 
 def _build_single_kink(d, spec) -> _Splice:
@@ -450,16 +473,18 @@ def _build_single_kink(d, spec) -> _Splice:
         raise MoveBlocked("kink window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
+    exactly = "single kink must add exactly 1 crossing"
 
     def contract(additions: list[Crossing]) -> str | None:
         if len(additions) != 1:
-            return f"single kink must add exactly 1 crossing, got {len(additions)}"
+            return f"{exactly}, got {len(additions)}"
         c = additions[0]
         if c.loop_a != spec.loop or c.loop_b != spec.loop:
             return "single kink may only add a self-crossing of the target loop"
         return None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract)
+    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
+                         (1, None, f"{exactly}, got more than 1"))
 
 
 def _seam_step(p: Point, d_out: Point) -> Point:
@@ -515,16 +540,18 @@ def _build_detour(d, spec) -> _Splice:
 
     changed = {(k, s + j) for j in range(10)} | {(k + 1, 0), (k + 1, 1)} \
         | {(k + 2, 0), (k + 2, 1), (k + 2, 2)}
+    exactly = "detour must add exactly 2 self-crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
         self_adds = [c for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop]
         if len(self_adds) != 2:
-            return f"detour must add exactly 2 self-crossings, got {len(self_adds)}"
+            return f"{exactly}, got {len(self_adds)}"
         if any(_contribution(c) != sigma for c in self_adds):
             return "detour curls must both carry the requested sign"
         return None
 
-    return _Splice(spec.loop, new_legs, {(k, s)}, remap, changed, contract)
+    return _Splice(spec.loop, new_legs, {(k, s)}, remap, changed, contract,
+                   cap=(2, spec.loop, f"{exactly}, got more than 2"))
 
 
 def _build_seam_reroute(d, spec) -> _Splice:
@@ -589,13 +616,15 @@ def _build_finger_push(d, spec) -> _Splice:
     f2 = x2 + wvec.scale(1 + reach)
     inserted = (x1, f1, f2, x2)
 
-    splice = _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, lambda adds: None)
+    exactly = "finger push must add exactly 2 crossings"
+    splice = _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, lambda adds: None,
+                           (2, None, f"{exactly}, got more than 2"))
     expected_other = (loop2,) + (splice.remap(leg2, seg2) if loop2 == spec.loop else (leg2, seg2))
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
     def contract(additions: list[Crossing]) -> str | None:
         if len(additions) != 2:
-            return f"finger push must add exactly 2 crossings, got {len(additions)}"
+            return f"{exactly}, got {len(additions)}"
         seen_verticals = set()
         for cr in additions:
             sides = {
@@ -624,13 +653,13 @@ def _build_subdivide(d, spec) -> _Splice:
         raise MoveBlocked("subdivision point must be interior")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = (a + (b - a).scale(t),)
+    message = "subdividing must not create crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
-        if additions:
-            return "subdividing must not create crossings"
-        return None
+        return message if additions else None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract)
+    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
+                         (0, None, message))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -19,8 +21,16 @@ from rp2bouquet import (
     validate,
     vertex_directions,
 )
-from rp2bouquet.diagram import Crossing, LoopParam, _check_crossing_set, analysis
-from rp2bouquet.geometry import SegKind, segment_intersection, sign
+from rp2bouquet.diagram import (
+    Crossing,
+    LoopParam,
+    Violation,
+    _check_crossing_set,
+    _check_seam_table,
+    _check_vertex_directions,
+    analysis,
+)
+from rp2bouquet.geometry import SegKind, circle_point, segment_intersection, sign
 
 
 def kinds(d):
@@ -172,6 +182,94 @@ def test_crossings_refuses_invalid():
     d = one_loop(pt(0, 0), pt("9/8", 0), pt("1/4", "1/4"), pt(0, 0))
     with pytest.raises(InvalidDiagram):
         crossings(d)
+
+
+# ---------------------------------------------------------------------------
+# seam table and vertex star against the quadratic pair walk
+# ---------------------------------------------------------------------------
+
+def quadratic_seam_table(d):
+    exits = [(li, leg.points[-1]) for li, loop in enumerate(d.loops) for leg in loop.legs[:-1]]
+    out = []
+    for i in range(len(exits)):
+        for j in range(i + 1, len(exits)):
+            (li, p), (lj, q) = exits[i], exits[j]
+            if p == q:
+                out.append(Violation("CoincidentSeamPoints", li, note=f"loops {li} and {lj}"))
+            elif p == -q:
+                out.append(Violation("AntipodalSeamPoints", li, note=f"loops {li} and {lj}"))
+    return out
+
+
+def quadratic_vertex_directions(d):
+    vecs = []
+    for li, loop in enumerate(d.loops):
+        vecs += [(li, loop.first_direction()), (li, -loop.last_direction())]
+    out = []
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            (li, u), (lj, v) = vecs[i], vecs[j]
+            if not u.is_zero() and not v.is_zero() and u.cross(v) == 0 and u.dot(v) > 0:
+                out.append(Violation("CodirectionalAtVertex", li,
+                                     note=f"half-edges of loops {li} and {lj}"))
+    return out
+
+
+def seam_table_diagram(rng, exits):
+    """Loops of one to four legs whose seam exits are `exits`, in order."""
+    loops, i = [], 0
+    while i < len(exits) or not loops:
+        qs = exits[i:i + rng.randrange(4)]
+        i += len(qs)
+        starts = [pt(0, 0)] + [-q for q in qs]
+        loops.append(LoopPath(tuple(Leg(ab) for ab in zip(starts, qs + [pt(0, 0)]))))
+    return BouquetDiagram(len(loops), pt(0, 0), tuple(loops))
+
+
+def star_diagram(directions):
+    """One loop per pair of directions: out along the first, back against
+    the second."""
+    loops = []
+    for a, b in zip(directions[::2], directions[1::2]):
+        loops.append(LoopPath((Leg((pt(0, 0), a, pt("1/2", "1/2"), b, pt(0, 0))),)))
+    return BouquetDiagram(len(loops), pt(0, 0), tuple(loops))
+
+
+def test_seam_and_star_checks_match_quadratic_walk():
+    rng = random.Random("seam-star")
+    for _ in range(200):
+        # few distinct points, so coincident and antipodal pairs are common
+        pool = [circle_point(rat(rng.randrange(-9, 10), 4)) for _ in range(rng.randrange(1, 5))]
+        exits = [rng.choice(pool).scale(rng.choice((1, -1))) for _ in range(rng.randrange(12))]
+        d = seam_table_diagram(rng, exits)
+        out = []
+        _check_seam_table(out, d)
+        assert out == quadratic_seam_table(d)
+        # the same rays at other lengths (codirectional), opposite rays and zeros
+        rays = [pt(rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(3)]
+        dirs = [rng.choice(rays).scale(rat(rng.choice((1, 1, 2, 3, -1)), rng.randrange(4, 9)))
+                for _ in range(2 * rng.randrange(1, 7))]
+        d = star_diagram(dirs)
+        out = []
+        _check_vertex_directions(out, d)
+        assert out == quadratic_vertex_directions(d)
+
+
+def test_seam_and_star_checks_scale():
+    # 2,000 distinct seam exits, and 2,000 loops at the vertex: a walk over
+    # all pairs makes 2 and 8 million exact comparisons
+    exits = [circle_point(rat(i + 1, 2001)) for i in range(2000)]
+    d = seam_table_diagram(random.Random(0), exits)
+    out = []
+    start = time.perf_counter()
+    _check_seam_table(out, d)
+    assert out == [] and time.perf_counter() - start < 2
+    dirs = [pt(1, rat(i, 4001)) for i in range(4000)]
+    d = star_diagram(dirs)
+    assert len(d.loops) == 2000
+    start = time.perf_counter()
+    _check_vertex_directions(out, d)
+    assert out == [] and time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------

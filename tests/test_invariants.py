@@ -191,6 +191,8 @@ def test_signed_index_orientation_argument():
         signed_index(d, 0, 0)
     with pytest.raises(IndexError):
         signed_index(d, 5)
+    with pytest.raises(IndexError):
+        signed_index(d, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from rp2bouquet import (
     apply_edit_outcome,
     apply_move,
     crossings,
+    dumps,
     inv2,
     inv3,
     invariants,
@@ -401,6 +402,72 @@ def test_touched_only_structural_check_matches_full_check():
     assert proposals > 1000
     assert kinds == {"RepeatedPoint", "Cusp", "PointOutsideDisk", "PointOnCircle", "SeamRegularity",
                      "CodirectionalAtVertex", "CoincidentSeamPoints", "AntipodalSeamPoints"}
+
+
+# ---------------------------------------------------------------------------
+# the contract cap stops blocked moves early and changes no decision
+# ---------------------------------------------------------------------------
+
+def single_kink_specs(d, rng):
+    specs = []
+    keys = moves_mod._segment_keys(d)
+    for _ in range(3):
+        key = keys[rng.randrange(len(keys))]
+        window = moves_mod._free_window(d, rng, key)
+        if window:
+            center, half = window
+            w = half / rng.choice((1, 2))  # random_edit takes half / 2
+            specs.append(EditSpec("SingleKink", *key, (center, w, w * rat(rng.choice((-1, 1)), 4))))
+    return specs
+
+
+def outcome(d, spec):
+    """("applied", dumps, crossings, records, locations) or ("blocked", message)."""
+    try:
+        d2 = apply_move(d, spec) if isinstance(spec, MoveSpec) else apply_edit(d, spec)
+    except MoveBlocked as exc:
+        return "blocked", str(exc)
+    kept = analysis(d2)
+    return "applied", dumps(d2), kept.crossings, kept.records, kept.locations
+
+
+def test_contract_cap_keeps_every_decision(monkeypatch, chord):
+    """Every spec gets the same decision, and an applied one the same diagram
+    and kept analysis, with and without the cap of its builder."""
+    def uncapped(build):
+        def wrapped(d, spec):
+            splice = build(d, spec)
+            splice.cap = None
+            return splice
+        return wrapped
+
+    fired = {}
+    compared = 0
+    for seed in range(8):
+        rng = random.Random(f"contract-cap:{seed}")
+        d = realize(random_tuple(rng.choice((1, 2, 3)), rng.randrange(10 ** 9)))
+        for _ in range(12):
+            specs = [moves_mod._propose_move(d, rng) for _ in range(12)]
+            specs = [s for s in specs if s] + hostile_specs(d, rng) + single_kink_specs(d, rng)
+            for spec in specs:
+                capped = outcome(d, spec)
+                table = moves_mod._MOVE_BUILDERS if isinstance(spec, MoveSpec) \
+                    else moves_mod._EDIT_BUILDERS
+                with monkeypatch.context() as m:
+                    m.setitem(table, spec.kind, uncapped(table[spec.kind]))
+                    full = outcome(d, spec)
+                if capped[0] == full[0] == "blocked":
+                    if "got more than" in capped[1]:
+                        fired[spec.kind] = fired.get(spec.kind, 0) + 1
+                else:
+                    assert capped == full, spec.to_line()
+                compared += 1
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert compared > 1500
+    assert fired.get("Detour", 0) >= 50 and fired.get("FingerPush", 0) >= 50, fired
+    # the corridor of test_detour_blocked_cases picks up a third self-crossing
+    spec = MoveSpec("Detour", 0, 0, 0, (rat(1), rat(1, 2), rat(1, 4), rat(1, 2), rat(-2) + rat(1, 16)))
+    assert outcome(chord, spec) == ("blocked", "detour must add exactly 2 self-crossings, got more than 2")
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def canonical_cyclic_word(symbols) -> CyclicWord:
     return CyclicWord.from_symbols(symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantTuple:
     """The full invariant: vertex word, homotopy-class bits, parity bits."""
 

@@ -18,16 +18,21 @@ The construction is deterministic: a small ladder of global perturbations is
 tried until the result passes full validation and classifies back to the
 requested tuple (the first perturbation almost always succeeds).
 
-:func:`enumerate_classes` lists every invariant value for small n; the counts
-are 4, 48, 3840 for n = 1, 2, 3.  The list grows as (2n-1)!/2 * 4^n, so the
-enumeration is capped at n = 4 (645120 classes, the largest size that is
-practical to materialize); larger n raises :class:`LimitExceeded`.
+:func:`enumerate_classes` lists every invariant value for small n.  Since e1
+is the least symbol and occurs once, the canonical spelling of a word starts
+at e1 and, of its two directions, reads the lesser; so the words are e1 + p
+for the permutations p of the other symbols with p <= reversed(p), met once
+each and already in order.  The counts are 4, 48, 3840 for n = 1, 2, 3 and
+grow as (2n-1)!/2 * 4^n, so the enumeration is capped at n = 4 (645120
+classes, the largest size that is practical to materialize); larger n raises
+:class:`LimitExceeded`.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product, starmap
+from math import factorial
 
 from .geometry import Point, Rat, circle_point, mat_apply, pt, rat, seam_reflection
 from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, validate
@@ -170,13 +175,11 @@ def realize(t: InvariantTuple) -> BouquetDiagram:
     raise RealizationError(f"could not realize {t.text()}: {last}")
 
 
-def _all_bit_vectors(n: int) -> list[tuple[int, ...]]:
-    return [tuple((m >> (n - 1 - i)) & 1 for i in range(n)) for m in range(2 ** n)]
-
-
 def enumerate_classes(n: int) -> list[InvariantTuple]:
-    """All invariant values for n loops, deterministically ordered.
+    """All invariant values for n loops, sorted by (word, h, w).
 
+    Each word is built directly in its canonical spelling (see the module
+    docstring).  Every call builds every class anew and returns a new list.
     len(enumerate_classes(n)) = (2n-1)!/2 * 4^n for n >= 2, and 4 for n = 1.
     Capped at n <= MAX_ENUM_N (= 4); beyond that the list would exceed tens of
     millions of entries, so :class:`LimitExceeded` is raised.
@@ -184,28 +187,18 @@ def enumerate_classes(n: int) -> list[InvariantTuple]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ENUM_N:
+        # the exact count is printed only while it is short (59 digits at n = 20)
+        need = _class_count(n) if n <= 20 else "(2n-1)!/2 * 4^n"
         raise LimitExceeded(
-            f"enumerate_classes is capped at n = {MAX_ENUM_N}; "
-            f"n = {n} would need {_class_count(n)} entries")
-    rest = [HalfEdge(i, inv) for i in range(n) for inv in (False, True)][1:]
-    anchor = HalfEdge(0, False)
-    words = {CyclicWord.from_symbols((anchor,) + p) for p in permutations(rest)}
-    ordered_words = sorted(words, key=lambda w: w.symbols)
-    bit_vectors = _all_bit_vectors(n)
-    return [
-        InvariantTuple(word, h, w)
-        for word in ordered_words
-        for h in bit_vectors
-        for w in bit_vectors
-    ]
+            f"enumerate_classes is capped at n = {MAX_ENUM_N}; n = {n} would need {need} entries")
+    anchor, *rest = [HalfEdge(i, inv) for i in range(n) for inv in (False, True)]
+    words = [CyclicWord((anchor,) + p) for p in permutations(rest) if p <= p[::-1]]
+    bits = list(product((0, 1), repeat=n))
+    return list(starmap(InvariantTuple, product(words, bits, bits)))
 
 
 def _class_count(n: int) -> int:
-    words = 1
-    for k in range(2, 2 * n):
-        words *= k
-    words = max(words // 2, 1)
-    return words * 4 ** n
+    return max(factorial(2 * n - 1) // 2, 1) * 4 ** n
 
 
 def random_tuple(n: int, seed: int) -> InvariantTuple:

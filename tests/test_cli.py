@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import time
 
 import pytest
 
@@ -135,10 +136,16 @@ def test_enumerate_counts():
     assert lines == sorted(lines, key=lambda s: InvariantTuple.parse(s).order.symbols)
 
 
-def test_enumerate_over_limit():
-    code, out = run(["enumerate", 5])
+@pytest.mark.parametrize("n", [5, 713, 10 ** 9])
+def test_enumerate_over_limit(n):
+    # the refusal must not compute (2n-1)! nor print a number of thousands of digits
+    start = time.perf_counter()
+    code, out = run(["enumerate", n])
+    assert time.perf_counter() - start < 0.5
     assert code == 1
     assert out.startswith("ERROR: LimitExceeded: enumerate_classes is capped at n = 4")
+    if n == 5:
+        assert "185794560 entries" in out
 
 
 def test_enumerate_rejects_nonpositive():

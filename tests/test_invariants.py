@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from rp2bouquet import (
     MissingSymbol,
     canonical_cyclic_word,
     crossings,
+    enumerate_classes,
     equiv,
     inv1,
     inv2,
@@ -101,6 +104,10 @@ def test_tuple_text_roundtrip():
     t = InvariantTuple.parse("order=e1,e2,e1^-1,e2^-1; h=10; w=01")
     assert InvariantTuple.parse(t.text()) == t
     assert t.n == 2
+    (enumerated,) = [c for c in enumerate_classes(2) if c.text() == t.text()]
+    assert enumerated == t and hash(enumerated) == hash(t)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.h = (0, 0)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,4 +1,5 @@
-from itertools import permutations
+import hashlib
+from itertools import groupby, permutations
 
 import pytest
 
@@ -17,7 +18,10 @@ from rp2bouquet import (
     realize,
     validate,
 )
-from rp2bouquet.normal_form import random_tuple
+from rp2bouquet.normal_form import _class_count, random_tuple
+
+# SHA-256 of the n = 4 enumeration text, one tuple per line
+ENUMERATE_4_SHA256 = "16c6837266c038bf594fd9925a1dc28f4a2b8af0c8170a4b7bbe9ce690b94b62"
 
 
 def symbols_of(n):
@@ -53,7 +57,15 @@ def test_enumerate_bounds():
 
 def test_enumerate_largest_supported():
     classes = enumerate_classes(4)
-    assert len(classes) == 645120  # (2*4-1)!/2 * 4^4
+    assert len(classes) == 645120 == _class_count(4)  # (2*4-1)!/2 * 4^4
+    text = "\n".join(t.text() for t in classes) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_4_SHA256
+    keys = [(t.order.symbols, t.h, t.w) for t in classes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no duplicates
+    # consecutive runs are the distinct words, since the keys strictly ascend
+    words = [word for word, _ in groupby(classes, key=lambda t: t.order)]
+    assert len(words) == 2520
+    assert all(CyclicWord.from_symbols(word.symbols) == word for word in words)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import groupby, product
+from operator import attrgetter
 from pathlib import Path
 
 from .diagram import BouquetDiagram, DiagramFormatError, analysis, dumps, loads, validate
@@ -277,8 +279,13 @@ def _cmd_realize(args, stdout) -> int:
 
 
 def _cmd_enumerate(args, stdout) -> int:
-    for t in enumerate_classes(args.n):
-        print(t.text(), file=stdout)
+    # the text of InvariantTuple.text(), but each word and each bit string is
+    # rendered once: the classes come grouped by word
+    classes = enumerate_classes(args.n)
+    bits = {b: "".join(map(str, b)) for b in product((0, 1), repeat=args.n)}
+    for order, group in groupby(classes, attrgetter("order")):
+        head = f"order={order}; h="
+        stdout.write("".join(f"{head}{bits[t.h]}; w={bits[t.w]}\n" for t in group))
     return 0
 
 

@@ -405,34 +405,17 @@ def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
                 r.fminx, r.fmaxx, r.fminy, r.fmaxy)
 
 
-def _loop_records(li: int, loop: LoopPath, reuse=None) -> list[_Seg]:
-    """Records of one loop in (leg, seg) order.
-
-    `reuse` maps a (leg, seg) address to a record of an earlier version of the
-    loop; it is taken over (re-addressed if need be) when it holds the very
-    same end point objects, and built afresh otherwise.
-    """
-    records = []
-    last_leg = len(loop.legs) - 1
-    for ki, leg in enumerate(loop.legs):
-        pts = leg.points
-        last_seg = len(pts) - 2
-        for si in range(len(pts) - 1):
-            a, b = pts[si], pts[si + 1]
-            at_v = (ki == 0 and si == 0) or (ki == last_leg and si == last_seg)
-            r = reuse.get((ki, si)) if reuse else None
-            if r is None or r.a is not a or r.b is not b:
-                r = _make_seg(li, ki, si, a, b, at_v)
-            elif r.leg != ki or r.seg != si or r.at_vertex != at_v:
-                r = _reindexed(r, ki, si, at_v)
-            records.append(r)
-    return records
-
-
 def _segment_records(d: BouquetDiagram) -> list[_Seg]:
+    """Records of every segment in (loop, leg, seg) order."""
     records = []
     for li, loop in enumerate(d.loops):
-        records.extend(_loop_records(li, loop))
+        last_leg = len(loop.legs) - 1
+        for ki, leg in enumerate(loop.legs):
+            pts = leg.points
+            last_seg = len(pts) - 2
+            for si in range(len(pts) - 1):
+                at_v = (ki == 0 and si == 0) or (ki == last_leg and si == last_seg)
+                records.append(_make_seg(li, ki, si, pts[si], pts[si + 1], at_v))
     return records
 
 
@@ -574,7 +557,8 @@ def _point_to_json(p: Point) -> list[int]:
 
 
 def _point_from_json(obj) -> Point:
-    if not (isinstance(obj, list) and len(obj) == 4 and all(isinstance(v, int) for v in obj)):
+    # type(v) is int: a JSON true or false is a bool, and bool is an int subclass
+    if not (isinstance(obj, list) and len(obj) == 4 and all(type(v) is int for v in obj)):
         raise DiagramFormatError(f"point must be [xnum, xden, ynum, yden] of ints, got {obj!r}")
     xn, xd, yn, yd = obj
     if xd == 0 or yd == 0:
@@ -602,7 +586,7 @@ def from_json_obj(obj) -> BouquetDiagram:
         loops = obj["loops"]
     except KeyError as exc:
         raise DiagramFormatError(f"missing key {exc.args[0]!r}") from None
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise DiagramFormatError("n must be an integer")
     if not isinstance(loops, list):
         raise DiagramFormatError("loops must be a list")
@@ -630,6 +614,8 @@ def dumps(d: BouquetDiagram) -> str:
 def loads(text: str) -> BouquetDiagram:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides syntax errors (JSONDecodeError is a ValueError): nesting
+        # deeper than the recursion limit, and ints past the digit limit
         raise DiagramFormatError(f"not valid JSON: {exc}") from None
     return from_json_obj(obj)

@@ -39,9 +39,14 @@ Templates in segment-local coordinates (e = segment vector, v = left normal):
   segments may move with it, so instead of surviving they must keep their
   strands and frames, and the half-edges at the vertex must keep their order.
 
-Applying a move only re-examines segments the splice touched; the analysis of
-the rest of the diagram is reused and updated, which is what keeps long random
-move sequences cheap.
+A builder returns only the legs it built.  Which segments it replaced, which
+are new and where each kept segment moved all follow from one diff of the
+loop's old segments against the new legs: a segment is kept when its two end
+points are the very same objects.  Identity, not ==, decides, because a new
+point can equal an old one in value (a jiggle onto a neighbour makes one), and
+the segments at it must still be examined.  Applying a move only re-examines
+the new segments; the analysis of the rest of the diagram is reused and
+updated, which is what keeps long random move sequences cheap.
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ from .diagram import (
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
-    _loop_records,
+    _make_seg,
     _pair_crossing,
+    _reindexed,
     _set_analysis,
     _skip_pair,
     analysis,
@@ -187,14 +193,13 @@ class EditSpec(_Spec):
 
 @dataclass
 class _Splice:
+    # what a builder returns: its legs but no segment addresses, since
+    # _splice_window finds the replaced and the new segments by identity
     loop: int
-    new_legs: tuple[Leg, ...]
-    replaced: set[tuple[int, int]]                      # old (leg, seg) keys no longer present
-    remap: Callable[[int, int], tuple[int, int]]        # old key -> new key, for keys not replaced
-    changed: set[tuple[int, int]]                       # new (leg, seg) keys to re-examine
-    # crossings to judge -> error message or None; they are the additions, or
-    # every crossing found on `changed` if check_persistence is off
-    contract: Callable[[list[Crossing]], str | None]
+    new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
+    # the additions -> error message or None; with check_persistence off,
+    # (every crossing found on the new segments, those on replaced ones)
+    contract: Callable[..., str | None]
     check_persistence: bool = True                      # old crossing locations must survive
     # (n, counts, message): the contract fails once more than n additions are
     # counted (counts None: every one; a loop: its self-crossings), so the scan
@@ -275,14 +280,12 @@ def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: 
     return found, additions, seen
 
 
-def _remap_crossing(c: Crossing, splice: _Splice) -> Crossing:
+def _remap_crossing(c: Crossing, loop: int, moved: dict) -> Crossing:
     pa, pb = c.param_a, c.param_b
-    if c.loop_a == splice.loop:
-        leg, seg = splice.remap(pa.leg, pa.seg)
-        pa = LoopParam(leg, seg, pa.frac)
-    if c.loop_b == splice.loop:
-        leg, seg = splice.remap(pb.leg, pb.seg)
-        pb = LoopParam(leg, seg, pb.frac)
+    if c.loop_a == loop and (pa.leg, pa.seg) in moved:
+        pa = LoopParam(*moved[pa.leg, pa.seg], pa.frac)
+    if c.loop_b == loop and (pb.leg, pb.seg) in moved:
+        pb = LoopParam(*moved[pb.leg, pb.seg], pb.frac)
     if pa is c.param_a and pb is c.param_b:
         return c
     return Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
@@ -294,22 +297,23 @@ def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
     return BouquetDiagram(d.n, d.vertex, tuple(loops))
 
 
-def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, splice: _Splice) -> Violation | None:
+def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, loop: int,
+                   new: list) -> Violation | None:
     """First generic-position violation of the candidate d2, or None.
 
-    d is valid and d2 differs from it only in the `changed` segments of the
-    spliced loop, so only conditions that read one of them can fail: leg
-    conditions at their end points, joints next to them, the vertex star if a
-    first or last segment changed, and the seam table if the loop's seam
-    points changed.  The verdict (and the first violation) is that of
+    d is valid and d2 differs from it only in the `new` segments (leg, seg,
+    a, b) of the spliced loop, so only conditions that read one of them can
+    fail: leg conditions at their end points, joints next to them, the vertex
+    star if a first or last segment changed, and the seam table if the loop's
+    seam points changed.  The verdict (and the first violation) is that of
     re-checking the whole loop, the vertex star and the seam table.
     """
-    loop = splice.loop
     legs = d2.loops[loop].legs
     if not legs:
         return Violation("ShortLeg", loop)
+    changed = {(k, s) for k, s, _, _ in new}
     by_leg: dict[int, list[int]] = {}
-    for k, s in sorted(splice.changed):
+    for k, s in sorted(changed):
         by_leg.setdefault(k, []).append(s)
     viols: list[Violation] = []
     last = len(legs) - 1
@@ -319,11 +323,11 @@ def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, splice: _Splice) -> Vi
             if viols:
                 return viols[0]
     for ki in range(last):
-        if (ki, len(legs[ki].points) - 2) in splice.changed or (ki + 1, 0) in splice.changed:
+        if (ki, len(legs[ki].points) - 2) in changed or (ki + 1, 0) in changed:
             _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
     if viols:
         return viols[0]
-    if (0, 0) in splice.changed or (last, len(legs[last].points) - 2) in splice.changed:
+    if (0, 0) in changed or (last, len(legs[last].points) - 2) in changed:
         _check_vertex_directions(viols, d2)
     old_legs = d.loops[loop].legs
     if [leg.points[-1] for leg in legs[:-1]] != [leg.points[-1] for leg in old_legs[:-1]]:
@@ -334,21 +338,46 @@ def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, splice: _Splice) -> Vi
 _record_loop = attrgetter("loop")
 
 
-def _splice_records(records: tuple, d2: BouquetDiagram, splice: _Splice) -> tuple[tuple, list]:
-    """Segment records of d2 from those of d, and the records of `changed`.
-
-    Only the spliced loop's records are touched: kept segments are carried
-    over through `remap`, the others are built afresh.
+def _splice_window(records: tuple, d2: BouquetDiagram, loop: int) -> tuple:
+    """(i, j, new, p, q): `new` lists the spliced loop's segments in d2 as
+    (leg, seg, a, b), and new[p:q] replaces records[i:j].  Around this window
+    the two versions share a prefix and a suffix of segments whose two end
+    points are the very same objects (see the module docstring).
     """
-    lo = bisect_left(records, splice.loop, key=_record_loop)
-    hi = bisect_right(records, splice.loop, key=_record_loop)
-    reuse = {}
-    for r in records[lo:hi]:
-        if (r.leg, r.seg) not in splice.replaced:
-            reuse[splice.remap(r.leg, r.seg)] = r
-    loop_records = _loop_records(splice.loop, d2.loops[splice.loop], reuse)
-    changed = [r for r in loop_records if (r.leg, r.seg) in splice.changed]
-    return records[:lo] + tuple(loop_records) + records[hi:], changed
+    lo = bisect_left(records, loop, key=_record_loop)
+    hi = bisect_right(records, loop, key=_record_loop)
+    new = [(ki, si, pts[si], pts[si + 1]) for ki, leg in enumerate(d2.loops[loop].legs)
+           for pts in (leg.points,) for si in range(len(pts) - 1)]
+    n = min(hi - lo, len(new))
+    p = 0
+    while p < n and records[lo + p].a is new[p][2] and records[lo + p].b is new[p][3]:
+        p += 1
+    s = 0
+    while s < n - p and records[hi - 1 - s].a is new[-1 - s][2] \
+            and records[hi - 1 - s].b is new[-1 - s][3]:
+        s += 1
+    return lo + p, hi - s, new, p, len(new) - s
+
+
+def _splice_records(records: tuple, loop: int, window: tuple) -> tuple[tuple, list, set, dict]:
+    """The segment records of d2 from those of d and the splice window, the
+    window's new records (to re-examine), the (leg, seg) keys it replaced and
+    the new key of each kept segment that moved.  Prefix records are kept as
+    they are, suffix records re-addressed, window records built afresh.
+    """
+    i, j, new, p, q = window
+    ends = {(0, 0), new[-1][:2]}  # the segments at the vertex
+    changed = [_make_seg(loop, k, s, a, b, (k, s) in ends) for k, s, a, b in new[p:q]]
+    suffix = []
+    moved = {}
+    for r, (k, s, _, _) in zip(records[j:j + len(new) - q], new[q:]):
+        if r.leg != k or r.seg != s or r.at_vertex != ((k, s) in ends):
+            moved[r.leg, r.seg] = k, s
+            r = _reindexed(r, k, s, (k, s) in ends)
+        suffix.append(r)
+    replaced = {(r.leg, r.seg) for r in records[i:j]}
+    spliced = records[:i] + tuple(changed + suffix) + records[j + len(suffix):]
+    return spliced, changed, replaced, moved
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
@@ -356,37 +385,42 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if base.violations:
         raise InvalidDiagram(f"cannot move on an invalid diagram: {base.violations[0]}")
     d2 = _spliced(d, splice)
-    bad = _structural_ok(d, d2, splice)
+    window = _splice_window(base.records, d2, splice.loop)
+    _, _, new, p, q = window
+    bad = _structural_ok(d, d2, splice.loop, new[p:q])
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
-    records, changed = _splice_records(base.records, d2, splice)
-    kept, removed = _split_crossings(base, splice)
+    # records only now: a point far outside the disk has no float box
+    records, changed, replaced, moved = _splice_records(base.records, splice.loop, window)
+    kept, dropped = _split_crossings(base, splice.loop, replaced)
+    removed = {(c.location.x, c.location.y) for c in dropped}
     found, additions, found_locations = _scan_changed(
         records, changed, base.locations, removed, d2.vertex,
         splice.cap if splice.check_persistence else None)
-    if splice.check_persistence and not removed <= found_locations:
+    if not splice.check_persistence:
+        err = splice.contract(found, dropped)
+    elif not removed <= found_locations:
         raise MoveBlocked("an existing crossing would be destroyed")
-    err = splice.contract(additions if splice.check_persistence else found)
+    else:
+        err = splice.contract(additions)
     if err:
         raise MoveBlocked(err)
 
-    olds = [_remap_crossing(c, splice) for c in kept]
+    olds = [_remap_crossing(c, splice.loop, moved) for c in kept]
     _set_result(d2, base, olds + found, records, removed, found_locations)
     return d2, additions
 
 
-def _split_crossings(base: DiagramAnalysis, splice: _Splice) -> tuple[list[Crossing], set]:
-    """The crossings the splice keeps (not yet re-addressed), and the
-    locations of those on replaced segments."""
+def _split_crossings(base: DiagramAnalysis, loop: int,
+                     replaced: set) -> tuple[list[Crossing], list[Crossing]]:
+    """The crossings the splice keeps (not yet re-addressed) and those on
+    replaced segments."""
     kept: list[Crossing] = []
-    removed: set[tuple[Rat, Rat]] = set()
+    dropped: list[Crossing] = []
     for c in base.crossings:
-        if c.involves(splice.loop, splice.replaced):
-            removed.add((c.location.x, c.location.y))
-        else:
-            kept.append(c)
-    return kept, removed
+        (dropped if c.involves(loop, replaced) else kept).append(c)
+    return kept, dropped
 
 
 def _set_result(d2: BouquetDiagram, base: DiagramAnalysis, new_crossings: list[Crossing],
@@ -412,16 +446,7 @@ def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
     legs = d.loops[loop].legs
     pts = legs[leg].points
     new_leg = Leg(pts[:seg + 1] + inserted + pts[seg + 1:])
-    new_legs = legs[:leg] + (new_leg,) + legs[leg + 1:]
-    m = len(inserted)
-
-    def remap(kk: int, ss: int) -> tuple[int, int]:
-        if kk != leg or ss < seg:
-            return kk, ss
-        return kk, ss + m
-
-    changed = {(leg, seg + j) for j in range(m + 1)}
-    return _Splice(loop, new_legs, {(leg, seg)}, remap, changed, contract, cap=cap)
+    return _Splice(loop, legs[:leg] + (new_leg,) + legs[leg + 1:], contract, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +553,6 @@ def _build_detour(d, spec) -> _Splice:
     leg_m = Leg((-q, y1, r))
     leg_b = Leg((-r, z1, x2) + pts[spec.segment + 1:])
     new_legs = legs[:spec.leg] + (leg_a, leg_m, leg_b) + legs[spec.leg + 1:]
-
-    k, s = spec.leg, spec.segment
-
-    def remap(kk: int, ss: int) -> tuple[int, int]:
-        if kk < k:
-            return kk, ss
-        if kk == k:
-            return (k, ss) if ss < s else (k + 2, ss - s + 2)
-        return kk + 2, ss
-
-    changed = {(k, s + j) for j in range(10)} | {(k + 1, 0), (k + 1, 1)} \
-        | {(k + 2, 0), (k + 2, 1), (k + 2, 2)}
     exactly = "detour must add exactly 2 self-crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
@@ -550,8 +563,7 @@ def _build_detour(d, spec) -> _Splice:
             return "detour curls must both carry the requested sign"
         return None
 
-    return _Splice(spec.loop, new_legs, {(k, s)}, remap, changed, contract,
-                   cap=(2, spec.loop, f"{exactly}, got more than 2"))
+    return _Splice(spec.loop, new_legs, contract, cap=(2, spec.loop, f"{exactly}, got more than 2"))
 
 
 def _build_seam_reroute(d, spec) -> _Splice:
@@ -573,21 +585,9 @@ def _build_seam_reroute(d, spec) -> _Splice:
     leg_a = Leg(pts[:spec.segment + 1] + (x1, q))
     leg_b = Leg((-q, z1, x2) + pts[spec.segment + 1:])
     new_legs = legs[:spec.leg] + (leg_a, leg_b) + legs[spec.leg + 1:]
-
-    k, s = spec.leg, spec.segment
-
-    def remap(kk: int, ss: int) -> tuple[int, int]:
-        if kk < k:
-            return kk, ss
-        if kk == k:
-            return (k, ss) if ss < s else (k + 1, ss - s + 2)
-        return kk + 1, ss
-
-    changed = {(k, s), (k, s + 1)} | {(k + 1, 0), (k + 1, 1), (k + 1, 2)}
-
     # created crossings are unconstrained: the edit's index damage is reported,
     # not controlled
-    return _Splice(spec.loop, new_legs, {(k, s)}, remap, changed, lambda adds: None)
+    return _Splice(spec.loop, new_legs, lambda adds: None)
 
 
 def _build_finger_push(d, spec) -> _Splice:
@@ -617,9 +617,9 @@ def _build_finger_push(d, spec) -> _Splice:
     inserted = (x1, f1, f2, x2)
 
     exactly = "finger push must add exactly 2 crossings"
-    splice = _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, lambda adds: None,
-                           (2, None, f"{exactly}, got more than 2"))
-    expected_other = (loop2,) + (splice.remap(leg2, seg2) if loop2 == spec.loop else (leg2, seg2))
+    # the chosen strand moves along only if it lies later on the pushed leg
+    later = (loop2, leg2) == (spec.loop, spec.leg) and seg2 > spec.segment
+    expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
     def contract(additions: list[Crossing]) -> str | None:
@@ -643,8 +643,8 @@ def _build_finger_push(d, spec) -> _Splice:
             return "cross-loop finger push may not add self-crossings"
         return None
 
-    splice.contract = contract
-    return splice
+    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
+                         (2, None, f"{exactly}, got more than 2"))
 
 
 def _build_subdivide(d, spec) -> _Splice:
@@ -691,18 +691,15 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     moved = pts[idx] + Point(dx, dy)
     new_leg = Leg(pts[:idx] + (moved,) + pts[idx + 1:])
     new_legs = legs[:k] + (new_leg,) + legs[k + 1:]
-    changed = {(k, idx - 1), (k, idx)}
 
-    def contract(found: list[Crossing]) -> str | None:
-        old = [c for c in analysis(d).crossings if c.involves(loop, changed)]
-        if _crossing_signature(found) != _crossing_signature(old):
+    def contract(found: list[Crossing], dropped: list[Crossing]) -> str | None:
+        if _crossing_signature(found) != _crossing_signature(dropped):
             return "jiggle would change the crossing pattern"
         if _vertex_cycle(_spliced(d, splice)) != _vertex_cycle(d):
             return "jiggle would reorder the vertex star"
         return None
 
-    splice = _Splice(loop, new_legs, changed, lambda kk, ss: (kk, ss), changed, contract,
-                     check_persistence=False)
+    splice = _Splice(loop, new_legs, contract, check_persistence=False)
     return splice
 
 

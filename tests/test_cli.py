@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
 import io
+import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rp2bouquet import (
     InvariantTuple,
@@ -13,6 +17,7 @@ from rp2bouquet import (
 )
 from rp2bouquet import moves as moves_mod
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
+from test_normal_form import ENUMERATE_4_SHA256
 
 
 def run(args):
@@ -46,6 +51,75 @@ def test_validate_malformed_json(data_dir):
 def test_validate_missing_file(data_dir):
     code, out = run(["validate", data_dir / "no_such_file.json"])
     assert code == 2 and out.startswith("ERROR: cannot read")
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 50_000], ids=["lists", "objects"])
+def test_validate_deep_nesting(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out = run(["validate", path])
+    assert code == 2 and out.startswith("ERROR: not valid JSON: maximum recursion depth")
+
+
+def test_validate_int_past_digit_limit(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n":1,"vertex":[' + "7" * 5000 + ',1,0,1],"loops":[]}')
+    code, out = run(["validate", path])
+    assert code == 2 and out.startswith("ERROR: not valid JSON: Exceeds the limit")
+
+
+@pytest.mark.parametrize("old,new", [('"n":1', '"n":true'), ("[0,1,0,1]", "[false,1,0,1]"),
+                                     ("[1,2,0,1]", "[1,2,true,1]")])
+def test_validate_rejects_booleans(data_dir, tmp_path, old, new):
+    text = (data_dir / "circle.json").read_text()
+    assert old in text
+    path = tmp_path / "bools.json"
+    path.write_text(text.replace(old, new, 1))
+    code, out = run(["validate", path])
+    assert code == 2 and out.startswith("ERROR: ")
+
+
+FIXTURES = ["circle.json", "chord_kink.json", "invalid_seam.json", "three_loops.json"]
+# stand-ins spliced into the text after json.dumps: an int of 4,000 digits
+# (parsed), one of 5,000 (past the digit limit) and 50,000 nested lists
+BIG, HUGE, DEEP = "@big@", "@huge@", "@deep@"
+
+
+def json_paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from json_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(FIXTURES), data=st.data())
+def test_hostile_fixture_mutations_never_crash(data_dir, tmp_path, name, data):
+    obj = json.loads((data_dir / name).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(json_paths(obj))))
+        replacement = data.draw(st.one_of(
+            st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.floats(),
+            st.sampled_from([BIG, HUGE, DEEP, None, {}, [], "e1", "delete"]),
+            st.lists(st.integers(-3, 3), max_size=5)))
+        if not path:
+            obj = replacement
+            continue
+        *head, last = path
+        parent = obj
+        for key in head:
+            parent = parent[key]
+        if replacement == "delete":
+            del parent[last]
+        else:
+            parent[last] = replacement
+    text = json.dumps(obj).replace(f'"{BIG}"', "7" * 4000).replace(f'"{HUGE}"', "9" * 5000)
+    text = text.replace(f'"{DEEP}"', "[" * 50_000 + "]" * 50_000)
+    file = tmp_path / "mutated.json"
+    file.write_text(text)
+    code, _ = run(["validate", file])
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +222,12 @@ def test_enumerate_over_limit(n):
         assert "185794560 entries" in out
 
 
+def test_enumerate_4_text_is_pinned():
+    code, out = run(["enumerate", 4])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_4_SHA256
+
+
 def test_enumerate_rejects_nonpositive():
     code, out = run(["enumerate", 0])
     assert code == 2 and out.startswith("ERROR: ")
@@ -170,10 +250,10 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
 
     splice_records = moves_mod._splice_records
 
-    def corrupted(records, d2, splice):
-        records, changed = splice_records(records, d2, splice)
+    def corrupted(records, loop, window):
+        records, *rest = splice_records(records, loop, window)
         first = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
-        return (first,) + records[1:], changed
+        return ((first,) + records[1:], *rest)
 
     monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
     code, out = run(args)

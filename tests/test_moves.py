@@ -393,7 +393,8 @@ def test_touched_only_structural_check_matches_full_check():
                     except MoveBlocked:
                         continue
                     d2 = moves_mod._spliced(d, splice)
-                    touched = moves_mod._structural_ok(d, d2, splice)
+                    _, _, new, p, q = moves_mod._splice_window(analysis(d).records, d2, splice.loop)
+                    touched = moves_mod._structural_ok(d, d2, splice.loop, new[p:q])
                     full = _structural_violations(d2)
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
@@ -468,6 +469,82 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
     # the corridor of test_detour_blocked_cases picks up a third self-crossing
     spec = MoveSpec("Detour", 0, 0, 0, (rat(1), rat(1, 2), rat(1, 4), rat(1, 2), rat(-2) + rat(1, 16)))
     assert outcome(chord, spec) == ("blocked", "detour must add exactly 2 self-crossings, got more than 2")
+
+
+# ---------------------------------------------------------------------------
+# the splice window is derived from segment identity
+# ---------------------------------------------------------------------------
+
+def loop_segments(loop):
+    return [(ki, si, leg.points[si], leg.points[si + 1])
+            for ki, leg in enumerate(loop.legs) for si in range(len(leg.points) - 1)]
+
+
+def identity_window(d, d2, loop):
+    """Brute force: (replaced, changed, address map) by matching each new
+    segment's (a, b) object pair against every old one."""
+    old = {(id(a), id(b)): (k, s) for k, s, a, b in loop_segments(d.loops[loop])}
+    new = {(id(a), id(b)): (k, s) for k, s, a, b in loop_segments(d2.loops[loop])}
+    kept = old.keys() & new.keys()
+    return ({old[x] for x in old.keys() - kept}, {new[x] for x in new.keys() - kept},
+            {old[x]: new[x] for x in kept})
+
+
+def window_specs(d, rng):
+    """Seeded proposals, hostile and SingleKink specs, SeamReroute edits and
+    a jiggle by zero (a new point equal in value to the old one)."""
+    specs = [moves_mod._propose_move(d, rng) for _ in range(8)]
+    specs = [s for s in specs if s] + hostile_specs(d, rng) + single_kink_specs(d, rng)
+    loop, leg, seg = key = rng.choice(moves_mod._segment_keys(d))
+    window = moves_mod._free_window(d, rng, key)
+    if window:
+        center, half = window
+        uq = moves_mod._seam_u(d, rng, key, center)
+        specs.append(EditSpec("SeamReroute", loop, leg, seg, (center, half, uq)))
+    if len(d.loops[loop].legs[leg].points) > 2:
+        specs.append(MoveSpec("Jiggle", loop, leg, 1, (rat(0), rat(0))))
+    return specs
+
+
+def test_splice_window_matches_segment_identity():
+    """For every builder, the window found by the prefix and suffix scans
+    replaces, re-examines and re-addresses exactly the segments that the
+    brute-force identity match says, and the spliced records of a generic
+    result equal freshly built ones."""
+    builders = {**moves_mod._MOVE_BUILDERS, **moves_mod._EDIT_BUILDERS}
+    kinds = {}
+    for seed in range(10):
+        rng = random.Random(f"splice-window:{seed}")
+        d = realize(random_tuple(rng.choice((1, 2, 3)), rng.randrange(10 ** 9)))
+        for _ in range(10):
+            for spec in window_specs(d, rng):
+                try:
+                    splice = builders[spec.kind](d, spec)
+                except MoveBlocked:
+                    continue
+                d2 = moves_mod._spliced(d, splice)
+                base = analysis(d).records
+                window = moves_mod._splice_window(base, d2, splice.loop)
+                records, changed, replaced, moved = moves_mod._splice_records(
+                    base, splice.loop, window)
+                want_replaced, want_changed, want_map = identity_window(d, d2, splice.loop)
+                assert replaced == want_replaced, spec.to_line()
+                assert {(r.leg, r.seg) for r in changed} == want_changed, spec.to_line()
+                assert {k: moved.get(k, k) for k in want_map} == want_map, spec.to_line()
+                assert moved.keys() <= want_map.keys(), spec.to_line()
+                _, _, new, p, q = window
+                if moves_mod._structural_ok(d, d2, splice.loop, new[p:q]) is None:
+                    assert records == tuple(_segment_records(d2)), spec.to_line()
+                kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert set(kinds) == set(builders) and min(kinds.values()) >= 50, kinds
+
+
+def test_huge_jiggle_is_blocked_before_records_are_built(quad):
+    # a point far outside the disk has no float box: the structural check
+    # must block it first
+    with pytest.raises(MoveBlocked, match="PointOutsideDisk"):
+        apply_move(quad, MoveSpec("Jiggle", 0, 0, 1, (rat(10 ** 400), rat(0))))
 
 
 # ---------------------------------------------------------------------------

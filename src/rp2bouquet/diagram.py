@@ -29,9 +29,12 @@ from math import inf, nextafter
 from typing import Iterable, Iterator
 
 from .geometry import (
+    EMPTY,
     Point,
     Rat,
     SegKind,
+    SegmentIntersection,
+    _proper,
     mat_apply,
     on_unit_circle,
     orient2d,
@@ -218,9 +221,9 @@ class DiagramAnalysis:
     """Cached result of validating a diagram.
 
     For a valid diagram `records` holds its segment records (see
-    :class:`_Seg`) in (loop, leg, seg) order and `locations` the (x, y) of its
-    crossings, so that a move can update both instead of rebuilding them; both
-    are empty for an invalid diagram.
+    :class:`_Seg`) in (loop, leg, seg) order and `locations` the
+    :func:`_location_key` of each crossing, so that a move can update both
+    instead of rebuilding them; both are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
@@ -366,12 +369,15 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 
 @dataclass(frozen=True, slots=True)
 class _Seg:
-    """One segment with its exact least x and a float box around it.
+    """One segment with its exact least x, its end points in floats and a
+    float box around it.
 
-    The float box (`fminx` ...) is rounded outward, so it always contains the
-    exact bounding box; it may only prove two segments disjoint.  Every pair
-    it does not separate is decided by the exact predicates.  The exact
-    `minx` is the sweep's sort key, which fixes the order of reported
+    The floats only filter; every decision is exact.  The box (`fminx` ...)
+    is rounded outward, so it always contains the exact bounding box and may
+    only prove two segments disjoint.  The float end points (`fax` ...) give
+    orientation signs that are trusted only beyond a proved error bound (see
+    :func:`_meet`); any other pair is decided by the exact predicates.  The
+    exact `minx` is the sweep's sort key, which fixes the order of reported
     violations.
     """
 
@@ -386,23 +392,30 @@ class _Seg:
     fmaxx: float
     fminy: float
     fmaxy: float
+    fax: float
+    fay: float
+    fbx: float
+    fby: float
 
 
 def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg:
     # float() of either number type is within one unit in the last place of
-    # the exact value, so one step outward encloses it; coordinates of a
-    # valid diagram lie in [-1, 1], so the conversion never overflows
-    minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    # the exact value, and monotone, so the float box of the float end points
+    # stepped once outward encloses the exact box; coordinates of a valid
+    # diagram lie in [-1, 1], so the conversion never overflows
+    fax, fay, fbx, fby = float(a.x), float(a.y), float(b.x), float(b.y)
+    minx = a.x if a.x <= b.x else b.x
+    fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
+    fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
     return _Seg(li, ki, si, a, b, minx, at_v,
-                nextafter(float(minx), -inf), nextafter(float(maxx), inf),
-                nextafter(float(miny), -inf), nextafter(float(maxy), inf))
+                nextafter(fminx, -inf), nextafter(fmaxx, inf),
+                nextafter(fminy, -inf), nextafter(fmaxy, inf), fax, fay, fbx, fby)
 
 
 def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
-    """The same segment under a new (leg, seg) address; the boxes are kept."""
+    """The same segment under a new (leg, seg) address; the floats are kept."""
     return _Seg(r.loop, ki, si, r.a, r.b, r.minx, at_v,
-                r.fminx, r.fmaxx, r.fminy, r.fmaxy)
+                r.fminx, r.fmaxx, r.fminy, r.fmaxy, r.fax, r.fay, r.fbx, r.fby)
 
 
 def _segment_records(d: BouquetDiagram) -> list[_Seg]:
@@ -427,14 +440,13 @@ def _skip_pair(s: _Seg, t: _Seg) -> bool:
     return False
 
 
-def _pair_crossing(s: _Seg, t: _Seg, res) -> Crossing:
-    """The crossing of a PROPER intersection `res` of s and t."""
+def _pair_crossing(s: _Seg, t: _Seg, res, frame: int) -> Crossing:
+    """The crossing of a PROPER intersection `res` of s and t; `frame` is the
+    sign of da x db, which is orient2d(s.a, s.b, t.b): t.a and t.b lie
+    strictly on opposite sides of s, so da x (t.b - t.a) = da x (t.b - s.a) -
+    da x (t.a - s.a) has the sign of its first term."""
     pa = LoopParam(s.leg, s.seg, res.t1)
     pb = LoopParam(t.leg, t.seg, res.t2)
-    # sign of da x db: t.a and t.b lie strictly on opposite sides of s, so
-    # da x (t.b - t.a) = da x (t.b - s.a) - da x (t.a - s.a) has the sign of
-    # its first term
-    frame = orient2d(s.a, s.b, t.b)
     if s.loop == t.loop:
         if pa <= pb:
             return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
@@ -444,12 +456,56 @@ def _pair_crossing(s: _Seg, t: _Seg, res) -> Crossing:
     return Crossing(t.loop, s.loop, pb, pa, res.point, -frame)
 
 
+# A float orientation determinant whose magnitude exceeds _B has the sign of
+# the exact one.  Coordinates of records lie in [-1, 1] (records exist only
+# for diagrams that pass the structural check), so each float end point is
+# within u = 2^-53 of its exact value and lies in [-1, 1] itself.  In
+#   (bx - ax)(cy - ay) - (by - ay)(cx - ax)
+# each float difference is then within e = 2^-51 of the exact one (2u from
+# the inputs, at most 2u from rounding a value of magnitude <= 2) and has
+# magnitude <= 2; each float product is within 2e + 2e from the inputs plus
+# e from rounding a value of magnitude <= 4, so 5e; the difference of the two
+# products is within 10e < 2^-47 of the exact determinant.  Rounding that
+# difference is monotone and _B is a float, so |fdet| > _B implies that the
+# difference exceeds _B = 2 * 2^-47 in magnitude: the sign is certain.
+# (Underflow adds at most 2^-1074 per operation, far inside the margin.)
+_B = 2.0 ** -46
+
+
+def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
+    """segment_intersection(s.a, s.b, t.a, t.b) and, for a PROPER result, the
+    frame orient2d(s.a, s.b, t.b) (0 otherwise).
+
+    The four orientation signs are first taken from the float end points,
+    where certain (see _B): two certain equal signs of one segment's end
+    points against the other's line mean EMPTY, and four certain signs,
+    opposite in each pair, a PROPER crossing built exactly by _proper.  Any
+    other pair goes to the exact segment_intersection.
+    """
+    ax, ay, bx, by = s.fax, s.fay, s.fbx, s.fby
+    cx, cy, dx, dy = t.fax, t.fay, t.fbx, t.fby
+    ex, ey = bx - ax, by - ay
+    oc = ex * (cy - ay) - ey * (cx - ax)
+    od = ex * (dy - ay) - ey * (dx - ax)
+    if (oc > _B and od > _B) or (oc < -_B and od < -_B):
+        return EMPTY, 0
+    fx, fy = dx - cx, dy - cy
+    oa = fx * (ay - cy) - fy * (ax - cx)
+    ob = fx * (by - cy) - fy * (bx - cx)
+    if (oa > _B and ob > _B) or (oa < -_B and ob < -_B):
+        return EMPTY, 0
+    if abs(oc) > _B and abs(od) > _B and abs(oa) > _B and abs(ob) > _B:
+        return _proper(s.a, s.b, t.a, t.b), (1 if od > 0 else -1)
+    res = segment_intersection(s.a, s.b, t.a, t.b)
+    return res, orient2d(s.a, s.b, t.b) if res.kind is SegKind.PROPER else 0
+
+
 def _scan_pairs(records: list[_Seg], pairs: Iterable[tuple[_Seg, _Seg]],
                 out_violations: list[Violation], out_crossings: list[Crossing]) -> None:
     for s, t in pairs:
-        res = segment_intersection(s.a, s.b, t.a, t.b)
+        res, frame = _meet(s, t)
         if res.kind is SegKind.PROPER:
-            out_crossings.append(_pair_crossing(s, t, res))
+            out_crossings.append(_pair_crossing(s, t, res, frame))
         elif res.kind is SegKind.DEGENERATE:
             out_violations.append(Violation(
                 "NonTransversal", s.loop, s.leg, s.seg,
@@ -474,14 +530,21 @@ def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
         active = kept
 
 
+def _location_key(p: Point) -> tuple[int, int, int, int]:
+    """(x numerator, x denominator, y numerator, y denominator): equal for
+    equal points, since both number types keep lowest terms with a positive
+    denominator, and cheaper to hash than the rationals themselves."""
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
 def _check_crossing_set(out: list[Violation], vertex: Point, found: list[Crossing]) -> None:
-    seen: dict[tuple[Rat, Rat], Crossing] = {}
+    seen: set[tuple[int, int, int, int]] = set()
     for c in found:
-        key = (c.location.x, c.location.y)
+        key = _location_key(c.location)
         if key in seen:
             out.append(Violation("TriplePoint", c.loop_a, c.param_a.leg, c.param_a.seg,
                                  note="two crossings at the same point"))
-        seen[key] = c
+        seen.add(key)
         if c.location == vertex:
             out.append(Violation("CrossingAtVertex", c.loop_a, c.param_a.leg, c.param_a.seg))
 
@@ -497,7 +560,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
-    locations = frozenset((c.location.x, c.location.y) for c in found)
+    locations = frozenset(_location_key(c.location) for c in found)
     return DiagramAnalysis((), tuple(found), tuple(records), locations)
 
 

@@ -9,11 +9,13 @@ determinant -1 that fixes the radial direction through p.
 
 All coordinates are exact rationals (`Rat`).  Rationals are kept in lowest
 terms with positive denominator by the number type itself, every predicate
-returns a true sign, and no epsilon appears anywhere.  This is what makes
-"generic position" a decidable property rather than a numerical judgement
-call: two segments either cross transversally in their interiors, or miss
-each other, or are in a degenerate configuration, and the three cases are
-distinguished exactly.
+here returns a true sign, and no decision rests on a tolerance.  Callers may
+filter with floats (the segment scan in :mod:`rp2bouquet.diagram` does), but
+only where a proved error bound makes the float answer certain; everything
+else falls back to these predicates.  This is what makes "generic position"
+a decidable property rather than a numerical judgement call: two segments
+either cross transversally in their interiors, or miss each other, or are in
+a degenerate configuration, and the three cases are distinguished exactly.
 
 Rational points on the unit circle come from the tangent-half-angle map
 
@@ -337,27 +339,37 @@ def mat_det(m: Mat2) -> Rat:
 # ---------------------------------------------------------------------------
 
 def _quadrant(v: Point) -> int:
-    # eight-way index, counterclockwise from east; axes get their own slots
-    if v.y == 0:
-        return 0 if v.x > 0 else 4
-    if v.y > 0:
-        if v.x > 0:
+    # eight-way index, counterclockwise from east; axes get their own slots.
+    # Denominators are positive, so each sign is that of the numerator.
+    x, y = v.x.numerator, v.y.numerator
+    if y == 0:
+        return 0 if x > 0 else 4
+    if y > 0:
+        if x > 0:
             return 1
-        return 2 if v.x == 0 else 3
-    if v.x < 0:
+        return 2 if x == 0 else 3
+    if x < 0:
         return 5
-    return 6 if v.x == 0 else 7
+    return 6 if x == 0 else 7
+
+
+def _cross_sign(u: Point, v: Point) -> int:
+    """Exact sign of u x v, from integers as in :func:`orient2d`."""
+    uxn, uxd, uyn, uyd = u.x.numerator, u.x.denominator, u.y.numerator, u.y.denominator
+    vxn, vxd, vyn, vyd = v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator
+    # ux vy - uy vx scaled by uxd * uyd * vxd * vyd > 0
+    left = uxn * vyn * uyd * vxd
+    right = uyn * vxn * uxd * vyd
+    return (left > right) - (left < right)
 
 
 def _angle_cmp(u: Point, v: Point) -> int:
     qu, qv = _quadrant(u), _quadrant(v)
     if qu != qv:
         return -1 if qu < qv else 1
-    cr = u.cross(v)
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
+    cr = _cross_sign(u, v)
+    if cr:
+        return -cr
     raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
 
 
@@ -378,6 +390,6 @@ def angle_sort(vectors: Sequence[Point]) -> list[int]:
     # sorting need not compare every pair; equal-angle vectors land adjacent
     for prev, cur in zip(order, order[1:]):
         u, v = vectors[prev], vectors[cur]
-        if _quadrant(u) == _quadrant(v) and u.cross(v) == 0:
+        if _quadrant(u) == _quadrant(v) and _cross_sign(u, v) == 0:
             raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
     return order

@@ -52,13 +52,12 @@ updated, which is what keeps long random move sequences cheap.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterator
 
-from .geometry import (Point, Rat, SegKind, angle_sort, circle_point, mat_apply, rat, seam_reflection,
-                       segment_intersection)
+from .geometry import Point, Rat, SegKind, angle_sort, circle_point, mat_apply, rat, seam_reflection
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -72,7 +71,9 @@ from .diagram import (
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
+    _location_key,
     _make_seg,
+    _meet,
     _pair_crossing,
     _reindexed,
     _set_analysis,
@@ -126,9 +127,10 @@ def _format_params(params: tuple[Rat, ...]) -> str:
 
 def _parse_rat(token: str) -> Rat:
     num, slash, den = token.partition("/")
-    if not slash:
-        return rat(int(num))
-    return rat(int(num), int(den))
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return rat(int(num), den)
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def _contribution(c: Crossing) -> int:
 
 def _changed_pairs(records, changed) -> Iterator[tuple]:
     """Pairs (changed record, other record) whose float boxes meet, in record
-    order; segment_intersection decides each pair exactly."""
+    order; _meet decides each pair exactly."""
     if not changed:
         return
     chkeys = {(u.loop, u.leg, u.seg) for u in changed}
@@ -238,7 +240,8 @@ def _changed_pairs(records, changed) -> Iterator[tuple]:
 def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: Point,
                   cap) -> tuple[list[Crossing], list[Crossing], set]:
     """One pass over the pairs of changed records: the crossings found, the
-    additions among them (at no location of the input) and their locations.
+    additions among them (at no location of the input) and the location keys
+    of all found.
 
     MoveBlocked at the first certain violation: a non-transversal contact, a
     crossing on another one or on the vertex, or more than `cap` allows once
@@ -250,17 +253,17 @@ def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: 
     limit, counts, message = cap or (float("inf"), None, "")
     found: list[Crossing] = []
     additions: list[Crossing] = []
-    seen: set[tuple[Rat, Rat]] = set()
+    seen: set[tuple[int, int, int, int]] = set()
     refound = counted = 0
     for u, v in _changed_pairs(records, changed):
-        res = segment_intersection(u.a, u.b, v.a, v.b)
+        res, frame = _meet(u, v)
         if res.kind is SegKind.DEGENERATE:
             raise MoveBlocked(f"template touches loop={v.loop} leg={v.leg} "
                               f"segment={v.seg} non-transversally")
         if res.kind is not SegKind.PROPER:
             continue
-        c = _pair_crossing(u, v, res)
-        key = (res.point.x, res.point.y)
+        c = _pair_crossing(u, v, res, frame)
+        key = _location_key(res.point)
         if key in seen:
             raise MoveBlocked("two crossings would coincide")
         seen.add(key)
@@ -394,7 +397,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     # records only now: a point far outside the disk has no float box
     records, changed, replaced, moved = _splice_records(base.records, splice.loop, window)
     kept, dropped = _split_crossings(base, splice.loop, replaced)
-    removed = {(c.location.x, c.location.y) for c in dropped}
+    removed = {_location_key(c.location) for c in dropped}
     found, additions, found_locations = _scan_changed(
         records, changed, base.locations, removed, d2.vertex,
         splice.cap if splice.check_persistence else None)
@@ -408,7 +411,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(err)
 
     olds = [_remap_crossing(c, splice.loop, moved) for c in kept]
-    _set_result(d2, base, olds + found, records, removed, found_locations)
+    _set_result(d2, base, olds, found, records, removed, found_locations)
     return d2, additions
 
 
@@ -423,11 +426,14 @@ def _split_crossings(base: DiagramAnalysis, loop: int,
     return kept, dropped
 
 
-def _set_result(d2: BouquetDiagram, base: DiagramAnalysis, new_crossings: list[Crossing],
-                records: tuple, removed: set, found_locations: set) -> None:
-    new_crossings.sort(key=Crossing.sort_key)
+def _set_result(d2: BouquetDiagram, base: DiagramAnalysis, olds: list[Crossing],
+                found: list[Crossing], records: tuple, removed: set, found_locations: set) -> None:
+    # re-addressing is monotone along the loop, so the kept crossings `olds`
+    # are still sorted; only the few found ones are merged in
+    for c in found:
+        insort(olds, c, key=Crossing.sort_key)
     locations = base.locations.difference(removed).union(found_locations)
-    _set_analysis(d2, DiagramAnalysis((), tuple(new_crossings), records, locations))
+    _set_analysis(d2, DiagramAnalysis((), tuple(olds), records, locations))
 
 
 def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Point, Point]:

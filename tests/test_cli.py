@@ -301,6 +301,14 @@ def test_replay_malformed_line(tmp_path):
     assert code == 2 and out.startswith("ERROR: malformed move line")
 
 
+def test_replay_zero_denominator(tmp_path):
+    d = realize(InvariantTuple.parse("order=e1,e1^-1; h=0; w=0"))
+    path = tmp_path / "script.txt"
+    path.write_text(dumps(d) + "\nSubdivide 0 0 0 1/0\n")
+    code, out = run(["fuzz", "--replay", path])
+    assert (code, out) == (2, "ERROR: zero denominator in '1/0'\n")
+
+
 def test_run_replay_requires_diagram_line():
     with pytest.raises(Exception):
         run_replay(["# only a comment"])

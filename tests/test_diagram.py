@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rp2bouquet import (
@@ -28,9 +28,12 @@ from rp2bouquet.diagram import (
     _check_crossing_set,
     _check_seam_table,
     _check_vertex_directions,
+    _location_key,
+    _make_seg,
+    _meet,
     analysis,
 )
-from rp2bouquet.geometry import SegKind, circle_point, segment_intersection, sign
+from rp2bouquet.geometry import SegKind, circle_point, orient2d, segment_intersection, sign
 
 
 def kinds(d):
@@ -345,6 +348,98 @@ def test_crossing_params_are_interior(wedge):
 
 def test_analysis_is_cached(quad):
     assert analysis(quad) is analysis(quad)
+
+
+# ---------------------------------------------------------------------------
+# the float-filtered pair test decides exactly as segment_intersection
+# ---------------------------------------------------------------------------
+
+def unit_rats(max_den):
+    """Rationals in [-1, 1] with denominators up to max_den."""
+    return st.integers(1, max_den).flatmap(
+        lambda den: st.builds(rat, st.integers(-den, den), st.just(den)))
+
+
+# few distinct values, so shared end points and collinear triples are common;
+# thirds and fifths have no exact float
+lattice_x = [rat(k, 15) for k in range(-15, 16, 3)] + [rat(k, 3) for k in (-2, -1, 1, 2)]
+lattice_y = [rat(k, 15) for k in range(-15, 16, 5)] + [rat(k, 6) for k in (-5, -1, 1, 5)]
+lattice = st.builds(pt, st.sampled_from(lattice_x), st.sampled_from(lattice_y))
+unit_points = st.builds(pt, unit_rats(2 ** 80), unit_rats(2 ** 80))
+# coordinates at +-1 and points on the unit circle
+boundary = st.one_of(
+    st.builds(circle_point, st.builds(rat, st.integers(-60, 60), st.integers(1, 60))),
+    st.builds(pt, st.sampled_from([rat(-1), rat(1)]), unit_rats(2 ** 40)),
+    st.builds(pt, unit_rats(2 ** 40), st.sampled_from([rat(-1), rat(1)])),
+)
+any_points = st.one_of(lattice, unit_points, boundary)
+
+
+def assert_meet_is_exact(a, b, c, d):
+    """_meet on records of [a, b] and [c, d], both ways round, gives the
+    result of segment_intersection (kind, point, t1, t2) and, for a PROPER
+    one, orient2d's frame."""
+    assume(a != b and c != d)
+    # the precondition of the float bound
+    assert all(-1 <= v <= 1 for p in (a, b, c, d) for v in (p.x, p.y))
+    s, t = _make_seg(0, 0, 0, a, b, False), _make_seg(1, 0, 0, c, d, False)
+    for (u, v), (p, q, r, w) in (((s, t), (a, b, c, d)), ((t, s), (c, d, a, b))):
+        res, frame = _meet(u, v)
+        want = segment_intersection(p, q, r, w)
+        assert res == want
+        assert frame == (orient2d(p, q, w) if want.kind is SegKind.PROPER else 0)
+
+
+@given(st.one_of(lattice, boundary), st.one_of(lattice, boundary), st.one_of(lattice, boundary),
+       st.one_of(lattice, boundary))
+def test_meet_matches_exact_on_shared_and_collinear_points(a, b, c, d):
+    assert_meet_is_exact(a, b, c, d)
+
+
+# parameters in [-1/2, 3/2] along [a, b] with a, b in [-1/4, 1/4]^2 keep a
+# point in [-3/4, 3/4]^2
+small_points = st.builds(pt, st.builds(rat, st.integers(-4, 4), st.integers(16, 16 * 3 ** 4)),
+                         st.builds(rat, st.integers(-4, 4), st.integers(16, 16 * 3 ** 4)))
+line_params = st.sampled_from([12, 7, 9, 10]).flatmap(
+    lambda den: st.builds(rat, st.integers(-den // 2, 3 * den // 2), st.just(den)))
+
+
+@given(small_points, small_points, line_params, line_params)
+def test_meet_matches_exact_on_collinear_overlaps(a, b, s, t):
+    c, d = a + (b - a).scale(s), a + (b - a).scale(t)
+    assert_meet_is_exact(a, b, c, d)
+    assert_meet_is_exact(c, b, a, d)
+
+
+@given(small_points, small_points, line_params, line_params, st.integers(60, 200),
+       st.integers(-3, 3), st.integers(-3, 3), st.booleans(), any_points)
+def test_meet_matches_exact_near_a_line(a, b, s, t, e, dx, dy, both, far):
+    """End points 2^-60 to 2^-200 off the line through a, b: far below the
+    float error, so only the exact fallback can decide."""
+    off = pt(dx, dy).scale(rat(1, 2 ** e))
+    c = a + (b - a).scale(s) + off
+    d = a + (b - a).scale(t) - off if both else far
+    assert_meet_is_exact(a, b, c, d)
+
+
+@given(any_points, any_points, any_points, any_points)
+def test_meet_matches_exact_anywhere(a, b, c, d):
+    assert_meet_is_exact(a, b, c, d)
+
+
+@given(any_points, st.integers(1, 2 ** 70))
+def test_location_key_is_canonical(p, k):
+    """Equal points have equal keys, however their rationals were built."""
+    q = pt(rat(p.x.numerator * k, p.x.denominator * k), rat(-p.y.numerator * k, -p.y.denominator * k))
+    assert _location_key(q) == _location_key(p)
+
+
+def test_location_key_separates_points():
+    """Distinct points whose coordinates share numerators or denominators
+    have distinct keys."""
+    values = sorted(set(lattice_x + lattice_y))
+    points = [pt(x, y) for x in values for y in values]
+    assert len({_location_key(p) for p in points}) == len(points)
 
 
 # ---------------------------------------------------------------------------

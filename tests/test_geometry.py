@@ -308,3 +308,47 @@ def test_angle_sort_matches_float_oracle(vecs):
 
     expected = sorted(range(len(unique)), key=lambda i: angle(unique[i]))
     assert order == expected
+
+
+def fraction_before(u, v) -> bool:
+    """Reference: u comes strictly before v counterclockwise from (1, 0),
+    in Fraction arithmetic: the half-plane of angles [0, pi) first, then the
+    sign of the cross product."""
+    def lower(w):
+        x, y = frac(w.x), frac(w.y)
+        return y < 0 or (y == 0 and x < 0)
+
+    if lower(u) != lower(v):
+        return lower(v)
+    return frac(u.x) * frac(v.y) - frac(u.y) * frac(v.x) > 0
+
+
+@given(st.lists(st.one_of(points, big_points), min_size=1, max_size=7),
+       st.lists(st.tuples(st.integers(0, 6), st.one_of(rats, big_rats)), max_size=2))
+def test_angle_sort_matches_fraction_cross_product(vecs, copies):
+    """angle_sort against a Fraction cross-product reference; a positive
+    multiple of one of the vectors makes it raise."""
+    vecs = [v for v in vecs if not v.is_zero()]
+    for i, k in copies:
+        if vecs and k != 0:
+            vecs.append(vecs[i % len(vecs)].scale(abs(k)))
+    if not vecs:
+        return
+    codirectional = any(not fraction_before(u, v) and not fraction_before(v, u)
+                        for i, u in enumerate(vecs) for v in vecs[i + 1:])
+    if codirectional:
+        with pytest.raises(CodirectionalVectors):
+            angle_sort(vecs)
+        return
+    order = angle_sort(vecs)
+    assert all(fraction_before(vecs[i], vecs[j]) for i, j in zip(order, order[1:]))
+
+
+def test_angle_sort_codirectional_axis_and_big_vectors():
+    for u, v in ((pt(0, 1), pt(0, rat(1, 3))), (pt(-1, 0), pt(rat(-5, 7), 0)),
+                 (pt(rat(1, 3), rat(-2, 7)), pt(rat(1, 3 * 2 ** 90), rat(-2, 7 * 2 ** 90)))):
+        with pytest.raises(CodirectionalVectors):
+            angle_sort([pt(1, 1), u, v])
+    # antipodal and nearly codirectional vectors sort
+    eps = rat(1, 2 ** 200)
+    assert angle_sort([pt(1, eps), pt(1, 0), pt(-1, 0), pt(1, -eps)]) == [1, 0, 2, 3]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from math import inf, nextafter
 from typing import Iterable, Iterator
 
 from .geometry import (
@@ -317,15 +316,12 @@ def _ray(v: Point):
 
 
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
-    vecs: list[tuple[int, Point]] = []
-    for li, loop in enumerate(d.loops):
-        if any(len(leg.points) < 2 for leg in loop.legs):
-            return
-        vecs.append((li, loop.first_direction()))
-        vecs.append((li, -loop.last_direction()))
-    for i, j in _equal_key_pairs([_ray(v) for _, v in vecs]):
-        out.append(Violation("CodirectionalAtVertex", vecs[i][0],
-                             note=f"half-edges of loops {vecs[i][0]} and {vecs[j][0]}"))
+    """Codirectional half-edges at V; every leg has at least two points."""
+    star = vertex_directions(d)
+    for i, j in _equal_key_pairs([_ray(v) for _, v in star]):
+        li, lj = star[i][0].loop, star[j][0].loop
+        out.append(Violation("CodirectionalAtVertex", li,
+                             note=f"half-edges of loops {li} and {lj}"))
 
 
 def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
@@ -369,16 +365,16 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 
 @dataclass(frozen=True, slots=True)
 class _Seg:
-    """One segment with its exact least x, its end points in floats and a
-    float box around it.
+    """One segment with its exact least x, its end points in floats and the
+    float box of those.
 
     The floats only filter; every decision is exact.  The box (`fminx` ...)
-    is rounded outward, so it always contains the exact bounding box and may
-    only prove two segments disjoint.  The float end points (`fax` ...) give
-    orientation signs that are trusted only beyond a proved error bound (see
-    :func:`_meet`); any other pair is decided by the exact predicates.  The
-    exact `minx` is the sweep's sort key, which fixes the order of reported
-    violations.
+    may only prove two segments disjoint, by lying strictly apart from the
+    other's: float() is monotone (see :mod:`rp2bouquet.geometry`).  The float
+    end points (`fax` ...) give orientation signs that are trusted only beyond
+    a proved error bound (see :func:`_meet`); any other pair is decided by the
+    exact predicates.  The exact `minx` is the sweep's sort key, which fixes
+    the order of reported violations.
     """
 
     loop: int
@@ -399,17 +395,12 @@ class _Seg:
 
 
 def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg:
-    # float() of either number type is within one unit in the last place of
-    # the exact value, and monotone, so the float box of the float end points
-    # stepped once outward encloses the exact box; coordinates of a valid
-    # diagram lie in [-1, 1], so the conversion never overflows
+    # coordinates of a valid diagram lie in [-1, 1], so float() never overflows
     fax, fay, fbx, fby = float(a.x), float(a.y), float(b.x), float(b.y)
     minx = a.x if a.x <= b.x else b.x
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
-    return _Seg(li, ki, si, a, b, minx, at_v,
-                nextafter(fminx, -inf), nextafter(fmaxx, inf),
-                nextafter(fminy, -inf), nextafter(fmaxy, inf), fax, fay, fbx, fby)
+    return _Seg(li, ki, si, a, b, minx, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
 
 
 def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
@@ -458,8 +449,9 @@ def _pair_crossing(s: _Seg, t: _Seg, res, frame: int) -> Crossing:
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
 # the exact one.  Coordinates of records lie in [-1, 1] (records exist only
-# for diagrams that pass the structural check), so each float end point is
-# within u = 2^-53 of its exact value and lies in [-1, 1] itself.  In
+# for diagrams that pass the structural check), and float() is correctly
+# rounded (see rp2bouquet.geometry), so each float end point is within
+# u = 2^-53 of its exact value and lies in [-1, 1] itself.  In
 #   (bx - ax)(cy - ay) - (by - ay)(cx - ax)
 # each float difference is then within e = 2^-51 of the exact one (2u from
 # the inputs, at most 2u from rounding a value of magnitude <= 2) and has
@@ -532,8 +524,8 @@ def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
 
 def _location_key(p: Point) -> tuple[int, int, int, int]:
     """(x numerator, x denominator, y numerator, y denominator): equal for
-    equal points, since both number types keep lowest terms with a positive
-    denominator, and cheaper to hash than the rationals themselves."""
+    equal points (lowest terms, see :mod:`rp2bouquet.geometry`), and cheaper
+    to hash than the rationals themselves."""
     return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
 
 
@@ -616,7 +608,7 @@ def vertex_directions(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
 # ---------------------------------------------------------------------------
 
 def _point_to_json(p: Point) -> list[int]:
-    return [int(p.x.numerator), int(p.x.denominator), int(p.y.numerator), int(p.y.denominator)]
+    return [p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator]
 
 
 def _point_from_json(obj) -> Point:

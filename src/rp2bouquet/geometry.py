@@ -7,9 +7,12 @@ realizes this identification is orientation reversing; its differential at p is
 the reflection returned by :func:`seam_reflection`, a symmetric involution with
 determinant -1 that fixes the radial direction through p.
 
-All coordinates are exact rationals (`Rat`).  Rationals are kept in lowest
-terms with positive denominator by the number type itself, every predicate
-here returns a true sign, and no decision rests on a tolerance.  Callers may
+All coordinates are exact rationals, `Rat` = `fractions.Fraction`.  Every
+integer predicate and the float filter rely on two facts of it: values are
+kept in lowest terms with a positive denominator, and ``float()`` is the
+correctly rounded ``numerator / denominator``, so within a relative 2^-53 of
+the exact value and monotone.  Every predicate here returns a true sign, and
+no decision rests on a tolerance.  Callers may
 filter with floats (the segment scan in :mod:`rp2bouquet.diagram` does), but
 only where a proved error bound makes the float answer certain; everything
 else falls back to these predicates.  This is what makes "generic position"
@@ -30,13 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
+from fractions import Fraction as Rat
 from typing import Sequence
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is optional (the "fast" extra)
-    # the stdlib fallback is the reference the test budgets are held under
-    from fractions import Fraction as Rat
 
 __all__ = [
     "Rat",
@@ -59,15 +57,8 @@ __all__ = [
     "angle_sort",
 ]
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
-
-def rat(value, den=None) -> Rat:
-    """Coerce ints, strings like ``"3/4"``, Fractions or pairs to `Rat`."""
-    if den is not None:
-        return Rat(value, den)
-    return Rat(value)
+# coerces ints, strings like "3/4" and Fractions, or a numerator and denominator
+rat = Rat
 
 
 class CodirectionalVectors(ValueError):
@@ -136,9 +127,9 @@ def orient2d(a: Point, b: Point, c: Point) -> int:
 
         (bx - ax)(cy - ay) - (by - ay)(cx - ax)
 
-    is multiplied through by the six coordinate denominators, which both
-    number types keep positive, so its sign is that of an integer expression
-    in numerators and denominators.  Only the sign is needed, so no
+    is multiplied through by the six coordinate denominators, which are
+    positive (see the module docstring), so its sign is that of an integer
+    expression in numerators and denominators.  Only the sign is needed, so no
     intermediate rational is built or reduced (no gcd per operation).
 
     >>> orient2d(pt(0, 0), pt(1, 0), pt(0, 1))

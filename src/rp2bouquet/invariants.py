@@ -174,12 +174,16 @@ class InvariantTuple:
 # the three components
 # ---------------------------------------------------------------------------
 
+def _star_word(d: BouquetDiagram) -> tuple[HalfEdge, ...]:
+    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0)."""
+    star = vertex_directions(d)
+    return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
+
+
 def inv1(d: BouquetDiagram) -> CyclicWord:
     """Canonical cyclic word of half-edge symbols counterclockwise around V."""
     crossings(d)  # assert generic position
-    pairs = vertex_directions(d)
-    order = angle_sort([direction for _, direction in pairs])
-    return canonical_cyclic_word(pairs[i][0] for i in order)
+    return canonical_cyclic_word(_star_word(d))
 
 
 def inv2(d: BouquetDiagram) -> tuple[int, ...]:
@@ -190,6 +194,11 @@ def inv2(d: BouquetDiagram) -> tuple[int, ...]:
 
 def _self_crossings(d: BouquetDiagram, loop: int) -> list[Crossing]:
     return [c for c in crossings(d) if c.loop_a == loop and c.loop_b == loop]
+
+
+def _index_term(c: Crossing) -> int:
+    """The term of self-crossing c in the signed index at orientation +1."""
+    return (-1 if c.param_a.leg % 2 else 1) * c.frame
 
 
 def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
@@ -207,11 +216,7 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
         raise ValueError("orientation must be +1 or -1")
     if not 0 <= loop < len(d.loops):
         raise IndexError(f"no loop {loop} in a diagram of {len(d.loops)}")
-    total = 0
-    for c in _self_crossings(d, loop):
-        transport = -1 if c.param_a.leg % 2 else 1
-        total += orientation * transport * c.frame
-    return total
+    return orientation * sum(map(_index_term, _self_crossings(d, loop)))
 
 
 def inv3(d: BouquetDiagram) -> tuple[int, ...]:

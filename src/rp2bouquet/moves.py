@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterator
 
-from .geometry import Point, Rat, SegKind, angle_sort, circle_point, mat_apply, rat, seam_reflection
+from .geometry import Point, Rat, SegKind, circle_point, mat_apply, rat, seam_reflection
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -79,8 +79,8 @@ from .diagram import (
     _set_analysis,
     _skip_pair,
     analysis,
-    vertex_directions,
 )
+from .invariants import _index_term, _star_word, canonical_cyclic_word
 
 __all__ = [
     "MOVE_KINDS",
@@ -209,11 +209,6 @@ class _Splice:
     cap: tuple[int, int | None, str] | None = None
 
 
-def _contribution(c: Crossing) -> int:
-    """Signed-index contribution of a self-crossing at orientation +1."""
-    return (-1 if c.param_a.leg % 2 else 1) * c.frame
-
-
 def _changed_pairs(records, changed) -> Iterator[tuple]:
     """Pairs (changed record, other record) whose float boxes meet, in record
     order; _meet decides each pair exactly."""
@@ -300,16 +295,16 @@ def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
     return BouquetDiagram(d.n, d.vertex, tuple(loops))
 
 
-def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, loop: int,
-                   new: list) -> Violation | None:
+def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None:
     """First generic-position violation of the candidate d2, or None.
 
-    d is valid and d2 differs from it only in the `new` segments (leg, seg,
+    d2 differs from a valid diagram only in the `new` segments (leg, seg,
     a, b) of the spliced loop, so only conditions that read one of them can
     fail: leg conditions at their end points, joints next to them, the vertex
-    star if a first or last segment changed, and the seam table if the loop's
-    seam points changed.  The verdict (and the first violation) is that of
-    re-checking the whole loop, the vertex star and the seam table.
+    star if a first or last segment changed, and the seam table if a joint
+    was checked (a moved seam point always ends a new segment).  The verdict
+    (and the first violation) is that of re-checking the whole loop, the
+    vertex star and the seam table.
     """
     legs = d2.loops[loop].legs
     if not legs:
@@ -325,15 +320,15 @@ def _structural_ok(d: BouquetDiagram, d2: BouquetDiagram, loop: int,
             _check_leg(viols, d2.vertex, loop, ki, leg, ki == 0, ki == last, by_leg.get(ki))
             if viols:
                 return viols[0]
-    for ki in range(last):
-        if (ki, len(legs[ki].points) - 2) in changed or (ki + 1, 0) in changed:
-            _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
+    joints = [ki for ki in range(last)
+              if (ki, len(legs[ki].points) - 2) in changed or (ki + 1, 0) in changed]
+    for ki in joints:
+        _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
     if viols:
         return viols[0]
     if (0, 0) in changed or (last, len(legs[last].points) - 2) in changed:
         _check_vertex_directions(viols, d2)
-    old_legs = d.loops[loop].legs
-    if [leg.points[-1] for leg in legs[:-1]] != [leg.points[-1] for leg in old_legs[:-1]]:
+    if joints:
         _check_seam_table(viols, d2)
     return viols[0] if viols else None
 
@@ -390,7 +385,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     d2 = _spliced(d, splice)
     window = _splice_window(base.records, d2, splice.loop)
     _, _, new, p, q = window
-    bad = _structural_ok(d, d2, splice.loop, new[p:q])
+    bad = _structural_ok(d2, splice.loop, new[p:q])
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
@@ -490,7 +485,7 @@ def _build_kink_pair(d, spec) -> _Splice:
             return f"{exactly}, got {len(additions)}"
         if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "kink pair may only add self-crossings of the target loop"
-        if sorted(_contribution(c) for c in additions) != [-1, 1]:
+        if sorted(_index_term(c) for c in additions) != [-1, 1]:
             return "kink pair crossings must have opposite signs"
         return None
 
@@ -565,7 +560,7 @@ def _build_detour(d, spec) -> _Splice:
         self_adds = [c for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop]
         if len(self_adds) != 2:
             return f"{exactly}, got {len(self_adds)}"
-        if any(_contribution(c) != sigma for c in self_adds):
+        if any(_index_term(c) != sigma for c in self_adds):
             return "detour curls must both carry the requested sign"
         return None
 
@@ -643,7 +638,7 @@ def _build_finger_push(d, spec) -> _Splice:
         if len(seen_verticals) != 2:
             return "finger push must cross the strand with both fingers"
         if loop2 == spec.loop:
-            if sum(_contribution(cr) for cr in additions) != 0:
+            if sum(_index_term(cr) for cr in additions) != 0:
                 return "same-loop finger push crossings must cancel"
         elif any(cr.loop_a == cr.loop_b for cr in additions):
             return "cross-loop finger push may not add self-crossings"
@@ -672,13 +667,6 @@ def _build_subdivide(d, spec) -> _Splice:
 # jiggle (point move, no insertion)
 # ---------------------------------------------------------------------------
 
-def _vertex_cycle(d: BouquetDiagram):
-    pairs = vertex_directions(d)
-    order = angle_sort([direction for _, direction in pairs])
-    seq = tuple(pairs[i][0] for i in order)
-    return min(seq[r:] + seq[:r] for r in range(len(seq)))
-
-
 def _crossing_signature(crs) -> list:
     return sorted(((c.loop_a, c.param_a.leg, c.param_a.seg),
                    (c.loop_b, c.param_b.leg, c.param_b.seg), c.frame) for c in crs)
@@ -697,11 +685,17 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     moved = pts[idx] + Point(dx, dy)
     new_leg = Leg(pts[:idx] + (moved,) + pts[idx + 1:])
     new_legs = legs[:k] + (new_leg,) + legs[k + 1:]
+    # only a point next to V moves a half-edge, and only one of them (a
+    # three-point one-leg loop is codirectional at V); moving one of 2n
+    # half-edges can reorder the star but never reverse it, so the canonical
+    # word decides as a comparison of rotations would
+    next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
 
     def contract(found: list[Crossing], dropped: list[Crossing]) -> str | None:
         if _crossing_signature(found) != _crossing_signature(dropped):
             return "jiggle would change the crossing pattern"
-        if _vertex_cycle(_spliced(d, splice)) != _vertex_cycle(d):
+        if next_to_v and canonical_cyclic_word(_star_word(_spliced(d, splice))) \
+                != canonical_cyclic_word(_star_word(d)):
             return "jiggle would reorder the vertex star"
         return None
 

@@ -1,5 +1,7 @@
 import doctest
+import re
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,10 @@ def test_docstring_examples(module):
 def test_every_docstring_example_is_run():
     # 8 in geometry, 2 in invariants
     assert sum(doctest.testmod(m).attempted for m in MODULES) == 10
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -394,7 +394,7 @@ def test_touched_only_structural_check_matches_full_check():
                         continue
                     d2 = moves_mod._spliced(d, splice)
                     _, _, new, p, q = moves_mod._splice_window(analysis(d).records, d2, splice.loop)
-                    touched = moves_mod._structural_ok(d, d2, splice.loop, new[p:q])
+                    touched = moves_mod._structural_ok(d2, splice.loop, new[p:q])
                     full = _structural_violations(d2)
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
@@ -533,7 +533,7 @@ def test_splice_window_matches_segment_identity():
                 assert {k: moved.get(k, k) for k in want_map} == want_map, spec.to_line()
                 assert moved.keys() <= want_map.keys(), spec.to_line()
                 _, _, new, p, q = window
-                if moves_mod._structural_ok(d, d2, splice.loop, new[p:q]) is None:
+                if moves_mod._structural_ok(d2, splice.loop, new[p:q]) is None:
                     assert records == tuple(_segment_records(d2)), spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))

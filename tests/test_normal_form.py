@@ -88,6 +88,16 @@ def test_realize_roundtrip_sampled_n3():
         assert classify(d) == t
 
 
+@pytest.mark.parametrize("n,seed", [(9, 22), (10, 35), (10, 49)])
+def test_realize_moves_petals_apart(n, seed):
+    # two h = 0 petals touch at every common scale of the petals, so these
+    # realize only once the retries scale the petals apart
+    t = random_tuple(n, seed)
+    d = realize(t)
+    assert validate(d) == []
+    assert classify(d) == t
+
+
 def test_realize_deterministic():
     t = InvariantTuple.parse("order=e1,e2,e1^-1,e2^-1; h=10; w=11")
     assert dumps(realize(t)) == dumps(realize(t))

@@ -79,14 +79,10 @@ def _check_symbols(symbols: tuple[HalfEdge, ...]) -> int:
 
 
 def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
-    m = len(symbols)
-    best = None
-    for word in (symbols, tuple(reversed(symbols))):
-        for r in range(m):
-            cand = word[r:] + word[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    # e1, the least symbol, occurs once, so the least rotation starts there
+    i = symbols.index(HalfEdge(0, False))
+    forward = symbols[i:] + symbols[:i]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ trusted, in this order -
 * the freshly created crossings must match the move's contract exactly, e.g.
   a kink pair adds two self-crossings of opposite sign and nothing else.
 
-Any failure raises :class:`MoveBlocked` at the first certain violation: where
-the contract fixes a count of new crossings, the pass stops once the count is
-exceeded and every crossing on a replaced segment has been found again
-("got more than 2").  There is no notion of an "almost legal" move.
+Any failure raises :class:`MoveBlocked` at the first certain violation.  A
+splice declares its count of new crossings and _apply_splice checks it; the
+pass stops past the count once every crossing on a replaced segment has been
+found again ("got more than 2").  No move is "almost legal".
 Smallness never needs to be argued: the checks are exact.
 
 Templates in segment-local coordinates (e = segment vector, v = left normal):
@@ -201,12 +201,12 @@ class _Splice:
     new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
     # the additions -> error message or None; with check_persistence off,
     # (every crossing found on the new segments, those on replaced ones)
-    contract: Callable[..., str | None]
+    contract: Callable[..., str | None] | None
     check_persistence: bool = True                      # old crossing locations must survive
-    # (n, counts, message): the contract fails once more than n additions are
-    # counted (counts None: every one; a loop: its self-crossings), so the scan
-    # may stop there with `message`
-    cap: tuple[int, int | None, str] | None = None
+    # (n, counts, exactly): the splice adds exactly n counted additions (counts
+    # None: every one; a loop: its self-crossings); _scan_changed stops past n,
+    # _apply_splice checks the tally before `contract` runs
+    count: tuple[int, int | None, str] | None = None
 
 
 def _changed_pairs(records, changed) -> Iterator[tuple]:
@@ -233,19 +233,19 @@ def _changed_pairs(records, changed) -> Iterator[tuple]:
 
 
 def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: Point,
-                  cap) -> tuple[list[Crossing], list[Crossing], set]:
+                  count) -> tuple[list[Crossing], list[Crossing], set, int]:
     """One pass over the pairs of changed records: the crossings found, the
-    additions among them (at no location of the input) and the location keys
-    of all found.
+    additions among them (at no location of the input), the location keys of
+    all found and the tally of additions the splice's `count` counts.
 
     MoveBlocked at the first certain violation: a non-transversal contact, a
-    crossing on another one or on the vertex, or more than `cap` allows once
+    crossing on another one or on the vertex, or a tally past `count` once
     every location in `removed` (those on replaced segments) is found again,
     so that a destroyed crossing stays the reason when there is one.  The
     kept crossings are those of a valid diagram, apart from each other and
     from the vertex; their locations are `locations` minus `removed`.
     """
-    limit, counts, message = cap or (float("inf"), None, "")
+    limit, counts, exactly = count or (float("inf"), None, "")
     found: list[Crossing] = []
     additions: list[Crossing] = []
     seen: set[tuple[int, int, int, int]] = set()
@@ -274,8 +274,8 @@ def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: 
             if counts is None or c.loop_a == c.loop_b == counts:
                 counted += 1
         if counted > limit and refound == len(removed):
-            raise MoveBlocked(message)
-    return found, additions, seen
+            raise MoveBlocked(f"{exactly}, got more than {limit}")
+    return found, additions, seen, counted
 
 
 def _remap_crossing(c: Crossing, loop: int, moved: dict) -> Crossing:
@@ -393,15 +393,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     records, changed, replaced, moved = _splice_records(base.records, splice.loop, window)
     kept, dropped = _split_crossings(base, splice.loop, replaced)
     removed = {_location_key(c.location) for c in dropped}
-    found, additions, found_locations = _scan_changed(
-        records, changed, base.locations, removed, d2.vertex,
-        splice.cap if splice.check_persistence else None)
+    found, additions, found_locations, counted = _scan_changed(
+        records, changed, base.locations, removed, d2.vertex, splice.count)
     if not splice.check_persistence:
         err = splice.contract(found, dropped)
     elif not removed <= found_locations:
         raise MoveBlocked("an existing crossing would be destroyed")
+    elif splice.count and counted != splice.count[0]:
+        err = f"{splice.count[2]}, got {counted}"
     else:
-        err = splice.contract(additions)
+        err = splice.contract and splice.contract(additions)
     if err:
         raise MoveBlocked(err)
 
@@ -443,11 +444,11 @@ def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Poin
 
 
 def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
-                  inserted: tuple[Point, ...], contract, cap=None) -> _Splice:
+                  inserted: tuple[Point, ...], contract, count) -> _Splice:
     legs = d.loops[loop].legs
     pts = legs[leg].points
     new_leg = Leg(pts[:seg + 1] + inserted + pts[seg + 1:])
-    return _Splice(loop, legs[:leg] + (new_leg,) + legs[leg + 1:], contract, cap=cap)
+    return _Splice(loop, legs[:leg] + (new_leg,) + legs[leg + 1:], contract, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +479,8 @@ def _build_kink_pair(d, spec) -> _Splice:
         raise MoveBlocked("kink windows must be disjoint and inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
-    exactly = "kink pair must add exactly 2 crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
-        if len(additions) != 2:
-            return f"{exactly}, got {len(additions)}"
         if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "kink pair may only add self-crossings of the target loop"
         if sorted(_index_term(c) for c in additions) != [-1, 1]:
@@ -490,7 +488,7 @@ def _build_kink_pair(d, spec) -> _Splice:
         return None
 
     return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (2, None, f"{exactly}, got more than 2"))
+                         (2, None, "kink pair must add exactly 2 crossings"))
 
 
 def _build_single_kink(d, spec) -> _Splice:
@@ -499,18 +497,14 @@ def _build_single_kink(d, spec) -> _Splice:
         raise MoveBlocked("kink window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
-    exactly = "single kink must add exactly 1 crossing"
 
     def contract(additions: list[Crossing]) -> str | None:
-        if len(additions) != 1:
-            return f"{exactly}, got {len(additions)}"
-        c = additions[0]
-        if c.loop_a != spec.loop or c.loop_b != spec.loop:
+        if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "single kink may only add a self-crossing of the target loop"
         return None
 
     return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (1, None, f"{exactly}, got more than 1"))
+                         (1, None, "single kink must add exactly 1 crossing"))
 
 
 def _seam_step(p: Point, d_out: Point) -> Point:
@@ -554,17 +548,15 @@ def _build_detour(d, spec) -> _Splice:
     leg_m = Leg((-q, y1, r))
     leg_b = Leg((-r, z1, x2) + pts[spec.segment + 1:])
     new_legs = legs[:spec.leg] + (leg_a, leg_m, leg_b) + legs[spec.leg + 1:]
-    exactly = "detour must add exactly 2 self-crossings"
 
     def contract(additions: list[Crossing]) -> str | None:
-        self_adds = [c for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop]
-        if len(self_adds) != 2:
-            return f"{exactly}, got {len(self_adds)}"
-        if any(_index_term(c) != sigma for c in self_adds):
+        if any(_index_term(c) != sigma for c in additions
+               if c.loop_a == spec.loop and c.loop_b == spec.loop):
             return "detour curls must both carry the requested sign"
         return None
 
-    return _Splice(spec.loop, new_legs, contract, cap=(2, spec.loop, f"{exactly}, got more than 2"))
+    return _Splice(spec.loop, new_legs, contract,
+                   count=(2, spec.loop, "detour must add exactly 2 self-crossings"))
 
 
 def _build_seam_reroute(d, spec) -> _Splice:
@@ -588,7 +580,7 @@ def _build_seam_reroute(d, spec) -> _Splice:
     new_legs = legs[:spec.leg] + (leg_a, leg_b) + legs[spec.leg + 1:]
     # created crossings are unconstrained: the edit's index damage is reported,
     # not controlled
-    return _Splice(spec.loop, new_legs, lambda adds: None)
+    return _Splice(spec.loop, new_legs, None)
 
 
 def _build_finger_push(d, spec) -> _Splice:
@@ -617,15 +609,12 @@ def _build_finger_push(d, spec) -> _Splice:
     f2 = x2 + wvec.scale(1 + reach)
     inserted = (x1, f1, f2, x2)
 
-    exactly = "finger push must add exactly 2 crossings"
     # the chosen strand moves along only if it lies later on the pushed leg
     later = (loop2, leg2) == (spec.loop, spec.leg) and seg2 > spec.segment
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
     def contract(additions: list[Crossing]) -> str | None:
-        if len(additions) != 2:
-            return f"{exactly}, got {len(additions)}"
         seen_verticals = set()
         for cr in additions:
             sides = {
@@ -645,7 +634,7 @@ def _build_finger_push(d, spec) -> _Splice:
         return None
 
     return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (2, None, f"{exactly}, got more than 2"))
+                         (2, None, "finger push must add exactly 2 crossings"))
 
 
 def _build_subdivide(d, spec) -> _Splice:
@@ -654,13 +643,9 @@ def _build_subdivide(d, spec) -> _Splice:
         raise MoveBlocked("subdivision point must be interior")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = (a + (b - a).scale(t),)
-    message = "subdividing must not create crossings"
-
-    def contract(additions: list[Crossing]) -> str | None:
-        return message if additions else None
-
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (0, None, message))
+    # no contract: the halves refind every crossing of the old segment
+    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, None,
+                         (0, None, "subdividing must not create crossings"))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ import random
 from itertools import permutations, product, starmap
 from math import factorial
 
-from .geometry import Point, Rat, circle_point, mat_apply, pt, rat, seam_reflection
+from .geometry import Point, Rat, circle_point, pt, rat
 from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, validate
 from .invariants import CyclicWord, InvariantTuple, invariants, inv3
-from .moves import EditSpec, MoveBlocked, _segment_gaps, apply_edit
+from .moves import EditSpec, MoveBlocked, _seam_step, _segment_gaps, apply_edit
 
 __all__ = [
     "MAX_ENUM_N",
@@ -121,8 +121,7 @@ def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
             s_a = circle_point(rat(u_a)).scale(inner)
             s_b = circle_point(rat(u_b)).scale(inner)
             q = circle_point(rat(7 * (n + 1 + i) + attempt, 7))
-            d_out = q - s_a
-            entry = -q + mat_apply(seam_reflection(q), d_out).scale(rat(1, 32))
+            entry = _seam_step(q, q - s_a)
             loops.append(LoopPath((
                 Leg((pt(0, 0), s_a, q)),
                 Leg((-q, entry, s_b, pt(0, 0))),

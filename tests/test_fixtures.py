@@ -1,15 +1,22 @@
-"""The committed files under tests/data are what scripts/make_fixtures.py writes."""
+"""The committed files under tests/data are what scripts/make_fixtures.py
+writes, and scripts/render_gallery.py draws them."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_make_fixtures_reproduces_committed_data(data_dir, tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("make_fixtures")
     monkeypatch.setattr(script, "DATA", tmp_path)
     assert script.main() == 0
     written = sorted(p.name for p in tmp_path.iterdir())
@@ -17,3 +24,16 @@ def test_make_fixtures_reproduces_committed_data(data_dir, tmp_path, monkeypatch
     assert "circle_after_moves.json" in written
     for name in written:
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+
+def test_render_gallery_draws_classes_and_samples(data_dir, tmp_path, monkeypatch):
+    script = load_script("render_gallery")
+    monkeypatch.setattr(sys, "argv", ["render_gallery.py", "--n", "1", "--out", str(tmp_path)])
+    assert script.main() == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    # the four n = 1 classes, and every sample that loads (all but malformed.json)
+    samples = sorted(f"sample_{p.stem}.svg" for p in data_dir.glob("*.json")
+                     if p.name != "malformed.json")
+    normal = [w for w in written if w.startswith("normal_")]
+    assert len(normal) == 4 and len(samples) == 8
+    assert written == normal + samples

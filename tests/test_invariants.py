@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -81,6 +83,15 @@ def test_canonical_equals_brute_force_minimum(symbols):
         for cand in [base[r:] + base[:r]]
     )
     assert canonical_cyclic_word(symbols).symbols == expected
+
+
+def test_canonical_word_of_8000_loops_is_fast():
+    symbols = symbols_of(8000)
+    random.Random(8000).shuffle(symbols)
+    start = time.perf_counter()
+    w = canonical_cyclic_word(symbols)
+    assert time.perf_counter() - start < 1.0
+    assert w.symbols[0] == HalfEdge(0, False) and len(w.symbols) == 16000
 
 
 @given(words(), st.integers(0, 7), st.booleans())

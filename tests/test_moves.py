@@ -434,13 +434,14 @@ def outcome(d, spec):
 
 def test_contract_cap_keeps_every_decision(monkeypatch, chord):
     """Every spec gets the same decision, and an applied one the same diagram
-    and kept analysis, with and without the cap of its builder."""
-    def uncapped(build):
-        def wrapped(d, spec):
-            splice = build(d, spec)
-            splice.cap = None
-            return splice
-        return wrapped
+    and kept analysis, whether or not the scan stops past its builder's count."""
+    scan = moves_mod._scan_changed
+
+    def unstopped(records, changed, locations, removed, vertex, count):
+        # the same tally, but the scan never stops early
+        if count:
+            count = (float("inf"),) + count[1:]
+        return scan(records, changed, locations, removed, vertex, count)
 
     fired = {}
     compared = 0
@@ -452,10 +453,8 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
             specs = [s for s in specs if s] + hostile_specs(d, rng) + single_kink_specs(d, rng)
             for spec in specs:
                 capped = outcome(d, spec)
-                table = moves_mod._MOVE_BUILDERS if isinstance(spec, MoveSpec) \
-                    else moves_mod._EDIT_BUILDERS
                 with monkeypatch.context() as m:
-                    m.setitem(table, spec.kind, uncapped(table[spec.kind]))
+                    m.setattr(moves_mod, "_scan_changed", unstopped)
                     full = outcome(d, spec)
                 if capped[0] == full[0] == "blocked":
                     if "got more than" in capped[1]:

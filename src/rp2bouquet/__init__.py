@@ -63,6 +63,7 @@ from .moves import (
 )
 from .normal_form import (
     MAX_ENUM_N,
+    MAX_REALIZE_N,
     LimitExceeded,
     RealizationError,
     classify,

@@ -220,15 +220,13 @@ class DiagramAnalysis:
     """Cached result of validating a diagram.
 
     For a valid diagram `records` holds its segment records (see
-    :class:`_Seg`) in (loop, leg, seg) order and `locations` the
-    :func:`_location_key` of each crossing, so that a move can update both
-    instead of rebuilding them; both are empty for an invalid diagram.
+    :class:`_Seg`) in (loop, leg, seg) order, so that a move can update them
+    instead of rebuilding them; it is empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
     crossings: tuple[Crossing, ...]
     records: tuple = field(default=(), compare=False, repr=False)
-    locations: frozenset = field(default=frozenset(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +363,14 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 
 @dataclass(frozen=True, slots=True)
 class _Seg:
-    """One segment with its exact least x, its end points in floats and the
-    float box of those.
+    """One segment with its end points in floats and the float box of those.
 
     The floats only filter; every decision is exact.  The box (`fminx` ...)
     may only prove two segments disjoint, by lying strictly apart from the
     other's: float() is monotone (see :mod:`rp2bouquet.geometry`).  The float
     end points (`fax` ...) give orientation signs that are trusted only beyond
     a proved error bound (see :func:`_meet`); any other pair is decided by the
-    exact predicates.  The exact `minx` is the sweep's sort key, which fixes
-    the order of reported violations.
+    exact predicates.
     """
 
     loop: int
@@ -382,7 +378,6 @@ class _Seg:
     seg: int
     a: Point
     b: Point
-    minx: Rat
     at_vertex: bool
     fminx: float
     fmaxx: float
@@ -397,15 +392,14 @@ class _Seg:
 def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg:
     # coordinates of a valid diagram lie in [-1, 1], so float() never overflows
     fax, fay, fbx, fby = float(a.x), float(a.y), float(b.x), float(b.y)
-    minx = a.x if a.x <= b.x else b.x
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
-    return _Seg(li, ki, si, a, b, minx, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
+    return _Seg(li, ki, si, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
 
 
 def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
     """The same segment under a new (leg, seg) address; the floats are kept."""
-    return _Seg(r.loop, ki, si, r.a, r.b, r.minx, at_v,
+    return _Seg(r.loop, ki, si, r.a, r.b, at_v,
                 r.fminx, r.fmaxx, r.fminy, r.fmaxy, r.fax, r.fay, r.fbx, r.fby)
 
 
@@ -505,20 +499,19 @@ def _scan_pairs(records: list[_Seg], pairs: Iterable[tuple[_Seg, _Seg]],
 
 
 def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
-    order = sorted(range(len(records)), key=lambda i: records[i].minx)
-    active: list[int] = []
-    for idx in order:
-        s = records[idx]
+    # the order of the exact least x, which fixes the order of reported
+    # violations: fminx is its float and float() is monotone
+    active: list[_Seg] = []
+    for s in sorted(records, key=lambda r: (r.fminx, min(r.a.x, r.b.x))):
         kept = []
-        for j in active:
-            t = records[j]
+        for t in active:
             if t.fmaxx < s.fminx:
                 continue
-            kept.append(j)
+            kept.append(t)
             if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t):
                 continue
             yield s, t
-        kept.append(idx)
+        kept.append(s)
         active = kept
 
 
@@ -552,8 +545,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
-    locations = frozenset(_location_key(c.location) for c in found)
-    return DiagramAnalysis((), tuple(found), tuple(records), locations)
+    return DiagramAnalysis((), tuple(found), tuple(records))
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:

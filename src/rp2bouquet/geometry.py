@@ -101,6 +101,9 @@ class Point:
         return self.x == 0 and self.y == 0
 
 
+_ORIGIN = Point(rat(0), rat(0))
+
+
 def pt(x, y) -> Point:
     """Build a Point, coercing both coordinates to `Rat`."""
     return Point(rat(x), rat(y))
@@ -344,21 +347,11 @@ def _quadrant(v: Point) -> int:
     return 6 if x == 0 else 7
 
 
-def _cross_sign(u: Point, v: Point) -> int:
-    """Exact sign of u x v, from integers as in :func:`orient2d`."""
-    uxn, uxd, uyn, uyd = u.x.numerator, u.x.denominator, u.y.numerator, u.y.denominator
-    vxn, vxd, vyn, vyd = v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator
-    # ux vy - uy vx scaled by uxd * uyd * vxd * vyd > 0
-    left = uxn * vyn * uyd * vxd
-    right = uyn * vxn * uxd * vyd
-    return (left > right) - (left < right)
-
-
 def _angle_cmp(u: Point, v: Point) -> int:
     qu, qv = _quadrant(u), _quadrant(v)
     if qu != qv:
         return -1 if qu < qv else 1
-    cr = _cross_sign(u, v)
+    cr = orient2d(_ORIGIN, u, v)
     if cr:
         return -cr
     raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
@@ -381,6 +374,6 @@ def angle_sort(vectors: Sequence[Point]) -> list[int]:
     # sorting need not compare every pair; equal-angle vectors land adjacent
     for prev, cur in zip(order, order[1:]):
         u, v = vectors[prev], vectors[cur]
-        if _quadrant(u) == _quadrant(v) and _cross_sign(u, v) == 0:
+        if _quadrant(u) == _quadrant(v) and orient2d(_ORIGIN, u, v) == 0:
             raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
     return order

@@ -232,18 +232,20 @@ def _changed_pairs(records, changed) -> Iterator[tuple]:
             yield u, v
 
 
-def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: Point,
-                  count) -> tuple[list[Crossing], list[Crossing], set, int]:
+def _scan_changed(records, changed, removed: set, vertex: Point,
+                  count) -> tuple[list[Crossing], list[Crossing], int, int]:
     """One pass over the pairs of changed records: the crossings found, the
-    additions among them (at no location of the input), the location keys of
-    all found and the tally of additions the splice's `count` counts.
+    additions among them (at no location in `removed`, the locations on
+    replaced segments), how many of `removed` were found again and the tally
+    of additions the splice's `count` counts.
 
     MoveBlocked at the first certain violation: a non-transversal contact, a
     crossing on another one or on the vertex, or a tally past `count` once
-    every location in `removed` (those on replaced segments) is found again,
-    so that a destroyed crossing stays the reason when there is one.  The
-    kept crossings are those of a valid diagram, apart from each other and
-    from the vertex; their locations are `locations` minus `removed`.
+    every location in `removed` is found again, so that a destroyed crossing
+    stays the reason when there is one.  A crossing landing on a kept one at
+    X meets both strands of X there, so it is blocked at its second contact;
+    the pairs the scan skips (a corner, two segments at V) cannot make one,
+    as the structural check has blocked a cusp or codirection at X first.
     """
     limit, counts, exactly = count or (float("inf"), None, "")
     found: list[Crossing] = []
@@ -265,8 +267,6 @@ def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: 
         found.append(c)
         if key in removed:
             refound += 1
-        elif key in locations:
-            raise MoveBlocked("two crossings would coincide")
         elif res.point == vertex:
             raise MoveBlocked("crossing would land on the vertex")
         else:
@@ -275,7 +275,7 @@ def _scan_changed(records, changed, locations: frozenset, removed: set, vertex: 
                 counted += 1
         if counted > limit and refound == len(removed):
             raise MoveBlocked(f"{exactly}, got more than {limit}")
-    return found, additions, seen, counted
+    return found, additions, refound, counted
 
 
 def _remap_crossing(c: Crossing, loop: int, moved: dict) -> Crossing:
@@ -391,13 +391,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
 
     # records only now: a point far outside the disk has no float box
     records, changed, replaced, moved = _splice_records(base.records, splice.loop, window)
-    kept, dropped = _split_crossings(base, splice.loop, replaced)
+    kept: list[Crossing] = []
+    dropped: list[Crossing] = []
+    for c in base.crossings:
+        (dropped if c.involves(splice.loop, replaced) else kept).append(c)
     removed = {_location_key(c.location) for c in dropped}
-    found, additions, found_locations, counted = _scan_changed(
-        records, changed, base.locations, removed, d2.vertex, splice.count)
+    found, additions, refound, counted = _scan_changed(
+        records, changed, removed, d2.vertex, splice.count)
     if not splice.check_persistence:
         err = splice.contract(found, dropped)
-    elif not removed <= found_locations:
+    elif refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
     elif splice.count and counted != splice.count[0]:
         err = f"{splice.count[2]}, got {counted}"
@@ -406,30 +409,13 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
+    # re-addressing is monotone along the loop, so the kept crossings are
+    # still sorted; only the few found ones are merged in
     olds = [_remap_crossing(c, splice.loop, moved) for c in kept]
-    _set_result(d2, base, olds, found, records, removed, found_locations)
-    return d2, additions
-
-
-def _split_crossings(base: DiagramAnalysis, loop: int,
-                     replaced: set) -> tuple[list[Crossing], list[Crossing]]:
-    """The crossings the splice keeps (not yet re-addressed) and those on
-    replaced segments."""
-    kept: list[Crossing] = []
-    dropped: list[Crossing] = []
-    for c in base.crossings:
-        (dropped if c.involves(loop, replaced) else kept).append(c)
-    return kept, dropped
-
-
-def _set_result(d2: BouquetDiagram, base: DiagramAnalysis, olds: list[Crossing],
-                found: list[Crossing], records: tuple, removed: set, found_locations: set) -> None:
-    # re-addressing is monotone along the loop, so the kept crossings `olds`
-    # are still sorted; only the few found ones are merged in
     for c in found:
         insort(olds, c, key=Crossing.sort_key)
-    locations = base.locations.difference(removed).union(found_locations)
-    _set_analysis(d2, DiagramAnalysis((), tuple(olds), records, locations))
+    _set_analysis(d2, DiagramAnalysis((), tuple(olds), records))
+    return d2, additions
 
 
 def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Point, Point]:

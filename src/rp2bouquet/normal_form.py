@@ -42,6 +42,7 @@ from .moves import EditSpec, MoveBlocked, _seam_step, _segment_gaps, apply_edit
 
 __all__ = [
     "MAX_ENUM_N",
+    "MAX_REALIZE_N",
     "RealizationError",
     "LimitExceeded",
     "realize",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 MAX_ENUM_N = 4
+MAX_REALIZE_N = 64
 
 
 class RealizationError(ValueError):
@@ -159,9 +161,12 @@ def realize(t: InvariantTuple) -> BouquetDiagram:
 
     Raises :class:`RealizationError` if t is malformed (each half-edge symbol
     must appear exactly once, the word must be canonical, the bit vectors must
-    have one bit per loop) -- every well-formed tuple is realizable.
+    have one bit per loop) -- every well-formed tuple is realizable -- and,
+    before building anything, if t has more than MAX_REALIZE_N (= 64) loops.
     """
     n = _validate_tuple(t)
+    if n > MAX_REALIZE_N:
+        raise RealizationError(f"realize is capped at n = {MAX_REALIZE_N}; got n = {n}")
     last = "no attempt succeeded"
     for attempt in range(_BUILD_ATTEMPTS):
         d = _build_base(t, n, attempt)
@@ -169,8 +174,10 @@ def realize(t: InvariantTuple) -> BouquetDiagram:
             last = f"base diagram not generic (attempt {attempt})"
             continue
         try:
-            for i in range(n):
-                if inv3(d)[i] != t.w[i]:
+            # a kink on loop i adds one self-crossing of loop i and keeps
+            # every other crossing, so the other bits read here still hold
+            for i, bit in enumerate(inv3(d)):
+                if bit != t.w[i]:
                     d = _flip_parity(d, i)
         except RealizationError as exc:
             last = str(exc)

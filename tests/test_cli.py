@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rp2bouquet import (
+    MAX_REALIZE_N,
     InvariantTuple,
     dumps,
     loads,
@@ -192,6 +193,14 @@ def test_realize_stdout_is_loadable():
 def test_realize_parse_error():
     code, out = run(["realize", "order=e1,e1; h=0; w=0"])
     assert code == 2 and out.startswith("ERROR: ")
+
+
+def test_realize_over_cap_exits_1():
+    n = MAX_REALIZE_N + 1
+    word = ",".join([f"e{i}" for i in range(1, n + 1)] + [f"e{i}^-1" for i in range(1, n + 1)])
+    code, out = run(["realize", f"order={word}; h={'0' * n}; w={'1' * n}"])
+    assert code == 1
+    assert out == f"ERROR: RealizationError: realize is capped at n = {MAX_REALIZE_N}; got n = {n}\n"
 
 
 def test_enumerate_one_loop():

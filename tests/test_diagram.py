@@ -25,6 +25,7 @@ from rp2bouquet.diagram import (
     Crossing,
     LoopParam,
     Violation,
+    _all_pairs,
     _check_crossing_set,
     _check_seam_table,
     _check_vertex_directions,
@@ -440,6 +441,18 @@ def test_location_key_separates_points():
     values = sorted(set(lattice_x + lattice_y))
     points = [pt(x, y) for x in values for y in values]
     assert len({_location_key(p) for p in points}) == len(points)
+
+
+def test_sweep_orders_float_ties_exactly():
+    """Two segments whose least x round to the same float are swept in the
+    order of their exact least x, which fixes the orientation of a
+    NonTransversal report; a float-only stable sort would keep the input
+    order and yield (A, B)."""
+    third = rat(1, 3)
+    b = _make_seg(1, 0, 0, pt(third + rat(1, 10 ** 30), "1/8"), pt("1/2", "-1/8"), False)
+    a = _make_seg(0, 0, 0, pt(third, 0), pt("1/2", "1/4"), False)
+    assert a.fminx == b.fminx
+    assert list(_all_pairs([b, a])) == [(b, a)]
 
 
 # ---------------------------------------------------------------------------

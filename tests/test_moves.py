@@ -325,9 +325,8 @@ def assert_kept_analysis_is_fresh(d):
     fresh = rebuilt(d)
     assert validate(fresh) == []
     assert crossings(fresh) == crossings(d)
-    # the segment records and crossing locations carried from move to move
+    # the segment records carried from move to move
     assert analysis(d).records == tuple(_segment_records(d))
-    assert analysis(d).locations == analysis(fresh).locations
 
 
 def test_incremental_analysis_matches_full_recheck(quad, chord, wedge):
@@ -423,13 +422,13 @@ def single_kink_specs(d, rng):
 
 
 def outcome(d, spec):
-    """("applied", dumps, crossings, records, locations) or ("blocked", message)."""
+    """("applied", dumps, crossings, records) or ("blocked", message)."""
     try:
         d2 = apply_move(d, spec) if isinstance(spec, MoveSpec) else apply_edit(d, spec)
     except MoveBlocked as exc:
         return "blocked", str(exc)
     kept = analysis(d2)
-    return "applied", dumps(d2), kept.crossings, kept.records, kept.locations
+    return "applied", dumps(d2), kept.crossings, kept.records
 
 
 def test_contract_cap_keeps_every_decision(monkeypatch, chord):
@@ -437,11 +436,11 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
     and kept analysis, whether or not the scan stops past its builder's count."""
     scan = moves_mod._scan_changed
 
-    def unstopped(records, changed, locations, removed, vertex, count):
+    def unstopped(records, changed, removed, vertex, count):
         # the same tally, but the scan never stops early
         if count:
             count = (float("inf"),) + count[1:]
-        return scan(records, changed, locations, removed, vertex, count)
+        return scan(records, changed, removed, vertex, count)
 
     fired = {}
     compared = 0
@@ -537,6 +536,15 @@ def test_splice_window_matches_segment_identity():
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert set(kinds) == set(builders) and min(kinds.values()) >= 50, kinds
+
+
+def test_template_through_an_existing_crossing_is_blocked(wedge):
+    # loop 0's segment 1 crosses loop 1's segment 2 at (15/64, -15/64); moving
+    # the point (-3/8, 0) to (1/2, -1/2) sends segment 3 through that crossing,
+    # so it meets both strands there
+    assert [c.location for c in crossings(wedge)] == [pt("15/64", "-15/64")]
+    with pytest.raises(MoveBlocked, match="^two crossings would coincide$"):
+        apply_move(wedge, MoveSpec("Jiggle", 0, 0, 3, (rat(7, 8), rat(-1, 2))))
 
 
 def test_huge_jiggle_is_blocked_before_records_are_built(quad):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Iterator
 
 from .geometry import (
@@ -33,12 +34,11 @@ from .geometry import (
     Rat,
     SegKind,
     SegmentIntersection,
+    _direction,
     _proper,
-    mat_apply,
     on_unit_circle,
     orient2d,
     rat,
-    seam_reflection,
     segment_intersection,
     unit_circle_side,
 )
@@ -109,13 +109,6 @@ class Leg:
     """A polyline between seam/vertex endpoints; at least two points."""
 
     points: tuple[Point, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def segments(self) -> int:
-        return len(self.points) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,15 +275,20 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
     p, q = a.points[-1], b.points[0]
     if not on_unit_circle(p) or not on_unit_circle(q):
         return  # already reported as SeamPointOffCircle
-    if q != -p:
+    # p = (x, y) / c: unit-circle points have equal denominators in lowest terms
+    x, y, c = p.x.numerator, p.y.numerator, p.x.denominator
+    if _location_key(q) != (-x, c, -y, c):
         out.append(Violation("SeamNotAntipodal", li, ki, note="legs must rejoin at the antipode"))
         return
-    d_out = p - a.points[-2]
-    d_in = b.points[1] - q
+    d_out = _direction(a.points[-2], p)
+    d_in = _direction(q, b.points[1])
     if d_out.is_zero() or d_in.is_zero():
         return
-    w = mat_apply(seam_reflection(p), d_out)
-    if not (w.cross(d_in) == 0 and w.dot(d_in) > 0):
+    # w = c^2 M(p) d_out (see seam_reflection), a positive multiple of M(p) (p - a[-2])
+    mxx, mxy = x * x - y * y, 2 * x * y
+    wx = mxx * d_out.x + mxy * d_out.y
+    wy = mxy * d_out.x - mxx * d_out.y
+    if not (wx * d_in.y == wy * d_in.x and wx * d_in.x + wy * d_in.y > 0):
         out.append(Violation("SeamRegularity", li, ki,
                              note="entry direction must match the reflected exit direction"))
 
@@ -307,15 +305,24 @@ def _equal_key_pairs(keys: list) -> list[tuple[int, int]]:
 
 
 def _ray(v: Point):
-    """A key that codirectional nonzero vectors share exactly; None for 0."""
-    if v.x:
-        return (1 if v.x > 0 else -1, v.y / v.x)
-    return (0, 1 if v.y > 0 else -1) if v.y else None
+    """A key that codirectional nonzero int vectors share exactly; None for 0."""
+    g = gcd(v.x, v.y)
+    return (v.x // g, v.y // g) if g else None
+
+
+def _star(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
+    """vertex_directions(d) with each direction an int vector (_direction)."""
+    out: list[tuple[HalfEdge, Point]] = []
+    for li, loop in enumerate(d.loops):
+        first, last = loop.legs[0].points, loop.legs[-1].points
+        out.append((HalfEdge(li, False), _direction(first[0], first[1])))
+        out.append((HalfEdge(li, True), _direction(last[-1], last[-2])))
+    return out
 
 
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
     """Codirectional half-edges at V; every leg has at least two points."""
-    star = vertex_directions(d)
+    star = _star(d)
     for i, j in _equal_key_pairs([_ray(v) for _, v in star]):
         li, lj = star[i][0].loop, star[j][0].loop
         out.append(Violation("CodirectionalAtVertex", li,
@@ -327,8 +334,10 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
     for li, loop in enumerate(d.loops):
         for leg in loop.legs[:-1]:
             exits.append((li, leg.points[-1]))
-    # a point and its antipode share a key
-    for i, j in _equal_key_pairs([max((p.x, p.y), (-p.x, -p.y)) for _, p in exits]):
+    # a point and its antipode share a key: negation keeps the denominators
+    keys = [max((p.x.numerator, p.y.numerator), (-p.x.numerator, -p.y.numerator))
+            + (p.x.denominator, p.y.denominator) for _, p in exits]
+    for i, j in _equal_key_pairs(keys):
         (li, p), (lj, q) = exits[i], exits[j]
         kind = "CoincidentSeamPoints" if p == q else "AntipodalSeamPoints"
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
@@ -340,7 +349,7 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
         out.append(Violation("BadLoopCount", note="n must be >= 1"))
     if len(d.loops) != d.n:
         out.append(Violation("BadLoopCount", note=f"expected {d.n} loops, found {len(d.loops)}"))
-    if d.vertex.norm2() >= 1:
+    if unit_circle_side(d.vertex) >= 0:
         out.append(Violation("VertexOutsideDisk"))
     for li, loop in enumerate(d.loops):
         if not loop.legs:
@@ -390,8 +399,9 @@ class _Seg:
 
 
 def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg:
-    # coordinates of a valid diagram lie in [-1, 1], so float() never overflows
-    fax, fay, fbx, fby = float(a.x), float(a.y), float(b.x), float(b.y)
+    # valid coordinates lie in [-1, 1], so n / d (float()'s value) never overflows
+    fax, fay = a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator
+    fbx, fby = b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
     return _Seg(li, ki, si, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)

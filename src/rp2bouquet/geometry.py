@@ -20,6 +20,13 @@ a decidable property rather than a numerical judgement call: two segments
 either cross transversally in their interiors, or miss each other, or are in
 a degenerate configuration, and the three cases are distinguished exactly.
 
+Constructions work on the same integers: a constructed point (`_along`, the
+templates of :mod:`rp2bouquet.moves`) is put on one common denominator and
+built as one `Rat` per coordinate, one gcd each instead of one per operation,
+with the value the `Point` arithmetic would give.  A direction needed only up
+to a positive factor is a `Point` of ints (`_direction`); the predicates read
+ints as they read `Rat`s, through ``numerator`` and ``denominator``.
+
 Rational points on the unit circle come from the tangent-half-angle map
 
     u  |->  ((1 - u^2) / (1 + u^2),  2u / (1 + u^2)),
@@ -43,13 +50,11 @@ __all__ = [
     "Mat2",
     "CodirectionalVectors",
     "orient2d",
-    "sign",
     "SegKind",
     "SegmentIntersection",
     "segment_intersection",
     "seam_reflection",
     "mat_apply",
-    "mat_det",
     "circle_point",
     "antipode",
     "on_unit_circle",
@@ -90,13 +95,6 @@ class Point:
     def cross(self, other: "Point") -> Rat:
         return self.x * other.y - self.y * other.x
 
-    def perp(self) -> "Point":
-        """Left normal: rotate by +90 degrees."""
-        return Point(-self.y, self.x)
-
-    def norm2(self) -> Rat:
-        return self.x * self.x + self.y * self.y
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
@@ -109,13 +107,20 @@ def pt(x, y) -> Point:
     return Point(rat(x), rat(y))
 
 
-def sign(value) -> int:
-    """Exact sign of a rational: -1, 0 or +1."""
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+def _along(a: Point, b: Point, s: Rat) -> Point:
+    """a + s (b - a), one `Rat` per coordinate (see the module docstring)."""
+    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
+    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
+    sn, sd = s.numerator, s.denominator
+    return Point(Rat(axn * bxd * sd + sn * (bxn * axd - axn * bxd), axd * bxd * sd),
+                 Rat(ayn * byd * sd + sn * (byn * ayd - ayn * byd), ayd * byd * sd))
+
+
+def _direction(a: Point, b: Point) -> Point:
+    """b - a times the positive axd * bxd * ayd * byd: a Point of ints."""
+    axd, ayd, bxd, byd = a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator
+    return Point((b.x.numerator * axd - a.x.numerator * bxd) * ayd * byd,
+                 (b.y.numerator * ayd - a.y.numerator * byd) * axd * bxd)
 
 
 def orient2d(a: Point, b: Point, c: Point) -> int:
@@ -295,8 +300,9 @@ def circle_point(u) -> Point:
     ('0', '1')
     """
     u = rat(u)
-    den = 1 + u * u
-    return Point((1 - u * u) / den, 2 * u / den)
+    un, ud = u.numerator, u.denominator
+    den = ud * ud + un * un
+    return Point(Rat(ud * ud - un * un, den), Rat(2 * un * ud, den))
 
 
 def seam_reflection(p: Point) -> Mat2:
@@ -322,10 +328,6 @@ def seam_reflection(p: Point) -> Mat2:
 
 def mat_apply(m: Mat2, v: Point) -> Point:
     return Point(m[0][0] * v.x + m[0][1] * v.y, m[1][0] * v.x + m[1][1] * v.y)
-
-
-def mat_det(m: Mat2) -> Rat:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 # ---------------------------------------------------------------------------

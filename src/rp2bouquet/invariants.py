@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BouquetDiagram, Crossing, HalfEdge, InvalidDiagram, crossings, vertex_directions
+from .diagram import BouquetDiagram, Crossing, HalfEdge, InvalidDiagram, _star, crossings
 from .geometry import angle_sort
 
 __all__ = [
@@ -171,8 +171,9 @@ class InvariantTuple:
 # ---------------------------------------------------------------------------
 
 def _star_word(d: BouquetDiagram) -> tuple[HalfEdge, ...]:
-    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0)."""
-    star = vertex_directions(d)
+    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0);
+    angular order ignores a positive factor, so _star's int vectors do."""
+    star = _star(d)
     return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
 
 

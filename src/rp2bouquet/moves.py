@@ -22,7 +22,8 @@ pass stops past the count once every crossing on a replaced segment has been
 found again ("got more than 2").  No move is "almost legal".
 Smallness never needs to be argued: the checks are exact.
 
-Templates in segment-local coordinates (e = segment vector, v = left normal):
+Templates in segment-local coordinates (e = segment vector, v = left normal),
+each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
 
 * curl - four points making one loop over the segment, one self-crossing
   whose sign is -sign(h) before seam transport;
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterator
 
-from .geometry import Point, Rat, SegKind, circle_point, mat_apply, rat, seam_reflection
+from .geometry import Point, Rat, SegKind, _along, circle_point, rat
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -378,10 +379,15 @@ def _splice_records(records: tuple, loop: int, window: tuple) -> tuple[tuple, li
     return spliced, changed, replaced, moved
 
 
-def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
+def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
     base = analysis(d)
     if base.violations:
         raise InvalidDiagram(f"cannot move on an invalid diagram: {base.violations[0]}")
+    return base
+
+
+def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
+    base = _valid_analysis(d)
     d2 = _spliced(d, splice)
     window = _splice_window(base.records, d2, splice.loop)
     _, _, new, p, q = window
@@ -443,14 +449,24 @@ def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
 
 def _curl_points(a: Point, b: Point, t: Rat, w: Rat, h: Rat) -> tuple[Point, ...]:
     # one self-crossing between the first and last inserted segments, sign
-    # -sign(h) before seam transport, located at a + t*e + (2h/3)*v
-    e = b - a
-    v = e.perp()
+    # -sign(h) before seam transport, located at a + t*e + (2h/3)*v; the four
+    # points a + s*e + k*v, e = (ex, ey), v = (-ey, ex), share the denominator
+    # exd * eyd * sd * kd, with s = (t -+ w, t +- w/2) = sn / sd and k = h
+    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
+    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
+    exn, exd = bxn * axd - axn * bxd, axd * bxd
+    eyn, eyd = byn * ayd - ayn * byd, ayd * byd
+    tn, wn, kn, kd = t.numerator * w.denominator, w.numerator * t.denominator, h.numerator, h.denominator
+    sd = 2 * t.denominator * w.denominator
+    den = exd * eyd * sd * kd
+    x0, xe, xv = axn * bxd * eyd * sd * kd, exn * eyd * kd, eyn * exd * sd * kn
+    y0, ye, yv = ayn * byd * exd * sd * kd, eyn * exd * kd, exn * eyd * sd * kn
+    s1, s2, s3, s4 = 2 * (tn - wn), 2 * tn + wn, 2 * tn - wn, 2 * (tn + wn)
     return (
-        a + e.scale(t - w),
-        a + e.scale(t + w / 2) + v.scale(h),
-        a + e.scale(t - w / 2) + v.scale(h),
-        a + e.scale(t + w),
+        Point(Rat(x0 + xe * s1, den), Rat(y0 + ye * s1, den)),
+        Point(Rat(x0 + xe * s2 - xv, den), Rat(y0 + ye * s2 + yv, den)),
+        Point(Rat(x0 + xe * s3 - xv, den), Rat(y0 + ye * s3 + yv, den)),
+        Point(Rat(x0 + xe * s4, den), Rat(y0 + ye * s4, den)),
     )
 
 
@@ -494,8 +510,17 @@ def _build_single_kink(d, spec) -> _Splice:
 
 
 def _seam_step(p: Point, d_out: Point) -> Point:
-    """First interior point after entering at -p with the reflected direction."""
-    return -p + mat_apply(seam_reflection(p), d_out).scale(rat(1, 32))
+    """-p + M(p) d_out / 32: the first interior point after entering at -p."""
+    # p = (x, y) / c: a rational unit-circle point has equal denominators, and
+    # c^2 M(p) = [[mxx, mxy], [mxy, -mxx]] (see seam_reflection)
+    x, c, y = p.x.numerator, p.x.denominator, p.y.numerator
+    if p.y.denominator != c or x * x + y * y != c * c:
+        raise ValueError(f"seam reflection needs a unit-circle point, got ({p.x}, {p.y})")
+    dxn, dxd, dyn, dyd = d_out.x.numerator, d_out.x.denominator, d_out.y.numerator, d_out.y.denominator
+    mxx, mxy = x * x - y * y, 2 * x * y
+    u, v, back = dxn * dyd, dyn * dxd, 32 * c * dxd * dyd
+    den = back * c
+    return Point(Rat(mxx * u + mxy * v - back * x, den), Rat(mxy * u - mxx * v - back * y, den))
 
 
 def _build_detour(d, spec) -> _Splice:
@@ -517,8 +542,8 @@ def _build_detour(d, spec) -> _Splice:
     h = (w / 8) * hsign
     curl_a = _curl_points(a, b, t - 3 * w / 4, w / 8, h)
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
-    x1 = a + e.scale(t + w / 4)
-    x2 = a + e.scale(t + 3 * w / 4)
+    x1 = _along(a, b, t + w / 4)
+    x2 = _along(a, b, t + 3 * w / 4)
     g1 = q - x1
     if g1.is_zero() or (e.cross(g1) == 0 and e.dot(g1) < 0):
         raise MoveBlocked("detour exit folds back on the segment")
@@ -552,8 +577,8 @@ def _build_seam_reroute(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     e = b - a
     q = circle_point(uq)
-    x1 = a + e.scale(t - w)
-    x2 = a + e.scale(t + w)
+    x1 = _along(a, b, t - w)
+    x2 = _along(a, b, t + w)
     g1 = q - x1
     if g1.is_zero() or (e.cross(g1) == 0 and e.dot(g1) < 0):
         raise MoveBlocked("reroute exit folds back on the segment")
@@ -584,13 +609,13 @@ def _build_finger_push(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     c, dd = _get_segment(d, loop2, leg2, seg2)
     e = b - a
-    target = c + (dd - c).scale(s2)
-    center = a + e.scale(t)
+    target = _along(c, dd, s2)
+    center = _along(a, b, t)
     wvec = target - center
     if wvec.is_zero() or e.cross(wvec) == 0:
         raise MoveBlocked("finger direction is degenerate")
-    x1 = a + e.scale(t - w)
-    x2 = a + e.scale(t + w)
+    x1 = _along(a, b, t - w)
+    x2 = _along(a, b, t + w)
     f1 = x1 + wvec.scale(1 + reach)
     f2 = x2 + wvec.scale(1 + reach)
     inserted = (x1, f1, f2, x2)
@@ -628,7 +653,7 @@ def _build_subdivide(d, spec) -> _Splice:
     if not (0 < t < 1):
         raise MoveBlocked("subdivision point must be interior")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
-    inserted = (a + (b - a).scale(t),)
+    inserted = (_along(a, b, t),)
     # no contract: the halves refind every crossing of the old segment
     return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, None,
                          (0, None, "subdividing must not create crossings"))
@@ -737,10 +762,6 @@ def apply_edit(d: BouquetDiagram, spec: EditSpec) -> BouquetDiagram:
 # random proposals
 # ---------------------------------------------------------------------------
 
-def _segment_keys(d: BouquetDiagram) -> list[tuple[int, int, int]]:
-    return [(li, ki, si) for li, ki, si, _, _ in d.iter_segments()]
-
-
 def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
     """The parameter intervals of segment `key` free of crossings, in order."""
     loop, leg, seg = key
@@ -754,18 +775,18 @@ def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Ra
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _free_window(d, rng: random.Random, key) -> tuple[Rat, Rat] | None:
-    """A (center, halfwidth) window on the segment avoiding existing crossings."""
+def _free_window(d, rng: random.Random, key) -> tuple[Rat, Rat]:
+    """A (center, halfwidth) window on the segment avoiding existing crossings.
+
+    The gaps of [0, 1] are never empty, and center -+ half lies within
+    lo + (3/20, 17/20) * width, so inside its gap and inside (0, 1)."""
     gaps = _segment_gaps(d, key)
-    if not gaps:
-        return None
     lo, hi = gaps[rng.randrange(len(gaps))]
-    width = hi - lo
-    center = lo + width * rat(rng.randrange(7, 14), 20)
-    half = width * rat(rng.randrange(2, 5), 20)
-    if not _window_ok(center - half, center + half):
-        return None
-    return center, half
+    # lo + width * k / 20 and width * m / 20 over 20 * lo.den * hi.den
+    den = 20 * lo.denominator * hi.denominator
+    width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    center = Rat(20 * lo.numerator * hi.denominator + width * rng.randrange(7, 14), den)
+    return center, Rat(width * rng.randrange(2, 5), den)
 
 
 def _rand_rat(rng: random.Random, lo_num: int, hi_num: int, den: int) -> Rat:
@@ -798,7 +819,7 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
     uq = None
     if rng.random() < 0.75:
         a, b = d.segment(*key)
-        uq = _outward_u(a + (b - a).scale(center), rng)
+        uq = _outward_u(_along(a, b, center), rng)
     if uq is None:
         uq = _rand_rat(rng, -48, 49, 16)
     return uq
@@ -806,8 +827,10 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
 
 def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
     kind = rng.choices(MOVE_KINDS, weights=(24, 14, 20, 27, 15))[0]
-    keys = _segment_keys(d)
-    loop, leg, seg = keys[rng.randrange(len(keys))]
+    # records are in iter_segments order, so this draws what a list of keys did
+    records = _valid_analysis(d).records
+    i = rng.randrange(len(records))
+    loop, leg, seg = records[i].loop, records[i].leg, records[i].seg
 
     if kind == "Jiggle":
         lp = d.loops[loop]
@@ -831,10 +854,7 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
             return None
         return MoveSpec("Jiggle", loop, leg, idx, (dx, dy))
 
-    window = _free_window(d, rng, (loop, leg, seg))
-    if window is None:
-        return None
-    center, half = window
+    center, half = _free_window(d, rng, (loop, leg, seg))
 
     if kind == "Subdivide":
         return MoveSpec("Subdivide", loop, leg, seg, (center,))
@@ -855,12 +875,16 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
         ur = -1 / uq + tilt
         return MoveSpec("Detour", loop, leg, seg, (rat(sigma), center, half, uq, ur))
 
-    # FingerPush: aim at some other strand
-    others = [key for key in keys if key != (loop, leg, seg)
-              and not (key[0] == loop and key[1] == leg and abs(key[2] - seg) == 1)]
-    if not others:
+    # FingerPush: aim at some other strand, skipping the block records[lo:hi]
+    # of the chosen segment and its neighbours on the same leg
+    lo = i - 1 if i and records[i - 1].leg == leg and records[i - 1].loop == loop else i
+    hi = i + 2 if i + 1 < len(records) and records[i + 1].leg == leg \
+        and records[i + 1].loop == loop else i + 1
+    if len(records) == hi - lo:
         return None
-    loop2, leg2, seg2 = others[rng.randrange(len(others))]
+    j = rng.randrange(len(records) - (hi - lo))
+    other = records[j if j < lo else j + hi - lo]
+    loop2, leg2, seg2 = other.loop, other.leg, other.seg
     s2 = _rand_rat(rng, 5, 16, 20)
     reach = _rand_rat(rng, 2, 9, 16)
     w = half / 2
@@ -899,14 +923,12 @@ def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[
     """Deterministically propose and apply one legal random control edit."""
     rng = random.Random(f"rp2bouquet-edit:{seed}")
     kinds = EDIT_KINDS if kind is None else (kind,)
+    records = _valid_analysis(d).records
     for _ in range(_RETRY_BUDGET):
         pick = kinds[rng.randrange(len(kinds))]
-        keys = _segment_keys(d)
-        loop, leg, seg = keys[rng.randrange(len(keys))]
-        window = _free_window(d, rng, (loop, leg, seg))
-        if window is None:
-            continue
-        center, half = window
+        r = records[rng.randrange(len(records))]
+        loop, leg, seg = r.loop, r.leg, r.seg
+        center, half = _free_window(d, rng, (loop, leg, seg))
         if pick == "SingleKink":
             w = half / 2
             h = w * rat(rng.choice([-1, 1]), 4)

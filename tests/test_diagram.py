@@ -34,7 +34,7 @@ from rp2bouquet.diagram import (
     _meet,
     analysis,
 )
-from rp2bouquet.geometry import SegKind, circle_point, orient2d, segment_intersection, sign
+from rp2bouquet.geometry import SegKind, circle_point, orient2d, segment_intersection
 
 
 def kinds(d):
@@ -300,7 +300,7 @@ def brute_force_crossings(d):
             if res.kind is SegKind.PROPER:
                 found.append(((li, ki, si, res.t1), (lj, kj, sj, res.t2),
                               (res.point.x, res.point.y),
-                              sign((b - a).cross(dd - c))))
+                              orient2d(pt(0, 0), b - a, dd - c)))
     return found
 
 

@@ -30,6 +30,7 @@ from rp2bouquet import moves as moves_mod
 from rp2bouquet import realize
 from rp2bouquet.diagram import (
     InvalidDiagram,
+    _location_key,
     _segment_records,
     _structural_violations,
     analysis,
@@ -40,7 +41,11 @@ from rp2bouquet.normal_form import random_tuple
 
 
 def locations(d):
-    return sorted((c.x, c.y) for c in crossings(d))
+    return sorted((c.location for c in crossings(d)), key=_location_key)
+
+
+def segment_keys(d):
+    return [(li, ki, si) for li, ki, si, _, _ in d.iter_segments()]
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +203,19 @@ def test_jiggle_blocked_by_vertex_order():
         apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
 
 
-def test_subdivide_preserves_geometry(chord):
+def test_subdivide_preserves_geometry(chord, wedge):
     d2 = apply_move(chord, MoveSpec("Subdivide", 0, 0, 0, (rat(1, 3),)))
     assert validate(d2) == []
     assert d2.loops[0].legs[0].points == (pt(0, 0), pt("1/3", 0), pt(1, 0))
     assert locations(d2) == locations(chord)
     assert invariants(d2) == invariants(chord)
+    # the wedge's one crossing lies on the subdivided segment, at t = 3/8
+    d3 = apply_move(wedge, MoveSpec("Subdivide", 0, 0, 1, (rat(1, 3),)))
+    assert validate(d3) == []
+    assert d3.loops[0].legs[0].points == (pt(0, 0), pt("3/8", 0), pt("1/4", "-5/24"),
+                                          pt(0, "-5/8"), pt("-3/8", 0), pt(0, 0))
+    assert locations(d3) == locations(wedge) == [pt("15/64", "-15/64")]
+    assert invariants(d3) == invariants(wedge)
 
 
 def test_subdivide_requires_interior_point(chord):
@@ -224,6 +236,10 @@ def test_moves_refuse_invalid_input():
                                                       pt("1/4", "1/4"), pt(0, 0))),)),))
     with pytest.raises(InvalidDiagram):
         apply_move(bad, MoveSpec("Subdivide", 0, 0, 1, (rat(1, 2),)))
+    with pytest.raises(InvalidDiagram):
+        random_move_applied(bad, 0)
+    with pytest.raises(InvalidDiagram):
+        random_edit(bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +426,12 @@ def test_touched_only_structural_check_matches_full_check():
 
 def single_kink_specs(d, rng):
     specs = []
-    keys = moves_mod._segment_keys(d)
+    keys = segment_keys(d)
     for _ in range(3):
         key = keys[rng.randrange(len(keys))]
-        window = moves_mod._free_window(d, rng, key)
-        if window:
-            center, half = window
-            w = half / rng.choice((1, 2))  # random_edit takes half / 2
-            specs.append(EditSpec("SingleKink", *key, (center, w, w * rat(rng.choice((-1, 1)), 4))))
+        center, half = moves_mod._free_window(d, rng, key)
+        w = half / rng.choice((1, 2))  # random_edit takes half / 2
+        specs.append(EditSpec("SingleKink", *key, (center, w, w * rat(rng.choice((-1, 1)), 4))))
     return specs
 
 
@@ -493,12 +507,10 @@ def window_specs(d, rng):
     a jiggle by zero (a new point equal in value to the old one)."""
     specs = [moves_mod._propose_move(d, rng) for _ in range(8)]
     specs = [s for s in specs if s] + hostile_specs(d, rng) + single_kink_specs(d, rng)
-    loop, leg, seg = key = rng.choice(moves_mod._segment_keys(d))
-    window = moves_mod._free_window(d, rng, key)
-    if window:
-        center, half = window
-        uq = moves_mod._seam_u(d, rng, key, center)
-        specs.append(EditSpec("SeamReroute", loop, leg, seg, (center, half, uq)))
+    loop, leg, seg = key = rng.choice(segment_keys(d))
+    center, half = moves_mod._free_window(d, rng, key)
+    uq = moves_mod._seam_u(d, rng, key, center)
+    specs.append(EditSpec("SeamReroute", loop, leg, seg, (center, half, uq)))
     if len(d.loops[loop].legs[leg].points) > 2:
         specs.append(MoveSpec("Jiggle", loop, leg, 1, (rat(0), rat(0))))
     return specs

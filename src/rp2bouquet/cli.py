@@ -20,12 +20,14 @@ byte-stable: rationals are serialized exactly, and SVG converts to decimal
 only at the final formatting step with fixed precision 9.
 
 ``fuzz --cross-check`` also compares the analysis each move kept up to date
-with one rebuilt from scratch; a divergence is a fuzz violation.
+with one rebuilt from scratch; a divergence is a fuzz violation.  The fuzz
+counts ``--trials`` and ``--steps`` must be non-negative.
 
 A fuzz violation produces a self-contained replay script: one comment header,
 the starting diagram as a single JSON line, then one move per line.  Running
-``fuzz --replay`` on it re-applies the sequence and reports the first move
-after which the invariant tuple changed.
+``fuzz --replay`` on it re-applies the sequence, always with the cross-check,
+and reports the first move after which the kept analysis diverged or the
+invariant tuple changed.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ def fuzz_trial(seed: int, trial: int, steps: int,
 
 
 def run_fuzz(seed: int, steps: int, trials: int, out=None, cross_check: bool = False) -> FuzzReport:
+    if trials < 0 or steps < 0:
+        raise ValueError(f"fuzz counts must be non-negative, got trials={trials} steps={steps}")
     report = FuzzReport(trials=trials, steps=steps, seed=seed)
     for trial in range(trials):
         done, violation = fuzz_trial(seed, trial, steps, cross_check)
@@ -133,7 +137,8 @@ def run_fuzz(seed: int, steps: int, trials: int, out=None, cross_check: bool = F
 
 
 def run_replay(lines: list[str]) -> tuple[bool, str]:
-    """Re-run a violation script; report the first invariant change."""
+    """Re-run a violation script; report the first move after which the kept
+    analysis diverges from a rebuilt one or the invariant tuple changes."""
     body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not body:
         raise DiagramFormatError("replay script has no diagram line")
@@ -148,6 +153,9 @@ def run_replay(lines: list[str]) -> tuple[bool, str]:
             d = apply_move(d, spec)
         except MoveBlocked as exc:
             return False, f"replay failed: move {i} ({spec.kind}) cannot be applied: {exc}"
+        problem = _divergence(d, spec.kind)
+        if problem is not None:
+            return False, f"reproduced at move {i}: {problem}"
         current = invariants(d)
         if current != reference:
             return False, (f"reproduced: invariants changed at move {i} ({spec.kind}): "
@@ -225,23 +233,24 @@ def _emit(text: str, out_path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def _cmd_validate(args, stdout) -> int:
-    d = _load_diagram(args.path)
+def _invalid(d: BouquetDiagram, stdout) -> bool:
+    """Print a VIOLATION line for each violation of d; True if there is one."""
     violations = validate(d)
     for v in violations:
         print(f"VIOLATION: {v}", file=stdout)
-    if not violations:
-        print("OK", file=stdout)
-        return 0
-    return 1
+    return bool(violations)
+
+
+def _cmd_validate(args, stdout) -> int:
+    if _invalid(_load_diagram(args.path), stdout):
+        return 1
+    print("OK", file=stdout)
+    return 0
 
 
 def _cmd_invariants(args, stdout) -> int:
     d = _load_diagram(args.path)
-    violations = validate(d)
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}", file=stdout)
+    if _invalid(d, stdout):
         return 1
     print(invariants(d).text(), file=stdout)
     return 0
@@ -316,10 +325,7 @@ def _cmd_fuzz(args, stdout) -> int:
 
 def _cmd_render(args, stdout) -> int:
     d = _load_diagram(args.path)
-    violations = validate(d)
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}", file=stdout)
+    if _invalid(d, stdout):
         return 1
     _emit(render_svg(d), args.out, stdout)
     return 0

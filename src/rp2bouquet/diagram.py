@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .geometry import (
     EMPTY,
@@ -407,9 +407,9 @@ def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg
     return _Seg(li, ki, si, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
 
 
-def _reindexed(r: _Seg, ki: int, si: int, at_v: bool) -> _Seg:
+def _reindexed(r: _Seg, ki: int, si: int) -> _Seg:
     """The same segment under a new (leg, seg) address; the floats are kept."""
-    return _Seg(r.loop, ki, si, r.a, r.b, at_v,
+    return _Seg(r.loop, ki, si, r.a, r.b, r.at_vertex,
                 r.fminx, r.fmaxx, r.fminy, r.fmaxy, r.fax, r.fay, r.fbx, r.fby)
 
 
@@ -496,18 +496,6 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
     return res, orient2d(s.a, s.b, t.b) if res.kind is SegKind.PROPER else 0
 
 
-def _scan_pairs(records: list[_Seg], pairs: Iterable[tuple[_Seg, _Seg]],
-                out_violations: list[Violation], out_crossings: list[Crossing]) -> None:
-    for s, t in pairs:
-        res, frame = _meet(s, t)
-        if res.kind is SegKind.PROPER:
-            out_crossings.append(_pair_crossing(s, t, res, frame))
-        elif res.kind is SegKind.DEGENERATE:
-            out_violations.append(Violation(
-                "NonTransversal", s.loop, s.leg, s.seg,
-                note=f"against loop={t.loop} leg={t.leg} segment={t.seg}"))
-
-
 def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
     # the order of the exact least x, which fixes the order of reported
     # violations: fminx is its float and float() is monotone
@@ -550,7 +538,14 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
         return DiagramAnalysis(tuple(violations), ())
     records = _segment_records(d)
     found: list[Crossing] = []
-    _scan_pairs(records, _all_pairs(records), violations, found)
+    for s, t in _all_pairs(records):
+        res, frame = _meet(s, t)
+        if res.kind is SegKind.PROPER:
+            found.append(_pair_crossing(s, t, res, frame))
+        elif res.kind is SegKind.DEGENERATE:
+            violations.append(Violation(
+                "NonTransversal", s.loop, s.leg, s.seg,
+                note=f"against loop={t.loop} leg={t.leg} segment={t.seg}"))
     _check_crossing_set(violations, d.vertex, found)
     if violations:
         return DiagramAnalysis(tuple(violations), ())

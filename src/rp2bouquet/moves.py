@@ -212,9 +212,8 @@ class _Splice:
 
 def _changed_pairs(records, changed) -> Iterator[tuple]:
     """Pairs (changed record, other record) whose float boxes meet, in record
-    order; _meet decides each pair exactly."""
-    if not changed:
-        return
+    order; _meet decides each pair exactly.  Every splice builds a segment, so
+    `changed` is never empty."""
     chkeys = {(u.loop, u.leg, u.seg) for u in changed}
     lox = min(u.fminx for u in changed)
     hix = max(u.fmaxx for u in changed)
@@ -308,8 +307,6 @@ def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None
     vertex star and the seam table.
     """
     legs = d2.loops[loop].legs
-    if not legs:
-        return Violation("ShortLeg", loop)
     changed = {(k, s) for k, s, _, _ in new}
     by_leg: dict[int, list[int]] = {}
     for k, s in sorted(changed):
@@ -317,8 +314,8 @@ def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None
     viols: list[Violation] = []
     last = len(legs) - 1
     for ki, leg in enumerate(legs):
-        if ki in by_leg or len(leg.points) < 2:
-            _check_leg(viols, d2.vertex, loop, ki, leg, ki == 0, ki == last, by_leg.get(ki))
+        if ki in by_leg:
+            _check_leg(viols, d2.vertex, loop, ki, leg, ki == 0, ki == last, by_leg[ki])
             if viols:
                 return viols[0]
     joints = [ki for ki in range(last)
@@ -369,10 +366,12 @@ def _splice_records(records: tuple, loop: int, window: tuple) -> tuple[tuple, li
     changed = [_make_seg(loop, k, s, a, b, (k, s) in ends) for k, s, a, b in new[p:q]]
     suffix = []
     moved = {}
+    # a suffix record keeps at_vertex: the loop's first segment lies in the
+    # prefix or the window, and its last segment stays last
     for r, (k, s, _, _) in zip(records[j:j + len(new) - q], new[q:]):
-        if r.leg != k or r.seg != s or r.at_vertex != ((k, s) in ends):
+        if r.leg != k or r.seg != s:
             moved[r.leg, r.seg] = k, s
-            r = _reindexed(r, k, s, (k, s) in ends)
+            r = _reindexed(r, k, s)
         suffix.append(r)
     replaced = {(r.leg, r.seg) for r in records[i:j]}
     spliced = records[:i] + tuple(changed + suffix) + records[j + len(suffix):]
@@ -426,11 +425,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
 
 def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Point, Point]:
     try:
-        lp = d.loops[loop]
-        pts = lp.legs[leg].points
-        if loop < 0 or leg < 0 or seg < 0 or seg >= len(pts) - 1:
-            raise IndexError
-        return pts[seg], pts[seg + 1]
+        return d.segment(loop, leg, seg)
     except IndexError:
         raise MoveBlocked(f"no segment ({loop}, {leg}, {seg})") from None
 
@@ -523,6 +518,15 @@ def _seam_step(p: Point, d_out: Point) -> Point:
     return Point(Rat(mxx * u + mxy * v - back * x, den), Rat(mxy * u - mxx * v - back * y, den))
 
 
+def _seam_exit(a: Point, b: Point, x: Point, q: Point, noun: str) -> Point:
+    """The first interior point after leaving segment ab at x straight through
+    the seam point q; MoveBlocked if that path folds back along ab."""
+    e, g = b - a, q - x
+    if g.is_zero() or (e.cross(g) == 0 and e.dot(g) < 0):
+        raise MoveBlocked(f"{noun} exit folds back on the segment")
+    return _seam_step(q, g)
+
+
 def _build_detour(d, spec) -> _Splice:
     sig_raw, t, w, uq, ur = spec.params
     if sig_raw not in (1, -1):
@@ -531,7 +535,6 @@ def _build_detour(d, spec) -> _Splice:
     if w <= 0 or not _window_ok(t - w, t + w):
         raise MoveBlocked("detour window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
-    e = b - a
     q = circle_point(uq)
     r = circle_point(ur)
     if r == q or r == -q:
@@ -544,10 +547,7 @@ def _build_detour(d, spec) -> _Splice:
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
     x1 = _along(a, b, t + w / 4)
     x2 = _along(a, b, t + 3 * w / 4)
-    g1 = q - x1
-    if g1.is_zero() or (e.cross(g1) == 0 and e.dot(g1) < 0):
-        raise MoveBlocked("detour exit folds back on the segment")
-    y1 = _seam_step(q, g1)
+    y1 = _seam_exit(a, b, x1, q, "detour")
     g2 = r - y1
     if g2.is_zero():
         raise MoveBlocked("degenerate detour turn")
@@ -575,14 +575,10 @@ def _build_seam_reroute(d, spec) -> _Splice:
     if w <= 0 or not _window_ok(t - w, t + w):
         raise MoveBlocked("reroute window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
-    e = b - a
     q = circle_point(uq)
     x1 = _along(a, b, t - w)
     x2 = _along(a, b, t + w)
-    g1 = q - x1
-    if g1.is_zero() or (e.cross(g1) == 0 and e.dot(g1) < 0):
-        raise MoveBlocked("reroute exit folds back on the segment")
-    z1 = _seam_step(q, g1)
+    z1 = _seam_exit(a, b, x1, q, "reroute")
 
     legs = d.loops[spec.loop].legs
     pts = legs[spec.leg].points
@@ -846,8 +842,6 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
         d1 = pts[idx] - pts[idx - 1]
         d2 = pts[idx + 1] - pts[idx]
         scale = min(max(abs(d1.x), abs(d1.y)), max(abs(d2.x), abs(d2.y)))
-        if scale == 0:
-            return None
         dx = scale * _rand_rat(rng, -40, 41, 256)
         dy = scale * _rand_rat(rng, -40, 41, 256)
         if dx == 0 and dy == 0:

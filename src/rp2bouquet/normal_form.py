@@ -87,19 +87,9 @@ def _arc_points(radius: Rat, u_from: int, u_to: int) -> list[Point]:
     Interior waypoints sit at quarter-integer parameters so that no waypoint
     lies exactly on another loop's integer-parameter ray from the vertex.
     """
-    out = [circle_point(rat(u_from)).scale(radius)]
-    if u_to > u_from:
-        u = rat(4 * u_from + 1, 4)
-        while u < u_to:
-            out.append(circle_point(u).scale(radius))
-            u = u + rat(1, 2)
-    else:
-        u = rat(4 * u_from - 1, 4)
-        while u > u_to:
-            out.append(circle_point(u).scale(radius))
-            u = u - rat(1, 2)
-    out.append(circle_point(rat(u_to)).scale(radius))
-    return out
+    step = 1 if u_to > u_from else -1
+    inner = [rat(4 * u_from + step * (2 * k + 1), 4) for k in range(2 * abs(u_to - u_from))]
+    return [circle_point(u).scale(radius) for u in [rat(u_from), *inner, rat(u_to)]]
 
 
 def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:

@@ -44,6 +44,12 @@ def test_validate_reports_violations(data_dir):
     assert all(line.startswith("VIOLATION: ") for line in lines)
 
 
+@pytest.mark.parametrize("verb", ["invariants", "render-svg"])
+def test_verbs_print_violations_of_invalid_input(data_dir, verb):
+    path = data_dir / "invalid_seam.json"
+    assert run([verb, path]) == run(["validate", path])
+
+
 def test_validate_malformed_json(data_dir):
     code, out = run(["validate", data_dir / "malformed.json"])
     assert code == 2 and out.startswith("ERROR: not valid JSON")
@@ -190,6 +196,11 @@ def test_realize_stdout_is_loadable():
     assert d.n == 1
 
 
+def test_realize_out_into_missing_directory(tmp_path):
+    code, out = run(["realize", "order=e1,e1^-1; h=0; w=0", "--out", tmp_path / "no" / "x.json"])
+    assert code == 2 and out.startswith("ERROR: ") and "No such file or directory" in out
+
+
 def test_realize_parse_error():
     code, out = run(["realize", "order=e1,e1; h=0; w=0"])
     assert code == 2 and out.startswith("ERROR: ")
@@ -268,7 +279,18 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     code, out = run(args)
     assert code == 3
     assert "kept records diverge from a rebuilt analysis" in out
-    assert list(tmp_path.glob("fuzz_violation_seed20260815_trial*.txt"))
+    scripts = sorted(tmp_path.glob("fuzz_violation_seed20260815_trial*.txt"))
+    assert scripts
+    # a replay always cross-checks, so it reproduces the divergence
+    code, out = run(["fuzz", "--replay", scripts[0]])
+    assert code == 3
+    assert out.startswith("reproduced at move 1: kept records diverge from a rebuilt analysis")
+
+
+@pytest.mark.parametrize("counts", [["--trials", -3], ["--trials", 2, "--steps", -4]])
+def test_fuzz_rejects_negative_counts(counts):
+    code, out = run(["fuzz", *counts])
+    assert code == 2 and out.startswith("ERROR: fuzz counts must be non-negative")
 
 
 def test_run_fuzz_report_fields():
@@ -316,6 +338,14 @@ def test_replay_zero_denominator(tmp_path):
     path.write_text(dumps(d) + "\nSubdivide 0 0 0 1/0\n")
     code, out = run(["fuzz", "--replay", path])
     assert (code, out) == (2, "ERROR: zero denominator in '1/0'\n")
+
+
+def test_replay_invalid_start_diagram(data_dir, tmp_path):
+    path = tmp_path / "script.txt"
+    path.write_text((data_dir / "invalid_seam.json").read_text())
+    code, out = run(["fuzz", "--replay", path])
+    assert (code, out) == (2, "ERROR: replay start diagram invalid: "
+                              "SeamPointOffCircle loop=0 leg=0 segment=1\n")
 
 
 def test_run_replay_requires_diagram_line():

@@ -231,6 +231,23 @@ def test_bad_target_indices(chord):
         apply_move(chord, MoveSpec("Subdivide", 0, 0, 9, (rat(1, 2),)))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("SingleKink 0 0 1 1/2 1/2 1/8", "kink window must sit inside the segment"),
+    ("Detour 0 0 1 1 1/2 1/2 1 -1", "detour window must sit inside the segment"),
+    ("SeamReroute 0 0 1 1/2 1/2 1", "reroute window must sit inside the segment"),
+    ("FingerPush 0 0 1 1/2 1/8 -1 0 3 1/2 1/4",
+     "finger push strand indices must be non-negative integers"),
+    ("FingerPush 0 0 1 1/2 1/8 0 0 3 3/2 1/4", "finger push window parameters out of range"),
+    ("Jiggle 0 5 1 1/64 0", r"no leg \(0, 5\)"),
+    ("Jiggle 0 0 0 1/64 0", "only interior polyline points can be jiggled"),
+])
+def test_spec_guards_block_with_their_message(quad, line, message):
+    edit = line.split()[0] in moves_mod.EDIT_KINDS
+    spec_type, apply = (EditSpec, apply_edit) if edit else (MoveSpec, apply_move)
+    with pytest.raises(MoveBlocked, match=f"^{message}$"):
+        apply(quad, spec_type.from_line(line))
+
+
 def test_moves_refuse_invalid_input():
     bad = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((pt(0, 0), pt("9/8", 0),
                                                       pt("1/4", "1/4"), pt(0, 0))),)),))

@@ -85,7 +85,7 @@ def _artifact_script(seed: int, trial: int, step: int, start: BouquetDiagram,
 def _divergence(d: BouquetDiagram, kind: str) -> str | None:
     """Which part of d's kept analysis differs from a rebuilt one, if any."""
     kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
-    for name in ("violations", "crossings", "records"):
+    for name in ("violations", "crossings", "records", "leg_starts"):
         if getattr(kept, name) != getattr(rebuilt, name):
             return f"kept {name} diverge from a rebuilt analysis after {kind}"
     return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator
@@ -182,11 +183,6 @@ class Crossing:
     def sort_key(self):
         return (self.loop_a, self.param_a, self.loop_b, self.param_b)
 
-    def involves(self, loop: int, keys: set[tuple[int, int]]) -> bool:
-        return (self.loop_a == loop and (self.param_a.leg, self.param_a.seg) in keys) or (
-            self.loop_b == loop and (self.param_b.leg, self.param_b.seg) in keys
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Violation:
@@ -214,12 +210,17 @@ class DiagramAnalysis:
 
     For a valid diagram `records` holds its segment records (see
     :class:`_Seg`) in (loop, leg, seg) order, so that a move can update them
-    instead of rebuilding them; it is empty for an invalid diagram.
+    instead of rebuilding them.  A record holds no position: `leg_starts[li]`
+    lists, for each leg of loop li, the index in `records` of its first
+    segment, and :func:`_position` finds a record's (leg, seg) from its index
+    by one bisect.  A splice thus keeps every record outside its window as it
+    is.  Both are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
     crossings: tuple[Crossing, ...]
     records: tuple = field(default=(), compare=False, repr=False)
+    leg_starts: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,10 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 
 @dataclass(frozen=True, slots=True)
 class _Seg:
-    """One segment with its end points in floats and the float box of those.
+    """One segment of loop `loop` with its end points in floats and the float
+    box of those.  Its leg and its index in the leg are not stored: they
+    follow from the record's index (see :class:`DiagramAnalysis`), so a
+    record stays valid while segments before it are replaced.
 
     The floats only filter; every decision is exact.  The box (`fminx` ...)
     may only prove two segments disjoint, by lying strictly apart from the
@@ -383,8 +387,6 @@ class _Seg:
     """
 
     loop: int
-    leg: int
-    seg: int
     a: Point
     b: Point
     at_vertex: bool
@@ -398,50 +400,64 @@ class _Seg:
     fby: float
 
 
-def _make_seg(li: int, ki: int, si: int, a: Point, b: Point, at_v: bool) -> _Seg:
+def _make_seg(li: int, a: Point, b: Point, at_v: bool) -> _Seg:
     # valid coordinates lie in [-1, 1], so n / d (float()'s value) never overflows
     fax, fay = a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator
     fbx, fby = b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
-    return _Seg(li, ki, si, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
+    return _Seg(li, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
 
 
-def _reindexed(r: _Seg, ki: int, si: int) -> _Seg:
-    """The same segment under a new (leg, seg) address; the floats are kept."""
-    return _Seg(r.loop, ki, si, r.a, r.b, r.at_vertex,
-                r.fminx, r.fmaxx, r.fminy, r.fmaxy, r.fax, r.fay, r.fbx, r.fby)
+def _leg_row(legs: tuple[Leg, ...], start: int) -> tuple[int, ...]:
+    """The index of each leg's first record, the first leg's being `start`."""
+    row = []
+    for leg in legs:
+        row.append(start)
+        start += len(leg.points) - 1
+    return tuple(row)
 
 
-def _segment_records(d: BouquetDiagram) -> list[_Seg]:
-    """Records of every segment in (loop, leg, seg) order."""
+def _segment_records(d: BouquetDiagram) -> tuple[list[_Seg], tuple[tuple[int, ...], ...]]:
+    """Records of every segment in (loop, leg, seg) order, and their leg starts."""
     records = []
+    leg_starts = []
     for li, loop in enumerate(d.loops):
+        leg_starts.append(_leg_row(loop.legs, len(records)))
         last_leg = len(loop.legs) - 1
         for ki, leg in enumerate(loop.legs):
             pts = leg.points
             last_seg = len(pts) - 2
             for si in range(len(pts) - 1):
                 at_v = (ki == 0 and si == 0) or (ki == last_leg and si == last_seg)
-                records.append(_make_seg(li, ki, si, pts[si], pts[si + 1], at_v))
-    return records
+                records.append(_make_seg(li, pts[si], pts[si + 1], at_v))
+    return records, tuple(leg_starts)
 
 
-def _skip_pair(s: _Seg, t: _Seg) -> bool:
-    if s.loop == t.loop and s.leg == t.leg and abs(s.seg - t.seg) == 1:
-        return True  # consecutive corner; cusp/overlap handled structurally
+def _position(leg_starts: tuple[tuple[int, ...], ...], loop: int, i: int) -> tuple[int, int]:
+    """The (leg, seg) of the record at index i, a segment of loop `loop`."""
+    row = leg_starts[loop]
+    k = bisect_right(row, i) - 1
+    return k, i - row[k]
+
+
+def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
+    """Whether the scans skip records s and t, at indices i and j."""
     if s.at_vertex and t.at_vertex:
         return True  # both touch V; overlap handled by the codirection check
-    return False
+    # neighbours in one leg: a consecutive corner, whose cusp or overlap is
+    # handled structurally; by index, as a point may recur elsewhere in a loop
+    return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in leg_starts[s.loop]
 
 
-def _pair_crossing(s: _Seg, t: _Seg, res, frame: int) -> Crossing:
-    """The crossing of a PROPER intersection `res` of s and t; `frame` is the
-    sign of da x db, which is orient2d(s.a, s.b, t.b): t.a and t.b lie
-    strictly on opposite sides of s, so da x (t.b - t.a) = da x (t.b - s.a) -
-    da x (t.a - s.a) has the sign of its first term."""
-    pa = LoopParam(s.leg, s.seg, res.t1)
-    pb = LoopParam(t.leg, t.seg, res.t2)
+def _pair_crossing(s: _Seg, t: _Seg, i: int, j: int, leg_starts, res, frame: int) -> Crossing:
+    """The crossing of a PROPER intersection `res` of s = records[i] and
+    t = records[j]; `frame` is the sign of da x db, which is orient2d(s.a,
+    s.b, t.b): t.a and t.b lie strictly on opposite sides of s, so
+    da x (t.b - t.a) = da x (t.b - s.a) - da x (t.a - s.a) has the sign of
+    its first term."""
+    pa = LoopParam(*_position(leg_starts, s.loop, i), res.t1)
+    pb = LoopParam(*_position(leg_starts, t.loop, j), res.t2)
     if s.loop == t.loop:
         if pa <= pb:
             return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
@@ -496,20 +512,25 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
     return res, orient2d(s.a, s.b, t.b) if res.kind is SegKind.PROPER else 0
 
 
-def _all_pairs(records: list[_Seg]) -> Iterator[tuple[_Seg, _Seg]]:
+def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, int, int]]:
+    """(s, t, i, j) for the records s = records[i] and t = records[j] whose
+    float boxes meet, s later in the sweep."""
     # the order of the exact least x, which fixes the order of reported
     # violations: fminx is its float and float() is monotone
-    active: list[_Seg] = []
-    for s in sorted(records, key=lambda r: (r.fminx, min(r.a.x, r.b.x))):
+    active: list[int] = []
+    for i in sorted(range(len(records)),
+                    key=lambda k: (records[k].fminx, min(records[k].a.x, records[k].b.x))):
+        s = records[i]
         kept = []
-        for t in active:
+        for j in active:
+            t = records[j]
             if t.fmaxx < s.fminx:
                 continue
-            kept.append(t)
-            if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t):
+            kept.append(j)
+            if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t, i, j, leg_starts):
                 continue
-            yield s, t
-        kept.append(s)
+            yield s, t, i, j
+        kept.append(i)
         active = kept
 
 
@@ -536,21 +557,23 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     violations = _structural_violations(d)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
-    records = _segment_records(d)
+    records, leg_starts = _segment_records(d)
     found: list[Crossing] = []
-    for s, t in _all_pairs(records):
+    # positions are looked up only for the pairs that cross or touch
+    for s, t, i, j in _all_pairs(records, leg_starts):
         res, frame = _meet(s, t)
         if res.kind is SegKind.PROPER:
-            found.append(_pair_crossing(s, t, res, frame))
+            found.append(_pair_crossing(s, t, i, j, leg_starts, res, frame))
         elif res.kind is SegKind.DEGENERATE:
+            ks, kt = _position(leg_starts, s.loop, i), _position(leg_starts, t.loop, j)
             violations.append(Violation(
-                "NonTransversal", s.loop, s.leg, s.seg,
-                note=f"against loop={t.loop} leg={t.leg} segment={t.seg}"))
+                "NonTransversal", s.loop, *ks,
+                note=f"against loop={t.loop} leg={kt[0]} segment={kt[1]}"))
     _check_crossing_set(violations, d.vertex, found)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
-    return DiagramAnalysis((), tuple(found), tuple(records))
+    return DiagramAnalysis((), tuple(found), tuple(records), leg_starts)
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:

@@ -364,7 +364,11 @@ def angle_sort(vectors: Sequence[Point]) -> list[int]:
 
     Comparison is exact (quadrant index, then a cross-product test); two
     positively proportional vectors have no defined relative order and raise
-    :class:`CodirectionalVectors`.  Antipodal vectors are fine.
+    :class:`CodirectionalVectors`.  Antipodal vectors are fine.  The raise
+    comes from the comparison itself: had a sort compared no two
+    codirectional vectors, turning one of them slightly to either side of
+    the other would change none of its comparisons, so it would return one
+    order for two inputs that need different ones.
 
     >>> angle_sort([pt(0, -1), pt(1, 0)])
     [1, 0]
@@ -372,10 +376,4 @@ def angle_sort(vectors: Sequence[Point]) -> list[int]:
     for v in vectors:
         if v.is_zero():
             raise ValueError("cannot angle-sort a zero vector")
-    order = sorted(range(len(vectors)), key=cmp_to_key(lambda i, j: _angle_cmp(vectors[i], vectors[j])))
-    # sorting need not compare every pair; equal-angle vectors land adjacent
-    for prev, cur in zip(order, order[1:]):
-        u, v = vectors[prev], vectors[cur]
-        if _quadrant(u) == _quadrant(v) and orient2d(_ORIGIN, u, v) == 0:
-            raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
-    return order
+    return sorted(range(len(vectors)), key=cmp_to_key(lambda i, j: _angle_cmp(vectors[i], vectors[j])))

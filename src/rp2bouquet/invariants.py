@@ -149,8 +149,13 @@ class InvariantTuple:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            key, _, value = chunk.partition("=")
-            fields[key.strip()] = value.strip()
+            key, eq, value = chunk.partition("=")
+            key = key.strip()
+            if not eq or key not in ("order", "h", "w"):
+                raise ValueError(f"expected order=, h= or w=, got {chunk!r}")
+            if key in fields:
+                raise ValueError(f"{key} given twice")
+            fields[key] = value.strip()
         missing = {"order", "h", "w"} - set(fields)
         if missing:
             raise ValueError(f"invariant tuple text missing {sorted(missing)}")

@@ -40,22 +40,26 @@ each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
   segments may move with it, so instead of surviving they must keep their
   strands and frames, and the half-edges at the vertex must keep their order.
 
-A builder returns only the legs it built.  Which segments it replaced, which
-are new and where each kept segment moved all follow from one diff of the
-loop's old segments against the new legs: a segment is kept when its two end
-points are the very same objects.  Identity, not ==, decides, because a new
-point can equal an old one in value (a jiggle onto a neighbour makes one), and
-the segments at it must still be examined.  Applying a move only re-examines
-the new segments; the analysis of the rest of the diagram is reused and
-updated, which is what keeps long random move sequences cheap.
+A builder returns only the legs it built.  Which segments it replaced and
+which are new follow from one diff of the loop's old legs against the new
+ones: legs are kept by identity, and inside the one leg a builder replaces, a
+segment is kept when its two end points are the very same objects.  Identity,
+not ==, decides, because a new point can equal an old one in value (a jiggle
+onto a neighbour makes one), and the segments at it must still be examined.
+Segment records hold no position, so the kept ones stay as they are; only the
+table of leg starts and the positions of crossings past the window shift.
+Applying a move only re-examines the new segments; the analysis of the rest of
+the diagram is reused and updated, which is what keeps long random move
+sequences cheap.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import compress, count
+from operator import is_not
 from typing import Callable, ClassVar, Iterator
 
 from .geometry import Point, Rat, SegKind, _along, circle_point, rat
@@ -72,11 +76,12 @@ from .diagram import (
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
+    _leg_row,
     _location_key,
     _make_seg,
     _meet,
     _pair_crossing,
-    _reindexed,
+    _position,
     _set_analysis,
     _skip_pair,
     analysis,
@@ -210,31 +215,31 @@ class _Splice:
     count: tuple[int, int | None, str] | None = None
 
 
-def _changed_pairs(records, changed) -> Iterator[tuple]:
-    """Pairs (changed record, other record) whose float boxes meet, in record
-    order; _meet decides each pair exactly.  Every splice builds a segment, so
-    `changed` is never empty."""
-    chkeys = {(u.loop, u.leg, u.seg) for u in changed}
+def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
+    """(u, v, i, j) for the changed records u = records[i], lo <= i < hi,
+    and the records v = records[j] whose float boxes meet u's, in record
+    order, each pair once; _meet decides each pair exactly.  Every splice
+    builds a segment, so lo < hi."""
+    changed = records[lo:hi]
     lox = min(u.fminx for u in changed)
     hix = max(u.fmaxx for u in changed)
     loy = min(u.fminy for u in changed)
     hiy = max(u.fmaxy for u in changed)
-    near = [v for v in records
+    near = [(j, v) for j, v in enumerate(records)
             if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
-    for u in changed:
-        ku = (u.loop, u.leg, u.seg)
-        for v in near:
+    for i, u in enumerate(changed, lo):
+        for j, v in near:
             if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
                 continue  # disjoint for certain
-            kv = (v.loop, v.leg, v.seg)
-            if kv == ku or (kv in chkeys and kv <= ku) or _skip_pair(u, v):
+            # a pair of changed records comes once, from its later one
+            if lo <= j <= i or _skip_pair(u, v, i, j, leg_starts):
                 continue
-            yield u, v
+            yield u, v, i, j
 
 
-def _scan_changed(records, changed, removed: set, vertex: Point,
+def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set, vertex: Point,
                   count) -> tuple[list[Crossing], list[Crossing], int, int]:
-    """One pass over the pairs of changed records: the crossings found, the
+    """One pass over the pairs of the changed records[lo:hi]: the crossings found, the
     additions among them (at no location in `removed`, the locations on
     replaced segments), how many of `removed` were found again and the tally
     of additions the splice's `count` counts.
@@ -252,14 +257,15 @@ def _scan_changed(records, changed, removed: set, vertex: Point,
     additions: list[Crossing] = []
     seen: set[tuple[int, int, int, int]] = set()
     refound = counted = 0
-    for u, v in _changed_pairs(records, changed):
+    for u, v, i, j in _changed_pairs(records, leg_starts, lo, hi):
         res, frame = _meet(u, v)
         if res.kind is SegKind.DEGENERATE:
-            raise MoveBlocked(f"template touches loop={v.loop} leg={v.leg} "
-                              f"segment={v.seg} non-transversally")
+            leg, seg = _position(leg_starts, v.loop, j)
+            raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
+                              f"segment={seg} non-transversally")
         if res.kind is not SegKind.PROPER:
             continue
-        c = _pair_crossing(u, v, res, frame)
+        c = _pair_crossing(u, v, i, j, leg_starts, res, frame)
         key = _location_key(res.point)
         if key in seen:
             raise MoveBlocked("two crossings would coincide")
@@ -276,17 +282,6 @@ def _scan_changed(records, changed, removed: set, vertex: Point,
         if counted > limit and refound == len(removed):
             raise MoveBlocked(f"{exactly}, got more than {limit}")
     return found, additions, refound, counted
-
-
-def _remap_crossing(c: Crossing, loop: int, moved: dict) -> Crossing:
-    pa, pb = c.param_a, c.param_b
-    if c.loop_a == loop and (pa.leg, pa.seg) in moved:
-        pa = LoopParam(*moved[pa.leg, pa.seg], pa.frac)
-    if c.loop_b == loop and (pb.leg, pb.seg) in moved:
-        pb = LoopParam(*moved[pb.leg, pb.seg], pb.frac)
-    if pa is c.param_a and pb is c.param_b:
-        return c
-    return Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
 
 
 def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
@@ -331,51 +326,59 @@ def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None
     return viols[0] if viols else None
 
 
-_record_loop = attrgetter("loop")
+def _shared(a: tuple, b: tuple) -> int:
+    """How many leading items of a and b are the very same objects."""
+    return next(compress(count(), map(is_not, a, b)), min(len(a), len(b)))
 
 
-def _splice_window(records: tuple, d2: BouquetDiagram, loop: int) -> tuple:
-    """(i, j, new, p, q): `new` lists the spliced loop's segments in d2 as
-    (leg, seg, a, b), and new[p:q] replaces records[i:j].  Around this window
-    the two versions share a prefix and a suffix of segments whose two end
-    points are the very same objects (see the module docstring).
+def _splice_window(row: tuple[int, ...], old_legs: tuple[Leg, ...],
+                   new_legs: tuple[Leg, ...]) -> tuple[int, int, list]:
+    """(i, j, new): `new` lists as (leg, seg, a, b) the segments of the new
+    legs that replace records[i:j], `row` being the spliced loop's leg starts.
+
+    Every builder replaces one leg by the legs it built, and a valid loop
+    holds no leg object twice (the copies would overlap), so the replaced
+    leg is the first old leg that is not the very same object as the new
+    leg in its place.  Inside it, the old and the new version share a prefix
+    and a suffix of segments whose two end points are the very same objects
+    (see the module docstring).
     """
-    lo = bisect_left(records, loop, key=_record_loop)
-    hi = bisect_right(records, loop, key=_record_loop)
-    new = [(ki, si, pts[si], pts[si + 1]) for ki, leg in enumerate(d2.loops[loop].legs)
-           for pts in (leg.points,) for si in range(len(pts) - 1)]
-    n = min(hi - lo, len(new))
-    p = 0
-    while p < n and records[lo + p].a is new[p][2] and records[lo + p].b is new[p][3]:
-        p += 1
-    s = 0
-    while s < n - p and records[hi - 1 - s].a is new[-1 - s][2] \
-            and records[hi - 1 - s].b is new[-1 - s][3]:
-        s += 1
-    return lo + p, hi - s, new, p, len(new) - s
+    k = 0
+    while old_legs[k] is new_legs[k]:
+        k += 1
+    built = new_legs[k:k + 1 + len(new_legs) - len(old_legs)]
+    x, y, z = old_legs[k].points, built[0].points, built[-1].points
+    total = sum(len(leg.points) - 1 for leg in built)
+    n = min(len(x) - 1, total)
+    # a segment is shared when both its end points are: p from the front
+    # and s from the back, with no segment counted twice
+    p = min(max(_shared(x, y) - 1, 0), n)
+    s = min(max(_shared(x[::-1], z[::-1]) - 1, 0), n - p)
+    new = []
+    first = 0  # the index of the leg's first segment among the built ones
+    for ki, leg in enumerate(built, k):
+        pts = leg.points
+        for si in range(max(p - first, 0), min(len(pts) - 1, total - s - first)):
+            new.append((ki, si, pts[si], pts[si + 1]))
+        first += len(pts) - 1
+    return row[k] + p, row[k] + len(x) - 1 - s, new
 
 
-def _splice_records(records: tuple, loop: int, window: tuple) -> tuple[tuple, list, set, dict]:
-    """The segment records of d2 from those of d and the splice window, the
-    window's new records (to re-examine), the (leg, seg) keys it replaced and
-    the new key of each kept segment that moved.  Prefix records are kept as
-    they are, suffix records re-addressed, window records built afresh.
+def _splice_records(base: DiagramAnalysis, loop: int, window: tuple,
+                    new_legs: tuple[Leg, ...]) -> tuple[tuple, tuple]:
+    """The segment records and leg starts of d2 from those of d and the
+    splice window.  The window's records are built afresh, all others kept
+    as they are; the spliced loop's leg starts are counted from its legs,
+    and those of later loops shift by the change in length.
     """
-    i, j, new, p, q = window
-    ends = {(0, 0), new[-1][:2]}  # the segments at the vertex
-    changed = [_make_seg(loop, k, s, a, b, (k, s) in ends) for k, s, a, b in new[p:q]]
-    suffix = []
-    moved = {}
-    # a suffix record keeps at_vertex: the loop's first segment lies in the
-    # prefix or the window, and its last segment stays last
-    for r, (k, s, _, _) in zip(records[j:j + len(new) - q], new[q:]):
-        if r.leg != k or r.seg != s:
-            moved[r.leg, r.seg] = k, s
-            r = _reindexed(r, k, s)
-        suffix.append(r)
-    replaced = {(r.leg, r.seg) for r in records[i:j]}
-    spliced = records[:i] + tuple(changed + suffix) + records[j + len(suffix):]
-    return spliced, changed, replaced, moved
+    i, j, new = window
+    ends = {(0, 0), (len(new_legs) - 1, len(new_legs[-1].points) - 2)}  # at the vertex
+    changed = tuple(_make_seg(loop, a, b, (k, s) in ends) for k, s, a, b in new)
+    delta = len(new) - (j - i)
+    starts = base.leg_starts
+    leg_starts = starts[:loop] + (_leg_row(new_legs, starts[loop][0]),) \
+        + tuple(tuple(f + delta for f in row) for row in starts[loop + 1:])
+    return base.records[:i] + changed + base.records[j:], leg_starts
 
 
 def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -388,21 +391,26 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
     base = _valid_analysis(d)
     d2 = _spliced(d, splice)
-    window = _splice_window(base.records, d2, splice.loop)
-    _, _, new, p, q = window
-    bad = _structural_ok(d2, splice.loop, new[p:q])
+    loop = splice.loop
+    row = base.leg_starts[loop]
+    window = _splice_window(row, d.loops[loop].legs, splice.new_legs)
+    i, j, new = window
+    bad = _structural_ok(d2, loop, new)
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
     # records only now: a point far outside the disk has no float box
-    records, changed, replaced, moved = _splice_records(base.records, splice.loop, window)
+    records, leg_starts = _splice_records(base, loop, window, splice.new_legs)
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
     for c in base.crossings:
-        (dropped if c.involves(splice.loop, replaced) else kept).append(c)
+        # the record indices of its strands on the spliced loop, -1 elsewhere
+        fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
+        fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
+        (dropped if i <= fa < j or i <= fb < j else kept).append(c)
     removed = {_location_key(c.location) for c in dropped}
     found, additions, refound, counted = _scan_changed(
-        records, changed, removed, d2.vertex, splice.count)
+        records, leg_starts, i, i + len(new), removed, d2.vertex, splice.count)
     if not splice.check_persistence:
         err = splice.contract(found, dropped)
     elif refound != len(removed):
@@ -414,12 +422,28 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
-    # re-addressing is monotone along the loop, so the kept crossings are
-    # still sorted; only the few found ones are merged in
-    olds = [_remap_crossing(c, splice.loop, moved) for c in kept]
+    new_row = leg_starts[loop]
+    delta, dk = len(new) - (j - i), len(new_row) - len(row)
+    if delta or dk:
+        def shifted(p: LoopParam) -> LoopParam:
+            # a parameter past the window keeps its record, which moves by
+            # delta and lies in a leg dk later
+            f = row[p.leg] + p.seg
+            if f < j:
+                return p
+            k = p.leg + dk
+            return LoopParam(k, f + delta - new_row[k], p.frac)
+
+        for n, c in enumerate(kept):
+            pa = shifted(c.param_a) if c.loop_a == loop else c.param_a
+            pb = shifted(c.param_b) if c.loop_b == loop else c.param_b
+            if pa is not c.param_a or pb is not c.param_b:
+                kept[n] = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
+    # the shift is monotone along the loop, so the kept crossings are still
+    # sorted; only the few found ones are merged in
     for c in found:
-        insort(olds, c, key=Crossing.sort_key)
-    _set_analysis(d2, DiagramAnalysis((), tuple(olds), records))
+        insort(kept, c, key=Crossing.sort_key)
+    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts))
     return d2, additions
 
 
@@ -821,12 +845,19 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
     return uq
 
 
+def _key(base: DiagramAnalysis, i: int) -> tuple[int, int, int]:
+    """The (loop, leg, seg) of the record at index i."""
+    loop = base.records[i].loop
+    return (loop, *_position(base.leg_starts, loop, i))
+
+
 def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
     kind = rng.choices(MOVE_KINDS, weights=(24, 14, 20, 27, 15))[0]
     # records are in iter_segments order, so this draws what a list of keys did
-    records = _valid_analysis(d).records
+    base = _valid_analysis(d)
+    records = base.records
     i = rng.randrange(len(records))
-    loop, leg, seg = records[i].loop, records[i].leg, records[i].seg
+    loop, leg, seg = _key(base, i)
 
     if kind == "Jiggle":
         lp = d.loops[loop]
@@ -871,14 +902,12 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
 
     # FingerPush: aim at some other strand, skipping the block records[lo:hi]
     # of the chosen segment and its neighbours on the same leg
-    lo = i - 1 if i and records[i - 1].leg == leg and records[i - 1].loop == loop else i
-    hi = i + 2 if i + 1 < len(records) and records[i + 1].leg == leg \
-        and records[i + 1].loop == loop else i + 1
+    lo = i - 1 if seg else i
+    hi = i + 2 if seg + 2 < len(d.loops[loop].legs[leg].points) else i + 1
     if len(records) == hi - lo:
         return None
     j = rng.randrange(len(records) - (hi - lo))
-    other = records[j if j < lo else j + hi - lo]
-    loop2, leg2, seg2 = other.loop, other.leg, other.seg
+    loop2, leg2, seg2 = _key(base, j if j < lo else j + hi - lo)
     s2 = _rand_rat(rng, 5, 16, 20)
     reach = _rand_rat(rng, 2, 9, 16)
     w = half / 2
@@ -917,11 +946,10 @@ def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[
     """Deterministically propose and apply one legal random control edit."""
     rng = random.Random(f"rp2bouquet-edit:{seed}")
     kinds = EDIT_KINDS if kind is None else (kind,)
-    records = _valid_analysis(d).records
+    base = _valid_analysis(d)
     for _ in range(_RETRY_BUDGET):
         pick = kinds[rng.randrange(len(kinds))]
-        r = records[rng.randrange(len(records))]
-        loop, leg, seg = r.loop, r.leg, r.seg
+        loop, leg, seg = _key(base, rng.randrange(len(base.records)))
         center, half = _free_window(d, rng, (loop, leg, seg))
         if pick == "SingleKink":
             w = half / 2

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from rp2bouquet import (
     MAX_REALIZE_N,
+    Exhausted,
     InvariantTuple,
     dumps,
     loads,
     random_move_applied,
     realize,
 )
+from rp2bouquet import cli as cli_mod
 from rp2bouquet import moves as moves_mod
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
 from test_normal_form import ENUMERATE_4_SHA256
@@ -206,6 +208,11 @@ def test_realize_parse_error():
     assert code == 2 and out.startswith("ERROR: ")
 
 
+def test_realize_rejects_a_repeated_key():
+    code, out = run(["realize", "order=e1,e1^-1; h=1; w=0; h=0"])
+    assert (code, out) == (2, "ERROR: h given twice\n")
+
+
 def test_realize_over_cap_exits_1():
     n = MAX_REALIZE_N + 1
     word = ",".join([f"e{i}" for i in range(1, n + 1)] + [f"e{i}^-1" for i in range(1, n + 1)])
@@ -270,10 +277,10 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
 
     splice_records = moves_mod._splice_records
 
-    def corrupted(records, loop, window):
-        records, *rest = splice_records(records, loop, window)
+    def corrupted(*args):
+        records, leg_starts = splice_records(*args)
         first = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
-        return ((first,) + records[1:], *rest)
+        return (first,) + records[1:], leg_starts
 
     monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
     code, out = run(args)
@@ -285,6 +292,56 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     code, out = run(["fuzz", "--replay", scripts[0]])
     assert code == 3
     assert out.startswith("reproduced at move 1: kept records diverge from a rebuilt analysis")
+
+
+def test_fuzz_cross_check_compares_the_leg_starts(tmp_path, monkeypatch):
+    splice_records = moves_mod._splice_records
+
+    def corrupted(*args):
+        records, leg_starts = splice_records(*args)
+        return records, ((leg_starts[0][0] + 1,) + leg_starts[0][1:],) + leg_starts[1:]
+
+    monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
+    code, out = run(["fuzz", "--seed", 20260815, "--trials", 1, "--cross-check", "--out", tmp_path])
+    assert code == 3
+    assert "kept leg_starts diverge from a rebuilt analysis" in out
+
+
+def test_fuzz_reports_an_exhausted_generator(tmp_path, monkeypatch):
+    def exhausted(d, seed):
+        raise Exhausted(f"no legal move found in 0 attempts (seed {seed})")
+
+    monkeypatch.setattr(cli_mod, "random_move_applied", exhausted)
+    code, out = run(["fuzz", "--seed", 5, "--trials", 1, "--steps", 3, "--out", tmp_path])
+    assert code == 3
+    assert out.startswith("VIOLATION trial=0 step=0: move generator exhausted: no legal move found")
+
+
+def test_fuzz_and_replay_report_a_changed_invariant(tmp_path, monkeypatch):
+    """An invariants() that flips the w bits after its first call in a
+    trial or a replay stands in for a move that breaks the invariant."""
+    real = cli_mod.invariants
+    calls = []
+
+    def drifting(d):
+        t = real(d)
+        calls.append(t)
+        return t if len(calls) == 1 else dataclasses.replace(t, w=tuple(1 - b for b in t.w))
+
+    monkeypatch.setattr(cli_mod, "invariants", drifting)
+    code, out = run(["fuzz", "--seed", 5, "--trials", 1, "--steps", 3, "--out", tmp_path])
+    assert code == 3
+    assert out.startswith("VIOLATION trial=0 step=0: invariants changed after ")
+    calls.clear()
+    code, out = run(["fuzz", "--replay", tmp_path / "fuzz_violation_seed5_trial0.txt"])
+    assert code == 3
+    assert out.startswith("reproduced: invariants changed at move 1 (")
+
+
+def test_run_fuzz_prints_progress_every_100_trials():
+    out = io.StringIO()
+    report = run_fuzz(seed=3, steps=0, trials=100, out=out)
+    assert report.ok and out.getvalue() == "  100/100 trials, 0 moves applied\n"
 
 
 @pytest.mark.parametrize("counts", [["--trials", -3], ["--trials", 2, "--steps", -4]])

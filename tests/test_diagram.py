@@ -23,6 +23,7 @@ from rp2bouquet import (
 )
 from rp2bouquet.diagram import (
     Crossing,
+    HalfEdge,
     LoopParam,
     Violation,
     _all_pairs,
@@ -383,7 +384,7 @@ def assert_meet_is_exact(a, b, c, d):
     assume(a != b and c != d)
     # the precondition of the float bound
     assert all(-1 <= v <= 1 for p in (a, b, c, d) for v in (p.x, p.y))
-    s, t = _make_seg(0, 0, 0, a, b, False), _make_seg(1, 0, 0, c, d, False)
+    s, t = _make_seg(0, a, b, False), _make_seg(1, c, d, False)
     for (u, v), (p, q, r, w) in (((s, t), (a, b, c, d)), ((t, s), (c, d, a, b))):
         res, frame = _meet(u, v)
         want = segment_intersection(p, q, r, w)
@@ -443,16 +444,34 @@ def test_location_key_separates_points():
     assert len({_location_key(p) for p in points}) == len(points)
 
 
+def test_recurring_point_object_is_still_a_contact():
+    """A loop that passes twice through one Point object touches itself
+    there: segments 2 and 4 meet at it end to end, which only index
+    adjacency, not a shared end point, tells apart from a corner."""
+    p = pt("1/4", "1/4")
+
+    def loop(again):
+        return BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((
+            pt(0, 0), pt("1/2", 0), p, pt(0, "1/2"), pt("-1/4", "1/4"), again,
+            pt("1/4", "-1/4"), pt(0, 0))),)),))
+
+    shared = validate(loop(p))
+    assert shared == validate(loop(pt("1/4", "1/4")))
+    assert [str(v) for v in shared][:1] == [
+        "NonTransversal loop=0 leg=0 segment=2 against loop=0 leg=0 segment=4"]
+    assert len(shared) == 4
+
+
 def test_sweep_orders_float_ties_exactly():
     """Two segments whose least x round to the same float are swept in the
     order of their exact least x, which fixes the orientation of a
     NonTransversal report; a float-only stable sort would keep the input
     order and yield (A, B)."""
     third = rat(1, 3)
-    b = _make_seg(1, 0, 0, pt(third + rat(1, 10 ** 30), "1/8"), pt("1/2", "-1/8"), False)
-    a = _make_seg(0, 0, 0, pt(third, 0), pt("1/2", "1/4"), False)
+    b = _make_seg(0, pt(third + rat(1, 10 ** 30), "1/8"), pt("1/2", "-1/8"), False)
+    a = _make_seg(1, pt(third, 0), pt("1/2", "1/4"), False)
     assert a.fminx == b.fminx
-    assert list(_all_pairs([b, a])) == [(b, a)]
+    assert list(_all_pairs([b, a], ((0,), (1,)))) == [(b, a, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +520,20 @@ def test_json_obj_shape(quad):
 def test_parse_errors(payload):
     with pytest.raises(DiagramFormatError):
         loads(payload)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"n": 1, "vertex": [0, 1, 0, 1], "loops": {}}', "loops must be a list"),
+    ('{"n": 1, "vertex": [0, 1, 0, 1], "loops": [{"legs": []}]}', "legs must be a non-empty list"),
+])
+def test_parse_error_messages(payload, message):
+    with pytest.raises(DiagramFormatError, match=f"^{message}$"):
+        loads(payload)
+
+
+def test_half_edge_parse_error_message():
+    with pytest.raises(DiagramFormatError, match="^bad half-edge symbol 'e0'$"):
+        HalfEdge.parse("e0")
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,21 @@ def test_angle_sort_codirectional_rejected():
         angle_sort([pt(1, 1), pt(2, 2)])
 
 
+@given(st.lists(points.filter(lambda v: not v.is_zero()), min_size=1, max_size=12),
+       st.integers(0, 11), st.integers(0, 12), st.builds(rat, st.integers(1, 9), st.integers(1, 9)))
+def test_angle_sort_rejects_any_codirectional_input(vecs, i, at, k):
+    """A positive multiple of one vector, anywhere in the list, always
+    raises: the sort must compare some codirectional pair (see angle_sort)."""
+    vecs.insert(at, vecs[i % len(vecs)].scale(k))
+    with pytest.raises(CodirectionalVectors):
+        angle_sort(vecs)
+
+
+def test_angle_sort_rejects_a_zero_vector():
+    with pytest.raises(ValueError, match="^cannot angle-sort a zero vector$"):
+        angle_sort([pt(1, 0), pt(0, 0)])
+
+
 @given(st.lists(st.builds(pt, st.integers(-50, 50), st.integers(-50, 50)),
                 min_size=1, max_size=8))
 def test_angle_sort_matches_float_oracle(vecs):

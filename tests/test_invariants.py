@@ -65,6 +65,8 @@ def test_word_rejects_duplicates_and_gaps():
         canonical_cyclic_word([HalfEdge(0, False), HalfEdge(0, False)])
     with pytest.raises(MissingSymbol):
         canonical_cyclic_word([HalfEdge(0, False), HalfEdge(1, True)])
+    with pytest.raises(MissingSymbol, match="^a bouquet word has 2n symbols, got 3$"):
+        CyclicWord.parse("e1,e1^-1,e2")
 
 
 @st.composite
@@ -127,10 +129,18 @@ def test_tuple_text_roundtrip():
     "order=e1,e1^-1; h=00; w=0",
     "order=e1,e1; h=0; w=0",
     "h=0; w=0",
+    "order=e1,e1^-1; h=1; w=0; h=0",
+    "order=e1,e1^-1; h=0; w=0; bogus=7",
+    "order=e1,e1^-1; h=0; w=0; junk",
 ])
 def test_tuple_text_errors(bad):
     with pytest.raises(ValueError):
         InvariantTuple.parse(bad)
+
+
+def test_tuple_text_skips_empty_chunks():
+    assert InvariantTuple.parse(";order=e1,e1^-1;; h=1; w=0;") \
+        == InvariantTuple.parse("order=e1,e1^-1; h=1; w=0")
 
 
 # ---------------------------------------------------------------------------

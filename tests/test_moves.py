@@ -358,8 +358,13 @@ def assert_kept_analysis_is_fresh(d):
     fresh = rebuilt(d)
     assert validate(fresh) == []
     assert crossings(fresh) == crossings(d)
-    # the segment records carried from move to move
-    assert analysis(d).records == tuple(_segment_records(d))
+    # every kept crossing's positions, shifted by the leg starts
+    assert [(c.param_a, c.param_b) for c in crossings(d)] \
+        == [(c.param_a, c.param_b) for c in crossings(fresh)]
+    # the segment records and leg starts carried from move to move
+    records, leg_starts = _segment_records(d)
+    assert analysis(d).records == tuple(records)
+    assert analysis(d).leg_starts == leg_starts == analysis(fresh).leg_starts
 
 
 def test_incremental_analysis_matches_full_recheck(quad, chord, wedge):
@@ -425,8 +430,8 @@ def test_touched_only_structural_check_matches_full_check():
                     except MoveBlocked:
                         continue
                     d2 = moves_mod._spliced(d, splice)
-                    _, _, new, p, q = moves_mod._splice_window(analysis(d).records, d2, splice.loop)
-                    touched = moves_mod._structural_ok(d2, splice.loop, new[p:q])
+                    _, _, new = splice_window(d, splice)
+                    touched = moves_mod._structural_ok(d2, splice.loop, new)
                     full = _structural_violations(d2)
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
@@ -453,13 +458,13 @@ def single_kink_specs(d, rng):
 
 
 def outcome(d, spec):
-    """("applied", dumps, crossings, records) or ("blocked", message)."""
+    """("applied", dumps, crossings, records, leg starts) or ("blocked", message)."""
     try:
         d2 = apply_move(d, spec) if isinstance(spec, MoveSpec) else apply_edit(d, spec)
     except MoveBlocked as exc:
         return "blocked", str(exc)
     kept = analysis(d2)
-    return "applied", dumps(d2), kept.crossings, kept.records
+    return "applied", dumps(d2), kept.crossings, kept.records, kept.leg_starts
 
 
 def test_contract_cap_keeps_every_decision(monkeypatch, chord):
@@ -467,11 +472,12 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
     and kept analysis, whether or not the scan stops past its builder's count."""
     scan = moves_mod._scan_changed
 
-    def unstopped(records, changed, removed, vertex, count):
+    def unstopped(*args):
         # the same tally, but the scan never stops early
+        *args, count = args
         if count:
             count = (float("inf"),) + count[1:]
-        return scan(records, changed, removed, vertex, count)
+        return scan(*args, count)
 
     fired = {}
     compared = 0
@@ -510,13 +516,17 @@ def loop_segments(loop):
 
 
 def identity_window(d, d2, loop):
-    """Brute force: (replaced, changed, address map) by matching each new
-    segment's (a, b) object pair against every old one."""
+    """Brute force: (replaced, changed) by matching each new segment's (a, b)
+    object pair against every old one."""
     old = {(id(a), id(b)): (k, s) for k, s, a, b in loop_segments(d.loops[loop])}
     new = {(id(a), id(b)): (k, s) for k, s, a, b in loop_segments(d2.loops[loop])}
     kept = old.keys() & new.keys()
-    return ({old[x] for x in old.keys() - kept}, {new[x] for x in new.keys() - kept},
-            {old[x]: new[x] for x in kept})
+    return {old[x] for x in old.keys() - kept}, {new[x] for x in new.keys() - kept}
+
+
+def splice_window(d, splice):
+    row = analysis(d).leg_starts[splice.loop]
+    return moves_mod._splice_window(row, d.loops[splice.loop].legs, splice.new_legs)
 
 
 def window_specs(d, rng):
@@ -535,8 +545,8 @@ def window_specs(d, rng):
 
 def test_splice_window_matches_segment_identity():
     """For every builder, the window found by the prefix and suffix scans
-    replaces, re-examines and re-addresses exactly the segments that the
-    brute-force identity match says, and the spliced records of a generic
+    replaces and re-examines exactly the segments that the brute-force
+    identity match says, and the spliced records and leg starts of a generic
     result equal freshly built ones."""
     builders = {**moves_mod._MOVE_BUILDERS, **moves_mod._EDIT_BUILDERS}
     kinds = {}
@@ -550,21 +560,34 @@ def test_splice_window_matches_segment_identity():
                 except MoveBlocked:
                     continue
                 d2 = moves_mod._spliced(d, splice)
-                base = analysis(d).records
-                window = moves_mod._splice_window(base, d2, splice.loop)
-                records, changed, replaced, moved = moves_mod._splice_records(
-                    base, splice.loop, window)
-                want_replaced, want_changed, want_map = identity_window(d, d2, splice.loop)
+                base = analysis(d)
+                window = i, j, new = splice_window(d, splice)
+                replaced = {moves_mod._key(base, f)[1:] for f in range(i, j)}
+                assert all(moves_mod._key(base, f)[0] == splice.loop for f in range(i, j))
+                want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
-                assert {(r.leg, r.seg) for r in changed} == want_changed, spec.to_line()
-                assert {k: moved.get(k, k) for k in want_map} == want_map, spec.to_line()
-                assert moved.keys() <= want_map.keys(), spec.to_line()
-                _, _, new, p, q = window
-                if moves_mod._structural_ok(d2, splice.loop, new[p:q]) is None:
-                    assert records == tuple(_segment_records(d2)), spec.to_line()
+                assert {(k, s) for k, s, _, _ in new} == want_changed, spec.to_line()
+                if moves_mod._structural_ok(d2, splice.loop, new) is None:
+                    records, leg_starts = moves_mod._splice_records(
+                        base, splice.loop, window, splice.new_legs)
+                    assert (records, leg_starts) == tuple(map(tuple, _segment_records(d2))), \
+                        spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert set(kinds) == set(builders) and min(kinds.values()) >= 50, kinds
+
+
+def test_splice_keeps_every_record_past_its_window():
+    """A kink pair early on a long single leg rebuilds no record after it:
+    each is the very same object as before, at an index 8 later."""
+    pts = (pt(0, 0),) + tuple(pt(rat(i, 200), 0) for i in range(1, 101)) + (pt("1/2", "1/4"), pt(0, 0))
+    d = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg(pts),)),))
+    before = analysis(d).records
+    d2 = apply_move(d, MoveSpec("KinkPair", 0, 0, 2, (rat(1, 4), rat(3, 4), rat(1, 8), rat(1, 64))))
+    after = analysis(d2).records
+    assert len(before) == 102 and len(after) == 110
+    assert all(r is s for r, s in zip(before[3:], after[11:]))
+    assert_kept_analysis_is_fresh(d2)
 
 
 def test_template_through_an_existing_crossing_is_blocked(wedge):

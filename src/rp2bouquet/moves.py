@@ -40,17 +40,14 @@ each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
   segments may move with it, so instead of surviving they must keep their
   strands and frames, and the half-edges at the vertex must keep their order.
 
-A builder returns only the legs it built.  Which segments it replaced and
-which are new follow from one diff of the loop's old legs against the new
-ones: legs are kept by identity, and inside the one leg a builder replaces, a
-segment is kept when its two end points are the very same objects.  Identity,
-not ==, decides, because a new point can equal an old one in value (a jiggle
-onto a neighbour makes one), and the segments at it must still be examined.
-Segment records hold no position, so the kept ones stay as they are; only the
-table of leg starts and the positions of crossings past the window shift.
-Applying a move only re-examines the new segments; the analysis of the rest of
-the diagram is reused and updated, which is what keeps long random move
-sequences cheap.
+Every builder splices through _splice_points: chains of new points replace
+points[lo:hi] of one leg, a seam transition ending each chain but the last,
+and the splice records its window (the replaced segments lo - 1 .. hi - 1
+and the new ones), so nothing is diffed afterwards.  Segment records hold no
+position, so the kept ones stay as they are; only the table of leg starts and
+the positions of crossings past the window shift.  Applying a move only
+re-examines the new segments; the analysis of the rest of the diagram is
+reused and updated, which is what keeps long random move sequences cheap.
 """
 
 from __future__ import annotations
@@ -58,8 +55,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import is_not
 from typing import Callable, ClassVar, Iterator
 
 from .geometry import Point, Rat, SegKind, _along, circle_point, rat
@@ -201,18 +196,23 @@ class EditSpec(_Spec):
 
 @dataclass
 class _Splice:
-    # what a builder returns: its legs but no segment addresses, since
-    # _splice_window finds the replaced and the new segments by identity
+    # what _splice_points returns: the loop's new legs and the window, the
+    # `replaced` segments of leg `leg` from `seg` on, which the `new` ones
+    # (leg, seg, a, b) of the new legs replace
     loop: int
+    leg: int
+    seg: int
+    replaced: int
     new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
+    new: list
     # the additions -> error message or None; with check_persistence off,
-    # (every crossing found on the new segments, those on replaced ones)
+    # (every crossing found on the new segments, those on replaced ones, d2)
     contract: Callable[..., str | None] | None
-    check_persistence: bool = True                      # old crossing locations must survive
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
     # _apply_splice checks the tally before `contract` runs
-    count: tuple[int, int | None, str] | None = None
+    count: tuple[int, int | None, str] | None
+    check_persistence: bool                             # old crossing locations must survive
 
 
 def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
@@ -326,44 +326,6 @@ def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None
     return viols[0] if viols else None
 
 
-def _shared(a: tuple, b: tuple) -> int:
-    """How many leading items of a and b are the very same objects."""
-    return next(compress(count(), map(is_not, a, b)), min(len(a), len(b)))
-
-
-def _splice_window(row: tuple[int, ...], old_legs: tuple[Leg, ...],
-                   new_legs: tuple[Leg, ...]) -> tuple[int, int, list]:
-    """(i, j, new): `new` lists as (leg, seg, a, b) the segments of the new
-    legs that replace records[i:j], `row` being the spliced loop's leg starts.
-
-    Every builder replaces one leg by the legs it built, and a valid loop
-    holds no leg object twice (the copies would overlap), so the replaced
-    leg is the first old leg that is not the very same object as the new
-    leg in its place.  Inside it, the old and the new version share a prefix
-    and a suffix of segments whose two end points are the very same objects
-    (see the module docstring).
-    """
-    k = 0
-    while old_legs[k] is new_legs[k]:
-        k += 1
-    built = new_legs[k:k + 1 + len(new_legs) - len(old_legs)]
-    x, y, z = old_legs[k].points, built[0].points, built[-1].points
-    total = sum(len(leg.points) - 1 for leg in built)
-    n = min(len(x) - 1, total)
-    # a segment is shared when both its end points are: p from the front
-    # and s from the back, with no segment counted twice
-    p = min(max(_shared(x, y) - 1, 0), n)
-    s = min(max(_shared(x[::-1], z[::-1]) - 1, 0), n - p)
-    new = []
-    first = 0  # the index of the leg's first segment among the built ones
-    for ki, leg in enumerate(built, k):
-        pts = leg.points
-        for si in range(max(p - first, 0), min(len(pts) - 1, total - s - first)):
-            new.append((ki, si, pts[si], pts[si + 1]))
-        first += len(pts) - 1
-    return row[k] + p, row[k] + len(x) - 1 - s, new
-
-
 def _splice_records(base: DiagramAnalysis, loop: int, window: tuple,
                     new_legs: tuple[Leg, ...]) -> tuple[tuple, tuple]:
     """The segment records and leg starts of d2 from those of d and the
@@ -393,14 +355,15 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     d2 = _spliced(d, splice)
     loop = splice.loop
     row = base.leg_starts[loop]
-    window = _splice_window(row, d.loops[loop].legs, splice.new_legs)
-    i, j, new = window
+    i = row[splice.leg] + splice.seg
+    j = i + splice.replaced
+    new = splice.new
     bad = _structural_ok(d2, loop, new)
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
     # records only now: a point far outside the disk has no float box
-    records, leg_starts = _splice_records(base, loop, window, splice.new_legs)
+    records, leg_starts = _splice_records(base, loop, (i, j, new), splice.new_legs)
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
     for c in base.crossings:
@@ -412,7 +375,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     found, additions, refound, counted = _scan_changed(
         records, leg_starts, i, i + len(new), removed, d2.vertex, splice.count)
     if not splice.check_persistence:
-        err = splice.contract(found, dropped)
+        err = splice.contract(found, dropped, d2)
     elif refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
     elif splice.count and counted != splice.count[0]:
@@ -454,12 +417,26 @@ def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Poin
         raise MoveBlocked(f"no segment ({loop}, {leg}, {seg})") from None
 
 
-def _insert_chain(d: BouquetDiagram, loop: int, leg: int, seg: int,
-                  inserted: tuple[Point, ...], contract, count) -> _Splice:
+def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
+                   chains: tuple[tuple[Point, ...], ...], contract, count=None,
+                   check_persistence=True) -> _Splice:
+    """Replace points[lo:hi] of the leg, 0 < lo <= hi < len(points), by the
+    chains.  A seam transition ends every chain but the last, so each later
+    chain starts a new leg.  The replaced segments are lo - 1 .. hi - 1 of
+    the leg; the new ones run from point lo - 1 through the chains to old
+    point hi."""
     legs = d.loops[loop].legs
     pts = legs[leg].points
-    new_leg = Leg(pts[:seg + 1] + inserted + pts[seg + 1:])
-    return _Splice(loop, legs[:leg] + (new_leg,) + legs[leg + 1:], contract, count=count)
+    runs = (pts[:lo] + chains[0],) + chains[1:]
+    runs = runs[:-1] + (runs[-1] + pts[hi:],)
+    last = leg + len(runs) - 1
+    new = []
+    for k, run in enumerate(runs, leg):
+        stop = len(run) - len(pts) + hi if k == last else len(run) - 1
+        new += [(k, s, run[s], run[s + 1]) for s in range(lo - 1 if k == leg else 0, stop)]
+    new_legs = legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:]
+    return _Splice(loop, leg, lo - 1, hi - lo + 1, new_legs, new, contract, count,
+                   check_persistence)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +472,7 @@ def _window_ok(lo: Rat, hi: Rat) -> bool:
 
 def _build_kink_pair(d, spec) -> _Splice:
     t1, t2, w, h = spec.params
-    if w <= 0 or h == 0 or not _window_ok(t1 - w, t1 + w) or not _window_ok(t2 - w, t2 + w) \
+    if h == 0 or not _window_ok(t1 - w, t1 + w) or not _window_ok(t2 - w, t2 + w) \
             or t1 + w >= t2 - w:
         raise MoveBlocked("kink windows must be disjoint and inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
@@ -508,13 +485,13 @@ def _build_kink_pair(d, spec) -> _Splice:
             return "kink pair crossings must have opposite signs"
         return None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (2, None, "kink pair must add exactly 2 crossings"))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
+                          contract, (2, None, "kink pair must add exactly 2 crossings"))
 
 
 def _build_single_kink(d, spec) -> _Splice:
     t, w, h = spec.params
-    if w <= 0 or h == 0 or not _window_ok(t - w, t + w):
+    if h == 0 or not _window_ok(t - w, t + w):
         raise MoveBlocked("kink window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
@@ -524,8 +501,8 @@ def _build_single_kink(d, spec) -> _Splice:
             return "single kink may only add a self-crossing of the target loop"
         return None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (1, None, "single kink must add exactly 1 crossing"))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
+                          contract, (1, None, "single kink must add exactly 1 crossing"))
 
 
 def _seam_step(p: Point, d_out: Point) -> Point:
@@ -556,7 +533,7 @@ def _build_detour(d, spec) -> _Splice:
     if sig_raw not in (1, -1):
         raise MoveBlocked("detour sign must be +1 or -1")
     sigma = int(sig_raw)
-    if w <= 0 or not _window_ok(t - w, t + w):
+    if not _window_ok(t - w, t + w):
         raise MoveBlocked("detour window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     q = circle_point(uq)
@@ -572,17 +549,8 @@ def _build_detour(d, spec) -> _Splice:
     x1 = _along(a, b, t + w / 4)
     x2 = _along(a, b, t + 3 * w / 4)
     y1 = _seam_exit(a, b, x1, q, "detour")
-    g2 = r - y1
-    if g2.is_zero():
-        raise MoveBlocked("degenerate detour turn")
-    z1 = _seam_step(r, g2)
-
-    legs = d.loops[spec.loop].legs
-    pts = legs[spec.leg].points
-    leg_a = Leg(pts[:spec.segment + 1] + curl_a + curl_b + (x1, q))
-    leg_m = Leg((-q, y1, r))
-    leg_b = Leg((-r, z1, x2) + pts[spec.segment + 1:])
-    new_legs = legs[:spec.leg] + (leg_a, leg_m, leg_b) + legs[spec.leg + 1:]
+    # y1 is inside the disk (x1 is) and r on the circle, so r - y1 is never 0
+    z1 = _seam_step(r, r - y1)
 
     def contract(additions: list[Crossing]) -> str | None:
         if any(_index_term(c) != sigma for c in additions
@@ -590,28 +558,24 @@ def _build_detour(d, spec) -> _Splice:
             return "detour curls must both carry the requested sign"
         return None
 
-    return _Splice(spec.loop, new_legs, contract,
-                   count=(2, spec.loop, "detour must add exactly 2 self-crossings"))
+    chains = (curl_a + curl_b + (x1, q), (-q, y1, r), (-r, z1, x2))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, chains,
+                          contract, (2, spec.loop, "detour must add exactly 2 self-crossings"))
 
 
 def _build_seam_reroute(d, spec) -> _Splice:
     t, w, uq = spec.params
-    if w <= 0 or not _window_ok(t - w, t + w):
+    if not _window_ok(t - w, t + w):
         raise MoveBlocked("reroute window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     q = circle_point(uq)
     x1 = _along(a, b, t - w)
     x2 = _along(a, b, t + w)
     z1 = _seam_exit(a, b, x1, q, "reroute")
-
-    legs = d.loops[spec.loop].legs
-    pts = legs[spec.leg].points
-    leg_a = Leg(pts[:spec.segment + 1] + (x1, q))
-    leg_b = Leg((-q, z1, x2) + pts[spec.segment + 1:])
-    new_legs = legs[:spec.leg] + (leg_a, leg_b) + legs[spec.leg + 1:]
     # created crossings are unconstrained: the edit's index damage is reported,
     # not controlled
-    return _Splice(spec.loop, new_legs, None)
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1,
+                          ((x1, q), (-q, z1, x2)), None)
 
 
 def _build_finger_push(d, spec) -> _Splice:
@@ -620,7 +584,7 @@ def _build_finger_push(d, spec) -> _Splice:
         if v.denominator != 1 or v < 0:
             raise MoveBlocked("finger push strand indices must be non-negative integers")
     loop2, leg2, seg2 = int(loop2_r), int(leg2_r), int(seg2_r)
-    if w <= 0 or not _window_ok(t - w, t + w) or not (0 < s2 < 1) or reach <= 0:
+    if not _window_ok(t - w, t + w) or not (0 < s2 < 1) or reach <= 0:
         raise MoveBlocked("finger push window parameters out of range")
     if (loop2, leg2, seg2) == (spec.loop, spec.leg, spec.segment):
         raise MoveBlocked("cannot push a segment across itself")
@@ -664,8 +628,8 @@ def _build_finger_push(d, spec) -> _Splice:
             return "cross-loop finger push may not add self-crossings"
         return None
 
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, contract,
-                         (2, None, "finger push must add exactly 2 crossings"))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
+                          contract, (2, None, "finger push must add exactly 2 crossings"))
 
 
 def _build_subdivide(d, spec) -> _Splice:
@@ -675,8 +639,8 @@ def _build_subdivide(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = (_along(a, b, t),)
     # no contract: the halves refind every crossing of the old segment
-    return _insert_chain(d, spec.loop, spec.leg, spec.segment, inserted, None,
-                         (0, None, "subdividing must not create crossings"))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
+                          None, (0, None, "subdividing must not create crossings"))
 
 
 # ---------------------------------------------------------------------------
@@ -699,24 +663,20 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     if not (1 <= idx <= len(pts) - 2):
         raise MoveBlocked("only interior polyline points can be jiggled")
     moved = pts[idx] + Point(dx, dy)
-    new_leg = Leg(pts[:idx] + (moved,) + pts[idx + 1:])
-    new_legs = legs[:k] + (new_leg,) + legs[k + 1:]
     # only a point next to V moves a half-edge, and only one of them (a
     # three-point one-leg loop is codirectional at V); moving one of 2n
     # half-edges can reorder the star but never reverse it, so the canonical
     # word decides as a comparison of rotations would
     next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
 
-    def contract(found: list[Crossing], dropped: list[Crossing]) -> str | None:
+    def contract(found: list[Crossing], dropped: list[Crossing], d2: BouquetDiagram) -> str | None:
         if _crossing_signature(found) != _crossing_signature(dropped):
             return "jiggle would change the crossing pattern"
-        if next_to_v and canonical_cyclic_word(_star_word(_spliced(d, splice))) \
-                != canonical_cyclic_word(_star_word(d)):
+        if next_to_v and canonical_cyclic_word(_star_word(d2)) != canonical_cyclic_word(_star_word(d)):
             return "jiggle would reorder the vertex star"
         return None
 
-    splice = _Splice(loop, new_legs, contract, check_persistence=False)
-    return splice
+    return _splice_points(d, loop, k, idx, idx + 1, ((moved,),), contract, check_persistence=False)
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +722,16 @@ def apply_move(d: BouquetDiagram, spec: MoveSpec) -> BouquetDiagram:
     The returned diagram is freshly validated (incrementally) and carries its
     updated crossing analysis, so chains of moves stay cheap.
     """
+    if not isinstance(spec, MoveSpec):
+        raise TypeError(f"a move needs a MoveSpec, got {type(spec).__name__}")
     d2, _ = _apply_splice(d, _MOVE_BUILDERS[spec.kind](d, spec))
     return d2
 
 
 def apply_edit_outcome(d: BouquetDiagram, spec: EditSpec) -> EditOutcome:
     """Apply a control edit and report the self-crossings it created."""
+    if not isinstance(spec, EditSpec):
+        raise TypeError(f"an edit needs an EditSpec, got {type(spec).__name__}")
     d2, additions = _apply_splice(d, _EDIT_BUILDERS[spec.kind](d, spec))
     created = sum(1 for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop)
     return EditOutcome(d2, spec.loop, created)
@@ -944,6 +908,8 @@ def random_move(d: BouquetDiagram, seed: int) -> MoveSpec:
 
 def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[EditSpec, EditOutcome]:
     """Deterministically propose and apply one legal random control edit."""
+    if kind is not None and kind not in EDIT_KINDS:
+        raise ValueError(f"unknown edit kind {kind!r}")
     rng = random.Random(f"rp2bouquet-edit:{seed}")
     kinds = EDIT_KINDS if kind is None else (kind,)
     base = _valid_analysis(d)

@@ -61,6 +61,16 @@ def test_short_leg():
     assert "ShortLeg" in kinds(d)
 
 
+def test_loop_with_no_legs():
+    d = BouquetDiagram(1, pt(0, 0), (LoopPath(()),))
+    assert [str(v) for v in validate(d)] == ["ShortLeg loop=0 loop with no legs"]
+
+
+def test_one_point_leg_before_a_joint_is_only_a_short_leg():
+    d = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((pt(0, 0),)), Leg((pt(-1, 0), pt(0, 0))))),))
+    assert [str(v) for v in validate(d)] == ["ShortLeg loop=0 leg=0"]
+
+
 def test_repeated_point():
     d = one_loop(pt(0, 0), pt("1/2", 0), pt("1/2", 0), pt("1/4", "1/4"), pt(0, 0))
     assert "RepeatedPoint" in kinds(d)

@@ -138,6 +138,25 @@ def test_detour_blocked_cases(chord):
                                    (rat(1), rat(1, 2), rat(1, 4), rat(1, 2), rat(-2) + rat(1, 16))))
 
 
+def test_contracts_block_a_curl_on_the_wrong_side(quad, chord, monkeypatch):
+    """Curls mutated on purpose reach the sign checks of the kink pair and
+    the detour contracts: the counts hold, only the signs are wrong."""
+    curl = moves_mod._curl_points
+    with monkeypatch.context() as m:
+        m.setattr(moves_mod, "_curl_points", lambda a, b, t, w, h: curl(a, b, t, w, abs(h)))
+        with pytest.raises(MoveBlocked, match="^kink pair crossings must have opposite signs$"):
+            apply_move(quad, MoveSpec("KinkPair", 0, 0, 1, (rat(1, 4), rat(3, 4), rat(1, 16), rat(1, 64))))
+    calls = []
+
+    def flip_every_second(a, b, t, w, h):
+        calls.append(h)
+        return curl(a, b, t, w, -h if len(calls) % 2 == 0 else h)
+
+    monkeypatch.setattr(moves_mod, "_curl_points", flip_every_second)
+    with pytest.raises(MoveBlocked, match="^detour curls must both carry the requested sign$"):
+        apply_move(chord, detour_spec(1, 0))
+
+
 # ---------------------------------------------------------------------------
 # FingerPush
 # ---------------------------------------------------------------------------
@@ -259,6 +278,21 @@ def test_moves_refuse_invalid_input():
         random_edit(bad, 0)
 
 
+def test_apply_move_refuses_an_edit_spec(quad):
+    with pytest.raises(TypeError, match="^a move needs a MoveSpec, got EditSpec$"):
+        apply_move(quad, EditSpec("SingleKink", 0, 0, 1, (rat(1, 2), rat(1, 8), rat(1, 32))))
+
+
+def test_apply_edit_refuses_a_move_spec(quad):
+    with pytest.raises(TypeError, match="^an edit needs an EditSpec, got MoveSpec$"):
+        apply_edit(quad, MoveSpec("Subdivide", 0, 0, 1, (rat(1, 2),)))
+
+
+def test_random_edit_refuses_an_unknown_kind(quad):
+    with pytest.raises(ValueError, match="^unknown edit kind 'Bogus'$"):
+        random_edit(quad, 3, kind="Bogus")
+
+
 # ---------------------------------------------------------------------------
 # non-regular edits
 # ---------------------------------------------------------------------------
@@ -344,6 +378,19 @@ def test_exhausted_when_budget_removed(quad, monkeypatch):
         random_move_applied(quad, 0)
     with pytest.raises(Exhausted):
         random_edit(quad, 0)
+
+
+def test_proposals_that_return_none(quad, chord):
+    rng = random.Random(0)
+    # no outward direction at the vertex, nor along the negative x axis
+    assert moves_mod._outward_u(pt(0, 0), rng) is None
+    assert moves_mod._outward_u(moves_mod._along(*chord.segment(0, 1, 0), rat(1, 2)), rng) is None
+    # a FingerPush on the middle of three segments has no other strand
+    triangle = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((pt(0, 0), pt("1/2", 0), pt(0, "1/2"),
+                                                          pt(0, 0))),)),))
+    assert moves_mod._propose_move(triangle, random.Random(9)) is None
+    # a jiggle whose two draws are both zero
+    assert moves_mod._propose_move(quad, random.Random(1031)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +554,7 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
 
 
 # ---------------------------------------------------------------------------
-# the splice window is derived from segment identity
+# the splicer's window matches segment identity
 # ---------------------------------------------------------------------------
 
 def loop_segments(loop):
@@ -525,8 +572,8 @@ def identity_window(d, d2, loop):
 
 
 def splice_window(d, splice):
-    row = analysis(d).leg_starts[splice.loop]
-    return moves_mod._splice_window(row, d.loops[splice.loop].legs, splice.new_legs)
+    i = analysis(d).leg_starts[splice.loop][splice.leg] + splice.seg
+    return i, i + splice.replaced, splice.new
 
 
 def window_specs(d, rng):
@@ -544,7 +591,7 @@ def window_specs(d, rng):
 
 
 def test_splice_window_matches_segment_identity():
-    """For every builder, the window found by the prefix and suffix scans
+    """For every builder, the window the splicer records from its arguments
     replaces and re-examines exactly the segments that the brute-force
     identity match says, and the spliced records and leg starts of a generic
     result equal freshly built ones."""

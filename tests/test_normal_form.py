@@ -9,6 +9,7 @@ from rp2bouquet import (
     InvariantTuple,
     LimitExceeded,
     MAX_ENUM_N,
+    MoveBlocked,
     RealizationError,
     classify,
     dumps,
@@ -18,6 +19,7 @@ from rp2bouquet import (
     realize,
     validate,
 )
+from rp2bouquet import normal_form
 from rp2bouquet.normal_form import _class_count, random_tuple
 
 # SHA-256 of the n = 4 enumeration text, one tuple per line
@@ -136,6 +138,32 @@ def test_realize_rejects_bad_bits():
     for h, w in (((0, 0), (0,)), ((0,), (2,)), ((), (0,)), ((0,), (0, 1))):
         with pytest.raises(RealizationError, match="bits"):
             realize(InvariantTuple(word, h, w))
+
+
+ODD_LOOP = InvariantTuple(CyclicWord.parse("e1,e1^-1"), (0,), (1,))
+
+
+def test_realize_reports_a_kink_that_cannot_be_placed(monkeypatch):
+    def blocked(d, spec):
+        raise MoveBlocked("blocked on purpose")
+
+    monkeypatch.setattr(normal_form, "apply_edit", blocked)
+    with pytest.raises(RealizationError, match=r"^could not realize .*: "
+                       "could not place a parity kink on loop 0$"):
+        realize(ODD_LOOP)
+
+
+def test_realize_reports_its_last_failure(monkeypatch):
+    def fail(d, loop):
+        raise RealizationError("parity flip failed on purpose")
+
+    monkeypatch.setattr(normal_form, "_flip_parity", fail)
+    with pytest.raises(RealizationError, match="^could not realize .*: parity flip failed on purpose$"):
+        realize(ODD_LOOP)
+    monkeypatch.undo()
+    monkeypatch.setattr(normal_form, "invariants", lambda d: None)
+    with pytest.raises(RealizationError, match=r"^could not realize .*: self-check failed \(attempt 79\)$"):
+        realize(ODD_LOOP)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 
 Writes one SVG per invariant class for the requested loop count (all classes
 for n <= 2, a seeded sample for n = 3) and one per JSON file in the sample
-data directory, so move and realization changes can be inspected visually.
+data directory that is valid, so move and realization changes can be
+inspected visually.
 """
 
 import argparse
@@ -45,11 +46,11 @@ def main() -> int:
     data_dir = Path(args.data)
     for json_path in sorted(data_dir.glob("*.json")):
         try:
-            d = loads(json_path.read_text())
-        except ValueError:
+            svg = render_svg(loads(json_path.read_text()))
+        except ValueError:  # malformed JSON, or an invalid diagram (InvalidDiagram)
             continue
         path = outdir / f"sample_{json_path.stem}.svg"
-        path.write_text(render_svg(d))
+        path.write_text(svg)
         print(f"wrote {path}")
     return 0
 

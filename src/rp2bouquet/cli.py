@@ -41,7 +41,7 @@ from itertools import groupby, product
 from operator import attrgetter
 from pathlib import Path
 
-from .diagram import BouquetDiagram, DiagramFormatError, analysis, dumps, loads, validate
+from .diagram import BouquetDiagram, DiagramFormatError, analysis, crossings, dumps, loads, validate
 from .invariants import InvariantTuple, MismatchedLoopCount, equiv, invariants
 from .moves import Exhausted, MoveBlocked, MoveSpec, apply_move, random_move_applied
 from .normal_form import LimitExceeded, RealizationError, enumerate_classes, random_tuple, realize
@@ -184,8 +184,8 @@ def _xy(p) -> str:
 def render_svg(d: BouquetDiagram) -> str:
     """Static SVG figure: loops colored per index, crossings and seam points
     marked, the seam circle dashed.  Formatting is fixed-precision so output
-    is byte-stable; the exact rational core is never fed from this path."""
-    crossings = analysis(d).crossings
+    is byte-stable; the exact rational core is never fed from this path.
+    Raises :class:`InvalidDiagram` (via `crossings`) for an invalid diagram."""
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
                'viewBox="-1.15 -1.15 2.3 2.3">')
@@ -205,7 +205,7 @@ def render_svg(d: BouquetDiagram) -> str:
                            f'y="{_fmt(-float(mark.y) - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
-    for c in crossings:
+    for c in crossings(d):
         out.append(f'<circle cx="{_fmt(c.location.x)}" cy="{_fmt(-c.location.y)}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
     out.append(f'<circle cx="{_fmt(d.vertex.x)}" cy="{_fmt(-d.vertex.y)}" r="0.025" '
@@ -264,12 +264,7 @@ def _cmd_equiv(args, stdout) -> int:
         if violations:
             print(f"VIOLATION: {violations[0]} (in {path})", file=stdout)
             return 1
-    try:
-        same = equiv(d1, d2)
-    except MismatchedLoopCount as exc:
-        print(f"ERROR: MismatchedLoopCount: {exc}", file=stdout)
-        return 1
-    if same:
+    if equiv(d1, d2):
         print("EQUIVALENT", file=stdout)
         return 0
     t1, t2 = invariants(d1), invariants(d2)

@@ -40,6 +40,12 @@ each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
   segments may move with it, so instead of surviving they must keep their
   strands and frames, and the half-edges at the vertex must keep their order.
 
+Every contract takes (additions, dropped, d2): the crossings found on the new
+segments less those at a location to find again, the crossings on replaced
+segments, and the candidate.  The locations to find again are the dropped
+ones, or none for a splice without check_persistence (the jiggle), whose
+additions are then every crossing found.
+
 Every builder splices through _splice_points: chains of new points replace
 points[lo:hi] of one leg, a seam transition ending each chain but the last,
 and the splice records its window (the replaced segments lo - 1 .. hi - 1
@@ -55,6 +61,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, ClassVar, Iterator
 
 from .geometry import Point, Rat, SegKind, _along, circle_point, rat
@@ -102,16 +109,6 @@ __all__ = [
 MOVE_KINDS = ("KinkPair", "Detour", "FingerPush", "Jiggle", "Subdivide")
 EDIT_KINDS = ("SingleKink", "SeamReroute")
 
-_PARAM_COUNTS = {
-    "KinkPair": 4,     # t1 t2 w h
-    "Detour": 5,       # sigma t w uq ur
-    "FingerPush": 7,   # t w loop2 leg2 seg2 s2 reach
-    "Jiggle": 2,       # dx dy            (target's third index is the point)
-    "Subdivide": 1,    # t
-    "SingleKink": 3,   # t w h
-    "SeamReroute": 3,  # t w uq
-}
-
 
 class MoveBlocked(RuntimeError):
     """The move cannot be applied here: the result would not be generic or
@@ -155,8 +152,9 @@ class _Spec:
     def __post_init__(self):
         if self.kind not in self._kinds:
             raise ValueError(f"unknown {self._noun} kind {self.kind!r}")
-        if len(self.params) != _PARAM_COUNTS[self.kind]:
-            raise ValueError(f"{self.kind} takes {_PARAM_COUNTS[self.kind]} params")
+        _, count = _BUILDERS[self.kind]
+        if len(self.params) != count:
+            raise ValueError(f"{self.kind} takes {count} params")
         if min(self.loop, self.leg, self.segment) < 0:
             raise ValueError("target indices must be non-negative")
 
@@ -205,14 +203,15 @@ class _Splice:
     replaced: int
     new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
     new: list
-    # the additions -> error message or None; with check_persistence off,
-    # (every crossing found on the new segments, those on replaced ones, d2)
-    contract: Callable[..., str | None] | None
+    # (additions, dropped, d2) -> error message or None
+    contract: Callable[[list, list, BouquetDiagram], str | None] | None
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
     # _apply_splice checks the tally before `contract` runs
     count: tuple[int, int | None, str] | None
-    check_persistence: bool                             # old crossing locations must survive
+    # `removed` holds the dropped crossings' locations, each to be found again;
+    # off, it is empty and every crossing found is an addition
+    check_persistence: bool
 
 
 def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
@@ -290,50 +289,50 @@ def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
     return BouquetDiagram(d.n, d.vertex, tuple(loops))
 
 
-def _structural_ok(d2: BouquetDiagram, loop: int, new: list) -> Violation | None:
+def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
     """First generic-position violation of the candidate d2, or None.
 
-    d2 differs from a valid diagram only in the `new` segments (leg, seg,
-    a, b) of the spliced loop, so only conditions that read one of them can
+    d2 differs from a valid diagram only in the splice's `new` segments,
+    listed in (leg, seg) order, so only conditions that read one of them can
     fail: leg conditions at their end points, joints next to them, the vertex
     star if a first or last segment changed, and the seam table if a joint
     was checked (a moved seam point always ends a new segment).  The verdict
     (and the first violation) is that of re-checking the whole loop, the
     vertex star and the seam table.
     """
-    legs = d2.loops[loop].legs
-    changed = {(k, s) for k, s, _, _ in new}
+    loop, legs, new = splice.loop, splice.new_legs, splice.new
     by_leg: dict[int, list[int]] = {}
-    for k, s in sorted(changed):
+    for k, s, _, _ in new:
         by_leg.setdefault(k, []).append(s)
     viols: list[Violation] = []
     last = len(legs) - 1
-    for ki, leg in enumerate(legs):
-        if ki in by_leg:
-            _check_leg(viols, d2.vertex, loop, ki, leg, ki == 0, ki == last, by_leg[ki])
-            if viols:
-                return viols[0]
-    joints = [ki for ki in range(last)
-              if (ki, len(legs[ki].points) - 2) in changed or (ki + 1, 0) in changed]
+    for k, segs in by_leg.items():
+        _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, segs)
+        if viols:
+            return viols[0]
+    # the joints before a leg's first segment and after its last, in order, once
+    joints = dict.fromkeys(ki for k, s, _, _ in new
+                           for ki, end in ((k - 1, s == 0), (k, s == len(legs[k].points) - 2))
+                           if end and 0 <= ki < last)
     for ki in joints:
         _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
     if viols:
         return viols[0]
-    if (0, 0) in changed or (last, len(legs[last].points) - 2) in changed:
+    if new[0][:2] == (0, 0) or new[-1][:2] == (last, len(legs[last].points) - 2):
         _check_vertex_directions(viols, d2)
     if joints:
         _check_seam_table(viols, d2)
     return viols[0] if viols else None
 
 
-def _splice_records(base: DiagramAnalysis, loop: int, window: tuple,
-                    new_legs: tuple[Leg, ...]) -> tuple[tuple, tuple]:
+def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple[tuple, tuple]:
     """The segment records and leg starts of d2 from those of d and the
-    splice window.  The window's records are built afresh, all others kept
-    as they are; the spliced loop's leg starts are counted from its legs,
-    and those of later loops shift by the change in length.
+    splice, whose replaced segments are records[i:j].  The new segments'
+    records are built afresh, all others kept as they are; the spliced
+    loop's leg starts are counted from its legs, and those of later loops
+    shift by the change in length.
     """
-    i, j, new = window
+    loop, new_legs, new = splice.loop, splice.new_legs, splice.new
     ends = {(0, 0), (len(new_legs) - 1, len(new_legs[-1].points) - 2)}  # at the vertex
     changed = tuple(_make_seg(loop, a, b, (k, s) in ends) for k, s, a, b in new)
     delta = len(new) - (j - i)
@@ -353,17 +352,16 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
     base = _valid_analysis(d)
     d2 = _spliced(d, splice)
-    loop = splice.loop
-    row = base.leg_starts[loop]
-    i = row[splice.leg] + splice.seg
-    j = i + splice.replaced
-    new = splice.new
-    bad = _structural_ok(d2, loop, new)
+    bad = _structural_ok(d2, splice)
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
+    loop, new = splice.loop, splice.new
+    row = base.leg_starts[loop]
+    i = row[splice.leg] + splice.seg
+    j = i + splice.replaced
     # records only now: a point far outside the disk has no float box
-    records, leg_starts = _splice_records(base, loop, (i, j, new), splice.new_legs)
+    records, leg_starts = _splice_records(base, splice, i, j)
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
     for c in base.crossings:
@@ -371,17 +369,14 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
         fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
         (dropped if i <= fa < j or i <= fb < j else kept).append(c)
-    removed = {_location_key(c.location) for c in dropped}
+    removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
     found, additions, refound, counted = _scan_changed(
         records, leg_starts, i, i + len(new), removed, d2.vertex, splice.count)
-    if not splice.check_persistence:
-        err = splice.contract(found, dropped, d2)
-    elif refound != len(removed):
+    if refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
-    elif splice.count and counted != splice.count[0]:
-        err = f"{splice.count[2]}, got {counted}"
-    else:
-        err = splice.contract and splice.contract(additions)
+    if splice.count and counted != splice.count[0]:
+        raise MoveBlocked(f"{splice.count[2]}, got {counted}")
+    err = splice.contract and splice.contract(additions, dropped, d2)
     if err:
         raise MoveBlocked(err)
 
@@ -478,7 +473,7 @@ def _build_kink_pair(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
 
-    def contract(additions: list[Crossing]) -> str | None:
+    def contract(additions: list[Crossing], dropped, d2) -> str | None:
         if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "kink pair may only add self-crossings of the target loop"
         if sorted(_index_term(c) for c in additions) != [-1, 1]:
@@ -496,7 +491,7 @@ def _build_single_kink(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
 
-    def contract(additions: list[Crossing]) -> str | None:
+    def contract(additions: list[Crossing], dropped, d2) -> str | None:
         if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
             return "single kink may only add a self-crossing of the target loop"
         return None
@@ -552,7 +547,7 @@ def _build_detour(d, spec) -> _Splice:
     # y1 is inside the disk (x1 is) and r on the circle, so r - y1 is never 0
     z1 = _seam_step(r, r - y1)
 
-    def contract(additions: list[Crossing]) -> str | None:
+    def contract(additions: list[Crossing], dropped, d2) -> str | None:
         if any(_index_term(c) != sigma for c in additions
                if c.loop_a == spec.loop and c.loop_b == spec.loop):
             return "detour curls must both carry the requested sign"
@@ -609,23 +604,21 @@ def _build_finger_push(d, spec) -> _Splice:
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
-    def contract(additions: list[Crossing]) -> str | None:
+    def contract(additions: list[Crossing], dropped, d2) -> str | None:
         seen_verticals = set()
         for cr in additions:
             sides = {
                 (cr.loop_a, cr.param_a.leg, cr.param_a.seg),
                 (cr.loop_b, cr.param_b.leg, cr.param_b.seg),
             }
+            # so across another loop, no addition is a self-crossing
             if expected_other not in sides:
                 return "finger push crossing misses the chosen strand"
             seen_verticals |= sides & vertical_keys
         if len(seen_verticals) != 2:
             return "finger push must cross the strand with both fingers"
-        if loop2 == spec.loop:
-            if sum(_index_term(cr) for cr in additions) != 0:
-                return "same-loop finger push crossings must cancel"
-        elif any(cr.loop_a == cr.loop_b for cr in additions):
-            return "cross-loop finger push may not add self-crossings"
+        if loop2 == spec.loop and sum(_index_term(cr) for cr in additions) != 0:
+            return "same-loop finger push crossings must cancel"
         return None
 
     return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
@@ -669,8 +662,8 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     # word decides as a comparison of rotations would
     next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
 
-    def contract(found: list[Crossing], dropped: list[Crossing], d2: BouquetDiagram) -> str | None:
-        if _crossing_signature(found) != _crossing_signature(dropped):
+    def contract(additions: list[Crossing], dropped, d2) -> str | None:
+        if _crossing_signature(additions) != _crossing_signature(dropped):
             return "jiggle would change the crossing pattern"
         if next_to_v and canonical_cyclic_word(_star_word(d2)) != canonical_cyclic_word(_star_word(d)):
             return "jiggle would reorder the vertex star"
@@ -683,17 +676,15 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
 # public application
 # ---------------------------------------------------------------------------
 
-_MOVE_BUILDERS = {
-    "KinkPair": _build_kink_pair,
-    "Detour": _build_detour,
-    "FingerPush": _build_finger_push,
-    "Jiggle": _build_jiggle,
-    "Subdivide": _build_subdivide,
-}
-
-_EDIT_BUILDERS = {
-    "SingleKink": _build_single_kink,
-    "SeamReroute": _build_seam_reroute,
+# kind -> (builder, parameter count), the parameters listed in order
+_BUILDERS = {
+    "KinkPair": (_build_kink_pair, 4),        # t1 t2 w h
+    "Detour": (_build_detour, 5),             # sigma t w uq ur
+    "FingerPush": (_build_finger_push, 7),    # t w loop2 leg2 seg2 s2 reach
+    "Jiggle": (_build_jiggle, 2),             # dx dy  (target's third index is the point)
+    "Subdivide": (_build_subdivide, 1),       # t
+    "SingleKink": (_build_single_kink, 3),    # t w h
+    "SeamReroute": (_build_seam_reroute, 3),  # t w uq
 }
 
 
@@ -724,7 +715,7 @@ def apply_move(d: BouquetDiagram, spec: MoveSpec) -> BouquetDiagram:
     """
     if not isinstance(spec, MoveSpec):
         raise TypeError(f"a move needs a MoveSpec, got {type(spec).__name__}")
-    d2, _ = _apply_splice(d, _MOVE_BUILDERS[spec.kind](d, spec))
+    d2, _ = _apply_splice(d, _BUILDERS[spec.kind][0](d, spec))
     return d2
 
 
@@ -732,7 +723,7 @@ def apply_edit_outcome(d: BouquetDiagram, spec: EditSpec) -> EditOutcome:
     """Apply a control edit and report the self-crossings it created."""
     if not isinstance(spec, EditSpec):
         raise TypeError(f"an edit needs an EditSpec, got {type(spec).__name__}")
-    d2, additions = _apply_splice(d, _EDIT_BUILDERS[spec.kind](d, spec))
+    d2, additions = _apply_splice(d, _BUILDERS[spec.kind][0](d, spec))
     created = sum(1 for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop)
     return EditOutcome(d2, spec.loop, created)
 
@@ -879,21 +870,38 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
                     (center, w, rat(loop2), rat(leg2), rat(seg2), s2, reach))
 
 
+def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random) -> EditSpec | None:
+    kind = kinds[rng.randrange(len(kinds))]
+    base = _valid_analysis(d)
+    loop, leg, seg = _key(base, rng.randrange(len(base.records)))
+    center, half = _free_window(d, rng, (loop, leg, seg))
+    if kind == "SingleKink":
+        w = half / 2
+        return EditSpec(kind, loop, leg, seg, (center, w, w * rat(rng.choice([-1, 1]), 4)))
+    uq = _seam_u(d, rng, (loop, leg, seg), center)
+    return EditSpec(kind, loop, leg, seg, (center, half, uq)) if uq else None
+
+
 _RETRY_BUDGET = 10_000
+
+
+def _first_legal(noun: str, seed: int, propose, apply) -> tuple:
+    """(spec, apply(spec)) for the first proposal that applies, drawing the
+    proposals from the seeded stream of `noun`; Exhausted past the budget."""
+    rng = random.Random(f"rp2bouquet-{noun}:{seed}")
+    for _ in range(_RETRY_BUDGET):
+        spec = propose(rng)
+        if spec is not None:
+            try:
+                return spec, apply(spec)
+            except MoveBlocked:
+                pass
+    raise Exhausted(f"no legal {noun} found in {_RETRY_BUDGET} attempts (seed {seed})")
 
 
 def random_move_applied(d: BouquetDiagram, seed: int) -> tuple[MoveSpec, BouquetDiagram]:
     """Deterministically propose and apply one legal random move."""
-    rng = random.Random(f"rp2bouquet-move:{seed}")
-    for _ in range(_RETRY_BUDGET):
-        spec = _propose_move(d, rng)
-        if spec is None:
-            continue
-        try:
-            return spec, apply_move(d, spec)
-        except MoveBlocked:
-            continue
-    raise Exhausted(f"no legal move found in {_RETRY_BUDGET} attempts (seed {seed})")
+    return _first_legal("move", seed, partial(_propose_move, d), partial(apply_move, d))
 
 
 def random_move(d: BouquetDiagram, seed: int) -> MoveSpec:
@@ -910,24 +918,5 @@ def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[
     """Deterministically propose and apply one legal random control edit."""
     if kind is not None and kind not in EDIT_KINDS:
         raise ValueError(f"unknown edit kind {kind!r}")
-    rng = random.Random(f"rp2bouquet-edit:{seed}")
     kinds = EDIT_KINDS if kind is None else (kind,)
-    base = _valid_analysis(d)
-    for _ in range(_RETRY_BUDGET):
-        pick = kinds[rng.randrange(len(kinds))]
-        loop, leg, seg = _key(base, rng.randrange(len(base.records)))
-        center, half = _free_window(d, rng, (loop, leg, seg))
-        if pick == "SingleKink":
-            w = half / 2
-            h = w * rat(rng.choice([-1, 1]), 4)
-            spec = EditSpec("SingleKink", loop, leg, seg, (center, w, h))
-        else:
-            uq = _seam_u(d, rng, (loop, leg, seg), center)
-            if uq == 0:
-                continue
-            spec = EditSpec("SeamReroute", loop, leg, seg, (center, half, uq))
-        try:
-            return spec, apply_edit_outcome(d, spec)
-        except MoveBlocked:
-            continue
-    raise Exhausted(f"no legal edit found in {_RETRY_BUDGET} attempts (seed {seed})")
+    return _first_legal("edit", seed, partial(_propose_edit, d, kinds), partial(apply_edit_outcome, d))

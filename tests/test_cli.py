@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rp2bouquet import (
     MAX_REALIZE_N,
     Exhausted,
+    InvalidDiagram,
     InvariantTuple,
     dumps,
     loads,
@@ -436,6 +437,14 @@ def test_render_svg_marks_seam_and_crossings(data_dir):
     assert svg.endswith("</svg>\n")
     code, out = run(["render-svg", data_dir / "seam_chord.json"])
     assert code == 0 and out == svg
+
+
+def test_render_svg_refuses_an_invalid_diagram(data_dir):
+    """The library call raises instead of drawing a figure without its
+    crossing marks; the CLI prints the violations first, as before."""
+    d = loads((data_dir / "invalid_seam.json").read_text())
+    with pytest.raises(InvalidDiagram, match="SeamPointOffCircle"):
+        render_svg(d)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ def test_render_gallery_draws_classes_and_samples(data_dir, tmp_path, monkeypatc
     monkeypatch.setattr(sys, "argv", ["render_gallery.py", "--n", "1", "--out", str(tmp_path)])
     assert script.main() == 0
     written = sorted(p.name for p in tmp_path.iterdir())
-    # the four n = 1 classes, and every sample that loads (all but malformed.json)
+    # the four n = 1 classes, and every sample that loads and is valid (all
+    # but malformed.json and invalid_seam.json: render_svg refuses the latter)
     samples = sorted(f"sample_{p.stem}.svg" for p in data_dir.glob("*.json")
-                     if p.name != "malformed.json")
+                     if p.name not in ("malformed.json", "invalid_seam.json"))
     normal = [w for w in written if w.startswith("normal_")]
-    assert len(normal) == 4 and len(samples) == 8
+    assert len(normal) == 4 and len(samples) == 7
     assert written == normal + samples

@@ -36,7 +36,7 @@ from rp2bouquet.diagram import (
     analysis,
     vertex_directions,
 )
-from rp2bouquet.geometry import rat
+from rp2bouquet.geometry import rat, segment_intersection
 from rp2bouquet.normal_form import random_tuple
 
 
@@ -155,6 +155,48 @@ def test_contracts_block_a_curl_on_the_wrong_side(quad, chord, monkeypatch):
     monkeypatch.setattr(moves_mod, "_curl_points", flip_every_second)
     with pytest.raises(MoveBlocked, match="^detour curls must both carry the requested sign$"):
         apply_move(chord, detour_spec(1, 0))
+
+
+def test_contracts_block_a_kink_across_another_loop(wedge, monkeypatch):
+    """Kinks mutated on purpose to splice a finger over loop 1 instead of
+    their curls reach the self-crossing checks of the kink pair and single
+    kink contracts.  The finger adds two crossings, which the kink pair's
+    count allows; the single kink also drops its count of one."""
+    push = MoveSpec("FingerPush", 0, 0, 1, (rat(3, 5), rat(1, 16), rat(1), rat(0), rat(2), rat(1, 2), rat(3, 8)))
+    finger = moves_mod._build_finger_push(wedge, push).new_legs[0].points[2:6]
+    splice_points = moves_mod._splice_points
+    with monkeypatch.context() as m:
+        m.setattr(moves_mod, "_splice_points", lambda d, loop, leg, lo, hi, chains, contract, count:
+                  splice_points(d, loop, leg, lo, hi, (finger,), contract, count))
+        with pytest.raises(MoveBlocked, match="^kink pair may only add self-crossings of the target loop$"):
+            apply_move(wedge, MoveSpec("KinkPair", 0, 0, 1, (rat(1, 4), rat(3, 4), rat(1, 16), rat(1, 64))))
+    monkeypatch.setattr(moves_mod, "_splice_points", lambda d, loop, leg, lo, hi, chains, contract, count:
+                        splice_points(d, loop, leg, lo, hi, (finger,), contract))
+    with pytest.raises(MoveBlocked, match="^single kink may only add a self-crossing of the target loop$"):
+        apply_edit(wedge, EditSpec("SingleKink", 0, 0, 1, (rat(3, 4), rat(1, 16), rat(1, 64))))
+
+
+def test_contract_blocks_a_same_loop_finger_that_does_not_cancel(quad, monkeypatch):
+    """A sign reading mutated on purpose (every self-crossing counts +1)
+    reaches the cancellation check of a same-loop finger push."""
+    monkeypatch.setattr(moves_mod, "_index_term", lambda c: 1)
+    spec = MoveSpec("FingerPush", 0, 0, 1,
+                    (rat(1, 2), rat(1, 8), rat(0), rat(0), rat(3), rat(1, 2), rat(1, 4)))
+    with pytest.raises(MoveBlocked, match="^same-loop finger push crossings must cancel$"):
+        apply_move(quad, spec)
+
+
+def test_a_crossing_at_the_vertex_is_blocked_as_a_touch_first():
+    """A curl whose self-crossing lands on V passes through V inside two new
+    segments, each meeting the first segment, which ends at V, there; the
+    scan pairs it with that segment first and blocks the touch."""
+    v = pt(0, 0)
+    d = BouquetDiagram(1, v, (LoopPath((Leg((v, pt("1/4", "-1/4"), pt("-1/4", "-1/4"), v)),)),))
+    spec = EditSpec("SingleKink", 0, 0, 1, (rat(1, 2), rat(1, 4), rat(-3, 4)))
+    (_, _, a, b), _, (_, _, c, e) = moves_mod._build_single_kink(d, spec).new[1:4]
+    assert segment_intersection(a, b, c, e).point == v
+    with pytest.raises(MoveBlocked, match="^template touches loop=0 leg=0 segment=0 non-transversally$"):
+        apply_edit(d, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +515,11 @@ def test_touched_only_structural_check_matches_full_check():
                 spec = moves_mod._propose_move(d, rng)
                 for spec in ([spec] if spec else []) + hostile_specs(d, rng):
                     try:
-                        splice = moves_mod._MOVE_BUILDERS[spec.kind](d, spec)
+                        splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
                     except MoveBlocked:
                         continue
                     d2 = moves_mod._spliced(d, splice)
-                    _, _, new = splice_window(d, splice)
-                    touched = moves_mod._structural_ok(d2, splice.loop, new)
+                    touched = moves_mod._structural_ok(d2, splice)
                     full = _structural_violations(d2)
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
@@ -595,7 +636,7 @@ def test_splice_window_matches_segment_identity():
     replaces and re-examines exactly the segments that the brute-force
     identity match says, and the spliced records and leg starts of a generic
     result equal freshly built ones."""
-    builders = {**moves_mod._MOVE_BUILDERS, **moves_mod._EDIT_BUILDERS}
+    builders = {kind: build for kind, (build, _) in moves_mod._BUILDERS.items()}
     kinds = {}
     for seed in range(10):
         rng = random.Random(f"splice-window:{seed}")
@@ -608,15 +649,14 @@ def test_splice_window_matches_segment_identity():
                     continue
                 d2 = moves_mod._spliced(d, splice)
                 base = analysis(d)
-                window = i, j, new = splice_window(d, splice)
+                i, j, new = splice_window(d, splice)
                 replaced = {moves_mod._key(base, f)[1:] for f in range(i, j)}
                 assert all(moves_mod._key(base, f)[0] == splice.loop for f in range(i, j))
                 want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
                 assert {(k, s) for k, s, _, _ in new} == want_changed, spec.to_line()
-                if moves_mod._structural_ok(d2, splice.loop, new) is None:
-                    records, leg_starts = moves_mod._splice_records(
-                        base, splice.loop, window, splice.new_legs)
+                if moves_mod._structural_ok(d2, splice) is None:
+                    records, leg_starts = moves_mod._splice_records(base, splice, i, j)
                     assert (records, leg_starts) == tuple(map(tuple, _segment_records(d2))), \
                         spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1

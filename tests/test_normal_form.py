@@ -1,5 +1,7 @@
+import dataclasses
+import gc
 import hashlib
-from itertools import groupby, permutations
+from itertools import groupby, permutations, product, starmap
 
 import pytest
 
@@ -68,6 +70,39 @@ def test_enumerate_largest_supported():
     words = [word for word, _ in groupby(classes, key=lambda t: t.order)]
     assert len(words) == 2520
     assert all(CyclicWord.from_symbols(word.symbols) == word for word in words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_table_matches_the_constructor(n):
+    words = sorted({CyclicWord.from_symbols(p) for p in permutations(symbols_of(n))},
+                   key=lambda word: word.symbols)
+    bits = list(product((0, 1), repeat=n))
+    reference = list(starmap(InvariantTuple, product(words, bits, bits)))
+    classes = enumerate_classes(n)
+    assert classes == reference
+    assert enumerate_classes(n) is not classes
+    for t, ref in zip(classes, reference):
+        assert type(t) is InvariantTuple
+        assert dataclasses.replace(t) == t
+        assert hash(t) == hash(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.w = ref.w
+
+
+def test_class_table_bypass_guard():
+    # the table sets the slots directly, skipping __init__: a new field or a
+    # validating __post_init__ would be skipped silently
+    assert [f.name for f in dataclasses.fields(InvariantTuple)] == ["order", "h", "w"]
+    assert not hasattr(InvariantTuple, "__post_init__")
+
+
+def test_enumerate_leaves_gc_settings_alone():
+    def settings():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+    before = settings()
+    enumerate_classes(4)
+    assert settings() == before
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ REASONS = {
     ("__main__.py", 'if __name__ == "__main__":'): "runs only as `python -m rp2bouquet`",
     ("__main__.py", "sys.exit(main())"): "runs only as `python -m rp2bouquet`",
     ("cli.py", "sys.exit(main())"): "runs only as `python -m rp2bouquet.cli`",
-    ("moves.py", 'raise MoveBlocked("crossing would land on the vertex")'):
+    ("diagram.py", 'raise MoveBlocked("crossing would land on the vertex")'):
         "a new segment through V touches an unchanged records[0], or the new first segment,"
         " at V; the scan meets that pair first and blocks it as non-transversal",
 }

@@ -36,7 +36,7 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby, product
 from operator import attrgetter
 from pathlib import Path
@@ -85,9 +85,9 @@ def _artifact_script(seed: int, trial: int, step: int, start: BouquetDiagram,
 def _divergence(d: BouquetDiagram, kind: str) -> str | None:
     """Which part of d's kept analysis differs from a rebuilt one, if any."""
     kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
-    for name in ("violations", "crossings", "records", "leg_starts"):
-        if getattr(kept, name) != getattr(rebuilt, name):
-            return f"kept {name} diverge from a rebuilt analysis after {kind}"
+    for f in fields(kept):
+        if getattr(kept, f.name) != getattr(rebuilt, f.name):
+            return f"kept {f.name} diverge from a rebuilt analysis after {kind}"
     return None
 
 

@@ -18,16 +18,21 @@ vertex, distinct non-antipodal seam points, no cusps in the PL sense, distinct
 half-edge directions at V) become sign conditions on rational determinants.
 Every other operation in the package requires a diagram that validates
 cleanly, and :func:`crossings` refuses to run on anything else.
+
+A diagram keeps its :class:`DiagramAnalysis`.  _analyze builds it from
+scratch; _apply_splice, through which every move and edit goes, updates the
+parent's for the new segments only.  The two must agree exactly (``rp2bouquet
+fuzz --cross-check`` compares them).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .geometry import (
     EMPTY,
@@ -70,6 +75,11 @@ class InvalidDiagram(ValueError):
 
 class DiagramFormatError(ValueError):
     """The serialized form could not be parsed into a diagram."""
+
+
+class MoveBlocked(RuntimeError):
+    """The move cannot be applied here: the result would not be generic or
+    would not satisfy the move's crossing contract."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +219,13 @@ class DiagramAnalysis:
     """Cached result of validating a diagram.
 
     For a valid diagram `records` holds its segment records (see
-    :class:`_Seg`) in (loop, leg, seg) order, so that a move can update them
-    instead of rebuilding them.  A record holds no position: `leg_starts[li]`
-    lists, for each leg of loop li, the index in `records` of its first
-    segment, and :func:`_position` finds a record's (leg, seg) from its index
-    by one bisect.  A splice thus keeps every record outside its window as it
-    is.  Both are empty for an invalid diagram.
+    :class:`_Seg`) in (loop, leg, seg) order, so that a splice
+    (:func:`_apply_splice`) can update them instead of rebuilding them.  A
+    record holds no position: `leg_starts[li]` lists, for each leg of loop
+    li, the index in `records` of its first segment, and :func:`_position`
+    finds a record's (leg, seg) from its index by one bisect.  A splice thus
+    keeps every record outside its window as it is.  Both are empty for an
+    invalid diagram.
     """
 
     violations: tuple[Violation, ...]
@@ -586,6 +597,264 @@ def analysis(d: BouquetDiagram) -> DiagramAnalysis:
 
 def _set_analysis(d: BouquetDiagram, value: DiagramAnalysis) -> None:
     object.__setattr__(d, "_cache", value)
+
+
+# ---------------------------------------------------------------------------
+# kept analysis: splices
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Splice:
+    # what _splice_points returns: the loop's new legs and the window, the
+    # `replaced` segments of leg `leg` from `seg` on, which the `new` ones
+    # (leg, seg, a, b) of the new legs replace
+    loop: int
+    leg: int
+    seg: int
+    replaced: int
+    new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
+    new: list
+    # (additions, dropped, d2) -> error message or None
+    contract: Callable[[list, list, BouquetDiagram], str | None] | None
+    # (n, counts, exactly): the splice adds exactly n counted additions (counts
+    # None: every one; a loop: its self-crossings); _scan_changed stops past n,
+    # _apply_splice checks the tally before `contract` runs
+    count: tuple[int, int | None, str] | None
+    # `removed` holds the dropped crossings' locations, each to be found again;
+    # off, it is empty and every crossing found is an addition
+    check_persistence: bool
+
+
+def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
+                   chains: tuple[tuple[Point, ...], ...], contract, count=None,
+                   check_persistence=True) -> _Splice:
+    """Replace points[lo:hi] of the leg, 0 < lo <= hi < len(points), by the
+    chains.  A seam transition ends every chain but the last, so each later
+    chain starts a new leg.  The replaced segments are lo - 1 .. hi - 1 of
+    the leg; the new ones run from point lo - 1 through the chains to old
+    point hi."""
+    legs = d.loops[loop].legs
+    pts = legs[leg].points
+    runs = (pts[:lo] + chains[0],) + chains[1:]
+    runs = runs[:-1] + (runs[-1] + pts[hi:],)
+    last = leg + len(runs) - 1
+    new = []
+    for k, run in enumerate(runs, leg):
+        stop = len(run) - len(pts) + hi if k == last else len(run) - 1
+        new += [(k, s, run[s], run[s + 1]) for s in range(lo - 1 if k == leg else 0, stop)]
+    new_legs = legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:]
+    return _Splice(loop, leg, lo - 1, hi - lo + 1, new_legs, new, contract, count,
+                   check_persistence)
+
+
+def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
+    """(u, v, i, j) for the changed records u = records[i], lo <= i < hi,
+    and the records v = records[j] whose float boxes meet u's, in record
+    order, each pair once; _meet decides each pair exactly.  Every splice
+    builds a segment, so lo < hi."""
+    changed = records[lo:hi]
+    lox = min(u.fminx for u in changed)
+    hix = max(u.fmaxx for u in changed)
+    loy = min(u.fminy for u in changed)
+    hiy = max(u.fmaxy for u in changed)
+    near = [(j, v) for j, v in enumerate(records)
+            if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
+    for i, u in enumerate(changed, lo):
+        for j, v in near:
+            if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
+                continue  # disjoint for certain
+            # a pair of changed records comes once, from its later one
+            if lo <= j <= i or _skip_pair(u, v, i, j, leg_starts):
+                continue
+            yield u, v, i, j
+
+
+def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set, vertex: Point,
+                  count) -> tuple[list[Crossing], list[Crossing], int, int]:
+    """One pass over the pairs of the changed records[lo:hi]: the crossings found, the
+    additions among them (at no location in `removed`, the locations on
+    replaced segments), how many of `removed` were found again and the tally
+    of additions the splice's `count` counts.
+
+    MoveBlocked at the first certain violation: a non-transversal contact, a
+    crossing on another one or on the vertex, or a tally past `count` once
+    every location in `removed` is found again, so that a destroyed crossing
+    stays the reason when there is one.  A crossing landing on a kept one at
+    X meets both strands of X there, so it is blocked at its second contact;
+    the pairs the scan skips (a corner, two segments at V) cannot make one,
+    as the structural check has blocked a cusp or codirection at X first.
+    """
+    limit, counts, exactly = count or (float("inf"), None, "")
+    found: list[Crossing] = []
+    additions: list[Crossing] = []
+    seen: set[tuple[int, int, int, int]] = set()
+    refound = counted = 0
+    for u, v, i, j in _changed_pairs(records, leg_starts, lo, hi):
+        res, frame = _meet(u, v)
+        if res.kind is SegKind.DEGENERATE:
+            leg, seg = _position(leg_starts, v.loop, j)
+            raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
+                              f"segment={seg} non-transversally")
+        if res.kind is not SegKind.PROPER:
+            continue
+        c = _pair_crossing(u, v, i, j, leg_starts, res, frame)
+        key = _location_key(res.point)
+        if key in seen:
+            raise MoveBlocked("two crossings would coincide")
+        seen.add(key)
+        found.append(c)
+        if key in removed:
+            refound += 1
+        elif res.point == vertex:
+            raise MoveBlocked("crossing would land on the vertex")
+        else:
+            additions.append(c)
+            if counts is None or c.loop_a == c.loop_b == counts:
+                counted += 1
+        if counted > limit and refound == len(removed):
+            raise MoveBlocked(f"{exactly}, got more than {limit}")
+    return found, additions, refound, counted
+
+
+def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
+    loops = list(d.loops)
+    loops[splice.loop] = LoopPath(splice.new_legs)
+    return BouquetDiagram(d.n, d.vertex, tuple(loops))
+
+
+def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
+    """First generic-position violation of the candidate d2, or None.
+
+    d2 differs from a valid diagram only in the splice's `new` segments,
+    listed in (leg, seg) order, so only conditions that read one of them can
+    fail: leg conditions at their end points, joints next to them, the vertex
+    star if a first or last segment changed, and the seam table if a joint
+    was checked (a moved seam point always ends a new segment).  The verdict
+    (and the first violation) is that of re-checking the whole loop, the
+    vertex star and the seam table.
+    """
+    loop, legs, new = splice.loop, splice.new_legs, splice.new
+    by_leg: dict[int, list[int]] = {}
+    for k, s, _, _ in new:
+        by_leg.setdefault(k, []).append(s)
+    viols: list[Violation] = []
+    last = len(legs) - 1
+    for k, segs in by_leg.items():
+        _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, segs)
+        if viols:
+            return viols[0]
+    # the joints before a leg's first segment and after its last, in order, once
+    joints = dict.fromkeys(ki for k, s, _, _ in new
+                           for ki, end in ((k - 1, s == 0), (k, s == len(legs[k].points) - 2))
+                           if end and 0 <= ki < last)
+    for ki in joints:
+        _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
+    if viols:
+        return viols[0]
+    if new[0][:2] == (0, 0) or new[-1][:2] == (last, len(legs[last].points) - 2):
+        _check_vertex_directions(viols, d2)
+    if joints:
+        _check_seam_table(viols, d2)
+    return viols[0] if viols else None
+
+
+def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple[tuple, tuple]:
+    """The segment records and leg starts of d2 from those of d and the
+    splice, whose replaced segments are records[i:j].  The new segments'
+    records are built afresh, all others kept as they are; the spliced
+    loop's leg starts are counted from its legs, and those of later loops
+    shift by the change in length.
+    """
+    loop, new_legs, new = splice.loop, splice.new_legs, splice.new
+    ends = {(0, 0), (len(new_legs) - 1, len(new_legs[-1].points) - 2)}  # at the vertex
+    changed = tuple(_make_seg(loop, a, b, (k, s) in ends) for k, s, a, b in new)
+    delta = len(new) - (j - i)
+    starts = base.leg_starts
+    leg_starts = starts[:loop] + (_leg_row(new_legs, starts[loop][0]),) \
+        + tuple(tuple(f + delta for f in row) for row in starts[loop + 1:])
+    return base.records[:i] + changed + base.records[j:], leg_starts
+
+
+def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
+    base = analysis(d)
+    if base.violations:
+        raise InvalidDiagram(f"cannot move on an invalid diagram: {base.violations[0]}")
+    return base
+
+
+def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
+    base = _valid_analysis(d)
+    d2 = _spliced(d, splice)
+    bad = _structural_ok(d2, splice)
+    if bad is not None:
+        raise MoveBlocked(f"result not generic: {bad}")
+
+    loop, new = splice.loop, splice.new
+    row = base.leg_starts[loop]
+    i = row[splice.leg] + splice.seg
+    j = i + splice.replaced
+    # records only now: a point far outside the disk has no float box
+    records, leg_starts = _splice_records(base, splice, i, j)
+    kept: list[Crossing] = []
+    dropped: list[Crossing] = []
+    for c in base.crossings:
+        # the record indices of its strands on the spliced loop, -1 elsewhere
+        fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
+        fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
+        (dropped if i <= fa < j or i <= fb < j else kept).append(c)
+    removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
+    found, additions, refound, counted = _scan_changed(
+        records, leg_starts, i, i + len(new), removed, d2.vertex, splice.count)
+    if refound != len(removed):
+        raise MoveBlocked("an existing crossing would be destroyed")
+    if splice.count and counted != splice.count[0]:
+        raise MoveBlocked(f"{splice.count[2]}, got {counted}")
+    err = splice.contract and splice.contract(additions, dropped, d2)
+    if err:
+        raise MoveBlocked(err)
+
+    new_row = leg_starts[loop]
+    delta, dk = len(new) - (j - i), len(new_row) - len(row)
+    if delta or dk:
+        def shifted(p: LoopParam) -> LoopParam:
+            # a parameter past the window keeps its record, which moves by
+            # delta and lies in a leg dk later
+            f = row[p.leg] + p.seg
+            if f < j:
+                return p
+            k = p.leg + dk
+            return LoopParam(k, f + delta - new_row[k], p.frac)
+
+        for n, c in enumerate(kept):
+            pa = shifted(c.param_a) if c.loop_a == loop else c.param_a
+            pb = shifted(c.param_b) if c.loop_b == loop else c.param_b
+            if pa is not c.param_a or pb is not c.param_b:
+                kept[n] = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
+    # the shift is monotone along the loop, so the kept crossings are still
+    # sorted; only the few found ones are merged in
+    for c in found:
+        insort(kept, c, key=Crossing.sort_key)
+    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts))
+    return d2, additions
+
+
+def _key(base: DiagramAnalysis, i: int) -> tuple[int, int, int]:
+    """The (loop, leg, seg) of the record at index i."""
+    loop = base.records[i].loop
+    return (loop, *_position(base.leg_starts, loop, i))
+
+
+def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
+    """The parameter intervals of segment `key` free of crossings, in order."""
+    loop, leg, seg = key
+    fracs = []
+    for c in analysis(d).crossings:
+        if c.loop_a == loop and c.param_a.leg == leg and c.param_a.seg == seg:
+            fracs.append(c.param_a.frac)
+        if c.loop_b == loop and c.param_b.leg == leg and c.param_b.seg == seg:
+            fracs.append(c.param_b.frac)
+    cuts = [rat(0)] + sorted(fracs) + [rat(1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 # ---------------------------------------------------------------------------

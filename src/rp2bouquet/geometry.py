@@ -326,6 +326,20 @@ def seam_reflection(p: Point) -> Mat2:
     return ((mxx, mxy), (mxy, -mxx))
 
 
+def _seam_step(p: Point, d_out: Point) -> Point:
+    """-p + M(p) d_out / 32: the first interior point after entering at -p."""
+    # p = (x, y) / c: a rational unit-circle point has equal denominators, and
+    # c^2 M(p) = [[mxx, mxy], [mxy, -mxx]] (see seam_reflection)
+    x, c, y = p.x.numerator, p.x.denominator, p.y.numerator
+    if p.y.denominator != c or x * x + y * y != c * c:
+        raise ValueError(f"seam reflection needs a unit-circle point, got ({p.x}, {p.y})")
+    dxn, dxd, dyn, dyd = d_out.x.numerator, d_out.x.denominator, d_out.y.numerator, d_out.y.denominator
+    mxx, mxy = x * x - y * y, 2 * x * y
+    u, v, back = dxn * dyd, dyn * dxd, 32 * c * dxd * dyd
+    den = back * c
+    return Point(Rat(mxx * u + mxy * v - back * x, den), Rat(mxy * u - mxx * v - back * y, den))
+
+
 def mat_apply(m: Mat2, v: Point) -> Point:
     return Point(m[0][0] * v.x + m[0][1] * v.y, m[1][0] * v.x + m[1][1] * v.y)
 

@@ -38,10 +38,11 @@ import random
 from itertools import permutations, product
 from math import factorial
 
-from .geometry import Point, Rat, circle_point, pt, rat
-from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, validate
-from .invariants import CyclicWord, InvariantTuple, _class_rows, invariants, inv3
-from .moves import EditSpec, MoveBlocked, _seam_step, _segment_gaps, apply_edit
+from .geometry import Point, Rat, _seam_step, circle_point, pt, rat
+from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, _segment_gaps, validate
+from .invariants import (CyclicWord, DuplicateSymbol, InvariantTuple, MissingSymbol, _class_rows,
+                         invariants, inv3)
+from .moves import EditSpec, MoveBlocked, apply_edit
 
 __all__ = [
     "MAX_ENUM_N",
@@ -72,12 +73,13 @@ def classify(d: BouquetDiagram) -> InvariantTuple:
 
 
 def _validate_tuple(t: InvariantTuple) -> int:
-    n = t.order.n
-    expected = {HalfEdge(i, inv) for i in range(n) for inv in (False, True)}
-    if set(t.order.symbols) != expected or len(t.order.symbols) != 2 * n:
-        raise RealizationError("word must use each half-edge symbol exactly once")
-    if CyclicWord.from_symbols(t.order.symbols) != t.order:
+    try:
+        canonical = CyclicWord.from_symbols(t.order.symbols)
+    except (DuplicateSymbol, MissingSymbol):
+        raise RealizationError("word must use each half-edge symbol exactly once") from None
+    if canonical != t.order:
         raise RealizationError("word must be in canonical spelling")
+    n = t.order.n
     for name, bits in (("h", t.h), ("w", t.w)):
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise RealizationError(f"{name} must be a tuple of n bits")

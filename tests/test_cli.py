@@ -19,7 +19,7 @@ from rp2bouquet import (
     realize,
 )
 from rp2bouquet import cli as cli_mod
-from rp2bouquet import moves as moves_mod
+from rp2bouquet import diagram as diagram_mod
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
 from test_normal_form import ENUMERATE_4_SHA256
 
@@ -276,14 +276,14 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     code, out = run(args)
     assert code == 0 and out.startswith("OK 3/3 trials, 60 moves")
 
-    splice_records = moves_mod._splice_records
+    splice_records = diagram_mod._splice_records
 
     def corrupted(*args):
         records, leg_starts = splice_records(*args)
         first = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
         return (first,) + records[1:], leg_starts
 
-    monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
+    monkeypatch.setattr(diagram_mod, "_splice_records", corrupted)
     code, out = run(args)
     assert code == 3
     assert "kept records diverge from a rebuilt analysis" in out
@@ -296,13 +296,13 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
 
 
 def test_fuzz_cross_check_compares_the_leg_starts(tmp_path, monkeypatch):
-    splice_records = moves_mod._splice_records
+    splice_records = diagram_mod._splice_records
 
     def corrupted(*args):
         records, leg_starts = splice_records(*args)
         return records, ((leg_starts[0][0] + 1,) + leg_starts[0][1:],) + leg_starts[1:]
 
-    monkeypatch.setattr(moves_mod, "_splice_records", corrupted)
+    monkeypatch.setattr(diagram_mod, "_splice_records", corrupted)
     code, out = run(["fuzz", "--seed", 20260815, "--trials", 1, "--cross-check", "--out", tmp_path])
     assert code == 3
     assert "kept leg_starts diverge from a rebuilt analysis" in out

@@ -20,6 +20,7 @@ from rp2bouquet.geometry import (
     Point,
     _along,
     _direction,
+    _seam_step,
     angle_sort,
     circle_point,
     mat_apply,
@@ -27,7 +28,7 @@ from rp2bouquet.geometry import (
     rat,
     seam_reflection,
 )
-from rp2bouquet.moves import _curl_points, _seam_step
+from rp2bouquet.moves import _curl_points
 
 rats = st.builds(rat, st.integers(-8, 8), st.integers(1, 8))
 big_rats = st.builds(rat, st.integers(-(2 ** 200), 2 ** 200), st.integers(1, 2 ** 200))

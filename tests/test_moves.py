@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +28,9 @@ from rp2bouquet import (
     signed_index,
     validate,
 )
+from rp2bouquet import diagram as diagram_mod
 from rp2bouquet import moves as moves_mod
-from rp2bouquet import realize
+from rp2bouquet import normal_form, realize
 from rp2bouquet.diagram import (
     InvalidDiagram,
     _location_key,
@@ -518,8 +521,8 @@ def test_touched_only_structural_check_matches_full_check():
                         splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
                     except MoveBlocked:
                         continue
-                    d2 = moves_mod._spliced(d, splice)
-                    touched = moves_mod._structural_ok(d2, splice)
+                    d2 = diagram_mod._spliced(d, splice)
+                    touched = diagram_mod._structural_ok(d2, splice)
                     full = _structural_violations(d2)
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
@@ -558,7 +561,7 @@ def outcome(d, spec):
 def test_contract_cap_keeps_every_decision(monkeypatch, chord):
     """Every spec gets the same decision, and an applied one the same diagram
     and kept analysis, whether or not the scan stops past its builder's count."""
-    scan = moves_mod._scan_changed
+    scan = diagram_mod._scan_changed
 
     def unstopped(*args):
         # the same tally, but the scan never stops early
@@ -578,7 +581,7 @@ def test_contract_cap_keeps_every_decision(monkeypatch, chord):
             for spec in specs:
                 capped = outcome(d, spec)
                 with monkeypatch.context() as m:
-                    m.setattr(moves_mod, "_scan_changed", unstopped)
+                    m.setattr(diagram_mod, "_scan_changed", unstopped)
                     full = outcome(d, spec)
                 if capped[0] == full[0] == "blocked":
                     if "got more than" in capped[1]:
@@ -647,16 +650,16 @@ def test_splice_window_matches_segment_identity():
                     splice = builders[spec.kind](d, spec)
                 except MoveBlocked:
                     continue
-                d2 = moves_mod._spliced(d, splice)
+                d2 = diagram_mod._spliced(d, splice)
                 base = analysis(d)
                 i, j, new = splice_window(d, splice)
-                replaced = {moves_mod._key(base, f)[1:] for f in range(i, j)}
-                assert all(moves_mod._key(base, f)[0] == splice.loop for f in range(i, j))
+                replaced = {diagram_mod._key(base, f)[1:] for f in range(i, j)}
+                assert all(diagram_mod._key(base, f)[0] == splice.loop for f in range(i, j))
                 want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
                 assert {(k, s) for k, s, _, _ in new} == want_changed, spec.to_line()
-                if moves_mod._structural_ok(d2, splice) is None:
-                    records, leg_starts = moves_mod._splice_records(base, splice, i, j)
+                if diagram_mod._structural_ok(d2, splice) is None:
+                    records, leg_starts = diagram_mod._splice_records(base, splice, i, j)
                     assert (records, leg_starts) == tuple(map(tuple, _segment_records(d2))), \
                         spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
@@ -749,3 +752,27 @@ def test_every_decision_is_pinned():
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert specs >= 5000
     assert digest.hexdigest() == OUTCOME_DIGEST, (specs, digest.hexdigest())
+
+
+# ---------------------------------------------------------------------------
+# the kept analysis is diagram.py's own
+# ---------------------------------------------------------------------------
+
+def private_imports(module):
+    """{sibling module: the private names `module` imports from it}, for
+    imports from .diagram and .moves."""
+    found = {}
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("diagram", "moves"):
+            found.setdefault(node.module, set()).update(
+                alias.name for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+def test_moves_reach_the_kept_analysis_only_through_the_splice_entry_points():
+    """moves.py builds a splice, applies it and reads a valid diagram's
+    records and gaps through diagram.py; normal_form.py reads the gaps only.
+    Neither knows the analysis layout or the scan helpers."""
+    assert private_imports(moves_mod) == {
+        "diagram": {"_Splice", "_splice_points", "_apply_splice", "_valid_analysis", "_key", "_segment_gaps"}}
+    assert private_imports(normal_form) == {"diagram": {"_segment_gaps"}, "moves": set()}

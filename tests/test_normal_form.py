@@ -168,6 +168,12 @@ def test_realize_rejects_bad_symbols():
         realize(InvariantTuple(raw, (0,), (0,)))
 
 
+def test_realize_rejects_an_empty_word():
+    # the word's own check raises MissingSymbol here, which realize reports
+    with pytest.raises(RealizationError, match="^word must use each half-edge symbol exactly once$"):
+        realize(InvariantTuple(CyclicWord(()), (), ()))
+
+
 def test_realize_rejects_bad_bits():
     word = CyclicWord.parse("e1,e1^-1")
     for h, w in (((0, 0), (0,)), ((0,), (2,)), ((), (0,)), ((0,), (0, 1))):

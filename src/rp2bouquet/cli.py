@@ -13,7 +13,8 @@ Verbs::
     rp2bouquet render-svg <diagram.json> [--out file]
 
 Exit codes: 0 success, 1 domain error (invalid diagram, mismatched loop
-count, unrealizable tuple), 2 parse/usage error, 3 fuzz violation found.
+count, unrealizable tuple, enumeration over the n <= 4 cap), 2 parse/usage
+error, 3 fuzz violation found.
 
 All verbs are deterministic for fixed inputs and seeds, and output is
 byte-stable: rationals are serialized exactly, and SVG converts to decimal

@@ -31,6 +31,7 @@ import json
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterator
 
@@ -221,17 +222,16 @@ class DiagramAnalysis:
     For a valid diagram `records` holds its segment records (see
     :class:`_Seg`) in (loop, leg, seg) order, so that a splice
     (:func:`_apply_splice`) can update them instead of rebuilding them.  A
-    record holds no position: `leg_starts[li]` lists, for each leg of loop
-    li, the index in `records` of its first segment, and :func:`_position`
-    finds a record's (leg, seg) from its index by one bisect.  A splice thus
-    keeps every record outside its window as it is.  Both are empty for an
+    record holds no position: :func:`_leg_starts` reads the index of each
+    leg's first record off the diagram, and :func:`_position` finds a
+    record's (leg, seg) from its index by one bisect.  A splice thus keeps
+    every record outside its window as it is.  `records` is empty for an
     invalid diagram.
     """
 
     violations: tuple[Violation, ...]
     crossings: tuple[Crossing, ...]
     records: tuple = field(default=(), compare=False, repr=False)
-    leg_starts: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +385,9 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
 @dataclass(frozen=True, slots=True)
 class _Seg:
     """One segment of loop `loop` with its end points in floats and the float
-    box of those.  Its leg and its index in the leg are not stored: they
-    follow from the record's index (see :class:`DiagramAnalysis`), so a
-    record stays valid while segments before it are replaced.
+    box of those.  Its leg, its index in the leg and whether it touches V are
+    not stored: they follow from the record's index (see :func:`_leg_starts`),
+    so a record stays valid while segments before it are replaced.
 
     The floats only filter; every decision is exact.  The box (`fminx` ...)
     may only prove two segments disjoint, by lying strictly apart from the
@@ -400,7 +400,6 @@ class _Seg:
     loop: int
     a: Point
     b: Point
-    at_vertex: bool
     fminx: float
     fmaxx: float
     fminy: float
@@ -411,38 +410,28 @@ class _Seg:
     fby: float
 
 
-def _make_seg(li: int, a: Point, b: Point, at_v: bool) -> _Seg:
+def _make_seg(li: int, a: Point, b: Point) -> _Seg:
     # valid coordinates lie in [-1, 1], so n / d (float()'s value) never overflows
     fax, fay = a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator
     fbx, fby = b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
-    return _Seg(li, a, b, at_v, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
+    return _Seg(li, a, b, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
 
 
-def _leg_row(legs: tuple[Leg, ...], start: int) -> tuple[int, ...]:
-    """The index of each leg's first record, the first leg's being `start`."""
-    row = []
-    for leg in legs:
-        row.append(start)
-        start += len(leg.points) - 1
-    return tuple(row)
+def _segment_records(d: BouquetDiagram) -> list[_Seg]:
+    """Records of every segment in (loop, leg, seg) order."""
+    return [_make_seg(li, a, b) for li, _, _, a, b in d.iter_segments()]
 
 
-def _segment_records(d: BouquetDiagram) -> tuple[list[_Seg], tuple[tuple[int, ...], ...]]:
-    """Records of every segment in (loop, leg, seg) order, and their leg starts."""
-    records = []
-    leg_starts = []
-    for li, loop in enumerate(d.loops):
-        leg_starts.append(_leg_row(loop.legs, len(records)))
-        last_leg = len(loop.legs) - 1
-        for ki, leg in enumerate(loop.legs):
-            pts = leg.points
-            last_seg = len(pts) - 2
-            for si in range(len(pts) - 1):
-                at_v = (ki == 0 and si == 0) or (ki == last_leg and si == last_seg)
-                records.append(_make_seg(li, pts[si], pts[si + 1], at_v))
-    return records, tuple(leg_starts)
+def _leg_starts(d: BouquetDiagram) -> tuple[tuple[int, ...], ...]:
+    """For each loop, the record index of each leg's first segment, then the
+    index just past the loop's last segment."""
+    rows, start = [], 0
+    for loop in d.loops:
+        rows.append(tuple(accumulate((len(leg.points) - 1 for leg in loop.legs), initial=start)))
+        start = rows[-1][-1]
+    return tuple(rows)
 
 
 def _position(leg_starts: tuple[tuple[int, ...], ...], loop: int, i: int) -> tuple[int, int]:
@@ -454,11 +443,13 @@ def _position(leg_starts: tuple[tuple[int, ...], ...], loop: int, i: int) -> tup
 
 def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
     """Whether the scans skip records s and t, at indices i and j."""
-    if s.at_vertex and t.at_vertex:
+    # a record touches V when it is the first or last record of its loop
+    row, other = leg_starts[s.loop], leg_starts[t.loop]
+    if (i == row[0] or i == row[-1] - 1) and (j == other[0] or j == other[-1] - 1):
         return True  # both touch V; overlap handled by the codirection check
     # neighbours in one leg: a consecutive corner, whose cusp or overlap is
     # handled structurally; by index, as a point may recur elsewhere in a loop
-    return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in leg_starts[s.loop]
+    return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in row
 
 
 def _pair_crossing(s: _Seg, t: _Seg, i: int, j: int, leg_starts, res, frame: int) -> Crossing:
@@ -568,7 +559,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     violations = _structural_violations(d)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
-    records, leg_starts = _segment_records(d)
+    records, leg_starts = _segment_records(d), _leg_starts(d)
     found: list[Crossing] = []
     # positions are looked up only for the pairs that cross or touch
     for s, t, i, j in _all_pairs(records, leg_starts):
@@ -584,7 +575,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
-    return DiagramAnalysis((), tuple(found), tuple(records), leg_starts)
+    return DiagramAnalysis((), tuple(found), tuple(records))
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -758,21 +749,11 @@ def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
     return viols[0] if viols else None
 
 
-def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple[tuple, tuple]:
-    """The segment records and leg starts of d2 from those of d and the
-    splice, whose replaced segments are records[i:j].  The new segments'
-    records are built afresh, all others kept as they are; the spliced
-    loop's leg starts are counted from its legs, and those of later loops
-    shift by the change in length.
-    """
-    loop, new_legs, new = splice.loop, splice.new_legs, splice.new
-    ends = {(0, 0), (len(new_legs) - 1, len(new_legs[-1].points) - 2)}  # at the vertex
-    changed = tuple(_make_seg(loop, a, b, (k, s) in ends) for k, s, a, b in new)
-    delta = len(new) - (j - i)
-    starts = base.leg_starts
-    leg_starts = starts[:loop] + (_leg_row(new_legs, starts[loop][0]),) \
-        + tuple(tuple(f + delta for f in row) for row in starts[loop + 1:])
-    return base.records[:i] + changed + base.records[j:], leg_starts
+def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple:
+    """The segment records of d2: those of d, with records[i:j], the replaced
+    segments, swapped for the splice's new segments' records built afresh."""
+    changed = tuple(_make_seg(splice.loop, a, b) for _, _, a, b in splice.new)
+    return base.records[:i] + changed + base.records[j:]
 
 
 def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -790,11 +771,11 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(f"result not generic: {bad}")
 
     loop, new = splice.loop, splice.new
-    row = base.leg_starts[loop]
+    row = _leg_starts(d)[loop]
     i = row[splice.leg] + splice.seg
     j = i + splice.replaced
     # records only now: a point far outside the disk has no float box
-    records, leg_starts = _splice_records(base, splice, i, j)
+    records, leg_starts = _splice_records(base, splice, i, j), _leg_starts(d2)
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
     for c in base.crossings:
@@ -813,17 +794,15 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
-    new_row = leg_starts[loop]
-    delta, dk = len(new) - (j - i), len(new_row) - len(row)
-    if delta or dk:
+    delta = len(new) - (j - i)
+    # equal rows (each ends with the loop's end) leave every position as it is
+    if leg_starts[loop] != row:
         def shifted(p: LoopParam) -> LoopParam:
-            # a parameter past the window keeps its record, which moves by
-            # delta and lies in a leg dk later
+            # a parameter past the window keeps its record, which moves by delta
             f = row[p.leg] + p.seg
             if f < j:
                 return p
-            k = p.leg + dk
-            return LoopParam(k, f + delta - new_row[k], p.frac)
+            return LoopParam(*_position(leg_starts, loop, f + delta), p.frac)
 
         for n, c in enumerate(kept):
             pa = shifted(c.param_a) if c.loop_a == loop else c.param_a
@@ -834,14 +813,14 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     # sorted; only the few found ones are merged in
     for c in found:
         insort(kept, c, key=Crossing.sort_key)
-    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts))
+    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records))
     return d2, additions
 
 
-def _key(base: DiagramAnalysis, i: int) -> tuple[int, int, int]:
-    """The (loop, leg, seg) of the record at index i."""
-    loop = base.records[i].loop
-    return (loop, *_position(base.leg_starts, loop, i))
+def _key(d: BouquetDiagram, i: int) -> tuple[int, int, int]:
+    """The (loop, leg, seg) of the record at index i of a valid diagram."""
+    loop = analysis(d).records[i].loop
+    return (loop, *_position(_leg_starts(d), loop, i))
 
 
 def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:

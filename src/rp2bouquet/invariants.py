@@ -226,10 +226,6 @@ def inv2(d: BouquetDiagram) -> tuple[int, ...]:
     return tuple(loop.seam_crossings % 2 for loop in d.loops)
 
 
-def _self_crossings(d: BouquetDiagram, loop: int) -> list[Crossing]:
-    return [c for c in crossings(d) if c.loop_a == loop and c.loop_b == loop]
-
-
 def _index_term(c: Crossing) -> int:
     """The term of self-crossing c in the signed index at orientation +1."""
     return (-1 if c.param_a.leg % 2 else 1) * c.frame
@@ -250,7 +246,8 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
         raise ValueError("orientation must be +1 or -1")
     if not 0 <= loop < len(d.loops):
         raise IndexError(f"no loop {loop} in a diagram of {len(d.loops)}")
-    return orientation * sum(map(_index_term, _self_crossings(d, loop)))
+    return orientation * sum(_index_term(c) for c in crossings(d)
+                             if c.loop_a == loop and c.loop_b == loop)
 
 
 def inv3(d: BouquetDiagram) -> tuple[int, ...]:
@@ -259,7 +256,11 @@ def inv3(d: BouquetDiagram) -> tuple[int, ...]:
     Every contribution is +-1, so this equals the self-crossing count mod 2
     and does not depend on the traversal orientation.
     """
-    return tuple(signed_index(d, i) % 2 for i in range(d.n))
+    bits = [0] * d.n
+    for c in crossings(d):
+        if c.loop_a == c.loop_b:
+            bits[c.loop_a] ^= 1
+    return tuple(bits)
 
 
 def invariants(d: BouquetDiagram) -> InvariantTuple:

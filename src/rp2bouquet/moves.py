@@ -514,10 +514,9 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
 def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
     kind = rng.choices(MOVE_KINDS, weights=(24, 14, 20, 27, 15))[0]
     # records are in iter_segments order, so this draws what a list of keys did
-    base = _valid_analysis(d)
-    records = base.records
+    records = _valid_analysis(d).records
     i = rng.randrange(len(records))
-    loop, leg, seg = _key(base, i)
+    loop, leg, seg = _key(d, i)
 
     if kind == "Jiggle":
         lp = d.loops[loop]
@@ -567,7 +566,7 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
     if len(records) == hi - lo:
         return None
     j = rng.randrange(len(records) - (hi - lo))
-    loop2, leg2, seg2 = _key(base, j if j < lo else j + hi - lo)
+    loop2, leg2, seg2 = _key(d, j if j < lo else j + hi - lo)
     s2 = _rand_rat(rng, 5, 16, 20)
     reach = _rand_rat(rng, 2, 9, 16)
     w = half / 2
@@ -577,8 +576,7 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
 
 def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random) -> EditSpec | None:
     kind = kinds[rng.randrange(len(kinds))]
-    base = _valid_analysis(d)
-    loop, leg, seg = _key(base, rng.randrange(len(base.records)))
+    loop, leg, seg = _key(d, rng.randrange(len(_valid_analysis(d).records)))
     center, half = _free_window(d, rng, (loop, leg, seg))
     if kind == "SingleKink":
         w = half / 2

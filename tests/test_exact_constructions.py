@@ -157,5 +157,5 @@ def test_int_joint_reports_non_antipodal_seam_points(u, v, before, after):
 @given(st.builds(rat, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)),
        st.builds(rat, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)))
 def test_make_seg_floats_are_float(x, y):
-    r = _make_seg(0, pt(x, y), pt(y, x), False)
+    r = _make_seg(0, pt(x, y), pt(y, x))
     assert (r.fax, r.fay, r.fbx, r.fby) == (float(x), float(y), float(y), float(x))

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
@@ -33,8 +34,11 @@ from rp2bouquet import moves as moves_mod
 from rp2bouquet import normal_form, realize
 from rp2bouquet.diagram import (
     InvalidDiagram,
+    _leg_starts,
     _location_key,
+    _position,
     _segment_records,
+    _skip_pair,
     _structural_violations,
     analysis,
     vertex_directions,
@@ -453,10 +457,36 @@ def assert_kept_analysis_is_fresh(d):
     # every kept crossing's positions, shifted by the leg starts
     assert [(c.param_a, c.param_b) for c in crossings(d)] \
         == [(c.param_a, c.param_b) for c in crossings(fresh)]
-    # the segment records and leg starts carried from move to move
-    records, leg_starts = _segment_records(d)
-    assert analysis(d).records == tuple(records)
-    assert analysis(d).leg_starts == leg_starts == analysis(fresh).leg_starts
+    # the segment records carried from move to move
+    assert analysis(d).records == tuple(_segment_records(d))
+
+
+def test_leg_starts_give_each_record_its_position():
+    """On realized and moved diagrams, _position over _leg_starts gives each
+    record index the (leg, seg) of a brute-force walk of iter_segments, and
+    _skip_pair skips exactly the pairs of records that both touch V (each the
+    first or last segment of its loop) and the consecutive corners of a leg."""
+    multi_leg = 0  # diagrams with a loop of three or more legs, after Detours
+    for seed in range(10):
+        rng = random.Random(f"leg-starts:{seed}")
+        d = realize(random_tuple(seed % 3 + 1, rng.randrange(10 ** 9)))
+        for _ in range(12):
+            walk = list(d.iter_segments())
+            table, records = _leg_starts(d), analysis(d).records
+            assert len(records) == len(walk) == table[-1][-1]
+            at_v = []
+            for i, (li, ki, si, _, _) in enumerate(walk):
+                assert records[i].loop == li and _position(table, li, i) == (ki, si)
+                legs = d.loops[li].legs
+                at_v.append((ki, si) in ((0, 0), (len(legs) - 1, len(legs[-1].points) - 2)))
+            for i, j in itertools.combinations(range(len(walk)), 2):
+                corner = walk[i][:2] == walk[j][:2] and walk[j][2] - walk[i][2] == 1
+                want = at_v[i] and at_v[j] or corner
+                assert _skip_pair(records[i], records[j], i, j, table) == want
+                assert _skip_pair(records[j], records[i], j, i, table) == want
+            multi_leg += max(len(lp.legs) for lp in d.loops) >= 3
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert multi_leg >= 10
 
 
 def test_incremental_analysis_matches_full_recheck(quad, chord, wedge):
@@ -549,13 +579,13 @@ def single_kink_specs(d, rng):
 
 
 def outcome(d, spec):
-    """("applied", dumps, crossings, records, leg starts) or ("blocked", message)."""
+    """("applied", dumps, crossings, records) or ("blocked", message)."""
     try:
         d2 = apply_move(d, spec) if isinstance(spec, MoveSpec) else apply_edit(d, spec)
     except MoveBlocked as exc:
         return "blocked", str(exc)
     kept = analysis(d2)
-    return "applied", dumps(d2), kept.crossings, kept.records, kept.leg_starts
+    return "applied", dumps(d2), kept.crossings, kept.records
 
 
 def test_contract_cap_keeps_every_decision(monkeypatch, chord):
@@ -616,7 +646,7 @@ def identity_window(d, d2, loop):
 
 
 def splice_window(d, splice):
-    i = analysis(d).leg_starts[splice.loop][splice.leg] + splice.seg
+    i = _leg_starts(d)[splice.loop][splice.leg] + splice.seg
     return i, i + splice.replaced, splice.new
 
 
@@ -637,8 +667,8 @@ def window_specs(d, rng):
 def test_splice_window_matches_segment_identity():
     """For every builder, the window the splicer records from its arguments
     replaces and re-examines exactly the segments that the brute-force
-    identity match says, and the spliced records and leg starts of a generic
-    result equal freshly built ones."""
+    identity match says, and the spliced records of a generic result equal
+    freshly built ones."""
     builders = {kind: build for kind, (build, _) in moves_mod._BUILDERS.items()}
     kinds = {}
     for seed in range(10):
@@ -653,15 +683,14 @@ def test_splice_window_matches_segment_identity():
                 d2 = diagram_mod._spliced(d, splice)
                 base = analysis(d)
                 i, j, new = splice_window(d, splice)
-                replaced = {diagram_mod._key(base, f)[1:] for f in range(i, j)}
-                assert all(diagram_mod._key(base, f)[0] == splice.loop for f in range(i, j))
+                replaced = {diagram_mod._key(d, f)[1:] for f in range(i, j)}
+                assert all(diagram_mod._key(d, f)[0] == splice.loop for f in range(i, j))
                 want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
                 assert {(k, s) for k, s, _, _ in new} == want_changed, spec.to_line()
                 if diagram_mod._structural_ok(d2, splice) is None:
-                    records, leg_starts = diagram_mod._splice_records(base, splice, i, j)
-                    assert (records, leg_starts) == tuple(map(tuple, _segment_records(d2))), \
-                        spec.to_line()
+                    records = diagram_mod._splice_records(base, splice, i, j)
+                    assert records == tuple(_segment_records(d2)), spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert set(kinds) == set(builders) and min(kinds.values()) >= 50, kinds

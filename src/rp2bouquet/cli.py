@@ -382,13 +382,10 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, stdout)
-    except (DiagramFormatError, ValueError) as exc:
-        if isinstance(exc, (MismatchedLoopCount, RealizationError, LimitExceeded)):
-            print(f"ERROR: {type(exc).__name__}: {exc}", file=stdout)
-            return 1
-        print(f"ERROR: {exc}", file=stdout)
-        return 2
-    except OSError as exc:
+    except (MismatchedLoopCount, RealizationError, LimitExceeded) as exc:
+        print(f"ERROR: {type(exc).__name__}: {exc}", file=stdout)
+        return 1
+    except (ValueError, OSError) as exc:  # DiagramFormatError is a ValueError
         print(f"ERROR: {exc}", file=stdout)
         return 2
 

@@ -239,19 +239,15 @@ class DiagramAnalysis:
 # ---------------------------------------------------------------------------
 
 def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
-               is_first: bool, is_last: bool, segs: list[int] | None = None) -> None:
-    """Leg conditions; with `segs` (sorted segment indices) only the conditions
-    that read one of those segments, i.e. those at their end points."""
+               is_first: bool, is_last: bool, segs: range) -> None:
+    """The leg conditions that read one of the segments `segs`, i.e. those at
+    their end points; range(len(leg.points) - 1) checks the whole leg."""
     pts = leg.points
     if len(pts) < 2:
         out.append(Violation("ShortLeg", li, ki))
         return
     end = len(pts) - 1
-    if segs is None:
-        segs = range(end)
-        points = range(end + 1)
-    else:
-        points = sorted({i for s in segs for i in (s, s + 1)})
+    points = range(segs[0], segs[-1] + 2)
     for i in segs:
         if pts[i] == pts[i + 1]:
             out.append(Violation("RepeatedPoint", li, ki, i))
@@ -369,7 +365,7 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
             continue
         last = len(loop.legs) - 1
         for ki, leg in enumerate(loop.legs):
-            _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last)
+            _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last, range(len(leg.points) - 1))
         for ki in range(last):
             _check_joint(out, li, ki, loop.legs[ki], loop.legs[ki + 1])
     if not out:
@@ -460,13 +456,10 @@ def _pair_crossing(s: _Seg, t: _Seg, i: int, j: int, leg_starts, res, frame: int
     its first term."""
     pa = LoopParam(*_position(leg_starts, s.loop, i), res.t1)
     pb = LoopParam(*_position(leg_starts, t.loop, j), res.t2)
-    if s.loop == t.loop:
-        if pa <= pb:
-            return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
-        return Crossing(s.loop, t.loop, pb, pa, res.point, -frame)
-    if s.loop < t.loop:
-        return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
-    return Crossing(t.loop, s.loop, pb, pa, res.point, -frame)
+    # the lesser loop first, and on one loop the earlier parameter
+    if (t.loop, pb) < (s.loop, pa):
+        return Crossing(t.loop, s.loop, pb, pa, res.point, -frame)
+    return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
 
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
@@ -730,8 +723,9 @@ def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
         by_leg.setdefault(k, []).append(s)
     viols: list[Violation] = []
     last = len(legs) - 1
+    # each leg's new segments run without a gap, built from one range
     for k, segs in by_leg.items():
-        _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, segs)
+        _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, range(segs[0], segs[-1] + 1))
         if viols:
             return viols[0]
     # the joints before a leg's first segment and after its last, in order, once

@@ -99,9 +99,6 @@ class Point:
         return self.x == 0 and self.y == 0
 
 
-_ORIGIN = Point(rat(0), rat(0))
-
-
 def pt(x, y) -> Point:
     """Build a Point, coercing both coordinates to `Rat`."""
     return Point(rat(x), rat(y))
@@ -224,7 +221,17 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentInter
         return EMPTY  # c and d strictly on one side of the line through a, b
     oa = orient2d(c, d, a)
     ob = orient2d(c, d, b)
-    return _classify(a, b, c, d, oa, ob, oc, od)
+    if oa * ob < 0 and oc * od < 0:
+        return _proper(a, b, c, d)
+    if oa == 0 and _between_on_line(a, c, d):
+        return DEGENERATE
+    if ob == 0 and _between_on_line(b, c, d):
+        return DEGENERATE
+    if oc == 0 and _between_on_line(c, a, b):
+        return DEGENERATE
+    if od == 0 and _between_on_line(d, a, b):
+        return DEGENERATE
+    return EMPTY
 
 
 def _proper(a: Point, b: Point, c: Point, d: Point) -> SegmentIntersection:
@@ -249,20 +256,6 @@ def _proper(a: Point, b: Point, c: Point, d: Point) -> SegmentIntersection:
     point = Point(Rat(xa * den + e1x * n1, axd * bxd * cxd * dxd * den),
                   Rat(ya * den + e1y * n1, ayd * byd * cyd * dyd * den))
     return SegmentIntersection(SegKind.PROPER, point, Rat(n1, den), Rat(n2, den))
-
-
-def _classify(a, b, c, d, oa, ob, oc, od) -> SegmentIntersection:
-    if oa * ob < 0 and oc * od < 0:
-        return _proper(a, b, c, d)
-    if oa == 0 and _between_on_line(a, c, d):
-        return DEGENERATE
-    if ob == 0 and _between_on_line(b, c, d):
-        return DEGENERATE
-    if oc == 0 and _between_on_line(c, a, b):
-        return DEGENERATE
-    if od == 0 and _between_on_line(d, a, b):
-        return DEGENERATE
-    return EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -348,35 +341,29 @@ def mat_apply(m: Mat2, v: Point) -> Point:
 # angular order
 # ---------------------------------------------------------------------------
 
-def _quadrant(v: Point) -> int:
-    # eight-way index, counterclockwise from east; axes get their own slots.
-    # Denominators are positive, so each sign is that of the numerator.
-    x, y = v.x.numerator, v.y.numerator
-    if y == 0:
-        return 0 if x > 0 else 4
-    if y > 0:
-        if x > 0:
-            return 1
-        return 2 if x == 0 else 3
-    if x < 0:
-        return 5
-    return 6 if x == 0 else 7
+def _half(v: Point) -> int:
+    # 0 for angles in [0, pi) from (1, 0), 1 otherwise.  Denominators are
+    # positive, so each sign is that of the numerator.
+    y = v.y.numerator
+    return 0 if y > 0 or (y == 0 and v.x.numerator > 0) else 1
 
 
 def _angle_cmp(u: Point, v: Point) -> int:
-    qu, qv = _quadrant(u), _quadrant(v)
-    if qu != qv:
-        return -1 if qu < qv else 1
-    cr = orient2d(_ORIGIN, u, v)
+    hu, hv = _half(u), _half(v)
+    if hu != hv:
+        return hu - hv
+    # one half-plane spans less than pi, so u x v orders it; zero means
+    # codirectional, as antipodal vectors lie in different halves
+    cr = u.cross(v)
     if cr:
-        return -cr
+        return -1 if cr > 0 else 1
     raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")
 
 
 def angle_sort(vectors: Sequence[Point]) -> list[int]:
     """Indices of `vectors` in counterclockwise order from direction (1, 0).
 
-    Comparison is exact (quadrant index, then a cross-product test); two
+    Comparison is exact (half-plane, then the sign of a cross product); two
     positively proportional vectors have no defined relative order and raise
     :class:`CodirectionalVectors`.  Antipodal vectors are fine.  The raise
     comes from the comparison itself: had a sort compared no two

@@ -132,6 +132,8 @@ class _Spec:
         _, count = _BUILDERS[self.kind]
         if len(self.params) != count:
             raise ValueError(f"{self.kind} takes {count} params")
+        if not all(isinstance(p, (Rat, int)) for p in self.params):
+            raise ValueError(f"{self.kind} params must be rationals")
         if min(self.loop, self.leg, self.segment) < 0:
             raise ValueError("target indices must be non-negative")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -277,18 +278,42 @@ def symmetry_cases():
     return cases
 
 
+def pinched(d):
+    """d with loop 0's point 1 moved onto the midpoint of the middle segment
+    of the last loop's last leg."""
+    pts = d.loops[-1].legs[-1].points
+    m = (len(pts) - 1) // 2
+    mid = (pts[m] + pts[m + 1]).scale(rat(1, 2))
+    legs = d.loops[0].legs
+    first = Leg((legs[0].points[0], mid) + legs[0].points[2:])
+    return BouquetDiagram(d.n, d.vertex, (LoopPath((first,) + legs[1:]),) + d.loops[1:])
+
+
+def violation_kinds(d):
+    return Counter(v.kind for v in validate(d))
+
+
 @pytest.mark.parametrize("f,sign", [(rotate, 1), (reflect, -1)], ids=["rotation", "reflection"])
 def test_isometries_commute_with_the_engine(symmetry_cases, f, sign):
     # isometries of the disk that fix the origin commute with the antipodal
-    # map, so each exact answer must transform as the geometry does: the
-    # signed index keeps its sign under a rotation and flips under a reflection
+    # map, so each exact answer must transform as the geometry does: crossing
+    # parameters are kept, and the frame and the signed index keep their sign
+    # under a rotation and flip under a reflection
     for d in symmetry_cases:
         image = transform(d, f)
         assert validate(image) == []
         assert invariants(image) == invariants(d)
-        assert len(crossings(image)) == len(crossings(d))
+        assert [(c.loop_a, c.loop_b, c.param_a, c.param_b, c.location, c.frame)
+                for c in crossings(image)] == [
+                   (c.loop_a, c.loop_b, c.param_a, c.param_b, f(c.location), sign * c.frame)
+                   for c in crossings(d)]
         loops = range(d.n)
         assert [signed_index(image, i) for i in loops] == [sign * signed_index(d, i) for i in loops]
+        # an invalid variant fails the same checks; their order may differ,
+        # since the pair scan sweeps in x
+        variant = pinched(d)
+        kinds = violation_kinds(variant)
+        assert kinds and violation_kinds(transform(variant, f)) == kinds
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def test_spec_validation():
         EditSpec("KinkPair", 0, 0, 0, (rat(1),) * 4)
     with pytest.raises(ValueError):
         MoveSpec("Subdivide", -1, 0, 0, (rat(1, 2),))
+    with pytest.raises(ValueError, match="Subdivide"):
+        MoveSpec("Subdivide", 0, 0, 0, (0.5,))  # a float, not a rational
 
 
 def test_spec_line_roundtrip():

@@ -10,9 +10,11 @@ demand, not a test.
 
 Each unexecuted statement line is printed as ``path:line: text``.  Lines
 that stay unreached on purpose are listed apart with their reason, from the
-REASONS table below; every other line is a line without a test.  The exit
-code is pytest's when the tests fail, 1 when a line without a reason is
-left, and 0 otherwise.
+REASONS table below; every other line is a line without a test.  A reason
+that matches no unexecuted statement is stale (a test now runs the line, or
+the line is gone) and is listed too.  The exit code is pytest's when the
+tests fail, 1 when a line without a reason or a stale reason is left, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ REASONS = {
     ("__main__.py", "from .cli import main"): "runs only as `python -m rp2bouquet`",
     ("__main__.py", 'if __name__ == "__main__":'): "runs only as `python -m rp2bouquet`",
     ("__main__.py", "sys.exit(main())"): "runs only as `python -m rp2bouquet`",
-    ("cli.py", "sys.exit(main())"): "runs only as `python -m rp2bouquet.cli`",
-    ("diagram.py", 'raise MoveBlocked("crossing would land on the vertex")'):
-        "a new segment through V touches an unchanged records[0], or the new first segment,"
-        " at V; the scan meets that pair first and blocks it as non-transversal",
 }
 
 hits: set[tuple[str, int]] = set()
@@ -83,7 +81,7 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    missing, reasoned = [], []
+    missing, reasoned, used = [], [], set()
     for name, path in FILES.items():
         text = path.read_text().splitlines()
         for line in statement_lines(path):
@@ -93,15 +91,19 @@ def main(argv: list[str]) -> int:
                 where = f"{path.relative_to(ROOT)}:{line}: {stmt}"
                 if reason:
                     reasoned.append(f"{where}  [{reason}]")
+                    used.add((path.name, stmt))
                 else:
                     missing.append(where)
+    stale = [f"{name}: {stmt}" for name, stmt in REASONS if (name, stmt) not in used]
     print(f"\n{len(missing)} unexecuted statement lines without a reason:")
     print("\n".join(missing))
     print(f"\n{len(reasoned)} unexecuted on purpose:")
     print("\n".join(reasoned))
+    print(f"\n{len(stale)} stale reasons (no unexecuted statement matches them):")
+    print("\n".join(stale))
     if code != 0:
         return int(code)
-    return 1 if missing else 0
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":

@@ -388,7 +388,3 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     except (ValueError, OSError) as exc:  # DiagramFormatError is a ValueError
         print(f"ERROR: {exc}", file=stdout)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

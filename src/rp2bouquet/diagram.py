@@ -255,7 +255,7 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
         if 0 < i < end:
             p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
             # (p1 - p0) x (p2 - p1) is the orientation determinant of the triple
-            if orient2d(p0, p1, p2) == 0 and p0 != p1 and p1 != p2 and (p1 - p0).dot(p2 - p1) < 0:
+            if orient2d(p0, p1, p2) == 0 and (p1 - p0).dot(p2 - p1) < 0:
                 out.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
     for i in points:
         if 0 < i < end:
@@ -302,14 +302,13 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
 
 
 def _equal_key_pairs(keys: list) -> list[tuple[int, int]]:
-    """Index pairs i < j with keys[i] == keys[j] (None equals nothing), in
-    (i, j) order; hashing keeps this near linear unless many keys are equal."""
+    """Pairs (i, j), in order, of each j and the least i < j with keys[i] ==
+    keys[j] (None equals nothing); any other equality follows through i."""
     groups: dict = {}
     for i, key in enumerate(keys):
         if key is not None:
             groups.setdefault(key, []).append(i)
-    return sorted((i, j) for group in groups.values()
-                  for a, i in enumerate(group) for j in group[a + 1:])
+    return sorted((group[0], j) for group in groups.values() for j in group[1:])
 
 
 def _ray(v: Point):
@@ -536,7 +535,10 @@ def _location_key(p: Point) -> tuple[int, int, int, int]:
     return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
 
 
-def _check_crossing_set(out: list[Violation], vertex: Point, found: list[Crossing]) -> None:
+def _check_crossing_set(out: list[Violation], found: list[Crossing]) -> None:
+    """A TriplePoint for each crossing at an earlier one's location.  A crossing
+    at V needs no rule: both its segments meet loop 0's first segment there, a
+    pair no scan skips (a corner at V is a Cusp), so it is NonTransversal."""
     seen: set[tuple[int, int, int, int]] = set()
     for c in found:
         key = _location_key(c.location)
@@ -544,8 +546,6 @@ def _check_crossing_set(out: list[Violation], vertex: Point, found: list[Crossin
             out.append(Violation("TriplePoint", c.loop_a, c.param_a.leg, c.param_a.seg,
                                  note="two crossings at the same point"))
         seen.add(key)
-        if c.location == vertex:
-            out.append(Violation("CrossingAtVertex", c.loop_a, c.param_a.leg, c.param_a.seg))
 
 
 def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
@@ -564,7 +564,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
             violations.append(Violation(
                 "NonTransversal", s.loop, *ks,
                 note=f"against loop={t.loop} leg={kt[0]} segment={kt[1]}"))
-    _check_crossing_set(violations, d.vertex, found)
+    _check_crossing_set(violations, found)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
@@ -653,20 +653,21 @@ def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
             yield u, v, i, j
 
 
-def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set, vertex: Point,
+def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
                   count) -> tuple[list[Crossing], list[Crossing], int, int]:
     """One pass over the pairs of the changed records[lo:hi]: the crossings found, the
     additions among them (at no location in `removed`, the locations on
     replaced segments), how many of `removed` were found again and the tally
     of additions the splice's `count` counts.
 
-    MoveBlocked at the first certain violation: a non-transversal contact, a
-    crossing on another one or on the vertex, or a tally past `count` once
-    every location in `removed` is found again, so that a destroyed crossing
-    stays the reason when there is one.  A crossing landing on a kept one at
-    X meets both strands of X there, so it is blocked at its second contact;
-    the pairs the scan skips (a corner, two segments at V) cannot make one,
-    as the structural check has blocked a cusp or codirection at X first.
+    MoveBlocked at the first certain violation: a non-transversal contact (as
+    a crossing at V makes with loop 0's first segment, see _check_crossing_set),
+    a crossing on another one, or a tally past `count` once every location in
+    `removed` is found again, so that a destroyed crossing stays the reason
+    when there is one.  A crossing landing on a kept one at X meets both
+    strands of X there, so it is blocked at its second contact; the pairs the
+    scan skips (a corner, two segments at V) cannot make one, as the
+    structural check has blocked a cusp or codirection at X first.
     """
     limit, counts, exactly = count or (float("inf"), None, "")
     found: list[Crossing] = []
@@ -689,8 +690,6 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set, vertex: P
         found.append(c)
         if key in removed:
             refound += 1
-        elif res.point == vertex:
-            raise MoveBlocked("crossing would land on the vertex")
         else:
             additions.append(c)
             if counts is None or c.loop_a == c.loop_b == counts:
@@ -779,7 +778,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         (dropped if i <= fa < j or i <= fb < j else kept).append(c)
     removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
     found, additions, refound, counted = _scan_changed(
-        records, leg_starts, i, i + len(new), removed, d2.vertex, splice.count)
+        records, leg_starts, i, i + len(new), removed, splice.count)
     if refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
     if splice.count and counted != splice.count[0]:

@@ -16,8 +16,8 @@ concrete witness:
 
 The construction is deterministic: a small ladder of global perturbations is
 tried until the result passes full validation and classifies back to the
-requested tuple (the first perturbation almost always succeeds); the later
-rungs also scale the petals apart.
+requested tuple (the first perturbation almost always succeeds); every rung
+after the first also scales the petals apart, each by its own factor.
 
 :func:`enumerate_classes` lists every invariant value for small n.  Since e1
 is the least symbol and occurs once, the canonical spelling of a word starts
@@ -106,11 +106,7 @@ def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
         u_b = position[HalfEdge(i, True)] - n
         if t.h[i] == 0:
             radius = rat(n + 1 + i, 2 * n + 2 + attempt)
-            if attempt >= _COMMON_SCALE_ATTEMPTS:
-                # a common scale never moves two petals relative to each
-                # other; this factor in (1/2, 1] does, more with each attempt
-                k = attempt - _COMMON_SCALE_ATTEMPTS + 1
-                radius *= rat(64 * n + k * i, 64 * n + k * n)
+            radius *= rat(64 * n + attempt * i, 64 * n + attempt * n)
             petal = [pt(0, 0)] + _arc_points(radius, u_a, u_b) + [pt(0, 0)]
             loops.append(LoopPath((Leg(tuple(petal)),)))
         else:
@@ -147,7 +143,6 @@ def _flip_parity(d: BouquetDiagram, loop: int) -> BouquetDiagram:
     raise RealizationError(f"could not place a parity kink on loop {loop}")
 
 
-_COMMON_SCALE_ATTEMPTS = 40
 _BUILD_ATTEMPTS = 80
 
 

@@ -22,12 +22,9 @@ from rp2bouquet import (
     vertex_directions,
 )
 from rp2bouquet.diagram import (
-    Crossing,
     HalfEdge,
-    LoopParam,
     Violation,
     _all_pairs,
-    _check_crossing_set,
     _check_seam_table,
     _check_vertex_directions,
     _location_key,
@@ -36,6 +33,8 @@ from rp2bouquet.diagram import (
     analysis,
 )
 from rp2bouquet.geometry import SegKind, circle_point, orient2d, segment_intersection
+
+from test_invariants import reflect, rotate, transform
 
 
 def kinds(d):
@@ -154,14 +153,17 @@ def test_triple_point():
     assert "TriplePoint" in kinds(d)
 
 
-def test_crossing_at_vertex_reported_by_checker():
-    # a proper crossing exactly at the vertex cannot occur without some other
-    # degeneracy firing first, so the checker is exercised directly
-    out = []
-    c = Crossing(0, 0, LoopParam(0, 0, rat(1, 2)), LoopParam(0, 2, rat(1, 2)),
-                 pt(0, 0), 1)
-    _check_crossing_set(out, pt(0, 0), [c])
-    assert [v.kind for v in out] == ["CrossingAtVertex"]
+@pytest.mark.parametrize("f", [lambda p: p, rotate, reflect], ids=["as_is", "rotated", "reflected"])
+def test_crossing_at_vertex_is_a_contact(f):
+    # the two middle segments cross at V, and each meets loop 0's first
+    # segment there: the contact rule reports it, no rule of its own
+    v = pt(0, 0)
+    l1 = LoopPath((Leg((v, pt("1/2", "1/16"), pt("1/4", "1/4"), pt("-1/4", "-1/4"),
+                        pt("-1/2", "1/32"), v)),))
+    l2 = LoopPath((Leg((v, pt("1/32", "1/2"), pt("-1/4", "1/4"), pt("1/4", "-1/4"),
+                        pt("1/16", "-1/2"), v)),))
+    found = validate(transform(BouquetDiagram(2, v, (l1, l2)), f))
+    assert found and {x.kind for x in found} == {"NonTransversal"}
 
 
 def test_coincident_and_antipodal_seam_points():
@@ -203,16 +205,21 @@ def test_crossings_refuses_invalid():
 # seam table and vertex star against the quadratic pair walk
 # ---------------------------------------------------------------------------
 
+# each walk pairs an item only with the least earlier item it relates to;
+# the relations are equivalences, so every other pair follows from those
+
+
 def quadratic_seam_table(d):
     exits = [(li, leg.points[-1]) for li, loop in enumerate(d.loops) for leg in loop.legs[:-1]]
-    out = []
+    out, paired = [], set()
     for i in range(len(exits)):
         for j in range(i + 1, len(exits)):
             (li, p), (lj, q) = exits[i], exits[j]
-            if p == q:
-                out.append(Violation("CoincidentSeamPoints", li, note=f"loops {li} and {lj}"))
-            elif p == -q:
-                out.append(Violation("AntipodalSeamPoints", li, note=f"loops {li} and {lj}"))
+            if j in paired or (p != q and p != -q):
+                continue
+            paired.add(j)
+            kind = "CoincidentSeamPoints" if p == q else "AntipodalSeamPoints"
+            out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
     return out
 
 
@@ -220,13 +227,15 @@ def quadratic_vertex_directions(d):
     vecs = []
     for li, loop in enumerate(d.loops):
         vecs += [(li, loop.first_direction()), (li, -loop.last_direction())]
-    out = []
+    out, paired = [], set()
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             (li, u), (lj, v) = vecs[i], vecs[j]
-            if not u.is_zero() and not v.is_zero() and u.cross(v) == 0 and u.dot(v) > 0:
-                out.append(Violation("CodirectionalAtVertex", li,
-                                     note=f"half-edges of loops {li} and {lj}"))
+            if j in paired or u.is_zero() or v.is_zero() or u.cross(v) != 0 or u.dot(v) <= 0:
+                continue
+            paired.add(j)
+            out.append(Violation("CodirectionalAtVertex", li,
+                                 note=f"half-edges of loops {li} and {lj}"))
     return out
 
 
@@ -285,6 +294,19 @@ def test_seam_and_star_checks_scale():
     start = time.perf_counter()
     _check_vertex_directions(out, d)
     assert out == [] and time.perf_counter() - start < 2
+
+
+def test_repeated_seam_exits_give_a_linear_verdict():
+    # one loop of m legs whose m - 1 seam exits all lie at (1, 0): each exit
+    # after the first is reported once, against the first
+    v, q, top = pt(0, 0), pt(1, 0), pt(0, "1/2")
+    for m in (1000, 2000):
+        legs = ((v, top, q),) + ((-q, top, q),) * (m - 2) + ((-q, top, pt("1/4", "1/4"), v),)
+        d = BouquetDiagram(1, v, (LoopPath(tuple(Leg(leg) for leg in legs)),))
+        start = time.perf_counter()
+        found = validate(d)
+        assert time.perf_counter() - start < 1
+        assert len(found) == m - 2 and {x.kind for x in found} == {"CoincidentSeamPoints"}
 
 
 # ---------------------------------------------------------------------------

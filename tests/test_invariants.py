@@ -11,14 +11,21 @@ from rp2bouquet import (
     BouquetDiagram,
     CyclicWord,
     DuplicateSymbol,
+    EDIT_KINDS,
     HalfEdge,
     InvariantTuple,
     Leg,
     LoopPath,
     MismatchedLoopCount,
     MissingSymbol,
+    MOVE_KINDS,
+    MoveBlocked,
+    MoveSpec,
+    apply_edit,
+    apply_move,
     canonical_cyclic_word,
     crossings,
+    dumps,
     enumerate_classes,
     equiv,
     inv1,
@@ -32,8 +39,11 @@ from rp2bouquet import (
     signed_index,
     validate,
 )
+from rp2bouquet import moves as moves_mod
 from rp2bouquet.geometry import Point, circle_point, mat_apply
 from rp2bouquet.normal_form import random_tuple
+
+from test_moves import hostile_specs
 
 
 def symbols_of(n):
@@ -314,6 +324,65 @@ def test_isometries_commute_with_the_engine(symmetry_cases, f, sign):
         variant = pinched(d)
         kinds = violation_kinds(variant)
         assert kinds and violation_kinds(transform(variant, f)) == kinds
+
+
+SEAM_PARAMS = {"Detour": (3, 4), "SeamReroute": (2,)}
+
+
+def rotated_spec(spec):
+    """The spec that does on the rotated diagram what spec does on d: a
+    seam parameter u adds half-angles, u -> (u + 1/2) / (1 - u/2), and a
+    jiggle's (dx, dy) turns; None when a seam point lands on (-1, 0)."""
+    params = list(spec.params)
+    if spec.kind == "Jiggle":
+        turned = rotate(pt(*params))
+        params = [turned.x, turned.y]
+    for i in SEAM_PARAMS.get(spec.kind, ()):
+        if params[i] == 2:
+            return None
+        params[i] = (params[i] + rat(1, 2)) / (1 - params[i] / 2)
+    return dataclasses.replace(spec, params=tuple(params))
+
+
+def reflected_spec(spec):
+    """The spec that does on the reflected diagram what spec does on d: the
+    reflection swaps left and right of a segment, so each curl side h (and
+    a detour's sigma, which picks it) flips, as do the seam parameters and a
+    jiggle's dy."""
+    flipped = {"KinkPair": (3,), "SingleKink": (2,), "Detour": (0, 3, 4), "SeamReroute": (2,),
+               "Jiggle": (1,)}.get(spec.kind, ())
+    params = tuple(-p if i in flipped else p for i, p in enumerate(spec.params))
+    return dataclasses.replace(spec, params=params)
+
+
+def applied_or_none(d, spec):
+    try:
+        return (apply_move if isinstance(spec, MoveSpec) else apply_edit)(d, spec)
+    except MoveBlocked:
+        return None
+
+
+@pytest.mark.parametrize("f,spec_image", [(rotate, rotated_spec), (reflect, reflected_spec)],
+                         ids=["rotation", "reflection"])
+def test_isometries_commute_with_the_moves(symmetry_cases, f, spec_image):
+    # a spec and its image are accepted together, and their results agree
+    outcomes = Counter()
+    for k, d in enumerate(symmetry_cases):
+        rng = random.Random(f"transformed-specs:{k}")
+        specs = [moves_mod._propose_move(d, rng) for _ in range(8)]
+        specs += [moves_mod._propose_edit(d, EDIT_KINDS, rng) for _ in range(2)]
+        image = transform(d, f)
+        for spec in [s for s in specs if s] + hostile_specs(d, rng):
+            spec2 = spec_image(spec)
+            if spec2 is None:
+                continue
+            d2, moved = applied_or_none(d, spec), applied_or_none(image, spec2)
+            assert (d2 is None) == (moved is None), spec.to_line()
+            if d2 is not None:
+                assert dumps(moved) == dumps(transform(d2, f)), spec.to_line()
+            outcomes[spec.kind, d2 is not None] += 1
+    assert all(outcomes[kind, True] for kind in MOVE_KINDS + EDIT_KINDS), outcomes
+    assert outcomes["Jiggle", False] and outcomes["Detour", False], outcomes
 
 
 # ---------------------------------------------------------------------------

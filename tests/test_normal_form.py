@@ -125,12 +125,21 @@ def test_realize_roundtrip_sampled_n3():
         assert classify(d) == t
 
 
-@pytest.mark.parametrize("n,seed", [(9, 22), (10, 35), (10, 49)])
-def test_realize_moves_petals_apart(n, seed):
+@pytest.mark.parametrize("n,seed", [(9, 22), (10, 35), (10, 49), (16, 1)])
+def test_realize_moves_petals_apart(monkeypatch, n, seed):
     # two h = 0 petals touch at every common scale of the petals, so these
-    # realize only once the retries scale the petals apart
+    # realize only once the retries scale the petals apart: the first retry
+    build = normal_form._build_base
+    attempts = []
+
+    def counted(t, n, attempt):
+        attempts.append(attempt)
+        return build(t, n, attempt)
+
+    monkeypatch.setattr(normal_form, "_build_base", counted)
     t = random_tuple(n, seed)
     d = realize(t)
+    assert attempts == [0, 1]
     assert validate(d) == []
     assert classify(d) == t
 

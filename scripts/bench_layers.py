@@ -1,0 +1,212 @@
+"""Time the read-path layers of rp2bouquet on fixed inputs, with no tracer.
+
+    python3 scripts/bench_layers.py --src src --out bench.json
+    python3 scripts/bench_layers.py --src parent=../parent/src --src change=src \\
+        --out BENCH_read_path.json
+
+Each ``--src [LABEL=]DIR`` names a source tree holding ``rp2bouquet/``.  All
+of them are imported, one after another, into this process (the library
+imports nothing inside its functions, so each version keeps its own
+modules), and their samples of each row are taken in turn, reversing the
+order every other time, so that drift of the host's speed falls on all of
+them alike.  A row calls one function directly, mostly a private one, so the
+script runs on any version that has these names:
+
+* ``loads``, ``_structural_violations``, ``_segment_records``, a fresh
+  ``validate`` (a new diagram object, so no kept analysis) and
+  ``render_svg`` (on a validated diagram), in ms per call, on two snapshots
+  of about 60 and about 450 segments: one seeded chain of ``realize`` plus
+  ``random_move_applied``, cut when it first reaches each size;
+* ``_structural_ok`` in us per call, over a fixed list of splices proposed
+  on each snapshot, blocked ones included;
+* ``orient2d`` in ns per call, on random points in [-1, 1]^2 whose
+  coordinates have numerators and denominators of 8, 50 and 570 bits.
+
+A sample is the mean over enough calls to last a few ms.  Each row gives
+the median and quartiles of ``--reps`` samples, and for each source after
+the first, the median ratio of its samples to the first source's taken next
+to them.  Each source also records the line count of its ``rp2bouquet/``
+and the SHA-256 of its snapshots' ``dumps`` and of its ``_structural_ok``
+verdicts, which agree between versions that decide alike."""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+SEED = 20260815
+SIZES = (60, 450)
+SPLICES = 40           # proposals per snapshot for the _structural_ok row
+TRIPLES = 200          # orient2d calls per sample
+BITS = (8, 50, 570)
+SAMPLE_S = 0.004       # a sample lasts at least this long
+
+
+def load(src: Path):
+    """Import rp2bouquet afresh from src, and its modules."""
+    for name in [m for m in sys.modules if m == "rp2bouquet" or m.startswith("rp2bouquet.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        importlib.invalidate_caches()
+        lib = importlib.import_module("rp2bouquet")
+        mods = {m: importlib.import_module(f"rp2bouquet.{m}")
+                for m in ("cli", "diagram", "geometry", "moves")}
+    finally:
+        sys.path.remove(str(src))
+    if Path(lib.__file__).resolve().parent != (src / "rp2bouquet").resolve():
+        raise SystemExit(f"rp2bouquet was imported from {lib.__file__}, not {src}")
+    return lib, mods
+
+
+def snapshots(lib) -> list[str]:
+    """dumps of the chain at its first diagram of at least each size."""
+    d = lib.realize(lib.random_tuple(2, SEED))
+    rng = random.Random(SEED)
+    out = []
+    for size in SIZES:
+        while sum(len(leg.points) - 1 for loop in d.loops for leg in loop.legs) < size:
+            _, d = lib.random_move_applied(d, rng.randrange(10 ** 9))
+        out.append(lib.dumps(d))
+    return out
+
+
+def splices(lib, mods, d) -> list:
+    """(d2, splice) for the first SPLICES proposals on d that build."""
+    rng = random.Random(SEED)
+    out = []
+    while len(out) < SPLICES:
+        spec = mods["moves"]._propose_move(d, rng)
+        if spec is None:
+            continue
+        try:
+            splice = mods["moves"]._BUILDERS[spec.kind][0](d, spec)
+        except lib.MoveBlocked:
+            continue
+        out.append((mods["diagram"]._spliced(d, splice), splice))
+    return out
+
+
+def triples(point, bits: int) -> list:
+    rng = random.Random(f"{SEED}:{bits}")
+    scale = 2 ** bits
+
+    def coord():
+        den = rng.randrange(scale // 2, scale)
+        return Fraction(rng.randrange(-den, den + 1), den)
+
+    return [tuple(point(coord(), coord()) for _ in range(3)) for _ in range(TRIPLES)]
+
+
+def rows(lib, mods) -> tuple[dict, dict]:
+    """name -> (unit, per-call scale, zero-argument call), and the checks."""
+    diagram, cli = mods["diagram"], mods["cli"]
+    texts = snapshots(lib)
+    out, verdicts = {}, []
+    for size, text in zip(SIZES, texts):
+        d = lib.loads(text)
+        checked = lib.loads(text)
+        lib.validate(checked)
+        cases = splices(lib, mods, checked)
+        verdicts += [str(diagram._structural_ok(d2, s)) for d2, s in cases]
+        out[f"loads.ms@{size}"] = ("ms", 1e3, lambda text=text: lib.loads(text))
+        out[f"_structural_violations.ms@{size}"] = (
+            "ms", 1e3, lambda d=d: diagram._structural_violations(d))
+        out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda d=d: diagram._segment_records(d))
+        out[f"validate.ms@{size}"] = (
+            "ms", 1e3, lambda d=d: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
+        out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda d=checked: cli.render_svg(d))
+
+        def structural_ok(cases=cases):
+            for d2, s in cases:
+                diagram._structural_ok(d2, s)
+
+        out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), structural_ok)
+    for bits in BITS:
+        def orient(ts=triples(mods["geometry"].Point, bits), f=mods["geometry"].orient2d):
+            for a, b, c in ts:
+                f(a, b, c)
+
+        out[f"orient2d.ns@{bits}bits"] = ("ns", 1e9 / TRIPLES, orient)
+    checks = {
+        "snapshot_segments": [sum(len(leg.points) - 1 for loop in lib.loads(t).loops
+                                  for leg in loop.legs) for t in texts],
+        "snapshots_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
+        "verdicts_sha256": hashlib.sha256("\n".join(verdicts).encode()).hexdigest(),
+    }
+    return out, checks
+
+
+def sample(call, inner: int) -> float:
+    start = time.perf_counter()
+    for _ in range(inner):
+        call()
+    return (time.perf_counter() - start) / inner
+
+
+def summary(samples: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "iqr": round(q3 - q1, 4), "n": len(samples)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", required=True, metavar="[LABEL=]DIR",
+                    help="a source tree holding rp2bouquet/; repeat to compare")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--reps", type=int, default=15, help="samples per row and source (default 15)")
+    args = ap.parse_args(argv)
+    if args.reps < 2:
+        ap.error("--reps must be at least 2")
+    tables, checks = {}, {}
+    for spec in args.src:
+        label, _, path = spec.rpartition("=")
+        label, src = label or path, Path(path).resolve()
+        tables[label], checks[label] = rows(*load(src))
+        checks[label]["src_lines"] = sum(len(p.read_text().splitlines())
+                                         for p in sorted((src / "rp2bouquet").glob("*.py")))
+    labels = list(tables)
+    samples = {label: {} for label in labels}
+    for name in tables[labels[0]]:
+        inner = {}
+        for label in labels:
+            one = sample(tables[label][name][2], 1)  # also warms the call up
+            inner[label] = max(1, int(SAMPLE_S / max(one, 1e-9)))
+        for r in range(args.reps):
+            for label in (labels if r % 2 == 0 else labels[::-1]):
+                unit, scale, call = tables[label][name]
+                samples[label].setdefault(name, []).append(sample(call, inner[label]) * scale)
+    first = labels[0]
+    report = {
+        "script": "scripts/bench_layers.py",
+        "environment": {"python": platform.python_version(),
+                        "implementation": platform.python_implementation(),
+                        "machine": platform.machine(), "cpus": os.cpu_count()},
+        "reps": args.reps,
+        "sources": {label: {**checks[label],
+                            "rows": {name: {"unit": tables[label][name][0], **summary(xs)}
+                                     for name, xs in samples[label].items()}}
+                    for label in labels},
+        # the median over reps of each sample's ratio to the first source's
+        # sample taken next to it
+        f"ratio_to_{first}": {label: {name: round(statistics.median(
+            x / y for x, y in zip(xs, samples[first][name])), 3)
+            for name, xs in samples[label].items()} for label in labels[1:]},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -178,8 +178,8 @@ def _fmt(value) -> str:
 
 
 def _xy(p) -> str:
-    # SVG y grows downward; diagram y grows upward
-    return f"{_fmt(p.x)},{_fmt(-p.y)}"
+    # n / d is float() of a Rat; SVG y grows downward, diagram y grows upward
+    return f"{_fmt(p.x.numerator / p.x.denominator)},{_fmt(-(p.y.numerator / p.y.denominator))}"
 
 
 def render_svg(d: BouquetDiagram) -> str:
@@ -200,10 +200,9 @@ def render_svg(d: BouquetDiagram) -> str:
             out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                        'stroke-width="0.014" stroke-linejoin="round"/>')
         for leg in loop.legs[:-1]:
-            p = leg.points[-1]
-            for mark in (p, -p):
-                out.append(f'<rect x="{_fmt(float(mark.x) - _SEAM_MARK)}" '
-                           f'y="{_fmt(-float(mark.y) - _SEAM_MARK)}" '
+            x, y = float(leg.points[-1].x), float(leg.points[-1].y)
+            for mx, my in ((x, y), (-x, -y)):
+                out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
     for c in crossings(d):

@@ -31,7 +31,7 @@ import json
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 from typing import Callable, Iterator
 
@@ -239,27 +239,41 @@ class DiagramAnalysis:
 # ---------------------------------------------------------------------------
 
 def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
-               is_first: bool, is_last: bool, segs: range) -> None:
+               is_first: bool, is_last: bool, segs: range) -> list:
     """The leg conditions that read one of the segments `segs`, i.e. those at
-    their end points; range(len(leg.points) - 1) checks the whole leg."""
+    their end points; range(len(leg.points) - 1) checks the whole leg.  Floats
+    decide where _B or _C makes them certain, exact predicates everywhere else.
+    Returns the float end points (fa, fb) of each segment of `segs`."""
     pts = leg.points
     if len(pts) < 2:
         out.append(Violation("ShortLeg", li, ki))
-        return
-    end = len(pts) - 1
-    points = range(segs[0], segs[-1] + 2)
+        return []
+    end, o, points = len(pts) - 1, segs[0], range(segs[0], segs[-1] + 2)
+    # g[i - o + 1]: the floats of point i, for `points` and one more each side;
+    # None outside [-1, 1]^2, so that no huge numerator overflows float()
+    g = [None] if o == 0 else []
+    for p in pts[max(o - 1, 0):segs[-1] + 3]:
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        g.append((xn / xd, yn / yd) if -xd <= xn <= xd and -yd <= yn <= yd else None)
     for i in segs:
-        if pts[i] == pts[i + 1]:
+        if g[i - o + 1] == g[i - o + 2] and pts[i] == pts[i + 1]:  # unequal g: unequal points
             out.append(Violation("RepeatedPoint", li, ki, i))
     for i in points:
         if 0 < i < end:
+            f0, f1, f2 = g[i - o], g[i - o + 1], g[i - o + 2]
+            if f0 and f1 and f2:
+                ex, ey, gx, gy = f1[0] - f0[0], f1[1] - f0[1], f2[0] - f1[0], f2[1] - f1[1]
+                if abs(ex * gy - ey * gx) > _B or ex * gx + ey * gy > _B:
+                    continue  # a certain turn or step forward is no cusp
             p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
             # (p1 - p0) x (p2 - p1) is the orientation determinant of the triple
             if orient2d(p0, p1, p2) == 0 and (p1 - p0).dot(p2 - p1) < 0:
                 out.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
     for i in points:
         if 0 < i < end:
-            side = unit_circle_side(pts[i])
+            f = g[i - o + 1]  # None: outside [-1, 1]^2, so outside the disk
+            q = f[0] * f[0] + f[1] * f[1] - 1.0 if f else 1.0
+            side = 1 if q > _C else -1 if q < -_C else unit_circle_side(pts[i])
             if side > 0:
                 out.append(Violation("PointOutsideDisk", li, ki, i))
             elif side == 0:
@@ -274,6 +288,7 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
         else:
             if not on_unit_circle(p):
                 out.append(Violation("SeamPointOffCircle", li, ki, idx))
+    return list(zip(g[1:], g[2:len(segs) + 2]))
 
 
 def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None:
@@ -350,8 +365,9 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
-def _structural_violations(d: BouquetDiagram) -> list[Violation]:
+def _structural_violations(d: BouquetDiagram, floats: list | None = None) -> list[Violation]:
     out: list[Violation] = []
+    floats = [] if floats is None else floats
     if d.n < 1:
         out.append(Violation("BadLoopCount", note="n must be >= 1"))
     if len(d.loops) != d.n:
@@ -364,7 +380,8 @@ def _structural_violations(d: BouquetDiagram) -> list[Violation]:
             continue
         last = len(loop.legs) - 1
         for ki, leg in enumerate(loop.legs):
-            _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last, range(len(leg.points) - 1))
+            floats += _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last,
+                                 range(len(leg.points) - 1))
         for ki in range(last):
             _check_joint(out, li, ki, loop.legs[ki], loop.legs[ki + 1])
     if not out:
@@ -405,10 +422,11 @@ class _Seg:
     fby: float
 
 
-def _make_seg(li: int, a: Point, b: Point) -> _Seg:
-    # valid coordinates lie in [-1, 1], so n / d (float()'s value) never overflows
-    fax, fay = a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator
-    fbx, fby = b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator
+def _make_seg(li: int, a: Point, b: Point, fa=None, fb=None) -> _Seg:
+    # fa, fb: the floats the structural check gave, else n / d (float()'s
+    # value), which valid coordinates, in [-1, 1], never overflow
+    fax, fay = fa or (a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator)
+    fbx, fby = fb or (b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator)
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
     return _Seg(li, a, b, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
@@ -463,19 +481,25 @@ def _pair_crossing(s: _Seg, t: _Seg, i: int, j: int, leg_starts, res, frame: int
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
 # the exact one.  Coordinates of records lie in [-1, 1] (records exist only
-# for diagrams that pass the structural check), and float() is correctly
-# rounded (see rp2bouquet.geometry), so each float end point is within
-# u = 2^-53 of its exact value and lies in [-1, 1] itself.  In
+# for diagrams that pass the structural check), as do those _check_leg
+# floats, and float() is correctly rounded (see rp2bouquet.geometry), so each
+# float point is within u = 2^-53 of its exact value and lies in [-1, 1].  In
 #   (bx - ax)(cy - ay) - (by - ay)(cx - ax)
 # each float difference is then within e = 2^-51 of the exact one (2u from
 # the inputs, at most 2u from rounding a value of magnitude <= 2) and has
 # magnitude <= 2; each float product is within 2e + 2e from the inputs plus
-# e from rounding a value of magnitude <= 4, so 5e; the difference of the two
-# products is within 10e < 2^-47 of the exact determinant.  Rounding that
-# difference is monotone and _B is a float, so |fdet| > _B implies that the
-# difference exceeds _B = 2 * 2^-47 in magnitude: the sign is certain.
+# e from rounding a value of magnitude <= 4, so 5e; the difference (or sum)
+# of the two products is within 10e < 2^-47 of the exact value.  Rounding it
+# is monotone and _B is a float, so |fdet| > _B implies that the difference
+# exceeds _B = 2 * 2^-47 in magnitude: the sign is certain.
 # (Underflow adds at most 2^-1074 per operation, far inside the margin.)
 _B = 2.0 ** -46
+
+# Likewise fx * fx + fy * fy - 1 beyond _C has the sign of |p|^2 - 1: each
+# float square is within 2u (|fx - x| |fx + x|) plus u (rounding) of x^2, the
+# sum within 6u + 2u = 2^-50 of x^2 + y^2, and subtracting 1 is exact from 1/2
+# to 2 (Sterbenz); a sum below 1/2 gives less than -1/2.
+_C = 2.0 ** -49
 
 
 def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
@@ -506,14 +530,28 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
     return res, orient2d(s.a, s.b, t.b) if res.kind is SegKind.PROPER else 0
 
 
+def _least_x(s: _Seg) -> Rat:
+    # unequal floats order the exact values, as float() is monotone
+    return s.a.x if s.fax < s.fbx else s.b.x if s.fbx < s.fax else min(s.a.x, s.b.x)
+
+
 def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, int, int]]:
     """(s, t, i, j) for the records s = records[i] and t = records[j] whose
     float boxes meet, s later in the sweep."""
-    # the order of the exact least x, which fixes the order of reported
-    # violations: fminx is its float and float() is monotone
+    # the order of (exact least x, index) fixes the order of reported violations;
+    # fminx is its float, so only runs of equal fminx need an insertion sort,
+    # quadratic only in a run, whose pairs the sweep visits anyway
+    order = sorted(range(len(records)), key=[s.fminx for s in records].__getitem__)
+    sx = [records[i].fminx for i in order]
+    for m in compress(range(1, len(sx)), map(float.__eq__, sx, sx[1:])):
+        while m and sx[m - 1] == sx[m]:
+            u, v = _least_x(records[order[m - 1]]), _least_x(records[order[m]])
+            if u is v or not v < u:
+                break
+            order[m - 1], order[m] = order[m], order[m - 1]
+            m -= 1
     active: list[int] = []
-    for i in sorted(range(len(records)),
-                    key=lambda k: (records[k].fminx, min(records[k].a.x, records[k].b.x))):
+    for i in order:
         s = records[i]
         kept = []
         for j in active:
@@ -549,10 +587,12 @@ def _check_crossing_set(out: list[Violation], found: list[Crossing]) -> None:
 
 
 def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
-    violations = _structural_violations(d)
+    floats: list = []
+    violations = _structural_violations(d, floats)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
-    records, leg_starts = _segment_records(d), _leg_starts(d)
+    records = [_make_seg(li, a, b, *f) for (li, _, _, a, b), f in zip(d.iter_segments(), floats)]
+    leg_starts = _leg_starts(d)
     found: list[Crossing] = []
     # positions are looked up only for the pairs that cross or touch
     for s, t, i, j in _all_pairs(records, leg_starts):
@@ -607,6 +647,8 @@ class _Splice:
     # `removed` holds the dropped crossings' locations, each to be found again;
     # off, it is empty and every crossing found is an addition
     check_persistence: bool
+    # (fa, fb) of each `new` segment, set by _structural_ok (see _check_leg)
+    floats: list = field(default_factory=list)
 
 
 def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
@@ -722,9 +764,11 @@ def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
         by_leg.setdefault(k, []).append(s)
     viols: list[Violation] = []
     last = len(legs) - 1
+    splice.floats = []
     # each leg's new segments run without a gap, built from one range
     for k, segs in by_leg.items():
-        _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, range(segs[0], segs[-1] + 1))
+        splice.floats += _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last,
+                                    range(segs[0], segs[-1] + 1))
         if viols:
             return viols[0]
     # the joints before a leg's first segment and after its last, in order, once
@@ -744,8 +788,9 @@ def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
 
 def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple:
     """The segment records of d2: those of d, with records[i:j], the replaced
-    segments, swapped for the splice's new segments' records built afresh."""
-    changed = tuple(_make_seg(splice.loop, a, b) for _, _, a, b in splice.new)
+    segments, swapped for the new segments' records from a passed _structural_ok."""
+    changed = tuple(_make_seg(splice.loop, a, b, *f)
+                    for (_, _, a, b), f in zip(splice.new, splice.floats))
     return base.records[:i] + changed + base.records[j:]
 
 
@@ -874,7 +919,8 @@ def _point_to_json(p: Point) -> list[int]:
 
 def _point_from_json(obj) -> Point:
     # type(v) is int: a JSON true or false is a bool, and bool is an int subclass
-    if not (isinstance(obj, list) and len(obj) == 4 and all(type(v) is int for v in obj)):
+    if not (isinstance(obj, list) and len(obj) == 4 and type(obj[0]) is int
+            and type(obj[1]) is int and type(obj[2]) is int and type(obj[3]) is int):
         raise DiagramFormatError(f"point must be [xnum, xden, ynum, yden] of ints, got {obj!r}")
     xn, xd, yn, yd = obj
     if xd == 0 or yd == 0:

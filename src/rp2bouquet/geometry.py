@@ -12,8 +12,8 @@ integer predicate and the float filter rely on two facts of it: values are
 kept in lowest terms with a positive denominator, and ``float()`` is the
 correctly rounded ``numerator / denominator``, so within a relative 2^-53 of
 the exact value and monotone.  Every predicate here returns a true sign, and
-no decision rests on a tolerance.  Callers may
-filter with floats (the segment scan in :mod:`rp2bouquet.diagram` does), but
+no decision rests on a tolerance.  Callers may filter with floats (the
+structural check and the segment scan in :mod:`rp2bouquet.diagram` do), but
 only where a proved error bound makes the float answer certain; everything
 else falls back to these predicates.  This is what makes "generic position"
 a decidable property rather than a numerical judgement call: two segments

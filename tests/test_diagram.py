@@ -25,14 +25,23 @@ from rp2bouquet.diagram import (
     HalfEdge,
     Violation,
     _all_pairs,
+    _check_leg,
     _check_seam_table,
     _check_vertex_directions,
     _location_key,
     _make_seg,
     _meet,
+    _skip_pair,
     analysis,
 )
-from rp2bouquet.geometry import SegKind, circle_point, orient2d, segment_intersection
+from rp2bouquet.geometry import (
+    SegKind,
+    circle_point,
+    on_unit_circle,
+    orient2d,
+    segment_intersection,
+    unit_circle_side,
+)
 
 from test_invariants import reflect, rotate, transform
 
@@ -461,6 +470,166 @@ def test_meet_matches_exact_anywhere(a, b, c, d):
     assert_meet_is_exact(a, b, c, d)
 
 
+# ---------------------------------------------------------------------------
+# the float-filtered leg check decides exactly as the exact one
+# ---------------------------------------------------------------------------
+
+def exact_check_leg(out, vertex, li, ki, leg, is_first, is_last, segs):
+    """_check_leg with every decision exact and no floats: the reference."""
+    pts = leg.points
+    if len(pts) < 2:
+        out.append(Violation("ShortLeg", li, ki))
+        return
+    end = len(pts) - 1
+    points = range(segs[0], segs[-1] + 2)
+    for i in segs:
+        if pts[i] == pts[i + 1]:
+            out.append(Violation("RepeatedPoint", li, ki, i))
+    for i in points:
+        if 0 < i < end:
+            p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
+            if orient2d(p0, p1, p2) == 0 and (p1 - p0).dot(p2 - p1) < 0:
+                out.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
+    for i in points:
+        if 0 < i < end:
+            side = unit_circle_side(pts[i])
+            if side > 0:
+                out.append(Violation("PointOutsideDisk", li, ki, i))
+            elif side == 0:
+                out.append(Violation("PointOnCircle", li, ki, i, "non-seam point on the seam circle"))
+    for idx, must_be_vertex in ((0, is_first), (end, is_last)):
+        if idx not in points:
+            continue
+        p = pts[idx]
+        if must_be_vertex:
+            if p != vertex:
+                out.append(Violation("LoopEndpointNotVertex", li, ki, idx))
+        else:
+            if not on_unit_circle(p):
+                out.append(Violation("SeamPointOffCircle", li, ki, idx))
+
+
+HUGE = 10 ** 4000
+circle_params = st.builds(rat, st.integers(-60, 60), st.integers(1, 60))
+# rational circle points scaled by 1 and by 1 +- 2^-k, k in 40..200: the disk
+# test's floats decide only well away from the circle
+near_circle = st.builds(lambda u, k, sign: circle_point(u).scale(1 + rat(sign, 2 ** k)),
+                        circle_params, st.integers(40, 200), st.sampled_from([-1, 0, 1]))
+# coordinates of magnitude 1/8 to 7/8 with denominators that floats do not
+# hold, so that a 2^-80 step keeps their floats
+inner = st.builds(pt, st.builds(rat, st.integers(1, 7), st.integers(8, 8 * 3 ** 4)),
+                  st.builds(rat, st.integers(-7, 7), st.integers(8, 8 * 3 ** 4)))
+# far outside [-1, 1]^2, where float() would overflow, and inside it with a
+# huge numerator and denominator
+huge = st.sampled_from([pt(rat(HUGE + 1, 3), 0), pt(rat(-HUGE, 7), rat(1, 2)),
+                        pt(rat(1, 5), rat(3 * HUGE + 1, 2)), pt(rat(HUGE - 1, HUGE), rat(1, 3))])
+steps = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 3, 7, 10]))
+
+
+def float_point(p):
+    return (float(p.x), float(p.y)) if abs(p.x) <= 1 and abs(p.y) <= 1 else None
+
+
+def assert_check_leg_is_exact(points, vertex=pt(0, 0), segs=None, is_first=False, is_last=False):
+    """The filtered _check_leg gives the violations of the exact reference,
+    with no OverflowError, and returns the float end points of each checked
+    segment (None outside [-1, 1]^2)."""
+    segs = range(len(points) - 1) if segs is None else segs
+    got, want = [], []
+    floats = _check_leg(got, vertex, 0, 0, Leg(points), is_first, is_last, segs)
+    exact_check_leg(want, vertex, 0, 0, Leg(points), is_first, is_last, segs)
+    assert got == want
+    assert floats == [(float_point(points[i]), float_point(points[i + 1])) for i in segs]
+
+
+@given(inner, inner, steps, st.booleans(), st.one_of(st.just(0), st.integers(60, 200)),
+       st.sampled_from([-1, 1]))
+def test_check_leg_matches_exact_at_corners(p0, p1, t, forward, e, sign):
+    """A straight step on, an exact backtrack (a Cusp), or either bent by
+    2^-60 to 2^-200: far below the float error, so only exact arithmetic
+    tells a backtrack from a sharp turn."""
+    v = p1 - p0
+    assume(not v.is_zero())
+    bend = pt(-v.y, v.x).scale(rat(sign, 2 ** e)) if e else pt(0, 0)
+    assert_check_leg_is_exact((p0, p1, p1 + v.scale(t if forward else -t) + bend))
+
+
+@given(inner, near_circle, inner)
+def test_check_leg_matches_exact_near_the_circle(a, p, b):
+    assert_check_leg_is_exact((a, p, b))
+
+
+@given(inner, st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=1, max_size=5))
+def test_check_leg_matches_exact_on_near_repeats(p, moves):
+    """Steps of 2^-80, whose end points have equal floats but are unequal
+    points, next to true repeats (steps of 0)."""
+    points = [p]
+    for dx, dy in moves:
+        points.append(points[-1] + pt(rat(dx, 2 ** 80), rat(dy, 2 ** 80)))
+    assert_check_leg_is_exact(tuple(points))
+
+
+@st.composite
+def filter_legs(draw):
+    """A leg, a vertex, a window of its segments and its end flags.  Each
+    point after the first two is new, huge, or follows the two before it:
+    a step on or back, a corner bent by 2^-60 to 2^-200, a step of 2^-80 or
+    a repeat."""
+    points = [draw(st.one_of(inner, near_circle)) for _ in range(2)]
+    for _ in range(draw(st.integers(0, 6))):
+        p0, p1 = points[-2], points[-1]
+        v, t = p1 - p0, draw(steps)
+        step = draw(st.sampled_from(["new", "huge", "on", "back", "bend", "nudge", "repeat"]))
+        if step == "new" or (v.is_zero() and step in ("on", "back", "bend")):
+            q = draw(st.one_of(inner, near_circle))
+        elif step == "huge":
+            q = draw(huge)
+        elif step in ("on", "back"):
+            q = p1 + v.scale(t if step == "on" else -t)
+        elif step == "bend":
+            q = p1 + v.scale(draw(st.sampled_from([t, -t]))) \
+                + pt(-v.y, v.x).scale(rat(draw(st.sampled_from([-1, 1])), 2 ** draw(st.integers(60, 200))))
+        elif step == "nudge":
+            q = p1 + pt(rat(draw(st.integers(-1, 1)), 2 ** 80), rat(draw(st.integers(-1, 1)), 2 ** 80))
+        else:
+            q = p1
+        points.append(q)
+    lo = draw(st.integers(0, len(points) - 2))
+    segs = range(lo, draw(st.integers(lo + 1, len(points) - 1)))
+    vertex = draw(st.sampled_from([points[0], points[-1], pt(0, 0)]))
+    return tuple(points), vertex, segs, draw(st.booleans()), draw(st.booleans())
+
+
+@given(filter_legs())
+def test_check_leg_matches_exact_on_mixed_legs(case):
+    """Every case above in one leg, with huge points (4,000 digits), vertex
+    and seam ends, and windows of segments as a splice checks them."""
+    assert_check_leg_is_exact(*case)
+
+
+def test_check_leg_cases():
+    """Each case the filter must leave to exact arithmetic, once by hand."""
+    third, tiny = rat(1, 3), rat(1, 2 ** 80)
+    a, b = pt(third, rat(1, 7)), pt(2 * third, rat(2, 7))
+    on = circle_point(rat(2, 7))
+    legs = [
+        ((a, b, a + (b - a).scale(rat(1, 2))), ["Cusp"]),                    # exact backtrack
+        ((a, b, b + (b - a) + pt(0, rat(1, 2 ** 100))), []),                  # bent by 2^-100
+        ((a, b, b + pt(tiny, 0)), []),                                        # equal floats
+        ((a, b, b, a), ["RepeatedPoint"]),                                     # truly repeated
+        ((a, on, a), ["Cusp", "PointOnCircle"]),
+        ((a, on.scale(1 + rat(1, 2 ** 90)), b), ["PointOutsideDisk"]),
+        ((a, on.scale(1 - rat(1, 2 ** 90)), b), []),
+        ((a, pt(rat(HUGE + 1, 3), 0), b), ["PointOutsideDisk"]),
+    ]
+    for points, want in legs:
+        got, exact = [], []
+        _check_leg(got, a, 0, 0, Leg(points), True, False, range(len(points) - 1))
+        exact_check_leg(exact, a, 0, 0, Leg(points), True, False, range(len(points) - 1))
+        assert got == exact
+        assert [v.kind for v in got] == want + ["SeamPointOffCircle"], points
+
+
 @given(any_points, st.integers(1, 2 ** 70))
 def test_location_key_is_canonical(p, k):
     """Equal points have equal keys, however their rationals were built."""
@@ -506,6 +675,39 @@ def test_sweep_orders_float_ties_exactly():
     # a leg table under which a, the middle of three records of loop 1, does
     # not touch V, so the pair is not skipped as two segments at V
     assert list(_all_pairs([b, a], ((0, 1), (0, 3)))) == [(b, a, 0, 1)]
+
+
+def sweep_with_exact_key(records, leg_starts):
+    """_all_pairs with an exact least x computed for every record in its
+    sort key: the reference for the sweep order."""
+    active = []
+    for i in sorted(range(len(records)),
+                    key=lambda k: (records[k].fminx, min(records[k].a.x, records[k].b.x))):
+        s, kept = records[i], []
+        for j in active:
+            t = records[j]
+            if t.fmaxx < s.fminx:
+                continue
+            kept.append(j)
+            if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t, i, j, leg_starts):
+                continue
+            yield s, t, i, j
+        active = kept + [i]
+
+
+# x values whose floats tie in threes, and others
+tied_x = [rat(1, 3) + rat(k, 10 ** 30) for k in (-1, 0, 1)] + [rat(-2, 7), rat(1, 2), rat(2, 3)]
+tied_points = st.builds(pt, st.sampled_from(tied_x), st.sampled_from([rat(k, 5) for k in range(-2, 3)]))
+
+
+@given(st.lists(st.tuples(tied_points, tied_points).filter(lambda ab: ab[0] != ab[1]),
+                min_size=1, max_size=24))
+def test_sweep_sorts_only_float_ties_exactly(ends):
+    """Sorting by fminx and then exactly inside runs of equal fminx yields
+    the pairs of the exact key, in the same order."""
+    records = [_make_seg(0, a, b) for a, b in ends]
+    leg_starts = ((0, len(records)),)
+    assert list(_all_pairs(records, leg_starts)) == list(sweep_with_exact_key(records, leg_starts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time the read-path layers of rp2bouquet on fixed inputs, with no tracer.
+"""Time the layers of rp2bouquet on fixed inputs, with no tracer.
 
     python3 scripts/bench_layers.py --src src --out bench.json
     python3 scripts/bench_layers.py --src parent=../parent/src --src change=src \\
@@ -9,8 +9,9 @@ of them are imported, one after another, into this process (the library
 imports nothing inside its functions, so each version keeps its own
 modules), and their samples of each row are taken in turn, reversing the
 order every other time, so that drift of the host's speed falls on all of
-them alike.  A row calls one function directly, mostly a private one, so the
-script runs on any version that has these names:
+them alike.  A row calls one function directly, mostly a private one; a
+source that lacks a row's function has no such row, and the others still
+compare.  The rows:
 
 * ``loads``, ``_structural_violations``, ``_segment_records``, a fresh
   ``validate`` (a new diagram object, so no kept analysis) and
@@ -19,6 +20,12 @@ script runs on any version that has these names:
   ``random_move_applied``, cut when it first reaches each size;
 * ``_structural_ok`` in us per call, over a fixed list of splices proposed
   on each snapshot, blocked ones included;
+* ``apply_move`` in us per call, over every proposal drawn for that list
+  (those whose builder blocks too), split by outcome: ``applied``,
+  ``blocked_count`` (the splice found more or fewer counted crossings than
+  its move adds) and ``blocked_other``; then each move kind by outcome;
+* ``_meet``, and the integer crossing kernel ``_proper_ints``, in ns per
+  call, on the pairs of the larger snapshot that cross properly;
 * ``orient2d`` in ns per call, on random points in [-1, 1]^2 whose
   coordinates have numerators and denominators of 8, 50 and 570 bits.
 
@@ -26,8 +33,9 @@ A sample is the mean over enough calls to last a few ms.  Each row gives
 the median and quartiles of ``--reps`` samples, and for each source after
 the first, the median ratio of its samples to the first source's taken next
 to them.  Each source also records the line count of its ``rp2bouquet/``
-and the SHA-256 of its snapshots' ``dumps`` and of its ``_structural_ok``
-verdicts, which agree between versions that decide alike."""
+and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
+verdicts and of its ``apply_move`` outcomes (each block message, or the
+``dumps`` of the result), which agree between versions that decide alike."""
 
 from __future__ import annotations
 
@@ -38,6 +46,7 @@ import json
 import os
 import platform
 import random
+import re
 import statistics
 import sys
 import time
@@ -81,20 +90,50 @@ def snapshots(lib) -> list[str]:
     return out
 
 
-def splices(lib, mods, d) -> list:
-    """(d2, splice) for the first SPLICES proposals on d that build."""
+def proposals(lib, mods, d) -> tuple[list, list]:
+    """The proposals on d up to the SPLICES-th that builds, and (d2, splice)
+    for those that build."""
     rng = random.Random(SEED)
-    out = []
+    specs, out = [], []
     while len(out) < SPLICES:
         spec = mods["moves"]._propose_move(d, rng)
         if spec is None:
             continue
+        specs.append(spec)
         try:
             splice = mods["moves"]._BUILDERS[spec.kind][0](d, spec)
         except lib.MoveBlocked:
             continue
         out.append((mods["diagram"]._spliced(d, splice), splice))
-    return out
+    return specs, out
+
+
+# the messages of a splice whose tally of counted crossings is off
+COUNT_BLOCKED = re.compile(r", got (more than )?\d+$")
+
+
+def outcome(lib, d, spec) -> tuple[str, str]:
+    """(class, digest text) of apply_move(d, spec): applied with the result's
+    dumps, or blocked_count or blocked_other with the message."""
+    try:
+        return "applied", lib.dumps(lib.apply_move(d, spec))
+    except lib.MoveBlocked as exc:
+        return ("blocked_count" if COUNT_BLOCKED.search(str(exc)) else "blocked_other"), str(exc)
+
+
+def apply_moves(lib, d, specs):
+    for spec in specs:
+        try:
+            lib.apply_move(d, spec)
+        except lib.MoveBlocked:
+            pass
+
+
+def proper_pairs(lib, diagram, d) -> list:
+    """(s, t) for the record pairs of valid d that cross properly."""
+    records, leg_starts = diagram.analysis(d).records, diagram._leg_starts(d)
+    return [(s, t) for s, t, _, _ in diagram._all_pairs(records, leg_starts)
+            if lib.segment_intersection(s.a, s.b, t.a, t.b).kind.value == "proper"]
 
 
 def triples(point, bits: int) -> list:
@@ -110,14 +149,14 @@ def triples(point, bits: int) -> list:
 
 def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
-    diagram, cli = mods["diagram"], mods["cli"]
+    diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
     texts = snapshots(lib)
-    out, verdicts = {}, []
+    out, verdicts, outcomes = {}, [], []
     for size, text in zip(SIZES, texts):
         d = lib.loads(text)
         checked = lib.loads(text)
         lib.validate(checked)
-        cases = splices(lib, mods, checked)
+        specs, cases = proposals(lib, mods, checked)
         verdicts += [str(diagram._structural_ok(d2, s)) for d2, s in cases]
         out[f"loads.ms@{size}"] = ("ms", 1e3, lambda text=text: lib.loads(text))
         out[f"_structural_violations.ms@{size}"] = (
@@ -132,8 +171,33 @@ def rows(lib, mods) -> tuple[dict, dict]:
                 diagram._structural_ok(d2, s)
 
         out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), structural_ok)
+        groups: dict[str, list] = {}
+        for spec in specs:
+            cls, text = outcome(lib, checked, spec)
+            outcomes.append(text)
+            groups.setdefault(cls, []).append(spec)
+            groups.setdefault(f"{spec.kind}.{cls}", []).append(spec)
+        for group in sorted(groups, key=lambda g: ("." in g, g)):
+            out[f"apply_move.{group}.us@{size}"] = (
+                "us", 1e6 / len(groups[group]),
+                lambda specs=groups[group], d=checked: apply_moves(lib, d, specs))
+    # `checked` is now the larger snapshot
+    pairs = proper_pairs(lib, diagram, checked)
+    ends = [(s.a, s.b, t.a, t.b) for s, t in pairs]
+
+    def meet(pairs=pairs, f=diagram._meet):
+        for s, t in pairs:
+            f(s, t)
+
+    out[f"_meet.proper.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(pairs), meet)
+    if hasattr(geometry, "_proper_ints"):
+        def kernel(ends=ends, f=geometry._proper_ints):
+            for a, b, c, e in ends:
+                f(a, b, c, e)
+
+        out[f"_proper_ints.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(ends), kernel)
     for bits in BITS:
-        def orient(ts=triples(mods["geometry"].Point, bits), f=mods["geometry"].orient2d):
+        def orient(ts=triples(geometry.Point, bits), f=geometry.orient2d):
             for a, b, c in ts:
                 f(a, b, c)
 
@@ -143,6 +207,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
                                   for leg in loop.legs) for t in texts],
         "snapshots_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
         "verdicts_sha256": hashlib.sha256("\n".join(verdicts).encode()).hexdigest(),
+        "outcomes_sha256": hashlib.sha256("\n".join(outcomes).encode()).hexdigest(),
+        "proper_pairs": len(pairs),
     }
     return out, checks
 
@@ -178,13 +244,14 @@ def main(argv=None) -> int:
                                          for p in sorted((src / "rp2bouquet").glob("*.py")))
     labels = list(tables)
     samples = {label: {} for label in labels}
-    for name in tables[labels[0]]:
+    for name in dict.fromkeys(name for label in labels for name in tables[label]):
+        having = [label for label in labels if name in tables[label]]
         inner = {}
-        for label in labels:
+        for label in having:
             one = sample(tables[label][name][2], 1)  # also warms the call up
             inner[label] = max(1, int(SAMPLE_S / max(one, 1e-9)))
         for r in range(args.reps):
-            for label in (labels if r % 2 == 0 else labels[::-1]):
+            for label in (having if r % 2 == 0 else having[::-1]):
                 unit, scale, call = tables[label][name]
                 samples[label].setdefault(name, []).append(sample(call, inner[label]) * scale)
     first = labels[0]
@@ -202,7 +269,8 @@ def main(argv=None) -> int:
         # sample taken next to it
         f"ratio_to_{first}": {label: {name: round(statistics.median(
             x / y for x, y in zip(xs, samples[first][name])), 3)
-            for name, xs in samples[label].items()} for label in labels[1:]},
+            for name, xs in samples[label].items() if name in samples[first]}
+            for label in labels[1:]},
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -36,17 +36,15 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .geometry import (
-    EMPTY,
     Point,
     Rat,
     SegKind,
-    SegmentIntersection,
     _direction,
-    _proper,
+    _kind,
+    _proper_ints,
     on_unit_circle,
     orient2d,
     rat,
-    segment_intersection,
     unit_circle_side,
 )
 
@@ -394,7 +392,8 @@ def _structural_violations(d: BouquetDiagram, floats: list | None = None) -> lis
 # pairwise segment scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+# not frozen: nothing hashes a record, and frozen sets each field by a slow object.__setattr__
+@dataclass(slots=True)
 class _Seg:
     """One segment of loop `loop` with its end points in floats and the float
     box of those.  Its leg, its index in the leg and whether it touches V are
@@ -465,18 +464,21 @@ def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
     return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in row
 
 
-def _pair_crossing(s: _Seg, t: _Seg, i: int, j: int, leg_starts, res, frame: int) -> Crossing:
-    """The crossing of a PROPER intersection `res` of s = records[i] and
-    t = records[j]; `frame` is the sign of da x db, which is orient2d(s.a,
-    s.b, t.b): t.a and t.b lie strictly on opposite sides of s, so
-    da x (t.b - t.a) = da x (t.b - s.a) - da x (t.a - s.a) has the sign of
-    its first term."""
-    pa = LoopParam(*_position(leg_starts, s.loop, i), res.t1)
-    pb = LoopParam(*_position(leg_starts, t.loop, j), res.t2)
-    # the lesser loop first, and on one loop the earlier parameter
-    if (t.loop, pb) < (s.loop, pa):
-        return Crossing(t.loop, s.loop, pb, pa, res.point, -frame)
-    return Crossing(s.loop, t.loop, pa, pb, res.point, frame)
+def _pair_crossing(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
+    """The crossing of s = records[i] and t = records[j] from their PROPER
+    _meet: `ints` is _proper_ints(s.a, s.b, t.a, t.b) and `frame` the sign of
+    da x db, which is orient2d(s.a, s.b, t.b): t.a and t.b lie strictly on
+    opposite sides of s, so da x (t.b - t.a) = da x (t.b - s.a) - da x (t.a -
+    s.a) has the sign of its first term."""
+    (xn, xd, yn, yd), (n1, n2, den) = ints
+    pa = LoopParam(*_position(leg_starts, s.loop, i), Rat(n1, den))
+    pb = LoopParam(*_position(leg_starts, t.loop, j), Rat(n2, den))
+    at = Point(Rat(xn, xd), Rat(yn, yd))
+    # the lesser loop first, and on one loop the earlier parameter: records
+    # run in (loop, leg, seg) order, which no two share, so the index decides
+    if j < i:
+        return Crossing(t.loop, s.loop, pb, pa, at, -frame)
+    return Crossing(s.loop, t.loop, pa, pb, at, frame)
 
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
@@ -502,15 +504,15 @@ _B = 2.0 ** -46
 _C = 2.0 ** -49
 
 
-def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
-    """segment_intersection(s.a, s.b, t.a, t.b) and, for a PROPER result, the
-    frame orient2d(s.a, s.b, t.b) (0 otherwise).
+def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
+    """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
+    one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
+    else 0 and None: all ints, from which _pair_crossing builds the crossing.
 
     The four orientation signs are first taken from the float end points,
     where certain (see _B): two certain equal signs of one segment's end
     points against the other's line mean EMPTY, and four certain signs,
-    opposite in each pair, a PROPER crossing built exactly by _proper.  Any
-    other pair goes to the exact segment_intersection.
+    opposite in each pair, PROPER.  Any other pair goes to the exact _kind.
     """
     ax, ay, bx, by = s.fax, s.fay, s.fbx, s.fby
     cx, cy, dx, dy = t.fax, t.fay, t.fbx, t.fby
@@ -518,16 +520,18 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegmentIntersection, int]:
     oc = ex * (cy - ay) - ey * (cx - ax)
     od = ex * (dy - ay) - ey * (dx - ax)
     if (oc > _B and od > _B) or (oc < -_B and od < -_B):
-        return EMPTY, 0
+        return SegKind.EMPTY, 0, None
     fx, fy = dx - cx, dy - cy
     oa = fx * (ay - cy) - fy * (ax - cx)
     ob = fx * (by - cy) - fy * (bx - cx)
     if (oa > _B and ob > _B) or (oa < -_B and ob < -_B):
-        return EMPTY, 0
+        return SegKind.EMPTY, 0, None
     if abs(oc) > _B and abs(od) > _B and abs(oa) > _B and abs(ob) > _B:
-        return _proper(s.a, s.b, t.a, t.b), (1 if od > 0 else -1)
-    res = segment_intersection(s.a, s.b, t.a, t.b)
-    return res, orient2d(s.a, s.b, t.b) if res.kind is SegKind.PROPER else 0
+        return SegKind.PROPER, (1 if od > 0 else -1), _proper_ints(s.a, s.b, t.a, t.b)
+    kind = _kind(s.a, s.b, t.a, t.b)
+    if kind is SegKind.PROPER:
+        return kind, orient2d(s.a, s.b, t.b), _proper_ints(s.a, s.b, t.a, t.b)
+    return kind, 0, None
 
 
 def _least_x(s: _Seg) -> Rat:
@@ -596,10 +600,10 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     found: list[Crossing] = []
     # positions are looked up only for the pairs that cross or touch
     for s, t, i, j in _all_pairs(records, leg_starts):
-        res, frame = _meet(s, t)
-        if res.kind is SegKind.PROPER:
-            found.append(_pair_crossing(s, t, i, j, leg_starts, res, frame))
-        elif res.kind is SegKind.DEGENERATE:
+        kind, frame, ints = _meet(s, t)
+        if kind is SegKind.PROPER:
+            found.append(_pair_crossing(leg_starts, s, t, i, j, frame, ints))
+        elif kind is SegKind.DEGENERATE:
             ks, kt = _position(leg_starts, s.loop, i), _position(leg_starts, t.loop, j)
             violations.append(Violation(
                 "NonTransversal", s.loop, *ks,
@@ -696,11 +700,13 @@ def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
 
 
 def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
-                  count) -> tuple[list[Crossing], list[Crossing], int, int]:
-    """One pass over the pairs of the changed records[lo:hi]: the crossings found, the
-    additions among them (at no location in `removed`, the locations on
-    replaced segments), how many of `removed` were found again and the tally
-    of additions the splice's `count` counts.
+                  count) -> tuple[list[tuple], int, int]:
+    """One pass over the pairs of the changed records[lo:hi]: the crossings
+    found, each as the arguments (u, v, i, j, frame, ints) of _pair_crossing,
+    how many of `removed` (the locations on replaced segments) were found
+    again, and the tally of additions (crossings at no location in `removed`)
+    the splice's `count` counts.  No `Crossing` is built: a location is the
+    int key of _proper_ints and a strand's loop its record's.
 
     MoveBlocked at the first certain violation: a non-transversal contact (as
     a crossing at V makes with loop 0's first segment, see _check_crossing_set),
@@ -712,33 +718,29 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     structural check has blocked a cusp or codirection at X first.
     """
     limit, counts, exactly = count or (float("inf"), None, "")
-    found: list[Crossing] = []
-    additions: list[Crossing] = []
+    found: list[tuple] = []
     seen: set[tuple[int, int, int, int]] = set()
     refound = counted = 0
     for u, v, i, j in _changed_pairs(records, leg_starts, lo, hi):
-        res, frame = _meet(u, v)
-        if res.kind is SegKind.DEGENERATE:
+        kind, frame, ints = _meet(u, v)
+        if kind is SegKind.DEGENERATE:
             leg, seg = _position(leg_starts, v.loop, j)
             raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
                               f"segment={seg} non-transversally")
-        if res.kind is not SegKind.PROPER:
+        if kind is not SegKind.PROPER:
             continue
-        c = _pair_crossing(u, v, i, j, leg_starts, res, frame)
-        key = _location_key(res.point)
+        key = ints[0]
         if key in seen:
             raise MoveBlocked("two crossings would coincide")
         seen.add(key)
-        found.append(c)
+        found.append((u, v, i, j, frame, ints))
         if key in removed:
             refound += 1
-        else:
-            additions.append(c)
-            if counts is None or c.loop_a == c.loop_b == counts:
-                counted += 1
+        elif counts is None or u.loop == v.loop == counts:
+            counted += 1
         if counted > limit and refound == len(removed):
             raise MoveBlocked(f"{exactly}, got more than {limit}")
-    return found, additions, refound, counted
+    return found, refound, counted
 
 
 def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
@@ -802,6 +804,8 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
+    """The spliced diagram with its analysis kept, and the additions.  The crossings
+    found stay ints until the destroyed and count checks pass (see _scan_changed)."""
     base = _valid_analysis(d)
     d2 = _spliced(d, splice)
     bad = _structural_ok(d2, splice)
@@ -822,12 +826,14 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
         (dropped if i <= fa < j or i <= fb < j else kept).append(c)
     removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
-    found, additions, refound, counted = _scan_changed(
-        records, leg_starts, i, i + len(new), removed, splice.count)
+    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(new), removed,
+                                           splice.count)
     if refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
+    found = [_pair_crossing(leg_starts, *hit) for hit in hits]
+    additions = [c for c in found if _location_key(c.location) not in removed]
     err = splice.contract and splice.contract(additions, dropped, d2)
     if err:
         raise MoveBlocked(err)

@@ -23,9 +23,12 @@ a degenerate configuration, and the three cases are distinguished exactly.
 Constructions work on the same integers: a constructed point (`_along`, the
 templates of :mod:`rp2bouquet.moves`) is put on one common denominator and
 built as one `Rat` per coordinate, one gcd each instead of one per operation,
-with the value the `Point` arithmetic would give.  A direction needed only up
-to a positive factor is a `Point` of ints (`_direction`); the predicates read
-ints as they read `Rat`s, through ``numerator`` and ``denominator``.
+with the value the `Point` arithmetic would give.  A crossing stays ints
+(`_proper_ints`: its location in lowest terms, its parameters unreduced) until
+a splice passes its checks, so a move blocked on its count builds no `Rat`.  A
+direction needed only up to a positive factor is a `Point` of ints
+(`_direction`); the predicates read ints as they read `Rat`s, through
+``numerator`` and ``denominator``.
 
 Rational points on the unit circle come from the tangent-half-angle map
 
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
 from fractions import Fraction as Rat
+from math import gcd
 from typing import Sequence
 
 __all__ = [
@@ -185,10 +189,6 @@ class SegmentIntersection:
     t2: Rat | None = None
 
 
-EMPTY = SegmentIntersection(SegKind.EMPTY)
-DEGENERATE = SegmentIntersection(SegKind.DEGENERATE)
-
-
 def _between_on_line(p: Point, u: Point, v: Point) -> bool:
     # p is known to be on the line through u, v; test membership in the
     # closed segment by coordinate ranges (exact).
@@ -211,6 +211,15 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentInter
     >>> segment_intersection(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 1)).kind.value
     'degenerate'
     """
+    kind = _kind(a, b, c, d)
+    if kind is not SegKind.PROPER:
+        return SegmentIntersection(kind)
+    (xn, xd, yn, yd), (n1, n2, den) = _proper_ints(a, b, c, d)
+    return SegmentIntersection(kind, Point(Rat(xn, xd), Rat(yn, yd)), Rat(n1, den), Rat(n2, den))
+
+
+def _kind(a: Point, b: Point, c: Point, d: Point) -> SegKind:
+    """The kind of segment_intersection(a, b, c, d), with nothing built."""
     oc = orient2d(a, b, c)
     od = orient2d(a, b, d)
     # a == b makes both signs 0 and c == d makes them equal, so the endpoint
@@ -218,29 +227,32 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentInter
     if oc == od and (a == b or c == d):
         raise ValueError("segment endpoints must be distinct")
     if oc * od > 0:
-        return EMPTY  # c and d strictly on one side of the line through a, b
+        return SegKind.EMPTY  # c and d strictly on one side of the line through a, b
     oa = orient2d(c, d, a)
     ob = orient2d(c, d, b)
     if oa * ob < 0 and oc * od < 0:
-        return _proper(a, b, c, d)
+        return SegKind.PROPER
     if oa == 0 and _between_on_line(a, c, d):
-        return DEGENERATE
+        return SegKind.DEGENERATE
     if ob == 0 and _between_on_line(b, c, d):
-        return DEGENERATE
+        return SegKind.DEGENERATE
     if oc == 0 and _between_on_line(c, a, b):
-        return DEGENERATE
+        return SegKind.DEGENERATE
     if od == 0 and _between_on_line(d, a, b):
-        return DEGENERATE
-    return EMPTY
+        return SegKind.DEGENERATE
+    return SegKind.EMPTY
 
 
-def _proper(a: Point, b: Point, c: Point, d: Point) -> SegmentIntersection:
+def _proper_ints(a: Point, b: Point, c: Point, d: Point) -> tuple[tuple, tuple]:
+    """The PROPER crossing of [a, b] and [c, d] as ints: its location (xn, xd,
+    yn, yd) in lowest terms, as its `Rat` coordinates hold it, and the
+    unreduced (n1, n2, den) with t1 = n1 / den and t2 = n2 / den."""
     # With e1 = b - a, e2 = d - c, f = c - a:
     #   t1 = (f x e2) / (e1 x e2),  t2 = (f x e1) / (e1 x e2),  point = a + t1 e1.
     # x coordinates are scaled by the product of their four denominators and
     # y coordinates likewise, which turns every quantity into an integer with
-    # one common positive scale per ratio; a rational is built (and reduced)
-    # only for the four results.
+    # one common positive scale per ratio; only the location is reduced, by
+    # one gcd per coordinate, whose sign makes each denominator positive.
     axd, bxd, cxd, dxd = a.x.denominator, b.x.denominator, c.x.denominator, d.x.denominator
     ayd, byd, cyd, dyd = a.y.denominator, b.y.denominator, c.y.denominator, d.y.denominator
     ab, cd = axd * bxd, cxd * dxd
@@ -253,9 +265,11 @@ def _proper(a: Point, b: Point, c: Point, d: Point) -> SegmentIntersection:
     den = e1x * e2y - e1y * e2x
     n1 = fx * e2y - fy * e2x
     n2 = fx * e1y - fy * e1x
-    point = Point(Rat(xa * den + e1x * n1, axd * bxd * cxd * dxd * den),
-                  Rat(ya * den + e1y * n1, ayd * byd * cyd * dyd * den))
-    return SegmentIntersection(SegKind.PROPER, point, Rat(n1, den), Rat(n2, den))
+    xnum, xden = xa * den + e1x * n1, axd * bxd * cxd * dxd * den
+    ynum, yden = ya * den + e1y * n1, ayd * byd * cyd * dyd * den
+    sign = 1 if den > 0 else -1
+    gx, gy = sign * gcd(xnum, xden), sign * gcd(ynum, yden)
+    return (xnum // gx, xden // gx, ynum // gy, yden // gy), (n1, n2, den)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from rp2bouquet.diagram import (
 )
 from rp2bouquet.geometry import (
     SegKind,
+    SegmentIntersection,
     circle_point,
     on_unit_circle,
     orient2d,
@@ -418,6 +419,14 @@ boundary = st.one_of(
 any_points = st.one_of(lattice, unit_points, boundary)
 
 
+def meet_result(kind, ints):
+    """The SegmentIntersection that _meet's (kind, ints) stand for."""
+    if ints is None:
+        return SegmentIntersection(kind)
+    (xn, xd, yn, yd), (n1, n2, den) = ints
+    return SegmentIntersection(kind, pt(rat(xn, xd), rat(yn, yd)), rat(n1, den), rat(n2, den))
+
+
 def assert_meet_is_exact(a, b, c, d):
     """_meet on records of [a, b] and [c, d], both ways round, gives the
     result of segment_intersection (kind, point, t1, t2) and, for a PROPER
@@ -427,9 +436,9 @@ def assert_meet_is_exact(a, b, c, d):
     assert all(-1 <= v <= 1 for p in (a, b, c, d) for v in (p.x, p.y))
     s, t = _make_seg(0, a, b), _make_seg(1, c, d)
     for (u, v), (p, q, r, w) in (((s, t), (a, b, c, d)), ((t, s), (c, d, a, b))):
-        res, frame = _meet(u, v)
+        kind, frame, ints = _meet(u, v)
         want = segment_intersection(p, q, r, w)
-        assert res == want
+        assert meet_result(kind, ints) == want
         assert frame == (orient2d(p, q, w) if want.kind is SegKind.PROPER else 0)
 
 

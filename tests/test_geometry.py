@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from rp2bouquet.diagram import _location_key
 from rp2bouquet.geometry import (
     CodirectionalVectors,
     Point,
     SegKind,
+    _proper_ints,
     angle_sort,
     antipode,
     circle_point,
@@ -27,6 +29,9 @@ points = st.builds(pt, rats, rats)
 # coordinates with denominators up to ~300 bits, as long move chains produce
 big_rats = st.builds(rat, st.integers(-(2 ** 300), 2 ** 300), st.integers(1, 2 ** 300))
 big_points = st.builds(pt, big_rats, big_rats)
+# 570-bit numerators and denominators, the top of the bench's orient2d rows
+huge_rats = st.builds(rat, st.integers(-(2 ** 570), 2 ** 570), st.integers(1, 2 ** 570))
+huge_points = st.builds(pt, huge_rats, huge_rats)
 
 
 def frac(x) -> Fraction:
@@ -187,6 +192,26 @@ def test_proper_big_rationals_against_fraction_oracle(a, b, c, d):
     if proper:
         assert (frac(res.t1), frac(res.t2)) == (t1, t2)
         assert (frac(res.point.x), frac(res.point.y)) == (ax + t1 * e1x, ay + t1 * e1y)
+
+
+@given(*[st.one_of(points, big_points, huge_points)] * 4)
+def test_proper_ints_give_the_built_crossing(a, b, c, d):
+    """The integer kernel gives the location key of the crossing that
+    segment_intersection builds, and its parameters unreduced, for either
+    sign of e1 x e2 (swapping c and d flips it)."""
+    # of three pairings of four points in convex position, one crosses
+    hits = [q for q in ((a, b, c, d), (a, c, b, d), (a, d, b, c))
+            if q[0] != q[1] and q[2] != q[3] and segment_intersection(*q).kind is SegKind.PROPER]
+    assume(hits)
+    p, q, u, v = hits[0]
+    res = segment_intersection(p, q, u, v)
+    signs = set()
+    for ends, t1, t2 in (((p, q, u, v), res.t1, res.t2), ((p, q, v, u), res.t1, 1 - res.t2)):
+        key, (n1, n2, den) = _proper_ints(*ends)
+        assert key == _location_key(res.point)
+        assert (rat(n1, den), rat(n2, den)) == (t1, t2)
+        signs.add(den > 0)
+    assert signs == {False, True}
 
 
 @given(points, points, points, points)

@@ -147,6 +147,24 @@ def test_detour_blocked_cases(chord):
                                    (rat(1), rat(1, 2), rat(1, 4), rat(1, 2), rat(-2) + rat(1, 16))))
 
 
+def test_blocked_on_the_count_builds_no_crossing(chord, monkeypatch):
+    """The scan decides on int location keys, so the detour that picks up a
+    third self-crossing blocks on its count with no Crossing built."""
+    validate(chord)  # the kept analysis, built before the builder breaks
+
+    def build(*args):
+        raise AssertionError("a Crossing was built")
+
+    monkeypatch.setattr(diagram_mod, "_pair_crossing", build)
+    spec = MoveSpec("Detour", 0, 0, 0, (rat(1), rat(1, 2), rat(1, 4), rat(1, 2), rat(-2) + rat(1, 16)))
+    with pytest.raises(MoveBlocked) as blocked:
+        apply_move(chord, spec)
+    assert str(blocked.value) == "detour must add exactly 2 self-crossings, got more than 2"
+    # the patched name is the builder: a detour that passes its count builds
+    with pytest.raises(AssertionError, match="a Crossing was built"):
+        apply_move(chord, detour_spec(1, 0))
+
+
 def test_contracts_block_a_curl_on_the_wrong_side(quad, chord, monkeypatch):
     """Curls mutated on purpose reach the sign checks of the kink pair and
     the detour contracts: the counts hold, only the signs are wrong."""

@@ -19,7 +19,12 @@ compare.  The rows:
   of about 60 and about 450 segments: one seeded chain of ``realize`` plus
   ``random_move_applied``, cut when it first reaches each size;
 * ``_structural_ok`` in us per call, over a fixed list of splices proposed
-  on each snapshot, blocked ones included;
+  on each snapshot, blocked ones included.  Where the structural checks
+  fill a list of segment records their caller gives (the ``records``
+  parameter), this row and ``_structural_violations`` include building the
+  records, which ``validate`` and ``apply_move`` then no longer do
+  themselves: across such a change, compare the fresh ``validate`` and
+  ``apply_move`` rows;
 * ``apply_move`` in us per call, over every proposal drawn for that list
   (those whose builder blocks too), split by outcome: ``applied``,
   ``blocked_count`` (the splice found more or fewer counted crossings than
@@ -42,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -147,9 +153,19 @@ def triples(point, bits: int) -> list:
     return [tuple(point(coord(), coord()) for _ in range(3)) for _ in range(TRIPLES)]
 
 
+def records_arg(f):
+    """f, or, if f fills a list of segment records its caller gives, f with a
+    new list on each call."""
+    if "records" not in inspect.signature(f).parameters:
+        return f
+    return lambda *args: f(*args, [])
+
+
 def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
+    structural_violations = records_arg(diagram._structural_violations)
+    structural_ok = records_arg(diagram._structural_ok)
     texts = snapshots(lib)
     out, verdicts, outcomes = {}, [], []
     for size, text in zip(SIZES, texts):
@@ -157,20 +173,20 @@ def rows(lib, mods) -> tuple[dict, dict]:
         checked = lib.loads(text)
         lib.validate(checked)
         specs, cases = proposals(lib, mods, checked)
-        verdicts += [str(diagram._structural_ok(d2, s)) for d2, s in cases]
+        verdicts += [str(structural_ok(d2, s)) for d2, s in cases]
         out[f"loads.ms@{size}"] = ("ms", 1e3, lambda text=text: lib.loads(text))
         out[f"_structural_violations.ms@{size}"] = (
-            "ms", 1e3, lambda d=d: diagram._structural_violations(d))
+            "ms", 1e3, lambda d=d: structural_violations(d))
         out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda d=d: diagram._segment_records(d))
         out[f"validate.ms@{size}"] = (
             "ms", 1e3, lambda d=d: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
         out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda d=checked: cli.render_svg(d))
 
-        def structural_ok(cases=cases):
+        def check_splices(cases=cases):
             for d2, s in cases:
-                diagram._structural_ok(d2, s)
+                structural_ok(d2, s)
 
-        out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), structural_ok)
+        out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), check_splices)
         groups: dict[str, list] = {}
         for spec in specs:
             cls, text = outcome(lib, checked, spec)

@@ -38,12 +38,10 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from itertools import groupby, product
-from operator import attrgetter
 from pathlib import Path
 
 from .diagram import BouquetDiagram, DiagramFormatError, analysis, crossings, dumps, loads, validate
-from .invariants import InvariantTuple, MismatchedLoopCount, equiv, invariants
+from .invariants import InvariantTuple, MismatchedLoopCount, _text_lines, equiv, invariants
 from .moves import Exhausted, MoveBlocked, MoveSpec, apply_move, random_move_applied
 from .normal_form import LimitExceeded, RealizationError, enumerate_classes, random_tuple, realize
 
@@ -283,15 +281,7 @@ def _cmd_realize(args, stdout) -> int:
 
 
 def _cmd_enumerate(args, stdout) -> int:
-    # the text of InvariantTuple.text(), but each bit string is joined once
-    # and each word's prefix built once, since the classes come grouped by
-    # word: for n = 4 this whole command takes about 1 s, while text() per
-    # class, with the word's text cached, still adds about 1.3 s of bit joins
-    classes = enumerate_classes(args.n)
-    bits = {b: "".join(map(str, b)) for b in product((0, 1), repeat=args.n)}
-    for order, group in groupby(classes, attrgetter("order")):
-        head = f"order={order}; h="
-        stdout.write("".join(f"{head}{bits[t.h]}; w={bits[t.w]}\n" for t in group))
+    stdout.writelines(_text_lines(enumerate_classes(args.n), args.n))
     return 0
 
 

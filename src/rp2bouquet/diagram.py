@@ -42,6 +42,7 @@ from .geometry import (
     _direction,
     _kind,
     _proper_ints,
+    _reflect,
     on_unit_circle,
     orient2d,
     rat,
@@ -218,7 +219,8 @@ class DiagramAnalysis:
     """Cached result of validating a diagram.
 
     For a valid diagram `records` holds its segment records (see
-    :class:`_Seg`) in (loop, leg, seg) order, so that a splice
+    :class:`_Seg`) in (loop, leg, seg) order, built by the structural check
+    (:func:`_check_leg`) from the floats it decides on, so that a splice
     (:func:`_apply_splice`) can update them instead of rebuilding them.  A
     record holds no position: :func:`_leg_starts` reads the index of each
     leg's first record off the diagram, and :func:`_position` finds a
@@ -237,11 +239,13 @@ class DiagramAnalysis:
 # ---------------------------------------------------------------------------
 
 def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
-               is_first: bool, is_last: bool, segs: range) -> list:
+               is_first: bool, is_last: bool, segs: range) -> list[_Seg]:
     """The leg conditions that read one of the segments `segs`, i.e. those at
     their end points; range(len(leg.points) - 1) checks the whole leg.  Floats
     decide where _B or _C makes them certain, exact predicates everywhere else.
-    Returns the float end points (fa, fb) of each segment of `segs`."""
+    Returns the records of `segs`, built from those floats, while `out` holds
+    no violation, else []: a point with no floats (outside [-1, 1]^2) is always
+    reported, by this leg or by VertexOutsideDisk before it."""
     pts = leg.points
     if len(pts) < 2:
         out.append(Violation("ShortLeg", li, ki))
@@ -286,7 +290,8 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
         else:
             if not on_unit_circle(p):
                 out.append(Violation("SeamPointOffCircle", li, ki, idx))
-    return list(zip(g[1:], g[2:len(segs) + 2]))
+    return [] if out else [_make_seg(li, a, b, fa, fb) for a, b, fa, fb
+                           in zip(pts[o:segs[-1] + 1], pts[o + 1:], g[1:], g[2:])]
 
 
 def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None:
@@ -305,10 +310,8 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
     d_in = _direction(q, b.points[1])
     if d_out.is_zero() or d_in.is_zero():
         return
-    # w = c^2 M(p) d_out (see seam_reflection), a positive multiple of M(p) (p - a[-2])
-    mxx, mxy = x * x - y * y, 2 * x * y
-    wx = mxx * d_out.x + mxy * d_out.y
-    wy = mxy * d_out.x - mxx * d_out.y
+    # w = c^2 M(p) d_out, a positive multiple of M(p) (p - a[-2])
+    wx, wy = _reflect(x, y, d_out.x, d_out.y)
     if not (wx * d_in.y == wy * d_in.x and wx * d_in.x + wy * d_in.y > 0):
         out.append(Violation("SeamRegularity", li, ki,
                              note="entry direction must match the reflected exit direction"))
@@ -363,9 +366,10 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
-def _structural_violations(d: BouquetDiagram, floats: list | None = None) -> list[Violation]:
+def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
+    """Every structural violation of d; while there is none, `records` gets
+    the records of d's segments in (loop, leg, seg) order (see _check_leg)."""
     out: list[Violation] = []
-    floats = [] if floats is None else floats
     if d.n < 1:
         out.append(Violation("BadLoopCount", note="n must be >= 1"))
     if len(d.loops) != d.n:
@@ -378,8 +382,8 @@ def _structural_violations(d: BouquetDiagram, floats: list | None = None) -> lis
             continue
         last = len(loop.legs) - 1
         for ki, leg in enumerate(loop.legs):
-            floats += _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last,
-                                 range(len(leg.points) - 1))
+            records += _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last,
+                                  range(len(leg.points) - 1))
         for ki in range(last):
             _check_joint(out, li, ki, loop.legs[ki], loop.legs[ki + 1])
     if not out:
@@ -432,7 +436,8 @@ def _make_seg(li: int, a: Point, b: Point, fa=None, fb=None) -> _Seg:
 
 
 def _segment_records(d: BouquetDiagram) -> list[_Seg]:
-    """Records of every segment in (loop, leg, seg) order."""
+    """Records of every segment in (loop, leg, seg) order, from the points
+    alone: the reference for the records the structural check builds."""
     return [_make_seg(li, a, b) for li, _, _, a, b in d.iter_segments()]
 
 
@@ -591,11 +596,10 @@ def _check_crossing_set(out: list[Violation], found: list[Crossing]) -> None:
 
 
 def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
-    floats: list = []
-    violations = _structural_violations(d, floats)
+    records: list[_Seg] = []
+    violations = _structural_violations(d, records)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
-    records = [_make_seg(li, a, b, *f) for (li, _, _, a, b), f in zip(d.iter_segments(), floats)]
     leg_starts = _leg_starts(d)
     found: list[Crossing] = []
     # positions are looked up only for the pairs that cross or touch
@@ -633,15 +637,15 @@ def _set_analysis(d: BouquetDiagram, value: DiagramAnalysis) -> None:
 
 @dataclass
 class _Splice:
-    # what _splice_points returns: the loop's new legs and the window, the
-    # `replaced` segments of leg `leg` from `seg` on, which the `new` ones
-    # (leg, seg, a, b) of the new legs replace
+    """What _splice_points returns: the loop's new legs and the window.  The
+    new segments are `new`, one (leg, range of segments) per new leg, as
+    _check_leg takes them; they replace the `replaced` segments from the
+    first of them on."""
+
     loop: int
-    leg: int
-    seg: int
     replaced: int
     new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
-    new: list
+    new: list[tuple[int, range]]
     # (additions, dropped, d2) -> error message or None
     contract: Callable[[list, list, BouquetDiagram], str | None] | None
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
@@ -651,8 +655,6 @@ class _Splice:
     # `removed` holds the dropped crossings' locations, each to be found again;
     # off, it is empty and every crossing found is an addition
     check_persistence: bool
-    # (fa, fb) of each `new` segment, set by _structural_ok (see _check_leg)
-    floats: list = field(default_factory=list)
 
 
 def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
@@ -668,13 +670,10 @@ def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
     runs = (pts[:lo] + chains[0],) + chains[1:]
     runs = runs[:-1] + (runs[-1] + pts[hi:],)
     last = leg + len(runs) - 1
-    new = []
-    for k, run in enumerate(runs, leg):
-        stop = len(run) - len(pts) + hi if k == last else len(run) - 1
-        new += [(k, s, run[s], run[s + 1]) for s in range(lo - 1 if k == leg else 0, stop)]
+    new = [(k, range(lo - 1 if k == leg else 0, len(run) - len(pts) + hi if k == last else len(run) - 1))
+           for k, run in enumerate(runs, leg)]
     new_legs = legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:]
-    return _Splice(loop, leg, lo - 1, hi - lo + 1, new_legs, new, contract, count,
-                   check_persistence)
+    return _Splice(loop, hi - lo + 1, new_legs, new, contract, count, check_persistence)
 
 
 def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
@@ -749,51 +748,38 @@ def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
     return BouquetDiagram(d.n, d.vertex, tuple(loops))
 
 
-def _structural_ok(d2: BouquetDiagram, splice: _Splice) -> Violation | None:
-    """First generic-position violation of the candidate d2, or None.
+def _structural_ok(d2: BouquetDiagram, splice: _Splice, records: list) -> Violation | None:
+    """First generic-position violation of the candidate d2, or None; while
+    there is none, `records` gets the records of the new segments, in order.
 
-    d2 differs from a valid diagram only in the splice's `new` segments,
-    listed in (leg, seg) order, so only conditions that read one of them can
-    fail: leg conditions at their end points, joints next to them, the vertex
-    star if a first or last segment changed, and the seam table if a joint
-    was checked (a moved seam point always ends a new segment).  The verdict
-    (and the first violation) is that of re-checking the whole loop, the
-    vertex star and the seam table.
+    d2 differs from a valid diagram only in the splice's new segments, so
+    only conditions that read one of them can fail: leg conditions at their
+    end points, joints next to them, the vertex star if a first or last
+    segment changed, and the seam table if a joint was checked (a moved seam
+    point always ends a new segment).  The verdict (and the first violation)
+    is that of re-checking the whole loop, the vertex star and the seam table.
     """
     loop, legs, new = splice.loop, splice.new_legs, splice.new
-    by_leg: dict[int, list[int]] = {}
-    for k, s, _, _ in new:
-        by_leg.setdefault(k, []).append(s)
     viols: list[Violation] = []
     last = len(legs) - 1
-    splice.floats = []
-    # each leg's new segments run without a gap, built from one range
-    for k, segs in by_leg.items():
-        splice.floats += _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last,
-                                    range(segs[0], segs[-1] + 1))
+    for k, segs in new:
+        records += _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, segs)
         if viols:
             return viols[0]
-    # the joints before a leg's first segment and after its last, in order, once
-    joints = dict.fromkeys(ki for k, s, _, _ in new
-                           for ki, end in ((k - 1, s == 0), (k, s == len(legs[k].points) - 2))
-                           if end and 0 <= ki < last)
+    # the joint at each leg end a new segment reaches, in order: joint ki
+    # follows leg ki, and -1 and `last` stand for V
+    ends = [ki for k, segs in new
+            for ki, end in ((k - 1, segs[0] == 0), (k, segs[-1] == len(legs[k].points) - 2)) if end]
+    joints = dict.fromkeys(ki for ki in ends if 0 <= ki < last)
     for ki in joints:
         _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
     if viols:
         return viols[0]
-    if new[0][:2] == (0, 0) or new[-1][:2] == (last, len(legs[last].points) - 2):
+    if -1 in ends or last in ends:
         _check_vertex_directions(viols, d2)
     if joints:
         _check_seam_table(viols, d2)
     return viols[0] if viols else None
-
-
-def _splice_records(base: DiagramAnalysis, splice: _Splice, i: int, j: int) -> tuple:
-    """The segment records of d2: those of d, with records[i:j], the replaced
-    segments, swapped for the new segments' records from a passed _structural_ok."""
-    changed = tuple(_make_seg(splice.loop, a, b, *f)
-                    for (_, _, a, b), f in zip(splice.new, splice.floats))
-    return base.records[:i] + changed + base.records[j:]
 
 
 def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -808,16 +794,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     found stay ints until the destroyed and count checks pass (see _scan_changed)."""
     base = _valid_analysis(d)
     d2 = _spliced(d, splice)
-    bad = _structural_ok(d2, splice)
+    changed: list[_Seg] = []
+    bad = _structural_ok(d2, splice, changed)
     if bad is not None:
         raise MoveBlocked(f"result not generic: {bad}")
 
-    loop, new = splice.loop, splice.new
+    loop, (leg, segs) = splice.loop, splice.new[0]
     row = _leg_starts(d)[loop]
-    i = row[splice.leg] + splice.seg
+    i = row[leg] + segs[0]
     j = i + splice.replaced
-    # records only now: a point far outside the disk has no float box
-    records, leg_starts = _splice_records(base, splice, i, j), _leg_starts(d2)
+    records, leg_starts = base.records[:i] + tuple(changed) + base.records[j:], _leg_starts(d2)
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
     for c in base.crossings:
@@ -826,7 +812,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
         (dropped if i <= fa < j or i <= fb < j else kept).append(c)
     removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
-    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(new), removed,
+    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
                                            splice.count)
     if refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
@@ -838,7 +824,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
-    delta = len(new) - (j - i)
+    delta = len(changed) - (j - i)
     # equal rows (each ends with the loop's end) leave every position as it is
     if leg_starts[loop] != row:
         def shifted(p: LoopParam) -> LoopParam:

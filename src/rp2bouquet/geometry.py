@@ -333,18 +333,23 @@ def seam_reflection(p: Point) -> Mat2:
     return ((mxx, mxy), (mxy, -mxx))
 
 
+def _reflect(x: int, y: int, u: int, v: int) -> tuple[int, int]:
+    """c^2 M(p) (u, v) for p = (x, y) / c on the unit circle (see seam_reflection)."""
+    mxx, mxy = x * x - y * y, 2 * x * y
+    return mxx * u + mxy * v, mxy * u - mxx * v
+
+
 def _seam_step(p: Point, d_out: Point) -> Point:
     """-p + M(p) d_out / 32: the first interior point after entering at -p."""
-    # p = (x, y) / c: a rational unit-circle point has equal denominators, and
-    # c^2 M(p) = [[mxx, mxy], [mxy, -mxx]] (see seam_reflection)
+    # p = (x, y) / c: a rational unit-circle point has equal denominators
     x, c, y = p.x.numerator, p.x.denominator, p.y.numerator
     if p.y.denominator != c or x * x + y * y != c * c:
         raise ValueError(f"seam reflection needs a unit-circle point, got ({p.x}, {p.y})")
     dxn, dxd, dyn, dyd = d_out.x.numerator, d_out.x.denominator, d_out.y.numerator, d_out.y.denominator
-    mxx, mxy = x * x - y * y, 2 * x * y
-    u, v, back = dxn * dyd, dyn * dxd, 32 * c * dxd * dyd
+    back = 32 * c * dxd * dyd
+    wx, wy = _reflect(x, y, dxn * dyd, dyn * dxd)  # d_out times dxd * dyd
     den = back * c
-    return Point(Rat(mxx * u + mxy * v - back * x, den), Rat(mxy * u - mxx * v - back * y, den))
+    return Point(Rat(wx - back * x, den), Rat(wy - back * y, den))
 
 
 def mat_apply(m: Mat2, v: Point) -> Point:

@@ -32,7 +32,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, product, repeat
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .diagram import BouquetDiagram, Crossing, HalfEdge, InvalidDiagram, _star, crossings
 from .geometry import angle_sort
@@ -178,6 +180,17 @@ class InvariantTuple:
         if len(bits["h"]) != order.n or len(bits["w"]) != order.n:
             raise ValueError("bit strings must have one bit per loop")
         return InvariantTuple(order, bits["h"], bits["w"])
+
+
+def _text_lines(tuples: Iterable[InvariantTuple], n: int) -> Iterator[str]:
+    """The text() of each of the n-loop `tuples`, each ending in a newline,
+    joined for each run of equal order.  Each bit string is joined once and
+    each word's prefix built once: for enumerate_classes(4), grouped by word,
+    text() per class, with the word's text cached, takes about 1.3 s more."""
+    bits = {b: "".join(map(str, b)) for b in product((0, 1), repeat=n)}
+    for order, group in groupby(tuples, attrgetter("order")):
+        head = f"order={order}; h="
+        yield "".join(f"{head}{bits[t.h]}; w={bits[t.w]}\n" for t in group)
 
 
 def _class_rows(words: list[CyclicWord], bits: list[tuple[int, ...]]) -> list[InvariantTuple]:

@@ -276,14 +276,16 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     code, out = run(args)
     assert code == 0 and out.startswith("OK 3/3 trials, 60 moves")
 
-    splice_records = diagram_mod._splice_records
+    structural_ok = diagram_mod._structural_ok
 
-    def corrupted(*args):
-        records = splice_records(*args)
-        first = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
-        return (first,) + records[1:]
+    def corrupted(d2, splice, records):
+        # a passed check's first new record, its float box widened
+        bad = structural_ok(d2, splice, records)
+        if bad is None:
+            records[0] = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
+        return bad
 
-    monkeypatch.setattr(diagram_mod, "_splice_records", corrupted)
+    monkeypatch.setattr(diagram_mod, "_structural_ok", corrupted)
     code, out = run(args)
     assert code == 3
     assert "kept records diverge from a rebuilt analysis" in out

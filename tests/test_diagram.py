@@ -535,20 +535,19 @@ huge = st.sampled_from([pt(rat(HUGE + 1, 3), 0), pt(rat(-HUGE, 7), rat(1, 2)),
 steps = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 3, 7, 10]))
 
 
-def float_point(p):
-    return (float(p.x), float(p.y)) if abs(p.x) <= 1 and abs(p.y) <= 1 else None
-
-
 def assert_check_leg_is_exact(points, vertex=pt(0, 0), segs=None, is_first=False, is_last=False):
     """The filtered _check_leg gives the violations of the exact reference,
-    with no OverflowError, and returns the float end points of each checked
-    segment (None outside [-1, 1]^2)."""
+    with no OverflowError, and returns the records of the checked segments,
+    as _make_seg builds them from the points alone, or [] if there is a
+    violation.  As in _structural_violations, a vertex outside the disk is
+    reported first."""
     segs = range(len(points) - 1) if segs is None else segs
-    got, want = [], []
-    floats = _check_leg(got, vertex, 0, 0, Leg(points), is_first, is_last, segs)
+    got = [Violation("VertexOutsideDisk")] if unit_circle_side(vertex) >= 0 else []
+    want = list(got)
+    records = _check_leg(got, vertex, 0, 0, Leg(points), is_first, is_last, segs)
     exact_check_leg(want, vertex, 0, 0, Leg(points), is_first, is_last, segs)
     assert got == want
-    assert floats == [(float_point(points[i]), float_point(points[i + 1])) for i in segs]
+    assert records == ([] if got else [_make_seg(0, points[i], points[i + 1]) for i in segs])
 
 
 @given(inner, inner, steps, st.booleans(), st.one_of(st.just(0), st.integers(60, 200)),
@@ -637,6 +636,16 @@ def test_check_leg_cases():
         exact_check_leg(exact, a, 0, 0, Leg(points), True, False, range(len(points) - 1))
         assert got == exact
         assert [v.kind for v in got] == want + ["SeamPointOffCircle"], points
+
+
+def test_a_huge_vertex_outside_the_disk_is_reported_without_floats():
+    """Every loop starts and ends on a vertex 4,000 digits outside the disk,
+    so no leg reports a violation, and the end points have no floats: once
+    VertexOutsideDisk is reported, no leg builds its records from them."""
+    v = pt(rat(HUGE + 1, 3), 0)
+    d = BouquetDiagram(2, v, (LoopPath((Leg((v, pt("1/2", "1/4"), pt("1/4", "1/2"), v)),)),
+                              LoopPath((Leg((v, pt("-1/2", "1/4"), pt("-1/4", "1/2"), v)),))))
+    assert validate(d) == [Violation("VertexOutsideDisk")]
 
 
 @given(any_points, st.integers(1, 2 ** 70))

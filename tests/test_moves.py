@@ -220,7 +220,10 @@ def test_a_crossing_at_the_vertex_is_blocked_as_a_touch_first():
     v = pt(0, 0)
     d = BouquetDiagram(1, v, (LoopPath((Leg((v, pt("1/4", "-1/4"), pt("-1/4", "-1/4"), v)),)),))
     spec = EditSpec("SingleKink", 0, 0, 1, (rat(1, 2), rat(1, 4), rat(-3, 4)))
-    (_, _, a, b), _, (_, _, c, e) = moves_mod._build_single_kink(d, spec).new[1:4]
+    splice = moves_mod._build_single_kink(d, spec)
+    (leg, segs), = splice.new
+    # (a, b) and (c, e): the second and fourth new segments
+    a, b, c, e = splice.new_legs[leg].points[segs[1]:segs[3] + 2]
     assert segment_intersection(a, b, c, e).point == v
     with pytest.raises(MoveBlocked, match="^template touches loop=0 leg=0 segment=0 non-transversally$"):
         apply_edit(d, spec)
@@ -572,8 +575,8 @@ def test_touched_only_structural_check_matches_full_check():
                     except MoveBlocked:
                         continue
                     d2 = diagram_mod._spliced(d, splice)
-                    touched = diagram_mod._structural_ok(d2, splice)
-                    full = _structural_violations(d2)
+                    touched = diagram_mod._structural_ok(d2, splice, [])
+                    full = _structural_violations(d2, [])
                     assert touched == (full[0] if full else None), spec.to_line()
                     proposals += 1
                     kinds.update(v.kind for v in full[:1])
@@ -666,7 +669,8 @@ def identity_window(d, d2, loop):
 
 
 def splice_window(d, splice):
-    i = _leg_starts(d)[splice.loop][splice.leg] + splice.seg
+    leg, segs = splice.new[0]
+    i = _leg_starts(d)[splice.loop][leg] + segs[0]
     return i, i + splice.replaced, splice.new
 
 
@@ -707,9 +711,10 @@ def test_splice_window_matches_segment_identity():
                 assert all(diagram_mod._key(d, f)[0] == splice.loop for f in range(i, j))
                 want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
-                assert {(k, s) for k, s, _, _ in new} == want_changed, spec.to_line()
-                if diagram_mod._structural_ok(d2, splice) is None:
-                    records = diagram_mod._splice_records(base, splice, i, j)
+                assert {(k, s) for k, segs in new for s in segs} == want_changed, spec.to_line()
+                changed = []
+                if diagram_mod._structural_ok(d2, splice, changed) is None:
+                    records = base.records[:i] + tuple(changed) + base.records[j:]
                     assert records == tuple(_segment_records(d2)), spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))

@@ -9,28 +9,29 @@ of them are imported, one after another, into this process (the library
 imports nothing inside its functions, so each version keeps its own
 modules), and their samples of each row are taken in turn, reversing the
 order every other time, so that drift of the host's speed falls on all of
-them alike.  A row calls one function directly, mostly a private one; a
-source that lacks a row's function has no such row, and the others still
-compare.  The rows:
+them alike.  A row calls one function directly, mostly a private one, so
+each source must have the private functions the rows name, with their
+present signatures.  The rows:
 
 * ``loads``, ``_structural_violations``, ``_segment_records``, a fresh
-  ``validate`` (a new diagram object, so no kept analysis) and
-  ``render_svg`` (on a validated diagram), in ms per call, on two snapshots
-  of about 60 and about 450 segments: one seeded chain of ``realize`` plus
-  ``random_move_applied``, cut when it first reaches each size;
+  ``validate`` (a new diagram object, so no kept analysis), ``render_svg``
+  and ``dumps`` in ms per call, and ``invariants`` in us per call (the last
+  three on a validated diagram), on two snapshots of about 60 and about 450
+  segments: one seeded chain of ``realize`` plus ``random_move_applied``,
+  cut when it first reaches each size;
 * ``_structural_ok`` in us per call, over a fixed list of splices proposed
-  on each snapshot, blocked ones included.  Where the structural checks
-  fill a list of segment records their caller gives (the ``records``
-  parameter), this row and ``_structural_violations`` include building the
-  records, which ``validate`` and ``apply_move`` then no longer do
-  themselves: across such a change, compare the fresh ``validate`` and
-  ``apply_move`` rows;
+  on each snapshot, blocked ones included;
 * ``apply_move`` in us per call, over every proposal drawn for that list
   (those whose builder blocks too), split by outcome: ``applied``,
   ``blocked_count`` (the splice found more or fewer counted crossings than
-  its move adds) and ``blocked_other``; then each move kind by outcome;
+  its move adds) and ``blocked_other``; then each move kind by outcome.
+  These rows also run on a third snapshot of the same chain, of about 1,500
+  segments, where a move's walks over every record and crossing are longest;
+* a fresh ``validate`` of the pencil: one loop of 40 chords through
+  (1/4, 1/4), so that every pair of chords crosses there, giving 779
+  TriplePoints;
 * ``_meet``, and the integer crossing kernel ``_proper_ints``, in ns per
-  call, on the pairs of the larger snapshot that cross properly;
+  call, on the pairs of the 450-segment snapshot that cross properly;
 * ``orient2d`` in ns per call, on random points in [-1, 1]^2 whose
   coordinates have numerators and denominators of 8, 50 and 570 bits.
 
@@ -39,15 +40,15 @@ the median and quartiles of ``--reps`` samples, and for each source after
 the first, the median ratio of its samples to the first source's taken next
 to them.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
-verdicts and of its ``apply_move`` outcomes (each block message, or the
-``dumps`` of the result), which agree between versions that decide alike."""
+verdicts, of its ``apply_move`` outcomes (each block message, or the
+``dumps`` of the result) and of the pencil's violations, which agree
+between versions that decide alike."""
 
 from __future__ import annotations
 
 import argparse
 import hashlib
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -61,6 +62,8 @@ from pathlib import Path
 
 SEED = 20260815
 SIZES = (60, 450)
+LONG = 1500            # a third snapshot, for the apply_move rows only
+PENCIL = 40            # chords of the pencil
 SPLICES = 40           # proposals per snapshot for the _structural_ok row
 TRIPLES = 200          # orient2d calls per sample
 BITS = (8, 50, 570)
@@ -89,7 +92,7 @@ def snapshots(lib) -> list[str]:
     d = lib.realize(lib.random_tuple(2, SEED))
     rng = random.Random(SEED)
     out = []
-    for size in SIZES:
+    for size in SIZES + (LONG,):
         while sum(len(leg.points) - 1 for loop in d.loops for leg in loop.legs) < size:
             _, d = lib.random_move_applied(d, rng.randrange(10 ** 9))
         out.append(lib.dumps(d))
@@ -153,40 +156,32 @@ def triples(point, bits: int) -> list:
     return [tuple(point(coord(), coord()) for _ in range(3)) for _ in range(TRIPLES)]
 
 
-def records_arg(f):
-    """f, or, if f fills a list of segment records its caller gives, f with a
-    new list on each call."""
-    if "records" not in inspect.signature(f).parameters:
-        return f
-    return lambda *args: f(*args, [])
+def pencil(lib, m: int):
+    """One loop from V = (0, 0) through m chords of slopes in (-1, 1), each
+    with its midpoint at (1/4, 1/4) and its ends on x = 1/8 and x = 3/8,
+    run left to right and back in turn and joined along those lines."""
+    c, h = Fraction(1, 4), Fraction(1, 8)
+    ends = []
+    for k in range(m):
+        s = Fraction(2 * k + 1 - m, m)
+        left, right = lib.pt(c - h, c - s * h), lib.pt(c + h, c + s * h)
+        ends += (left, right) if k % 2 == 0 else (right, left)
+    v = lib.pt(0, 0)
+    return lib.BouquetDiagram(1, v, (lib.LoopPath((lib.Leg((v, *ends, v)),)),))
 
 
 def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
-    structural_violations = records_arg(diagram._structural_violations)
-    structural_ok = records_arg(diagram._structural_ok)
     texts = snapshots(lib)
     out, verdicts, outcomes = {}, [], []
-    for size, text in zip(SIZES, texts):
-        d = lib.loads(text)
+    for size, text in zip(SIZES + (LONG,), texts):
         checked = lib.loads(text)
         lib.validate(checked)
         specs, cases = proposals(lib, mods, checked)
-        verdicts += [str(structural_ok(d2, s)) for d2, s in cases]
-        out[f"loads.ms@{size}"] = ("ms", 1e3, lambda text=text: lib.loads(text))
-        out[f"_structural_violations.ms@{size}"] = (
-            "ms", 1e3, lambda d=d: structural_violations(d))
-        out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda d=d: diagram._segment_records(d))
-        out[f"validate.ms@{size}"] = (
-            "ms", 1e3, lambda d=d: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
-        out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda d=checked: cli.render_svg(d))
-
-        def check_splices(cases=cases):
-            for d2, s in cases:
-                structural_ok(d2, s)
-
-        out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), check_splices)
+        if size in SIZES:
+            read_rows(out, lib, mods, size, text, checked, cases)
+            verdicts += [str(diagram._structural_ok(d2, s, [])) for d2, s in cases]
         groups: dict[str, list] = {}
         for spec in specs:
             cls, text = outcome(lib, checked, spec)
@@ -197,8 +192,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
             out[f"apply_move.{group}.us@{size}"] = (
                 "us", 1e6 / len(groups[group]),
                 lambda specs=groups[group], d=checked: apply_moves(lib, d, specs))
-    # `checked` is now the larger snapshot
-    pairs = proper_pairs(lib, diagram, checked)
+    pairs = proper_pairs(lib, diagram, lib.loads(texts[len(SIZES) - 1]))
     ends = [(s.a, s.b, t.a, t.b) for s, t in pairs]
 
     def meet(pairs=pairs, f=diagram._meet):
@@ -206,12 +200,16 @@ def rows(lib, mods) -> tuple[dict, dict]:
             f(s, t)
 
     out[f"_meet.proper.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(pairs), meet)
-    if hasattr(geometry, "_proper_ints"):
-        def kernel(ends=ends, f=geometry._proper_ints):
-            for a, b, c, e in ends:
-                f(a, b, c, e)
 
-        out[f"_proper_ints.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(ends), kernel)
+    def kernel(ends=ends, f=geometry._proper_ints):
+        for a, b, c, e in ends:
+            f(a, b, c, e)
+
+    out[f"_proper_ints.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(ends), kernel)
+    fan = pencil(lib, PENCIL)
+    out[f"validate.pencil.ms@{PENCIL}"] = (
+        "ms", 1e3, lambda d=fan: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
+    fan_violations = [str(v) for v in lib.validate(fan)]
     for bits in BITS:
         def orient(ts=triples(geometry.Point, bits), f=geometry.orient2d):
             for a, b, c in ts:
@@ -225,8 +223,31 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "verdicts_sha256": hashlib.sha256("\n".join(verdicts).encode()).hexdigest(),
         "outcomes_sha256": hashlib.sha256("\n".join(outcomes).encode()).hexdigest(),
         "proper_pairs": len(pairs),
+        "pencil_violations": len(fan_violations),
+        "pencil_sha256": hashlib.sha256("\n".join(fan_violations).encode()).hexdigest(),
     }
     return out, checks
+
+
+def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> None:
+    """The rows of one snapshot that read or check it, moving nothing."""
+    diagram, cli = mods["diagram"], mods["cli"]
+    d = lib.loads(text)
+    out[f"loads.ms@{size}"] = ("ms", 1e3, lambda: lib.loads(text))
+    out[f"_structural_violations.ms@{size}"] = (
+        "ms", 1e3, lambda: diagram._structural_violations(d, []))
+    out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda: diagram._segment_records(d))
+    out[f"validate.ms@{size}"] = (
+        "ms", 1e3, lambda: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
+    out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(checked))
+    out[f"dumps.ms@{size}"] = ("ms", 1e3, lambda: lib.dumps(checked))
+    out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(checked))
+
+    def check_splices():
+        for d2, s in cases:
+            diagram._structural_ok(d2, s, [])
+
+    out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), check_splices)
 
 
 def sample(call, inner: int) -> float:

@@ -582,37 +582,33 @@ def _location_key(p: Point) -> tuple[int, int, int, int]:
     return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
 
 
-def _check_crossing_set(out: list[Violation], found: list[Crossing]) -> None:
-    """A TriplePoint for each crossing at an earlier one's location.  A crossing
-    at V needs no rule: both its segments meet loop 0's first segment there, a
-    pair no scan skips (a corner at V is a Cusp), so it is NonTransversal."""
-    seen: set[tuple[int, int, int, int]] = set()
-    for c in found:
-        key = _location_key(c.location)
-        if key in seen:
-            out.append(Violation("TriplePoint", c.loop_a, c.param_a.leg, c.param_a.seg,
-                                 note="two crossings at the same point"))
-        seen.add(key)
-
-
 def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
+    """The structural violations, else each NonTransversal pair in sweep order and then
+    a TriplePoint for each crossing at an earlier one's location, keyed as _scan_changed."""
     records: list[_Seg] = []
     violations = _structural_violations(d, records)
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     leg_starts = _leg_starts(d)
     found: list[Crossing] = []
+    seen: set[tuple[int, int, int, int]] = set()
+    triples: list[Violation] = []
     # positions are looked up only for the pairs that cross or touch
     for s, t, i, j in _all_pairs(records, leg_starts):
         kind, frame, ints = _meet(s, t)
         if kind is SegKind.PROPER:
-            found.append(_pair_crossing(leg_starts, s, t, i, j, frame, ints))
+            c = _pair_crossing(leg_starts, s, t, i, j, frame, ints)
+            found.append(c)
+            if ints[0] in seen:
+                triples.append(Violation("TriplePoint", c.loop_a, c.param_a.leg, c.param_a.seg,
+                                         note="two crossings at the same point"))
+            seen.add(ints[0])
         elif kind is SegKind.DEGENERATE:
             ks, kt = _position(leg_starts, s.loop, i), _position(leg_starts, t.loop, j)
             violations.append(Violation(
                 "NonTransversal", s.loop, *ks,
                 note=f"against loop={t.loop} leg={kt[0]} segment={kt[1]}"))
-    _check_crossing_set(violations, found)
+    violations += triples
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
@@ -707,14 +703,14 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     the splice's `count` counts.  No `Crossing` is built: a location is the
     int key of _proper_ints and a strand's loop its record's.
 
-    MoveBlocked at the first certain violation: a non-transversal contact (as
-    a crossing at V makes with loop 0's first segment, see _check_crossing_set),
-    a crossing on another one, or a tally past `count` once every location in
-    `removed` is found again, so that a destroyed crossing stays the reason
-    when there is one.  A crossing landing on a kept one at X meets both
-    strands of X there, so it is blocked at its second contact; the pairs the
-    scan skips (a corner, two segments at V) cannot make one, as the
-    structural check has blocked a cusp or codirection at X first.
+    MoveBlocked at the first certain violation: a non-transversal contact (as each
+    segment of a crossing at V makes with loop 0's first one, a pair no scan skips:
+    a corner at V is a Cusp), a crossing on another one, or a tally past `count`
+    once every location in `removed` is found again, so that a destroyed crossing
+    stays the reason when there is one.  A crossing landing on a kept one at X meets
+    both strands of X there, so it is blocked at its second contact; the pairs the
+    scan skips (a corner, two segments at V) cannot make one, as the structural
+    check has blocked a cusp or codirection at X first.
     """
     limit, counts, exactly = count or (float("inf"), None, "")
     found: list[tuple] = []
@@ -790,8 +786,8 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
-    """The spliced diagram with its analysis kept, and the additions.  The crossings
-    found stay ints until the destroyed and count checks pass (see _scan_changed)."""
+    """The spliced diagram, analysis kept, and the additions.  Found crossings stay ints
+    until the checks pass (see _scan_changed); kept ones are rebuilt only if they move."""
     base = _valid_analysis(d)
     d2 = _spliced(d, splice)
     changed: list[_Seg] = []
@@ -804,13 +800,20 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     i = row[leg] + segs[0]
     j = i + splice.replaced
     records, leg_starts = base.records[:i] + tuple(changed) + base.records[j:], _leg_starts(d2)
+    shifts = leg_starts[loop] != row  # equal rows (each ends with the loop's end) move nothing
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
+    past: list[tuple[int, int, int]] = []  # (index in kept, fa, fb)
     for c in base.crossings:
         # the record indices of its strands on the spliced loop, -1 elsewhere
         fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
         fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
-        (dropped if i <= fa < j or i <= fb < j else kept).append(c)
+        if i <= fa < j or i <= fb < j:
+            dropped.append(c)
+            continue
+        if shifts and (fa >= j or fb >= j):
+            past.append((len(kept), fa, fb))
+        kept.append(c)
     removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
     hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
                                            splice.count)
@@ -824,21 +827,13 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
-    delta = len(changed) - (j - i)
-    # equal rows (each ends with the loop's end) leave every position as it is
-    if leg_starts[loop] != row:
-        def shifted(p: LoopParam) -> LoopParam:
-            # a parameter past the window keeps its record, which moves by delta
-            f = row[p.leg] + p.seg
-            if f < j:
-                return p
-            return LoopParam(*_position(leg_starts, loop, f + delta), p.frac)
-
-        for n, c in enumerate(kept):
-            pa = shifted(c.param_a) if c.loop_a == loop else c.param_a
-            pb = shifted(c.param_b) if c.loop_b == loop else c.param_b
-            if pa is not c.param_a or pb is not c.param_b:
-                kept[n] = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
+    delta = len(changed) - (j - i)  # how far each record past the window moves
+    for n, fa, fb in past:
+        c = kept[n]
+        pa, pb = c.param_a, c.param_b
+        pa = LoopParam(*_position(leg_starts, loop, fa + delta), pa.frac) if fa >= j else pa
+        pb = LoopParam(*_position(leg_starts, loop, fb + delta), pb.frac) if fb >= j else pb
+        kept[n] = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
     # the shift is monotone along the loop, so the kept crossings are still
     # sorted; only the few found ones are merged in
     for c in found:

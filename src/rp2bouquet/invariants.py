@@ -230,7 +230,7 @@ def _star_word(d: BouquetDiagram) -> tuple[HalfEdge, ...]:
 def inv1(d: BouquetDiagram) -> CyclicWord:
     """Canonical cyclic word of half-edge symbols counterclockwise around V."""
     crossings(d)  # assert generic position
-    return canonical_cyclic_word(_star_word(d))
+    return CyclicWord(_canonical(_star_word(d)))
 
 
 def inv2(d: BouquetDiagram) -> tuple[int, ...]:

@@ -70,7 +70,7 @@ from .diagram import (
     _splice_points,
     _valid_analysis,
 )
-from .invariants import _index_term, _star_word, canonical_cyclic_word
+from .invariants import _canonical, _index_term, _star_word
 
 __all__ = [
     "MOVE_KINDS",
@@ -391,7 +391,7 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     def contract(additions: list[Crossing], dropped, d2) -> str | None:
         if _crossing_signature(additions) != _crossing_signature(dropped):
             return "jiggle would change the crossing pattern"
-        if next_to_v and canonical_cyclic_word(_star_word(d2)) != canonical_cyclic_word(_star_word(d)):
+        if next_to_v and _canonical(_star_word(d2)) != _canonical(_star_word(d)):
             return "jiggle would reorder the vertex star"
         return None
 

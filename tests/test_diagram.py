@@ -151,16 +151,35 @@ def test_non_transversal_through_vertex():
     assert "NonTransversal" in kinds(d)
 
 
-def test_triple_point():
-    # three loops whose middle segments all pass through (1/4, 1/4)
-    def lens(a, b):
-        return LoopPath((Leg((pt(0, 0), a, b, pt(0, 0))),))
+def lens(a, b):
+    return LoopPath((Leg((pt(0, 0), a, b, pt(0, 0))),))
 
-    l1 = lens(pt("1/2", 0), pt(0, "1/2"))
-    l2 = lens(pt("1/2", "1/8"), pt("-1/16", "13/32"))
-    l3 = lens(pt("3/8", "1/16"), pt("1/8", "7/16"))
-    d = BouquetDiagram(3, pt(0, 0), (l1, l2, l3))
+
+# three loops whose middle segments all pass through (1/4, 1/4)
+TRIPLE = (lens(pt("1/2", 0), pt(0, "1/2")),
+          lens(pt("1/2", "1/8"), pt("-1/16", "13/32")),
+          lens(pt("3/8", "1/16"), pt("1/8", "7/16")))
+
+
+def test_triple_point():
+    d = BouquetDiagram(3, pt(0, 0), TRIPLE)
     assert "TriplePoint" in kinds(d)
+
+
+def test_pair_violations_in_sweep_order_then_triple_points():
+    # loop 3's middle segment runs along x = 3/4, and both of loop 4's
+    # segments at its corner (3/4, -1/4) touch it there; the sweep meets the
+    # triple point at (1/4, 1/4) first, yet the TriplePoints come last, in the
+    # order their crossings were found
+    d = BouquetDiagram(5, pt(0, 0), TRIPLE + (
+        lens(pt("3/4", "-3/8"), pt("3/4", "-1/8")),
+        lens(pt("3/4", "-1/4"), pt("5/8", "-1/2"))))
+    assert [str(v) for v in validate(d)] == [
+        "NonTransversal loop=3 leg=0 segment=1 against loop=4 leg=0 segment=0",
+        "NonTransversal loop=3 leg=0 segment=1 against loop=4 leg=0 segment=1",
+        "TriplePoint loop=1 leg=0 segment=1 two crossings at the same point",
+        "TriplePoint loop=0 leg=0 segment=1 two crossings at the same point",
+    ]
 
 
 @pytest.mark.parametrize("f", [lambda p: p, rotate, reflect], ids=["as_is", "rotated", "reflected"])

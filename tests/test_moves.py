@@ -734,6 +734,29 @@ def test_splice_keeps_every_record_past_its_window():
     assert_kept_analysis_is_fresh(d2)
 
 
+def test_a_splice_rebuilds_only_the_kept_crossings_past_its_window():
+    """Subdividing segment 4 of loop 2's one leg moves every record past it
+    by one: the kept crossings with a strand there get new positions, and
+    every other kept crossing (before the window, or on other loops) is the
+    very same object as before."""
+    d = realize(random_tuple(3, 1))
+    before = crossings(d)
+    d2 = apply_move(d, MoveSpec("Subdivide", 2, 0, 4, (rat(1, 2),)))
+
+    def past(c):
+        return any(loop == 2 and p.seg > 4 for loop, p in ((c.loop_a, c.param_a),
+                                                            (c.loop_b, c.param_b)))
+
+    moved = [c for c in before if past(c)]
+    same = [c for c in before if not past(c)]
+    assert len(moved) == 3 and len(same) == 4
+    assert any(2 in (c.loop_a, c.loop_b) for c in same)
+    after = {id(c) for c in crossings(d2)}
+    assert all(id(c) in after for c in same)
+    assert not any(id(c) in after for c in moved)
+    assert_kept_analysis_is_fresh(d2)
+
+
 def test_template_through_an_existing_crossing_is_blocked(wedge):
     # loop 0's segment 1 crosses loop 1's segment 2 at (15/64, -15/64); moving
     # the point (-3/8, 0) to (1/2, -1/2) sends segment 3 through that crossing,

@@ -30,10 +30,22 @@ present signatures.  The rows:
 * a fresh ``validate`` of the pencil: one loop of 40 chords through
   (1/4, 1/4), so that every pair of chords crosses there, giving 779
   TriplePoints;
+* a fresh ``validate`` of two valid one-loop diagrams on which the sweep's
+  active list grows long, each at two sizes: the zigzag of N = 2,000 and
+  4,000 near-horizontal segments between x = -1/2 and x = 1/2 (N + 1
+  segments, N - 3 crossings), and the quadrant diagram of N/2 long
+  horizontals top left and N/2 long verticals bottom right, N = 1,000 and
+  2,000 (2N + 1 segments, N/2 crossings);
 * ``_meet``, and the integer crossing kernel ``_proper_ints``, in ns per
   call, on the pairs of the 450-segment snapshot that cross properly;
-* ``orient2d`` in ns per call, on random points in [-1, 1]^2 whose
-  coordinates have numerators and denominators of 8, 50 and 570 bits.
+* in ns per call, on random points in [-1, 1]^2 whose coordinates have
+  numerators and denominators of 8, 50 and 570 bits: ``orient2d`` on
+  triples; on pairs of segments, ``segment_intersection``, ``_meet`` on
+  their records (``filtered``: the float filter decides every pair drawn,
+  and the fifth or so that cross get their crossing from the exact
+  ``_proper_ints``), and ``_meet`` with the second segment's start moved to
+  the first one's end (``shared_end``: the filter never decides a shared
+  end point, so ``_meet`` falls back to the exact ``_kind``).
 
 A sample is the mean over enough calls to last a few ms.  Each row gives
 the median and quartiles of ``--reps`` samples, and for each source after
@@ -41,8 +53,10 @@ the first, the median ratio of its samples to the first source's taken next
 to them.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
 verdicts, of its ``apply_move`` outcomes (each block message, or the
-``dumps`` of the result) and of the pencil's violations, which agree
-between versions that decide alike."""
+``dumps`` of the result), of the pencil's violations and of the
+``validate`` output and crossings of the zigzags and of the quadrant
+diagrams, which agree between versions that decide alike; also those
+diagrams' crossing counts."""
 
 from __future__ import annotations
 
@@ -64,8 +78,10 @@ SEED = 20260815
 SIZES = (60, 450)
 LONG = 1500            # a third snapshot, for the apply_move rows only
 PENCIL = 40            # chords of the pencil
+ZIGZAGS = (2000, 4000)  # N of the zigzags
+QUADRANTS = (1000, 2000)  # N of the quadrant diagrams
 SPLICES = 40           # proposals per snapshot for the _structural_ok row
-TRIPLES = 200          # orient2d calls per sample
+DRAWS = 200            # random triples, or segment pairs, per sample
 BITS = (8, 50, 570)
 SAMPLE_S = 0.004       # a sample lasts at least this long
 
@@ -145,7 +161,8 @@ def proper_pairs(lib, diagram, d) -> list:
             if lib.segment_intersection(s.a, s.b, t.a, t.b).kind.value == "proper"]
 
 
-def triples(point, bits: int) -> list:
+def draws(point, bits: int, k: int) -> list:
+    """DRAWS tuples of k random points with coordinates of `bits` bits."""
     rng = random.Random(f"{SEED}:{bits}")
     scale = 2 ** bits
 
@@ -153,21 +170,60 @@ def triples(point, bits: int) -> list:
         den = rng.randrange(scale // 2, scale)
         return Fraction(rng.randrange(-den, den + 1), den)
 
-    return [tuple(point(coord(), coord()) for _ in range(3)) for _ in range(TRIPLES)]
+    return [tuple(point(coord(), coord()) for _ in range(k)) for _ in range(DRAWS)]
+
+
+def one_loop(lib, points):
+    """One loop from V = (0, 0) through the points and back to V."""
+    v = lib.pt(0, 0)
+    return lib.BouquetDiagram(1, v, (lib.LoopPath((lib.Leg((v, *points, v)),)),))
 
 
 def pencil(lib, m: int):
-    """One loop from V = (0, 0) through m chords of slopes in (-1, 1), each
-    with its midpoint at (1/4, 1/4) and its ends on x = 1/8 and x = 3/8,
-    run left to right and back in turn and joined along those lines."""
+    """m chords of slopes in (-1, 1), each with its midpoint at (1/4, 1/4)
+    and its ends on x = 1/8 and x = 3/8, run left to right and back in turn
+    and joined along those lines."""
     c, h = Fraction(1, 4), Fraction(1, 8)
     ends = []
     for k in range(m):
         s = Fraction(2 * k + 1 - m, m)
         left, right = lib.pt(c - h, c - s * h), lib.pt(c + h, c + s * h)
         ends += (left, right) if k % 2 == 0 else (right, left)
-    v = lib.pt(0, 0)
-    return lib.BouquetDiagram(1, v, (lib.LoopPath((lib.Leg((v, *ends, v)),)),))
+    return one_loop(lib, ends)
+
+
+def zigzag(lib, n: int):
+    """Through ((-1)^k / 2, -1/4 + k / 2n) for k = 1..n: n - 1 segments
+    across x = 0, about half of them crossed by the segment from V and
+    half by the one back to it."""
+    return one_loop(lib, [lib.pt(Fraction((-1) ** k, 2), Fraction(-1, 4) + Fraction(k, 2 * n))
+                          for k in range(1, n + 1)])
+
+
+def quadrant(lib, n: int):
+    """n/2 horizontals from x = -1/2 to x = -1/16 at y = 1/8 + k / 4n, run
+    right and left in turn, then n/2 verticals from y = -1/16 to y = -1/2 at
+    x = 1/8 + k / 4n, run down and up in turn, k = 1..n/2; the segment from
+    the last horizontal to the first vertical crosses every horizontal."""
+    points = []
+    for k in range(1, n // 2 + 1):
+        y = Fraction(1, 8) + Fraction(k, 4 * n)
+        ends = [lib.pt(Fraction(-1, 2), y), lib.pt(Fraction(-1, 16), y)]
+        points += ends if k % 2 else ends[::-1]
+    for k in range(1, n // 2 + 1):
+        x = Fraction(1, 8) + Fraction(k, 4 * n)
+        ends = [lib.pt(x, Fraction(-1, 16)), lib.pt(x, Fraction(-1, 2))]
+        points += ends if k % 2 else ends[::-1]
+    return one_loop(lib, points)
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def fresh_validate(lib, d):
+    """validate on a new diagram object equal to d, so no kept analysis."""
+    return lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops))
 
 
 def rows(lib, mods) -> tuple[dict, dict]:
@@ -195,11 +251,11 @@ def rows(lib, mods) -> tuple[dict, dict]:
     pairs = proper_pairs(lib, diagram, lib.loads(texts[len(SIZES) - 1]))
     ends = [(s.a, s.b, t.a, t.b) for s, t in pairs]
 
-    def meet(pairs=pairs, f=diagram._meet):
+    def meet(pairs, f=diagram._meet):
         for s, t in pairs:
             f(s, t)
 
-    out[f"_meet.proper.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(pairs), meet)
+    out[f"_meet.proper.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(pairs), lambda: meet(pairs))
 
     def kernel(ends=ends, f=geometry._proper_ints):
         for a, b, c, e in ends:
@@ -207,25 +263,46 @@ def rows(lib, mods) -> tuple[dict, dict]:
 
     out[f"_proper_ints.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(ends), kernel)
     fan = pencil(lib, PENCIL)
-    out[f"validate.pencil.ms@{PENCIL}"] = (
-        "ms", 1e3, lambda d=fan: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
+    out[f"validate.pencil.ms@{PENCIL}"] = ("ms", 1e3, lambda: fresh_validate(lib, fan))
     fan_violations = [str(v) for v in lib.validate(fan)]
-    for bits in BITS:
-        def orient(ts=triples(geometry.Point, bits), f=geometry.orient2d):
-            for a, b, c in ts:
-                f(a, b, c)
-
-        out[f"orient2d.ns@{bits}bits"] = ("ns", 1e9 / TRIPLES, orient)
     checks = {
         "snapshot_segments": [sum(len(leg.points) - 1 for loop in lib.loads(t).loops
                                   for leg in loop.legs) for t in texts],
         "snapshots_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
-        "verdicts_sha256": hashlib.sha256("\n".join(verdicts).encode()).hexdigest(),
-        "outcomes_sha256": hashlib.sha256("\n".join(outcomes).encode()).hexdigest(),
+        "verdicts_sha256": digest(verdicts),
+        "outcomes_sha256": digest(outcomes),
         "proper_pairs": len(pairs),
         "pencil_violations": len(fan_violations),
-        "pencil_sha256": hashlib.sha256("\n".join(fan_violations).encode()).hexdigest(),
+        "pencil_sha256": digest(fan_violations),
     }
+    for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS)):
+        found, counts = [], []
+        for n in sizes:
+            d = build(lib, n)
+            out[f"validate.{name}.ms@{n}"] = ("ms", 1e3, lambda d=d: fresh_validate(lib, d))
+            cs = diagram.analysis(d).crossings
+            found += [str(v) for v in lib.validate(d)] + [repr(c) for c in cs]
+            counts.append(len(cs))
+        checks[f"{name}_crossings"] = counts
+        checks[f"{name}_sha256"] = digest(found)
+    seg = diagram._make_seg
+    for bits in BITS:
+        drawn = draws(geometry.Point, bits, 4)
+
+        def orient(ts=draws(geometry.Point, bits, 3), f=geometry.orient2d):
+            for a, b, c in ts:
+                f(a, b, c)
+
+        def intersect(ts=drawn, f=geometry.segment_intersection):
+            for a, b, c, e in ts:
+                f(a, b, c, e)
+
+        filtered = [(seg(0, a, b), seg(0, c, e)) for a, b, c, e in drawn]
+        shared = [(seg(0, a, b), seg(0, b, e)) for a, b, c, e in drawn]
+        out[f"orient2d.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, orient)
+        out[f"segment_intersection.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, intersect)
+        out[f"_meet.filtered.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, lambda p=filtered: meet(p))
+        out[f"_meet.shared_end.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, lambda p=shared: meet(p))
     return out, checks
 
 
@@ -237,8 +314,7 @@ def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> Non
     out[f"_structural_violations.ms@{size}"] = (
         "ms", 1e3, lambda: diagram._structural_violations(d, []))
     out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda: diagram._segment_records(d))
-    out[f"validate.ms@{size}"] = (
-        "ms", 1e3, lambda: lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops)))
+    out[f"validate.ms@{size}"] = ("ms", 1e3, lambda: fresh_validate(lib, d))
     out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(checked))
     out[f"dumps.ms@{size}"] = ("ms", 1e3, lambda: lib.dumps(checked))
     out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(checked))

@@ -31,7 +31,7 @@ import json
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterator
 
@@ -366,9 +366,40 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
+def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records: list) -> None:
+    """The structural checks of d that read a segment of `windows` (loop ->
+    its (leg, range of segments) pairs, as _check_leg takes them): per loop in
+    order, ShortLeg for no legs, else _check_leg on each window and the joints
+    at the leg ends they reach; then, while `out` is empty, the vertex star if
+    a first or last segment was reached and the seam table if a joint was (a
+    seam point ends a segment).  `records` gets the records while `out` is empty."""
+    star = seam = False
+    for li, wins in windows.items():
+        legs = d.loops[li].legs
+        if not legs:
+            out.append(Violation("ShortLeg", li, note="loop with no legs"))
+            continue
+        last = len(legs) - 1
+        for k, segs in wins:
+            records += _check_leg(out, d.vertex, li, k, legs[k], k == 0, k == last, segs)
+        # the leg ends reached, in order: joint ki follows leg ki, -1 and `last` are V
+        ends = [ki for k, segs in wins for ki, end in
+                ((k - 1, segs.start == 0), (k, segs.stop == len(legs[k].points) - 1)) if end]
+        joints = dict.fromkeys(ki for ki in ends if 0 <= ki < last)
+        for ki in joints:
+            _check_joint(out, li, ki, legs[ki], legs[ki + 1])
+        star |= -1 in ends or last in ends
+        seam |= bool(joints)
+    if not out:
+        if star:
+            _check_vertex_directions(out, d)
+        if seam:
+            _check_seam_table(out, d)
+
+
 def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
-    """Every structural violation of d; while there is none, `records` gets
-    the records of d's segments in (loop, leg, seg) order (see _check_leg)."""
+    """Every structural violation of d: the header checks, then _structural
+    over every segment, which fills `records` in (loop, leg, seg) order."""
     out: list[Violation] = []
     if d.n < 1:
         out.append(Violation("BadLoopCount", note="n must be >= 1"))
@@ -376,19 +407,8 @@ def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
         out.append(Violation("BadLoopCount", note=f"expected {d.n} loops, found {len(d.loops)}"))
     if unit_circle_side(d.vertex) >= 0:
         out.append(Violation("VertexOutsideDisk"))
-    for li, loop in enumerate(d.loops):
-        if not loop.legs:
-            out.append(Violation("ShortLeg", li, note="loop with no legs"))
-            continue
-        last = len(loop.legs) - 1
-        for ki, leg in enumerate(loop.legs):
-            records += _check_leg(out, d.vertex, li, ki, leg, ki == 0, ki == last,
-                                  range(len(leg.points) - 1))
-        for ki in range(last):
-            _check_joint(out, li, ki, loop.legs[ki], loop.legs[ki + 1])
-    if not out:
-        _check_vertex_directions(out, d)
-        _check_seam_table(out, d)
+    _structural(out, d, {li: [(ki, range(len(leg.points) - 1)) for ki, leg in enumerate(loop.legs)]
+                         for li, loop in enumerate(d.loops)}, records)
     return out
 
 
@@ -546,19 +566,12 @@ def _least_x(s: _Seg) -> Rat:
 
 def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, int, int]]:
     """(s, t, i, j) for the records s = records[i] and t = records[j] whose
-    float boxes meet, s later in the sweep."""
-    # the order of (exact least x, index) fixes the order of reported violations;
-    # fminx is its float, so only runs of equal fminx need an insertion sort,
-    # quadratic only in a run, whose pairs the sweep visits anyway
-    order = sorted(range(len(records)), key=[s.fminx for s in records].__getitem__)
-    sx = [records[i].fminx for i in order]
-    for m in compress(range(1, len(sx)), map(float.__eq__, sx, sx[1:])):
-        while m and sx[m - 1] == sx[m]:
-            u, v = _least_x(records[order[m - 1]]), _least_x(records[order[m]])
-            if u is v or not v < u:
-                break
-            order[m - 1], order[m] = order[m], order[m - 1]
-            m -= 1
+    float boxes meet, s later in the sweep.  The sweep order, (exact least x,
+    index), fixes the order of reported violations; the key (fminx, exact
+    least x) gives it, as float() is monotone (unequal fminx order the exact
+    values) and the sort is stable."""
+    keys = [(s.fminx, _least_x(s)) for s in records]
+    order = sorted(range(len(records)), key=keys.__getitem__)
     active: list[int] = []
     for i in order:
         s = records[i]
@@ -747,35 +760,13 @@ def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
 def _structural_ok(d2: BouquetDiagram, splice: _Splice, records: list) -> Violation | None:
     """First generic-position violation of the candidate d2, or None; while
     there is none, `records` gets the records of the new segments, in order.
-
-    d2 differs from a valid diagram only in the splice's new segments, so
-    only conditions that read one of them can fail: leg conditions at their
-    end points, joints next to them, the vertex star if a first or last
-    segment changed, and the seam table if a joint was checked (a moved seam
-    point always ends a new segment).  The verdict (and the first violation)
-    is that of re-checking the whole loop, the vertex star and the seam table.
-    """
-    loop, legs, new = splice.loop, splice.new_legs, splice.new
-    viols: list[Violation] = []
-    last = len(legs) - 1
-    for k, segs in new:
-        records += _check_leg(viols, d2.vertex, loop, k, legs[k], k == 0, k == last, segs)
-        if viols:
-            return viols[0]
-    # the joint at each leg end a new segment reaches, in order: joint ki
-    # follows leg ki, and -1 and `last` stand for V
-    ends = [ki for k, segs in new
-            for ki, end in ((k - 1, segs[0] == 0), (k, segs[-1] == len(legs[k].points) - 2)) if end]
-    joints = dict.fromkeys(ki for ki in ends if 0 <= ki < last)
-    for ki in joints:
-        _check_joint(viols, loop, ki, legs[ki], legs[ki + 1])
-    if viols:
-        return viols[0]
-    if -1 in ends or last in ends:
-        _check_vertex_directions(viols, d2)
-    if joints:
-        _check_seam_table(viols, d2)
-    return viols[0] if viols else None
+    d2 differs from a valid diagram only in the splice's new segments, so only
+    the conditions _structural checks on the window {splice.loop: splice.new}
+    can fail: its first violation is that of re-checking the whole loop, the
+    vertex star and the seam table."""
+    out: list[Violation] = []
+    _structural(out, d2, {splice.loop: splice.new}, records)
+    return out[0] if out else None
 
 
 def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:

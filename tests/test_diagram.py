@@ -80,6 +80,27 @@ def test_one_point_leg_before_a_joint_is_only_a_short_leg():
     assert [str(v) for v in validate(d)] == ["ShortLeg loop=0 leg=0"]
 
 
+def test_structural_violations_in_loop_order():
+    # per loop, its legs' violations, then its joints'; an empty loop's
+    # ShortLeg in its place among the loops
+    v, q = pt(0, 0), circle_point(rat(1, 2))
+    loops = (
+        LoopPath((Leg((v, pt("1/4", "1/8"), pt("1/4", "1/8"), q)),
+                  Leg((q, pt("1/8", "-1/4"), pt("1/4", "-1/4"), pt("1/8", "-1/4"), v)))),
+        LoopPath(()),
+        LoopPath((Leg((v,)),)),
+        LoopPath((Leg((v, pt("-1/4", "1/4"), pt("-1/2", "1/2"), pt("-1/4", "1/4"), v)),)),
+    )
+    assert [str(x) for x in validate(BouquetDiagram(4, v, loops))] == [
+        "RepeatedPoint loop=0 leg=0 segment=1",
+        "Cusp loop=0 leg=1 segment=2 exact direction reversal",
+        "SeamNotAntipodal loop=0 leg=0 legs must rejoin at the antipode",
+        "ShortLeg loop=1 loop with no legs",
+        "ShortLeg loop=2 leg=0",
+        "Cusp loop=3 leg=0 segment=2 exact direction reversal",
+    ]
+
+
 def test_repeated_point():
     d = one_loop(pt(0, 0), pt("1/2", 0), pt("1/2", 0), pt("1/4", "1/4"), pt(0, 0))
     assert "RepeatedPoint" in kinds(d)
@@ -740,8 +761,9 @@ tied_points = st.builds(pt, st.sampled_from(tied_x), st.sampled_from([rat(k, 5) 
 @given(st.lists(st.tuples(tied_points, tied_points).filter(lambda ab: ab[0] != ab[1]),
                 min_size=1, max_size=24))
 def test_sweep_sorts_only_float_ties_exactly(ends):
-    """Sorting by fminx and then exactly inside runs of equal fminx yields
-    the pairs of the exact key, in the same order."""
+    """Sorting on the key (fminx, exact least x), which compares exactly only
+    where the floats tie, yields the pairs of the exact key, in the same
+    order."""
     records = [_make_seg(0, a, b) for a, b in ends]
     leg_starts = ((0, len(records)),)
     assert list(_all_pairs(records, leg_starts)) == list(sweep_with_exact_key(records, leg_starts))

@@ -27,6 +27,10 @@ present signatures.  The rows:
   its move adds) and ``blocked_other``; then each move kind by outcome.
   These rows also run on a third snapshot of the same chain, of about 1,500
   segments, where a move's walks over every record and crossing are longest;
+* ``random_move_applied`` in us per walk step, over the seeds ``WALK_SEEDS``
+  on each of the three snapshots: each step proposes from the snapshot until
+  a move applies, so it pays for the proposals its walk drops or
+  ``apply_move`` blocks on the way;
 * a fresh ``validate`` of the pencil: one loop of 40 chords through
   (1/4, 1/4), so that every pair of chords crosses there, giving 779
   TriplePoints;
@@ -53,10 +57,10 @@ the first, the median ratio of its samples to the first source's taken next
 to them.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
 verdicts, of its ``apply_move`` outcomes (each block message, or the
-``dumps`` of the result), of the pencil's violations and of the
-``validate`` output and crossings of the zigzags and of the quadrant
-diagrams, which agree between versions that decide alike; also those
-diagrams' crossing counts."""
+``dumps`` of the result), of the walk steps' applied move lines, of the
+pencil's violations and of the ``validate`` output and crossings of the
+zigzags and of the quadrant diagrams, which agree between versions that
+decide alike; also those diagrams' crossing counts."""
 
 from __future__ import annotations
 
@@ -81,6 +85,7 @@ PENCIL = 40            # chords of the pencil
 ZIGZAGS = (2000, 4000)  # N of the zigzags
 QUADRANTS = (1000, 2000)  # N of the quadrant diagrams
 SPLICES = 40           # proposals per snapshot for the _structural_ok row
+WALK_SEEDS = range(24)  # random_move_applied seeds per snapshot
 DRAWS = 200            # random triples, or segment pairs, per sample
 BITS = (8, 50, 570)
 SAMPLE_S = 0.004       # a sample lasts at least this long
@@ -152,6 +157,11 @@ def apply_moves(lib, d, specs):
             lib.apply_move(d, spec)
         except lib.MoveBlocked:
             pass
+
+
+def walk_steps(lib, d):
+    for seed in WALK_SEEDS:
+        lib.random_move_applied(d, seed)
 
 
 def proper_pairs(lib, diagram, d) -> list:
@@ -230,7 +240,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
     texts = snapshots(lib)
-    out, verdicts, outcomes = {}, [], []
+    out, verdicts, outcomes, walks = {}, [], [], []
     for size, text in zip(SIZES + (LONG,), texts):
         checked = lib.loads(text)
         lib.validate(checked)
@@ -248,6 +258,9 @@ def rows(lib, mods) -> tuple[dict, dict]:
             out[f"apply_move.{group}.us@{size}"] = (
                 "us", 1e6 / len(groups[group]),
                 lambda specs=groups[group], d=checked: apply_moves(lib, d, specs))
+        walks += [lib.random_move_applied(checked, seed)[0].to_line() for seed in WALK_SEEDS]
+        out[f"random_move_applied.us@{size}"] = (
+            "us", 1e6 / len(WALK_SEEDS), lambda d=checked: walk_steps(lib, d))
     pairs = proper_pairs(lib, diagram, lib.loads(texts[len(SIZES) - 1]))
     ends = [(s.a, s.b, t.a, t.b) for s, t in pairs]
 
@@ -271,6 +284,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "snapshots_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
         "verdicts_sha256": digest(verdicts),
         "outcomes_sha256": digest(outcomes),
+        "walks_sha256": digest(walks),
         "proper_pairs": len(pairs),
         "pencil_violations": len(fan_violations),
         "pencil_sha256": digest(fan_violations),

@@ -31,7 +31,7 @@ import json
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from typing import Callable, Iterator
 
@@ -685,18 +685,22 @@ def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
     return _Splice(loop, hi - lo + 1, new_legs, new, contract, count, check_persistence)
 
 
+def _near(records, start: int, segs: list[_Seg]) -> list[tuple[int, _Seg]]:
+    """(j, v) for the records v, at indices j from `start` on, whose float
+    boxes meet the box of all `segs`: no other record meets one of them."""
+    lox, hix = min(u.fminx for u in segs), max(u.fmaxx for u in segs)
+    loy, hiy = min(u.fminy for u in segs), max(u.fmaxy for u in segs)
+    return [(j, v) for j, v in enumerate(records, start)
+            if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
+
+
 def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
     """(u, v, i, j) for the changed records u = records[i], lo <= i < hi,
     and the records v = records[j] whose float boxes meet u's, in record
     order, each pair once; _meet decides each pair exactly.  Every splice
     builds a segment, so lo < hi."""
     changed = records[lo:hi]
-    lox = min(u.fminx for u in changed)
-    hix = max(u.fmaxx for u in changed)
-    loy = min(u.fminy for u in changed)
-    hiy = max(u.fmaxy for u in changed)
-    near = [(j, v) for j, v in enumerate(records)
-            if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
+    near = _near(records, 0, changed)
     for i, u in enumerate(changed, lo):
         for j, v in near:
             if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
@@ -839,17 +843,47 @@ def _key(d: BouquetDiagram, i: int) -> tuple[int, int, int]:
     return (loop, *_position(_leg_starts(d), loop, i))
 
 
-def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
-    """The parameter intervals of segment `key` free of crossings, in order."""
+def _on_segment(d: BouquetDiagram, key: tuple[int, int, int]) -> Iterator[tuple[Crossing, LoopParam]]:
+    """(c, its parameter there) for each crossing c on segment `key`."""
     loop, leg, seg = key
-    fracs = []
     for c in analysis(d).crossings:
         if c.loop_a == loop and c.param_a.leg == leg and c.param_a.seg == seg:
-            fracs.append(c.param_a.frac)
+            yield c, c.param_a
         if c.loop_b == loop and c.param_b.leg == leg and c.param_b.seg == seg:
-            fracs.append(c.param_b.frac)
-    cuts = [rat(0)] + sorted(fracs) + [rat(1)]
+            yield c, c.param_b
+
+
+def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
+    """The parameter intervals of segment `key` free of crossings, in order."""
+    cuts = [rat(0)] + sorted(p.frac for _, p in _on_segment(d, key)) + [rat(1)]
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
+def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, loop: int | None = None,
+                      spared: tuple[int, int, int] | None = None) -> bool:
+    """Whether two non-consecutive `chords` (point pairs; most consecutive
+    ones share an end), or a chord and a record of valid d of loop `loop`
+    (None: any) other than segments `target` and `spared`, cross properly at
+    a location that is no crossing on the target.  False if a chord end lies
+    outside [-1, 1]^2, where _B does not hold.  Long chords go first."""
+    if not all(-xd <= xn <= xd and -yd <= yn <= yd
+               for chord in chords for xn, xd, yn, yd in map(_location_key, chord)):
+        return False
+    segs = [_make_seg(-1, a, b) for a, b in chords]
+    records, rows = analysis(d).records, _leg_starts(d)
+    skip = {rows[key[0]][key[1]] + key[2] for key in (target, spared) if key}
+    start, stop = (0, len(records)) if loop is None else (rows[loop][0], rows[loop][-1])
+    longest = sorted(segs, key=lambda s: s.fminx - s.fmaxx + s.fminy - s.fmaxy)
+    spots = None  # the target's crossing locations, built at the first candidate
+    for kind, _, ints in chain((_meet(s, t) for i, s in enumerate(segs) for t in segs[i + 2:]),
+                               (_meet(s, t) for s in longest
+                                for j, t in _near(records[start:stop], start, [s]) if j not in skip)):
+        if kind is SegKind.PROPER:
+            if spots is None:
+                spots = {_location_key(c.location) for c, _ in _on_segment(d, target)}
+            if ints[0] not in spots:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Any failure raises :class:`MoveBlocked` at the first certain violation.  A
 splice declares its count of new crossings and the pass checks it, stopping
 past the count once every crossing on a replaced segment has been found
 again ("got more than 2").  No move is "almost legal".
-Smallness never needs to be argued: the checks are exact.
+Smallness never needs to be argued: the checks are exact.  A random walk
+drops unbuilt a proposal that an exact check proves blocked (_certainly_blocked).
 
 Templates in segment-local coordinates (e = segment vector, v = left normal),
 each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
@@ -58,13 +59,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
-from .geometry import Point, Rat, _along, _seam_step, circle_point, rat
+from .geometry import Point, Rat, _along, _seam_step, circle_point, rat, unit_circle_side
 from .diagram import (
     BouquetDiagram,
     Crossing,
     MoveBlocked,
     _Splice,
     _apply_splice,
+    _certain_addition,
     _key,
     _segment_gaps,
     _splice_points,
@@ -249,11 +251,12 @@ def _seam_exit(a: Point, b: Point, x: Point, q: Point, noun: str) -> Point:
     return _seam_step(q, g)
 
 
-def _build_detour(d, spec) -> _Splice:
+def _detour_points(d, spec) -> tuple[Point, ...]:
+    """(a, b, x1, q, y1, r, z1, x2): a Detour's target ab and its excursion
+    x1, q | -q, y1, r | -r, z1, x2; MoveBlocked on a bad parameter."""
     sig_raw, t, w, uq, ur = spec.params
     if sig_raw not in (1, -1):
         raise MoveBlocked("detour sign must be +1 or -1")
-    sigma = int(sig_raw)
     if not _window_ok(t - w, t + w):
         raise MoveBlocked("detour window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
@@ -261,17 +264,20 @@ def _build_detour(d, spec) -> _Splice:
     r = circle_point(ur)
     if r == q or r == -q:
         raise MoveBlocked("detour seam transitions must be distinct and non-antipodal")
+    x1 = _along(a, b, t + w / 4)
+    y1 = _seam_exit(a, b, x1, q, "detour")
+    # y1 is inside the disk (x1 is) and r on the circle, so r - y1 is never 0
+    return a, b, x1, q, y1, r, _seam_step(r, r - y1), _along(a, b, t + 3 * w / 4)
 
+
+def _build_detour(d, spec) -> _Splice:
+    a, b, x1, q, y1, r, z1, x2 = _detour_points(d, spec)
+    sigma, t, w = int(spec.params[0]), spec.params[1], spec.params[2]
     # curl side chosen so each curl contributes sigma at orientation +1
     hsign = -sigma if spec.leg % 2 == 0 else sigma
     h = (w / 8) * hsign
     curl_a = _curl_points(a, b, t - 3 * w / 4, w / 8, h)
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
-    x1 = _along(a, b, t + w / 4)
-    x2 = _along(a, b, t + 3 * w / 4)
-    y1 = _seam_exit(a, b, x1, q, "detour")
-    # y1 is inside the disk (x1 is) and r on the circle, so r - y1 is never 0
-    z1 = _seam_step(r, r - y1)
 
     def contract(additions: list[Crossing], dropped, d2) -> str | None:
         if any(_index_term(c) != sigma for c in additions
@@ -299,7 +305,9 @@ def _build_seam_reroute(d, spec) -> _Splice:
                           ((x1, q), (-q, z1, x2)), None)
 
 
-def _build_finger_push(d, spec) -> _Splice:
+def _finger_points(d, spec) -> tuple[tuple[int, int, int], tuple[Point, ...]]:
+    """The chosen strand's (loop, leg, seg) and the inserted points (x1, f1,
+    f2, x2) of a FingerPush; MoveBlocked on a bad parameter."""
     t, w, loop2_r, leg2_r, seg2_r, s2, reach = spec.params
     for v in (loop2_r, leg2_r, seg2_r):
         if v.denominator != 1 or v < 0:
@@ -321,10 +329,12 @@ def _build_finger_push(d, spec) -> _Splice:
         raise MoveBlocked("finger direction is degenerate")
     x1 = _along(a, b, t - w)
     x2 = _along(a, b, t + w)
-    f1 = x1 + wvec.scale(1 + reach)
-    f2 = x2 + wvec.scale(1 + reach)
-    inserted = (x1, f1, f2, x2)
+    step = wvec.scale(1 + reach)
+    return (loop2, leg2, seg2), (x1, x1 + step, x2 + step, x2)
 
+
+def _build_finger_push(d, spec) -> _Splice:
+    (loop2, leg2, seg2), inserted = _finger_points(d, spec)
     # the chosen strand moves along only if it lies later on the pushed leg
     later = (loop2, leg2) == (spec.loop, spec.leg) and seg2 > spec.segment
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
@@ -587,16 +597,52 @@ def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random)
     return EditSpec(kind, loop, leg, seg, (center, half, uq)) if uq else None
 
 
+# A walk drops unbuilt each proposal that one of three rules proves blocked;
+# apply_move decides the rest and names the first certain violation.  Each
+# chord a rule tests is a new segment of the splice, not at V, whose
+# neighbours are new, so the scan pairs it with every kept record and every
+# new segment but its neighbours (see _skip_pair).  A crossing at a location
+# on the target segment is left out, as the scan finds it again instead of
+# counting it; any other would be an addition of a splice that passed:
+# * Detour: each curl adds one self-crossing of the target loop, off the
+#   target's line (h is not 0).  A chord crossing another chord or a record
+#   of the target loop makes a third, so the count of 2 fails, if no check
+#   fails before it ("two crossings would coincide" at a curl's location).
+# * FingerPush, point outside: f1 and f2 are interior points of the leg, so
+#   the structural check reports the one on or outside the circle.
+# * FingerPush, wrong strand: a finger chord (segment + 1 .. segment + 3)
+#   crossing a record other than the target and the chosen strand is an
+#   addition without the chosen strand: "misses the chosen strand", if the
+#   count of 2 does not fail first.
+
+def _certainly_blocked(d: BouquetDiagram, spec: MoveSpec) -> bool:
+    """Whether a rule above proves apply_move(d, spec) blocked, d valid;
+    False is no verdict."""
+    key = (spec.loop, spec.leg, spec.segment)
+    try:
+        if spec.kind == "Detour":
+            _, _, x1, q, y1, r, z1, x2 = _detour_points(d, spec)
+            return _certain_addition(d, key, ((x1, q), (-q, y1), (y1, r), (-r, z1), (z1, x2)), spec.loop)
+        if spec.kind == "FingerPush":
+            strand, (x1, f1, f2, x2) = _finger_points(d, spec)
+            return unit_circle_side(f1) >= 0 or unit_circle_side(f2) >= 0 or \
+                _certain_addition(d, key, ((x1, f1), (f1, f2), (f2, x2)), spared=strand)
+    except MoveBlocked:
+        pass
+    return False
+
+
 _RETRY_BUDGET = 10_000
 
 
-def _first_legal(noun: str, seed: int, propose, apply) -> tuple:
+def _first_legal(noun: str, seed: int, propose, apply, blocked=None) -> tuple:
     """(spec, apply(spec)) for the first proposal that applies, drawing the
-    proposals from the seeded stream of `noun`; Exhausted past the budget."""
+    proposals from the seeded stream of `noun` and dropping unbuilt those that
+    `blocked` proves blocked; Exhausted past the budget."""
     rng = random.Random(f"rp2bouquet-{noun}:{seed}")
     for _ in range(_RETRY_BUDGET):
         spec = propose(rng)
-        if spec is not None:
+        if spec is not None and not (blocked and blocked(spec)):
             try:
                 return spec, apply(spec)
             except MoveBlocked:
@@ -606,7 +652,8 @@ def _first_legal(noun: str, seed: int, propose, apply) -> tuple:
 
 def random_move_applied(d: BouquetDiagram, seed: int) -> tuple[MoveSpec, BouquetDiagram]:
     """Deterministically propose and apply one legal random move."""
-    return _first_legal("move", seed, partial(_propose_move, d), partial(apply_move, d))
+    return _first_legal("move", seed, partial(_propose_move, d), partial(apply_move, d),
+                        partial(_certainly_blocked, d))
 
 
 def random_move(d: BouquetDiagram, seed: int) -> MoveSpec:

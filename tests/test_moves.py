@@ -43,7 +43,7 @@ from rp2bouquet.diagram import (
     analysis,
     vertex_directions,
 )
-from rp2bouquet.geometry import rat, segment_intersection
+from rp2bouquet.geometry import SegKind, rat, segment_intersection, unit_circle_side
 from rp2bouquet.normal_form import random_tuple
 
 
@@ -292,6 +292,34 @@ def test_jiggle_blocked_by_vertex_order():
     assert validate(d) == []
     with pytest.raises(MoveBlocked, match="reorder the vertex star"):
         apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
+
+
+def test_a_triple_point_move_is_a_jiggle():
+    """An Omega-3 move needs no template: moving loop 2's corner down takes
+    its middle segment across the crossing of loops 0 and 1.  The jiggle
+    contract compares (strand, strand, frame) and not the order along a
+    strand, so it applies, keeps the tuple and reorders the crossings along
+    that segment."""
+    v = pt(0, 0)
+
+    def loop(*points):
+        return LoopPath((Leg((v, *points, v)),))
+
+    d = BouquetDiagram(3, v, (loop(pt("1/2", "-3/5"), pt("1/2", "3/5")),
+                              loop(pt("3/10", "-1/5"), pt("7/10", "1/5")),
+                              loop(pt("3/10", "1/4"), pt("7/10", "-3/20"))))
+
+    def partners(d):
+        """The loops crossing loop 2's middle segment, in order along it."""
+        return [other for _, other in sorted(
+            (p.frac, other) for c in crossings(d)
+            for mine, other, p in ((c.loop_a, c.loop_b, c.param_a), (c.loop_b, c.loop_a, c.param_b))
+            if mine == 2 and (p.leg, p.seg) == (0, 1))]
+
+    assert validate(d) == [] and partners(d) == [1, 0, 1]
+    d2 = apply_move(d, MoveSpec.from_line("Jiggle 2 0 2 0 -1/8"))
+    assert partners(d2) == [1, 1, 0]
+    assert invariants(d2) == invariants(d)
 
 
 def test_subdivide_preserves_geometry(chord, wedge):
@@ -774,6 +802,130 @@ def test_huge_jiggle_is_blocked_before_records_are_built(quad):
 
 
 # ---------------------------------------------------------------------------
+# the walk drops unbuilt only proposals that are certainly blocked
+# ---------------------------------------------------------------------------
+
+def dropping_rule(d, spec):
+    """The rule by which a walk drops spec unbuilt, or None if it builds it."""
+    if not moves_mod._certainly_blocked(d, spec):
+        return None
+    if spec.kind == "FingerPush":
+        _, (_, f1, f2, _) = moves_mod._finger_points(d, spec)
+        return "outside" if max(unit_circle_side(f1), unit_circle_side(f2)) >= 0 else "strand"
+    return spec.kind
+
+
+def assert_dropped_only_if_blocked(d, specs, tally):
+    """Every spec a walk drops is a Detour or a FingerPush that apply_move
+    blocks.  tally counts, per rule, the dropped specs, and the Detours and
+    FingerPushes apply_move blocks ("blocked") and of those the ones dropped
+    ("dropped")."""
+    for spec in specs:
+        rule = dropping_rule(d, spec)
+        if spec.kind not in ("Detour", "FingerPush"):
+            assert rule is None, spec.to_line()
+            continue
+        try:
+            apply_move(d, spec)
+        except MoveBlocked:
+            tally["blocked"] = tally.get("blocked", 0) + 1
+            tally["dropped"] = tally.get("dropped", 0) + bool(rule)
+        else:
+            assert rule is None, f"dropped a move that applies: {spec.to_line()}"
+        if rule:
+            tally[rule] = tally.get(rule, 0) + 1
+
+
+def test_the_walk_drops_only_blocked_proposals():
+    """On chains of n = 1, 2, 3 loops grown to 300 segments, each proposal
+    and hostile spec that _certainly_blocked rejects is blocked; each rule
+    fires, and together they catch most blocked Detours and FingerPushes."""
+    tally = {}
+    for n in (1, 2, 3):
+        rng = random.Random(f"walk-drops:{n}")
+        d = realize(random_tuple(n, rng.randrange(10 ** 9)))
+        while sum(1 for _ in d.iter_segments()) < 300:
+            specs = [moves_mod._propose_move(d, rng) for _ in range(4)]
+            assert_dropped_only_if_blocked(d, [s for s in specs if s] + hostile_specs(d, rng), tally)
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
+    assert tally["dropped"] >= 0.85 * tally["blocked"], tally
+
+
+def strands(c):
+    return (c.loop_a, c.param_a.leg, c.param_a.seg), (c.loop_b, c.param_b.leg, c.param_b.seg)
+
+
+def reference_addition(d, target, chords, loop, spared, spare_target=True, skip_spots=True):
+    """_certain_addition by brute force: segment_intersection over every
+    pair of non-consecutive chords and every pair of a chord and a segment
+    of d, with the exemptions that the flags leave on; False if a chord end
+    lies outside [-1, 1]^2."""
+    if any(abs(p.x) > 1 or abs(p.y) > 1 for chord in chords for p in chord):
+        return False
+    spots = {c.location for c in crossings(d) if target in strands(c)} if skip_spots else set()
+    left_out = {spared, target} if spare_target else {spared}
+    others = [(a, b) for li, ki, si, a, b in d.iter_segments()
+              if loop in (None, li) and (li, ki, si) not in left_out]
+    pairs = [(s, t) for i, s in enumerate(chords) for t in chords[i + 2:]]
+    pairs += [(s, t) for s in chords for t in others]
+    hits = (segment_intersection(*s, *t) for s, t in pairs)
+    return any(h.kind is SegKind.PROPER and h.point not in spots for h in hits)
+
+
+def test_certain_addition_matches_a_brute_force_scan():
+    """On seeded chains, _certain_addition answers as a brute-force scan for
+    chords drawn across the target at its crossings, at another point of it,
+    at a point of the spared strand and at a random point; each exemption
+    (the target, its crossing locations, the spared strand) changes the
+    answer on some of them."""
+    changed = {"target": 0, "spots": 0, "spared": 0}
+    checked = 0
+    for seed in range(6):
+        rng = random.Random(f"certain-addition:{seed}")
+        d = realize(random_tuple(seed % 3 + 1, rng.randrange(10 ** 9)))
+        for _ in range(rng.randrange(5, 25)):
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+        keys = segment_keys(d)
+        crossed = [strands(c)[0] for c in crossings(d)]
+        for _ in range(40):
+            target, spared = rng.choice(rng.choice((keys, crossed))), rng.choice(keys + [None])
+            if spared == target:
+                continue
+            loop = rng.choice((None, target[0]))
+            a, b = d.segment(*target)
+            e = b - a
+            spots = [c.location for c in crossings(d) if target in strands(c)]
+            on = [moves_mod._along(a, b, rat(rng.randrange(1, 16), 16))]
+            if spared:
+                on.append(moves_mod._along(*d.segment(*spared), rat(rng.randrange(1, 16), 16)))
+            chords = []
+            for _ in range(rng.randrange(1, 3)):
+                p = rng.choice(rng.choice([spots or on, on, [pt(rat(rng.randrange(-11, 12), 16),
+                                                              rat(rng.randrange(-11, 12), 16))]]))
+                # across the target's direction, about a tenth of its length
+                v = (pt(-e.y, e.x) + e.scale(rat(rng.randrange(-8, 9), 8))).scale(rat(1, 16))
+                chords.append((p - v, p + v))
+            want = reference_addition(d, target, chords, loop, spared)
+            assert diagram_mod._certain_addition(d, target, chords, loop, spared) == want, \
+                (target, spared, loop, chords)
+            changed["target"] += want != reference_addition(d, target, chords, loop, spared,
+                                                           spare_target=False)
+            changed["spots"] += want != reference_addition(d, target, chords, loop, spared, skip_spots=False)
+            changed["spared"] += spared is not None and want != reference_addition(d, target, chords,
+                                                                                  loop, None)
+            checked += 1
+    assert checked > 200 and min(changed.values()) >= 10, (checked, changed)
+
+
+def test_certain_addition_gives_no_verdict_past_the_square(quad):
+    """_meet's float bound holds for points in [-1, 1]^2 only: a chord that
+    reaches past it gets no verdict, although it crosses the quad twice."""
+    assert diagram_mod._certain_addition(quad, (0, 0, 1), ((pt("1/4", -1), pt("1/4", 1)),))
+    assert not diagram_mod._certain_addition(quad, (0, 0, 1), ((pt("1/4", -2), pt("1/4", 2)),))
+
+
+# ---------------------------------------------------------------------------
 # decisions are pinned: the acceptance campaign applies the same moves
 # ---------------------------------------------------------------------------
 
@@ -847,9 +999,11 @@ def private_imports(module):
 
 
 def test_moves_reach_the_kept_analysis_only_through_the_splice_entry_points():
-    """moves.py builds a splice, applies it and reads a valid diagram's
-    records and gaps through diagram.py; normal_form.py reads the gaps only.
-    Neither knows the analysis layout or the scan helpers."""
+    """moves.py builds a splice, applies it, reads a valid diagram's records
+    and gaps and asks whether chords certainly cross, all through diagram.py;
+    normal_form.py reads the gaps only.  Neither knows the analysis layout or
+    the scan helpers."""
     assert private_imports(moves_mod) == {
-        "diagram": {"_Splice", "_splice_points", "_apply_splice", "_valid_analysis", "_key", "_segment_gaps"}}
+        "diagram": {"_Splice", "_splice_points", "_apply_splice", "_valid_analysis", "_key", "_segment_gaps",
+                    "_certain_addition"}}
     assert private_imports(normal_form) == {"diagram": {"_segment_gaps"}, "moves": set()}

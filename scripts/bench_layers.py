@@ -19,8 +19,9 @@ present signatures.  The rows:
   three on a validated diagram), on two snapshots of about 60 and about 450
   segments: one seeded chain of ``realize`` plus ``random_move_applied``,
   cut when it first reaches each size;
-* ``_structural_ok`` in us per call, over a fixed list of splices proposed
-  on each snapshot, blocked ones included;
+* ``_structural_ok`` in us per call: the structural walk ``_structural`` on
+  the window of each of a fixed list of splices proposed on each snapshot,
+  blocked ones included, as ``_apply_splice`` runs it;
 * ``apply_move`` in us per call, over every proposal drawn for that list
   (those whose builder blocks too), split by outcome: ``applied``,
   ``blocked_count`` (the splice found more or fewer counted crossings than
@@ -56,11 +57,12 @@ the median and quartiles of ``--reps`` samples, and for each source after
 the first, the median ratio of its samples to the first source's taken next
 to them.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
-verdicts, of its ``apply_move`` outcomes (each block message, or the
-``dumps`` of the result), of the walk steps' applied move lines, of the
-pencil's violations and of the ``validate`` output and crossings of the
-zigzags and of the quadrant diagrams, which agree between versions that
-decide alike; also those diagrams' crossing counts."""
+verdicts (each window's first violation, or ``None``), of its
+``apply_move`` outcomes (each block message, or the ``dumps`` of the
+result), of the walk steps' applied move lines, of the pencil's violations
+and of the ``validate`` output and crossings of the zigzags and of the
+quadrant diagrams, which agree between versions that decide alike; also
+those diagrams' crossing counts."""
 
 from __future__ import annotations
 
@@ -121,8 +123,8 @@ def snapshots(lib) -> list[str]:
 
 
 def proposals(lib, mods, d) -> tuple[list, list]:
-    """The proposals on d up to the SPLICES-th that builds, and (d2, splice)
-    for those that build."""
+    """The proposals on d up to the SPLICES-th that builds, and the splices
+    of those that build."""
     rng = random.Random(SEED)
     specs, out = [], []
     while len(out) < SPLICES:
@@ -134,7 +136,7 @@ def proposals(lib, mods, d) -> tuple[list, list]:
             splice = mods["moves"]._BUILDERS[spec.kind][0](d, spec)
         except lib.MoveBlocked:
             continue
-        out.append((mods["diagram"]._spliced(d, splice), splice))
+        out.append(splice)
     return specs, out
 
 
@@ -231,6 +233,13 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def first_violation(diagram, splice):
+    """The first structural violation of the splice's window, or None."""
+    out = []
+    diagram._structural(out, splice.d2, {splice.loop: splice.new}, [])
+    return out[0] if out else None
+
+
 def fresh_validate(lib, d):
     """validate on a new diagram object equal to d, so no kept analysis."""
     return lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops))
@@ -247,7 +256,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
         specs, cases = proposals(lib, mods, checked)
         if size in SIZES:
             read_rows(out, lib, mods, size, text, checked, cases)
-            verdicts += [str(diagram._structural_ok(d2, s, [])) for d2, s in cases]
+            verdicts += [str(first_violation(diagram, s)) for s in cases]
         groups: dict[str, list] = {}
         for spec in specs:
             cls, text = outcome(lib, checked, spec)
@@ -334,8 +343,8 @@ def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> Non
     out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(checked))
 
     def check_splices():
-        for d2, s in cases:
-            diagram._structural_ok(d2, s, [])
+        for s in cases:
+            first_violation(diagram, s)
 
     out[f"_structural_ok.us@{size}"] = ("us", 1e6 / len(cases), check_splices)
 

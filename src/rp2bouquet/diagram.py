@@ -646,14 +646,13 @@ def _set_analysis(d: BouquetDiagram, value: DiagramAnalysis) -> None:
 
 @dataclass
 class _Splice:
-    """What _splice_points returns: the loop's new legs and the window.  The
-    new segments are `new`, one (leg, range of segments) per new leg, as
-    _check_leg takes them; they replace the `replaced` segments from the
-    first of them on."""
+    """What _splice_points returns: the candidate diagram d2 and the window.
+    The new segments of `loop` in d2 are `new`, one (leg, range of segments)
+    per new leg, as _check_leg takes them; they replace segments of the
+    parent from the first of them on (_apply_splice counts how many)."""
 
     loop: int
-    replaced: int
-    new_legs: tuple[Leg, ...]                           # all legs of `loop`, built and kept
+    d2: BouquetDiagram
     new: list[tuple[int, range]]
     # (additions, dropped, d2) -> error message or None
     contract: Callable[[list, list, BouquetDiagram], str | None] | None
@@ -670,10 +669,10 @@ def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
                    chains: tuple[tuple[Point, ...], ...], contract, count=None,
                    check_persistence=True) -> _Splice:
     """Replace points[lo:hi] of the leg, 0 < lo <= hi < len(points), by the
-    chains.  A seam transition ends every chain but the last, so each later
-    chain starts a new leg.  The replaced segments are lo - 1 .. hi - 1 of
-    the leg; the new ones run from point lo - 1 through the chains to old
-    point hi."""
+    chains, in an unchecked d2.  A seam transition ends every chain but the
+    last, so each later chain starts a new leg.  The replaced segments are
+    lo - 1 .. hi - 1 of the leg; the new ones run from point lo - 1 through
+    the chains to old point hi."""
     legs = d.loops[loop].legs
     pts = legs[leg].points
     runs = (pts[:lo] + chains[0],) + chains[1:]
@@ -681,8 +680,9 @@ def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
     last = leg + len(runs) - 1
     new = [(k, range(lo - 1 if k == leg else 0, len(run) - len(pts) + hi if k == last else len(run) - 1))
            for k, run in enumerate(runs, leg)]
-    new_legs = legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:]
-    return _Splice(loop, hi - lo + 1, new_legs, new, contract, count, check_persistence)
+    spliced = LoopPath(legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:])
+    d2 = BouquetDiagram(d.n, d.vertex, d.loops[:loop] + (spliced,) + d.loops[loop + 1:])
+    return _Splice(loop, d2, new, contract, count, check_persistence)
 
 
 def _near(records, start: int, segs: list[_Seg]) -> list[tuple[int, _Seg]]:
@@ -755,24 +755,6 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     return found, refound, counted
 
 
-def _spliced(d: BouquetDiagram, splice: _Splice) -> BouquetDiagram:
-    loops = list(d.loops)
-    loops[splice.loop] = LoopPath(splice.new_legs)
-    return BouquetDiagram(d.n, d.vertex, tuple(loops))
-
-
-def _structural_ok(d2: BouquetDiagram, splice: _Splice, records: list) -> Violation | None:
-    """First generic-position violation of the candidate d2, or None; while
-    there is none, `records` gets the records of the new segments, in order.
-    d2 differs from a valid diagram only in the splice's new segments, so only
-    the conditions _structural checks on the window {splice.loop: splice.new}
-    can fail: its first violation is that of re-checking the whole loop, the
-    vertex star and the seam table."""
-    out: list[Violation] = []
-    _structural(out, d2, {splice.loop: splice.new}, records)
-    return out[0] if out else None
-
-
 def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
     base = analysis(d)
     if base.violations:
@@ -781,20 +763,25 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
-    """The spliced diagram, analysis kept, and the additions.  Found crossings stay ints
-    until the checks pass (see _scan_changed); kept ones are rebuilt only if they move."""
+    """splice.d2, checked, with its analysis kept, and the additions.  Found crossings
+    stay ints until the checks pass (see _scan_changed); kept ones are rebuilt only if
+    they move.  The replaced records i .. j - 1 are counted off the two leg-start rows."""
     base = _valid_analysis(d)
-    d2 = _spliced(d, splice)
+    d2, loop, (leg, segs) = splice.d2, splice.loop, splice.new[0]
     changed: list[_Seg] = []
-    bad = _structural_ok(d2, splice, changed)
-    if bad is not None:
-        raise MoveBlocked(f"result not generic: {bad}")
+    out: list[Violation] = []
+    # d2 differs from a valid diagram only in the new segments, so only the
+    # conditions _structural checks on their window can fail: its first violation
+    # is that of re-checking the whole loop, the vertex star and the seam table
+    _structural(out, d2, {loop: splice.new}, changed)
+    if out:
+        raise MoveBlocked(f"result not generic: {out[0]}")
 
-    loop, (leg, segs) = splice.loop, splice.new[0]
-    row = _leg_starts(d)[loop]
+    row, leg_starts = _leg_starts(d)[loop], _leg_starts(d2)
+    delta = leg_starts[loop][-1] - row[-1]  # how far each record past the window moves
     i = row[leg] + segs[0]
-    j = i + splice.replaced
-    records, leg_starts = base.records[:i] + tuple(changed) + base.records[j:], _leg_starts(d2)
+    j = i + len(changed) - delta
+    records = base.records[:i] + tuple(changed) + base.records[j:]
     shifts = leg_starts[loop] != row  # equal rows (each ends with the loop's end) move nothing
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
@@ -822,7 +809,6 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if err:
         raise MoveBlocked(err)
 
-    delta = len(changed) - (j - i)  # how far each record past the window moves
     for n, fa, fb in past:
         c = kept[n]
         pa, pb = c.param_a, c.param_b

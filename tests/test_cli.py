@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import runpy
+import sys
 import time
 
 import pytest
@@ -37,6 +39,15 @@ def run(args):
 def test_validate_ok(data_dir):
     code, out = run(["validate", data_dir / "circle.json"])
     assert code == 0 and out == "OK\n"
+
+
+def test_the_package_runs_as_a_program(data_dir, monkeypatch, capsys):
+    """`python -m rp2bouquet validate`, in-process: __main__ exits with main's code."""
+    monkeypatch.setattr(sys, "argv", ["rp2bouquet", "validate", str(data_dir / "circle.json")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("rp2bouquet", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 def test_validate_reports_violations(data_dir):
@@ -276,16 +287,14 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     code, out = run(args)
     assert code == 0 and out.startswith("OK 3/3 trials, 60 moves")
 
-    structural_ok = diagram_mod._structural_ok
+    set_analysis = diagram_mod._set_analysis
 
-    def corrupted(d2, splice, records):
-        # a passed check's first new record, its float box widened
-        bad = structural_ok(d2, splice, records)
-        if bad is None:
-            records[0] = dataclasses.replace(records[0], fminx=records[0].fminx - 1)
-        return bad
+    def corrupted(d, value):
+        # only a splice keeps an analysis: its first record's float box widened
+        first = dataclasses.replace(value.records[0], fminx=value.records[0].fminx - 1)
+        set_analysis(d, dataclasses.replace(value, records=(first,) + value.records[1:]))
 
-    monkeypatch.setattr(diagram_mod, "_structural_ok", corrupted)
+    monkeypatch.setattr(diagram_mod, "_set_analysis", corrupted)
     code, out = run(args)
     assert code == 3
     assert "kept records diverge from a rebuilt analysis" in out

@@ -190,7 +190,8 @@ def test_contracts_block_a_kink_across_another_loop(wedge, monkeypatch):
     kink contracts.  The finger adds two crossings, which the kink pair's
     count allows; the single kink also drops its count of one."""
     push = MoveSpec("FingerPush", 0, 0, 1, (rat(3, 5), rat(1, 16), rat(1), rat(0), rat(2), rat(1, 2), rat(3, 8)))
-    finger = moves_mod._build_finger_push(wedge, push).new_legs[0].points[2:6]
+    splice = moves_mod._build_finger_push(wedge, push)
+    finger = splice.d2.loops[splice.loop].legs[0].points[2:6]
     splice_points = moves_mod._splice_points
     with monkeypatch.context() as m:
         m.setattr(moves_mod, "_splice_points", lambda d, loop, leg, lo, hi, chains, contract, count:
@@ -223,7 +224,7 @@ def test_a_crossing_at_the_vertex_is_blocked_as_a_touch_first():
     splice = moves_mod._build_single_kink(d, spec)
     (leg, segs), = splice.new
     # (a, b) and (c, e): the second and fourth new segments
-    a, b, c, e = splice.new_legs[leg].points[segs[1]:segs[3] + 2]
+    a, b, c, e = splice.d2.loops[splice.loop].legs[leg].points[segs[1]:segs[3] + 2]
     assert segment_intersection(a, b, c, e).point == v
     with pytest.raises(MoveBlocked, match="^template touches loop=0 leg=0 segment=0 non-transversally$"):
         apply_edit(d, spec)
@@ -602,10 +603,10 @@ def test_touched_only_structural_check_matches_full_check():
                         splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
                     except MoveBlocked:
                         continue
-                    d2 = diagram_mod._spliced(d, splice)
-                    touched = diagram_mod._structural_ok(d2, splice, [])
-                    full = _structural_violations(d2, [])
-                    assert touched == (full[0] if full else None), spec.to_line()
+                    touched = []
+                    diagram_mod._structural(touched, splice.d2, {splice.loop: splice.new}, [])
+                    full = _structural_violations(splice.d2, [])
+                    assert touched[:1] == full[:1], spec.to_line()
                     proposals += 1
                     kinds.update(v.kind for v in full[:1])
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
@@ -697,9 +698,12 @@ def identity_window(d, d2, loop):
 
 
 def splice_window(d, splice):
+    """(i, j, new): the replaced records i .. j - 1, with j counted as
+    _apply_splice counts it, off the loop's leg-start rows in d and d2."""
     leg, segs = splice.new[0]
-    i = _leg_starts(d)[splice.loop][leg] + segs[0]
-    return i, i + splice.replaced, splice.new
+    row, row2 = _leg_starts(d)[splice.loop], _leg_starts(splice.d2)[splice.loop]
+    i = row[leg] + segs[0]
+    return i, i + sum(len(s) for _, s in splice.new) - (row2[-1] - row[-1]), splice.new
 
 
 def window_specs(d, rng):
@@ -732,7 +736,7 @@ def test_splice_window_matches_segment_identity():
                     splice = builders[spec.kind](d, spec)
                 except MoveBlocked:
                     continue
-                d2 = diagram_mod._spliced(d, splice)
+                d2 = splice.d2
                 base = analysis(d)
                 i, j, new = splice_window(d, splice)
                 replaced = {diagram_mod._key(d, f)[1:] for f in range(i, j)}
@@ -740,8 +744,9 @@ def test_splice_window_matches_segment_identity():
                 want_replaced, want_changed = identity_window(d, d2, splice.loop)
                 assert replaced == want_replaced, spec.to_line()
                 assert {(k, s) for k, segs in new for s in segs} == want_changed, spec.to_line()
-                changed = []
-                if diagram_mod._structural_ok(d2, splice, changed) is None:
+                changed, out = [], []
+                diagram_mod._structural(out, d2, {splice.loop: splice.new}, changed)
+                if not out:
                     records = base.records[:i] + tuple(changed) + base.records[j:]
                     assert records == tuple(_segment_records(d2)), spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1

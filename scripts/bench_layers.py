@@ -28,6 +28,9 @@ present signatures.  The rows:
   its move adds) and ``blocked_other``; then each move kind by outcome.
   These rows also run on a third snapshot of the same chain, of about 1,500
   segments, where a move's walks over every record and crossing are longest;
+* ``_certainly_blocked`` in us per call, the drop check of random walks,
+  over the Detours and FingerPushes among those proposals, on each of the
+  three snapshots;
 * ``random_move_applied`` in us per walk step, over the seeds ``WALK_SEEDS``
   on each of the three snapshots: each step proposes from the snapshot until
   a move applies, so it pays for the proposals its walk drops or
@@ -59,10 +62,11 @@ to them.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
 verdicts (each window's first violation, or ``None``), of its
 ``apply_move`` outcomes (each block message, or the ``dumps`` of the
-result), of the walk steps' applied move lines, of the pencil's violations
-and of the ``validate`` output and crossings of the zigzags and of the
-quadrant diagrams, which agree between versions that decide alike; also
-those diagrams' crossing counts."""
+result), of the drop check's verdicts, of the walk steps' applied move
+lines, of the pencil's violations and of the ``validate`` output and
+crossings of the zigzags and of the quadrant diagrams, which agree between
+versions that decide alike; also those diagrams' crossing counts and the
+number of drop checks."""
 
 from __future__ import annotations
 
@@ -161,6 +165,11 @@ def apply_moves(lib, d, specs):
             pass
 
 
+def drop_checks(moves, d, specs):
+    for spec in specs:
+        moves._certainly_blocked(d, spec)
+
+
 def walk_steps(lib, d):
     for seed in WALK_SEEDS:
         lib.random_move_applied(d, seed)
@@ -249,7 +258,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
     texts = snapshots(lib)
-    out, verdicts, outcomes, walks = {}, [], [], []
+    out, verdicts, outcomes, drops, walks = {}, [], [], [], []
     for size, text in zip(SIZES + (LONG,), texts):
         checked = lib.loads(text)
         lib.validate(checked)
@@ -267,6 +276,10 @@ def rows(lib, mods) -> tuple[dict, dict]:
             out[f"apply_move.{group}.us@{size}"] = (
                 "us", 1e6 / len(groups[group]),
                 lambda specs=groups[group], d=checked: apply_moves(lib, d, specs))
+        blockable = [spec for spec in specs if spec.kind in ("Detour", "FingerPush")]
+        drops += [f"{spec.to_line()} {mods['moves']._certainly_blocked(checked, spec)}" for spec in blockable]
+        out[f"_certainly_blocked.us@{size}"] = (
+            "us", 1e6 / len(blockable), lambda specs=blockable, d=checked: drop_checks(mods["moves"], d, specs))
         walks += [lib.random_move_applied(checked, seed)[0].to_line() for seed in WALK_SEEDS]
         out[f"random_move_applied.us@{size}"] = (
             "us", 1e6 / len(WALK_SEEDS), lambda d=checked: walk_steps(lib, d))
@@ -293,6 +306,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "snapshots_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
         "verdicts_sha256": digest(verdicts),
         "outcomes_sha256": digest(outcomes),
+        "drops_sha256": digest(drops),
+        "drop_checks": len(drops),
         "walks_sha256": digest(walks),
         "proper_pairs": len(pairs),
         "pencil_violations": len(fan_violations),

@@ -31,7 +31,7 @@ import json
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, starmap
 from math import gcd
 from typing import Callable, Iterator
 
@@ -40,7 +40,9 @@ from .geometry import (
     Rat,
     SegKind,
     _direction,
+    _ints,
     _kind,
+    _point,
     _proper_ints,
     _reflect,
     on_unit_circle,
@@ -222,16 +224,17 @@ class DiagramAnalysis:
     :class:`_Seg`) in (loop, leg, seg) order, built by the structural check
     (:func:`_check_leg`) from the floats it decides on, so that a splice
     (:func:`_apply_splice`) can update them instead of rebuilding them.  A
-    record holds no position: :func:`_leg_starts` reads the index of each
-    leg's first record off the diagram, and :func:`_position` finds a
-    record's (leg, seg) from its index by one bisect.  A splice thus keeps
-    every record outside its window as it is.  `records` is empty for an
-    invalid diagram.
+    record holds no position: `leg_starts` holds the rows of
+    :func:`_leg_starts`, the index of each leg's first record, and
+    :func:`_position` finds a record's (leg, seg) from its index by one
+    bisect.  A splice thus keeps every record outside its window as it is.
+    `records` and `leg_starts` are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
     crossings: tuple[Crossing, ...]
     records: tuple = field(default=(), compare=False, repr=False)
+    leg_starts: tuple = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
         return  # already reported as SeamPointOffCircle
     # p = (x, y) / c: unit-circle points have equal denominators in lowest terms
     x, y, c = p.x.numerator, p.y.numerator, p.x.denominator
-    if _location_key(q) != (-x, c, -y, c):
+    if _ints(q) != (-x, c, -y, c):
         out.append(Violation("SeamNotAntipodal", li, ki, note="legs must rejoin at the antipode"))
         return
     d_out = _direction(a.points[-2], p)
@@ -529,34 +532,39 @@ _B = 2.0 ** -46
 _C = 2.0 ** -49
 
 
-def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
-    """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
-    one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
-    else 0 and None: all ints, from which _pair_crossing builds the crossing.
-
-    The four orientation signs are first taken from the float end points,
-    where certain (see _B): two certain equal signs of one segment's end
-    points against the other's line mean EMPTY, and four certain signs,
-    opposite in each pair, PROPER.  Any other pair goes to the exact _kind.
-    """
+def _sure(s: _Seg, t: _Seg) -> int | None:
+    """0 (EMPTY) or the frame (PROPER) where the float end points of s and t
+    make the kind certain (see _B), else None."""
     ax, ay, bx, by = s.fax, s.fay, s.fbx, s.fby
     cx, cy, dx, dy = t.fax, t.fay, t.fbx, t.fby
     ex, ey = bx - ax, by - ay
     oc = ex * (cy - ay) - ey * (cx - ax)
     od = ex * (dy - ay) - ey * (dx - ax)
     if (oc > _B and od > _B) or (oc < -_B and od < -_B):
-        return SegKind.EMPTY, 0, None
+        return 0
     fx, fy = dx - cx, dy - cy
     oa = fx * (ay - cy) - fy * (ax - cx)
     ob = fx * (by - cy) - fy * (bx - cx)
     if (oa > _B and ob > _B) or (oa < -_B and ob < -_B):
-        return SegKind.EMPTY, 0, None
+        return 0
     if abs(oc) > _B and abs(od) > _B and abs(oa) > _B and abs(ob) > _B:
-        return SegKind.PROPER, (1 if od > 0 else -1), _proper_ints(s.a, s.b, t.a, t.b)
-    kind = _kind(s.a, s.b, t.a, t.b)
-    if kind is SegKind.PROPER:
-        return kind, orient2d(s.a, s.b, t.b), _proper_ints(s.a, s.b, t.a, t.b)
-    return kind, 0, None
+        return 1 if od > 0 else -1
+    return None
+
+
+def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
+    """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
+    one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
+    else 0 and None: all ints, from which _pair_crossing builds the crossing."""
+    frame = _sure(s, t)
+    if frame is None:  # the floats decide nothing: the exact predicates do
+        kind = _kind(s.a, s.b, t.a, t.b)
+        if kind is not SegKind.PROPER:
+            return kind, 0, None
+        frame = orient2d(s.a, s.b, t.b)
+    elif not frame:
+        return SegKind.EMPTY, 0, None
+    return SegKind.PROPER, frame, _proper_ints(s.a, s.b, t.a, t.b)
 
 
 def _least_x(s: _Seg) -> Rat:
@@ -586,13 +594,6 @@ def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, in
             yield s, t, i, j
         kept.append(i)
         active = kept
-
-
-def _location_key(p: Point) -> tuple[int, int, int, int]:
-    """(x numerator, x denominator, y numerator, y denominator): equal for
-    equal points (lowest terms, see :mod:`rp2bouquet.geometry`), and cheaper
-    to hash than the rationals themselves."""
-    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
 
 
 def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
@@ -625,7 +626,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     if violations:
         return DiagramAnalysis(tuple(violations), ())
     found.sort(key=Crossing.sort_key)
-    return DiagramAnalysis((), tuple(found), tuple(records))
+    return DiagramAnalysis((), tuple(found), tuple(records), leg_starts)
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -777,7 +778,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if out:
         raise MoveBlocked(f"result not generic: {out[0]}")
 
-    row, leg_starts = _leg_starts(d)[loop], _leg_starts(d2)
+    row, leg_starts = base.leg_starts[loop], _leg_starts(d2)
     delta = leg_starts[loop][-1] - row[-1]  # how far each record past the window moves
     i = row[leg] + segs[0]
     j = i + len(changed) - delta
@@ -796,7 +797,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         if shifts and (fa >= j or fb >= j):
             past.append((len(kept), fa, fb))
         kept.append(c)
-    removed = {_location_key(c.location) for c in dropped} if splice.check_persistence else set()
+    removed = {_ints(c.location) for c in dropped} if splice.check_persistence else set()
     hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
                                            splice.count)
     if refound != len(removed):
@@ -804,7 +805,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
     found = [_pair_crossing(leg_starts, *hit) for hit in hits]
-    additions = [c for c in found if _location_key(c.location) not in removed]
+    additions = [c for c in found if _ints(c.location) not in removed]
     err = splice.contract and splice.contract(additions, dropped, d2)
     if err:
         raise MoveBlocked(err)
@@ -819,14 +820,14 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     # sorted; only the few found ones are merged in
     for c in found:
         insort(kept, c, key=Crossing.sort_key)
-    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records))
+    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts))
     return d2, additions
 
 
 def _key(d: BouquetDiagram, i: int) -> tuple[int, int, int]:
     """The (loop, leg, seg) of the record at index i of a valid diagram."""
     loop = analysis(d).records[i].loop
-    return (loop, *_position(_leg_starts(d), loop, i))
+    return (loop, *_position(analysis(d).leg_starts, loop, i))
 
 
 def _on_segment(d: BouquetDiagram, key: tuple[int, int, int]) -> Iterator[tuple[Crossing, LoopParam]]:
@@ -847,29 +848,46 @@ def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Ra
 
 def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, loop: int | None = None,
                       spared: tuple[int, int, int] | None = None) -> bool:
-    """Whether two non-consecutive `chords` (point pairs; most consecutive
-    ones share an end), or a chord and a record of valid d of loop `loop`
-    (None: any) other than segments `target` and `spared`, cross properly at
-    a location that is no crossing on the target.  False if a chord end lies
-    outside [-1, 1]^2, where _B does not hold.  Long chords go first."""
-    if not all(-xd <= xn <= xd and -yd <= yn <= yd
-               for chord in chords for xn, xd, yn, yd in map(_location_key, chord)):
+    """Whether two non-consecutive `chords` (pairs of int points; most
+    consecutive ones share an end), or a chord and a record of valid d of loop
+    `loop` (None: any) other than segments `target` and `spared`, cross
+    properly at a location that is no crossing on the target; False if a chord
+    end lies outside [-1, 1]^2, where _B does not hold.  Floats decide first."""
+    if not all(-xd <= xn <= xd and -yd <= yn <= yd for chord in chords for xn, xd, yn, yd in chord):
         return False
-    segs = [_make_seg(-1, a, b) for a, b in chords]
-    records, rows = analysis(d).records, _leg_starts(d)
+    # xn / xd is correctly rounded, so it is float() of the exact coordinate
+    segs = [_make_seg(-1, None, None, (a[0] / a[1], a[2] / a[3]), (b[0] / b[1], b[2] / b[3]))
+            for a, b in chords]
+    records, rows = analysis(d).records, analysis(d).leg_starts
     skip = {rows[key[0]][key[1]] + key[2] for key in (target, spared) if key}
     start, stop = (0, len(records)) if loop is None else (rows[loop][0], rows[loop][-1])
+    pool = records[start:stop]
     longest = sorted(segs, key=lambda s: s.fminx - s.fmaxx + s.fminy - s.fmaxy)
-    spots = None  # the target's crossing locations, built at the first candidate
-    for kind, _, ints in chain((_meet(s, t) for i, s in enumerate(segs) for t in segs[i + 2:]),
-                               (_meet(s, t) for s in longest
-                                for j, t in _near(records[start:stop], start, [s]) if j not in skip)):
-        if kind is SegKind.PROPER:
-            if spots is None:
-                spots = {_location_key(c.location) for c, _ in _on_segment(d, target)}
-            if ints[0] not in spots:
+    pairs = chain(((s, t, -1) for i, s in enumerate(segs) for t in segs[i + 2:]),
+                  ((s, t, j) for s in longest for j, t in _near(pool, start, [s]) if j not in skip))
+    # (s, t, j): a chord s and another chord t (j = -1) or the record t =
+    # records[j].  A crossing with a record that is no crossing partner of the
+    # target lies at none of the target's crossing locations: it is interior to
+    # the record, and in a valid diagram two records' interiors meet only at a
+    # recorded crossing, so a location on the target would make the record a
+    # partner.  Two chords can cross at no such location only if there is none.
+    crossed, rest = None, []  # the record indices of the target's crossings; the pairs left open
+    for s, t, j in pairs:
+        frame = _sure(s, t)
+        if frame:
+            if crossed is None:
+                crossed = {rows[lp][p.leg] + p.seg for c, _ in _on_segment(d, target)
+                           for lp, p in ((c.loop_a, c.param_a), (c.loop_b, c.param_b))}
+            if (j not in crossed) if j >= 0 else not crossed:
                 return True
-    return False
+        if frame != 0:
+            rest.append((s, t))
+    if not rest:
+        return False
+    for s, (a, b) in zip(segs, chords):
+        s.a, s.b = _point(*a), _point(*b)
+    spots = {_ints(c.location) for c, _ in _on_segment(d, target)}
+    return any(kind is SegKind.PROPER and ints[0] not in spots for kind, _, ints in starmap(_meet, rest))
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,25 @@ integer predicate and the float filter rely on two facts of it: values are
 kept in lowest terms with a positive denominator, and ``float()`` is the
 correctly rounded ``numerator / denominator``, so within a relative 2^-53 of
 the exact value and monotone.  Every predicate here returns a true sign, and
-no decision rests on a tolerance.  Callers may filter with floats (the
-structural check and the segment scan in :mod:`rp2bouquet.diagram` do), but
-only where a proved error bound makes the float answer certain; everything
-else falls back to these predicates.  This is what makes "generic position"
-a decidable property rather than a numerical judgement call: two segments
-either cross transversally in their interiors, or miss each other, or are in
-a degenerate configuration, and the three cases are distinguished exactly.
+no decision rests on a tolerance.  Callers may filter with floats (in
+:mod:`rp2bouquet.diagram`: the structural check, the segment scan and the
+walk's drop check), but only where a proved error bound makes the float
+answer certain; everything else falls back to these predicates.  This is
+what makes "generic position" a decidable property rather than a numerical
+judgement call: two segments either cross transversally in their interiors,
+or miss each other, or are in a degenerate configuration, and the three
+cases are distinguished exactly.
 
-Constructions work on the same integers: a constructed point (`_along`, the
-templates of :mod:`rp2bouquet.moves`) is put on one common denominator and
-built as one `Rat` per coordinate, one gcd each instead of one per operation,
-with the value the `Point` arithmetic would give.  A crossing stays ints
-(`_proper_ints`: its location in lowest terms, its parameters unreduced) until
-a splice passes its checks, so a move blocked on its count builds no `Rat`.  A
-direction needed only up to a positive factor is a `Point` of ints
-(`_direction`); the predicates read ints as they read `Rat`s, through
-``numerator`` and ``denominator``.
+Constructions work on the same integers.  A constructed point (`_along`,
+`_plus`, `_seam_step`, the templates of :mod:`rp2bouquet.moves`) is an *int
+point* (xn, xd, yn, yd), denominators positive and unreduced, and `_point`
+makes one `Rat` per coordinate.  Int division ``xn / xd`` is correctly
+rounded, so it is ``float()`` of that `Rat`, built or not.  A crossing stays
+ints (`_proper_ints`: its location in lowest terms, its parameters
+unreduced) until a splice passes its checks, so a move blocked on its count
+builds no `Rat`.  A direction needed only up to a positive factor is a
+`Point` of ints (`_direction`); the predicates read ints as they read
+`Rat`s, through ``numerator`` and ``denominator``.
 
 Rational points on the unit circle come from the tangent-half-angle map
 
@@ -108,13 +110,27 @@ def pt(x, y) -> Point:
     return Point(rat(x), rat(y))
 
 
-def _along(a: Point, b: Point, s: Rat) -> Point:
-    """a + s (b - a), one `Rat` per coordinate (see the module docstring)."""
+def _ints(p: Point) -> tuple[int, int, int, int]:
+    """p as an int point, in lowest terms: a key equal for equal points."""
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
+def _point(xn: int, xd: int, yn: int, yd: int) -> Point:
+    return Point(Rat(xn, xd), Rat(yn, yd))
+
+
+def _along(a: Point, b: Point, sn: int, sd: int) -> tuple[int, int, int, int]:
+    """a + (sn / sd)(b - a), sd > 0, as an int point."""
     axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
     bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
-    sn, sd = s.numerator, s.denominator
-    return Point(Rat(axn * bxd * sd + sn * (bxn * axd - axn * bxd), axd * bxd * sd),
-                 Rat(ayn * byd * sd + sn * (byn * ayd - ayn * byd), ayd * byd * sd))
+    return (axn * bxd * sd + sn * (bxn * axd - axn * bxd), axd * bxd * sd,
+            ayn * byd * sd + sn * (byn * ayd - ayn * byd), ayd * byd * sd)
+
+
+def _plus(p: tuple, v: tuple, kn: int, kd: int) -> tuple[int, int, int, int]:
+    """p + (kn / kd) v for int points p and v, kd > 0, as an int point."""
+    (xn, xd, yn, yd), (un, ud, vn, vd) = p, v
+    return xn * ud * kd + kn * un * xd, xd * ud * kd, yn * vd * kd + kn * vn * yd, yd * vd * kd
 
 
 def _direction(a: Point, b: Point) -> Point:
@@ -339,17 +355,17 @@ def _reflect(x: int, y: int, u: int, v: int) -> tuple[int, int]:
     return mxx * u + mxy * v, mxy * u - mxx * v
 
 
-def _seam_step(p: Point, d_out: Point) -> Point:
-    """-p + M(p) d_out / 32: the first interior point after entering at -p."""
+def _seam_step(p: tuple, d_out: tuple) -> tuple[int, int, int, int]:
+    """-p + M(p) d_out / 32 of int points, the first interior point after entering at -p."""
     # p = (x, y) / c: a rational unit-circle point has equal denominators
-    x, c, y = p.x.numerator, p.x.denominator, p.y.numerator
-    if p.y.denominator != c or x * x + y * y != c * c:
-        raise ValueError(f"seam reflection needs a unit-circle point, got ({p.x}, {p.y})")
-    dxn, dxd, dyn, dyd = d_out.x.numerator, d_out.x.denominator, d_out.y.numerator, d_out.y.denominator
+    x, c, y, cy = p
+    if cy != c or x * x + y * y != c * c:
+        raise ValueError(f"seam reflection needs a unit-circle point, got ({Rat(x, c)}, {Rat(y, cy)})")
+    dxn, dxd, dyn, dyd = d_out
     back = 32 * c * dxd * dyd
     wx, wy = _reflect(x, y, dxn * dyd, dyn * dxd)  # d_out times dxd * dyd
     den = back * c
-    return Point(Rat(wx - back * x, den), Rat(wy - back * y, den))
+    return wx - back * x, den, wy - back * y, den
 
 
 def mat_apply(m: Mat2, v: Point) -> Point:

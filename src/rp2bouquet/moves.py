@@ -21,7 +21,7 @@ splice declares its count of new crossings and the pass checks it, stopping
 past the count once every crossing on a replaced segment has been found
 again ("got more than 2").  No move is "almost legal".
 Smallness never needs to be argued: the checks are exact.  A random walk
-drops unbuilt a proposal that an exact check proves blocked (_certainly_blocked).
+drops unbuilt a proposal proved blocked, by floats where certain (_certainly_blocked).
 
 Templates in segment-local coordinates (e = segment vector, v = left normal),
 each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
-from .geometry import Point, Rat, _along, _seam_step, circle_point, rat, unit_circle_side
+from .geometry import Point, Rat, _along, _direction, _ints, _plus, _point, _seam_step, circle_point, rat
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -242,36 +242,40 @@ def _build_single_kink(d, spec) -> _Splice:
                           contract, (1, None, "single kink must add exactly 1 crossing"))
 
 
-def _seam_exit(a: Point, b: Point, x: Point, q: Point, noun: str) -> Point:
-    """The first interior point after leaving segment ab at x straight through
-    the seam point q; MoveBlocked if that path folds back along ab."""
-    e, g = b - a, q - x
-    if g.is_zero() or (e.cross(g) == 0 and e.dot(g) < 0):
+def _seam_exit(a: Point, b: Point, x: tuple, q: tuple, noun: str) -> tuple:
+    """The int point after leaving segment ab at the int point x straight through
+    the seam point q, an int point too; MoveBlocked if that path folds back along ab."""
+    e, g = _direction(a, b), _plus(q, x, -1, 1)
+    # e x g and e . g, each times gxd * gyd > 0
+    cross, dot = e.x * g[2] * g[1] - e.y * g[0] * g[3], e.x * g[0] * g[3] + e.y * g[2] * g[1]
+    if not (g[0] or g[2]) or (cross == 0 and dot < 0):
         raise MoveBlocked(f"{noun} exit folds back on the segment")
     return _seam_step(q, g)
 
 
-def _detour_points(d, spec) -> tuple[Point, ...]:
-    """(a, b, x1, q, y1, r, z1, x2): a Detour's target ab and its excursion
-    x1, q | -q, y1, r | -r, z1, x2; MoveBlocked on a bad parameter."""
+def _detour_points(d, spec) -> tuple[Point, Point, tuple]:
+    """A Detour's target a, b and its excursion (x1, q), (-q, y1, r), (-r, z1,
+    x2) in int points; MoveBlocked on a bad parameter."""
     sig_raw, t, w, uq, ur = spec.params
     if sig_raw not in (1, -1):
         raise MoveBlocked("detour sign must be +1 or -1")
     if not _window_ok(t - w, t + w):
         raise MoveBlocked("detour window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
-    q = circle_point(uq)
-    r = circle_point(ur)
-    if r == q or r == -q:
+    q, r = _ints(circle_point(uq)), _ints(circle_point(ur))  # in lowest terms, so equal as the points
+    nq, nr = ((-x, c, -y, c) for x, c, y, _ in (q, r))  # -q and -r
+    if r == q or r == nq:
         raise MoveBlocked("detour seam transitions must be distinct and non-antipodal")
-    x1 = _along(a, b, t + w / 4)
+    (tn, td), (wn, wd) = (t.numerator, t.denominator), (w.numerator, w.denominator)
+    x1 = _along(a, b, 4 * tn * wd + wn * td, 4 * td * wd)  # at t + w / 4
     y1 = _seam_exit(a, b, x1, q, "detour")
     # y1 is inside the disk (x1 is) and r on the circle, so r - y1 is never 0
-    return a, b, x1, q, y1, r, _seam_step(r, r - y1), _along(a, b, t + 3 * w / 4)
+    z1 = _seam_step(r, _plus(r, y1, -1, 1))
+    return a, b, ((x1, q), (nq, y1, r), (nr, z1, _along(a, b, 4 * tn * wd + 3 * wn * td, 4 * td * wd)))
 
 
 def _build_detour(d, spec) -> _Splice:
-    a, b, x1, q, y1, r, z1, x2 = _detour_points(d, spec)
+    a, b, excursion = _detour_points(d, spec)
     sigma, t, w = int(spec.params[0]), spec.params[1], spec.params[2]
     # curl side chosen so each curl contributes sigma at orientation +1
     hsign = -sigma if spec.leg % 2 == 0 else sigma
@@ -285,35 +289,37 @@ def _build_detour(d, spec) -> _Splice:
             return "detour curls must both carry the requested sign"
         return None
 
-    chains = (curl_a + curl_b + (x1, q), (-q, y1, r), (-r, z1, x2))
+    first, *rest = (tuple(_point(*p) for p in chain) for chain in excursion)
+    chains = (curl_a + curl_b + first, *rest)
     return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, chains,
                           contract, (2, spec.loop, "detour must add exactly 2 self-crossings"))
 
 
 def _build_seam_reroute(d, spec) -> _Splice:
     t, w, uq = spec.params
-    if not _window_ok(t - w, t + w):
+    lo, hi = t - w, t + w
+    if not _window_ok(lo, hi):
         raise MoveBlocked("reroute window must sit inside the segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     q = circle_point(uq)
-    x1 = _along(a, b, t - w)
-    x2 = _along(a, b, t + w)
-    z1 = _seam_exit(a, b, x1, q, "reroute")
+    x1, x2 = _along(a, b, lo.numerator, lo.denominator), _along(a, b, hi.numerator, hi.denominator)
+    z1 = _seam_exit(a, b, x1, _ints(q), "reroute")
     # created crossings are unconstrained: the edit's index damage is reported,
     # not controlled
     return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1,
-                          ((x1, q), (-q, z1, x2)), None)
+                          ((_point(*x1), q), (-q, _point(*z1), _point(*x2))), None)
 
 
-def _finger_points(d, spec) -> tuple[tuple[int, int, int], tuple[Point, ...]]:
-    """The chosen strand's (loop, leg, seg) and the inserted points (x1, f1,
-    f2, x2) of a FingerPush; MoveBlocked on a bad parameter."""
+def _finger_points(d, spec) -> tuple[tuple[int, int, int], tuple]:
+    """The chosen strand's (loop, leg, seg) and the inserted int points (x1,
+    f1, f2, x2) of a FingerPush; MoveBlocked on a bad parameter."""
     t, w, loop2_r, leg2_r, seg2_r, s2, reach = spec.params
     for v in (loop2_r, leg2_r, seg2_r):
         if v.denominator != 1 or v < 0:
             raise MoveBlocked("finger push strand indices must be non-negative integers")
     loop2, leg2, seg2 = int(loop2_r), int(leg2_r), int(seg2_r)
-    if not _window_ok(t - w, t + w) or not (0 < s2 < 1) or reach <= 0:
+    lo, hi = t - w, t + w
+    if not _window_ok(lo, hi) or not (0 < s2 < 1) or reach <= 0:
         raise MoveBlocked("finger push window parameters out of range")
     if (loop2, leg2, seg2) == (spec.loop, spec.leg, spec.segment):
         raise MoveBlocked("cannot push a segment across itself")
@@ -321,16 +327,13 @@ def _finger_points(d, spec) -> tuple[tuple[int, int, int], tuple[Point, ...]]:
         raise MoveBlocked("cannot push across an adjacent segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     c, dd = _get_segment(d, loop2, leg2, seg2)
-    e = b - a
-    target = _along(c, dd, s2)
-    center = _along(a, b, t)
-    wvec = target - center
-    if wvec.is_zero() or e.cross(wvec) == 0:
+    e, center = _direction(a, b), _along(a, b, t.numerator, t.denominator)
+    v = _plus(_along(c, dd, s2.numerator, s2.denominator), center, -1, 1)  # to the target on the strand
+    if not (v[0] or v[2]) or e.x * v[2] * v[1] == e.y * v[0] * v[3]:  # v zero or parallel to e
         raise MoveBlocked("finger direction is degenerate")
-    x1 = _along(a, b, t - w)
-    x2 = _along(a, b, t + w)
-    step = wvec.scale(1 + reach)
-    return (loop2, leg2, seg2), (x1, x1 + step, x2 + step, x2)
+    x1, x2 = _along(a, b, lo.numerator, lo.denominator), _along(a, b, hi.numerator, hi.denominator)
+    k = (reach.numerator + reach.denominator, reach.denominator)  # each finger reaches 1 + reach times v
+    return (loop2, leg2, seg2), (x1, _plus(x1, v, *k), _plus(x2, v, *k), x2)
 
 
 def _build_finger_push(d, spec) -> _Splice:
@@ -357,8 +360,9 @@ def _build_finger_push(d, spec) -> _Splice:
             return "same-loop finger push crossings must cancel"
         return None
 
-    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
-                          contract, (2, None, "finger push must add exactly 2 crossings"))
+    return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1,
+                          (tuple(_point(*p) for p in inserted),), contract,
+                          (2, None, "finger push must add exactly 2 crossings"))
 
 
 def _build_subdivide(d, spec) -> _Splice:
@@ -366,7 +370,7 @@ def _build_subdivide(d, spec) -> _Splice:
     if not (0 < t < 1):
         raise MoveBlocked("subdivision point must be interior")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
-    inserted = (_along(a, b, t),)
+    inserted = (_point(*_along(a, b, t.numerator, t.denominator)),)
     # no contract: the halves refind every crossing of the old segment
     return _splice_points(d, spec.loop, spec.leg, spec.segment + 1, spec.segment + 1, (inserted,),
                           None, (0, None, "subdividing must not create crossings"))
@@ -491,14 +495,14 @@ def _rand_rat(rng: random.Random, lo_num: int, hi_num: int, den: int) -> Rat:
     return rat(rng.randrange(lo_num, hi_num), den)
 
 
-def _outward_u(p: Point, rng: random.Random) -> Rat | None:
-    """Tan-half-angle of roughly the outward radial direction at p.
+def _outward_u(p: tuple, rng: random.Random) -> Rat | None:
+    """Tan-half-angle of roughly the outward radial direction at the int point p.
 
     Float arithmetic here only steers the proposal; all applied geometry
     stays exact.  Returns None near the vertex or near the left pole, where
     the caller falls back to uniform sampling.
     """
-    fx, fy = float(p.x), float(p.y)
+    fx, fy = p[0] / p[1], p[2] / p[3]
     norm = (fx * fx + fy * fy) ** 0.5
     if norm < 1e-9:
         return None
@@ -517,7 +521,7 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
     uq = None
     if rng.random() < 0.75:
         a, b = d.segment(*key)
-        uq = _outward_u(_along(a, b, center), rng)
+        uq = _outward_u(_along(a, b, center.numerator, center.denominator), rng)
     if uq is None:
         uq = _rand_rat(rng, -48, 49, 16)
     return uq
@@ -598,8 +602,10 @@ def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random)
 
 
 # A walk drops unbuilt each proposal that one of three rules proves blocked;
-# apply_move decides the rest and names the first certain violation.  Each
-# chord a rule tests is a new segment of the splice, not at V, whose
+# apply_move decides the rest and names the first certain violation.  The
+# rules read the template's int points exactly, or as floats where _B makes
+# them certain (_certain_addition), so a proposal they decide builds no `Rat`.
+# Each chord a rule tests is a new segment of the splice, not at V, whose
 # neighbours are new, so the scan pairs it with every kept record and every
 # new segment but its neighbours (see _skip_pair).  A crossing at a location
 # on the target segment is left out, as the scan finds it again instead of
@@ -621,12 +627,12 @@ def _certainly_blocked(d: BouquetDiagram, spec: MoveSpec) -> bool:
     key = (spec.loop, spec.leg, spec.segment)
     try:
         if spec.kind == "Detour":
-            _, _, x1, q, y1, r, z1, x2 = _detour_points(d, spec)
-            return _certain_addition(d, key, ((x1, q), (-q, y1), (y1, r), (-r, z1), (z1, x2)), spec.loop)
+            _, _, chains = _detour_points(d, spec)
+            return _certain_addition(d, key, [c for ch in chains for c in zip(ch, ch[1:])], spec.loop)
         if spec.kind == "FingerPush":
             strand, (x1, f1, f2, x2) = _finger_points(d, spec)
-            return unit_circle_side(f1) >= 0 or unit_circle_side(f2) >= 0 or \
-                _certain_addition(d, key, ((x1, f1), (f1, f2), (f2, x2)), spared=strand)
+            return (any((xn * yd) ** 2 + (yn * xd) ** 2 >= (xd * yd) ** 2 for xn, xd, yn, yd in (f1, f2))
+                    or _certain_addition(d, key, ((x1, f1), (f1, f2), (f2, x2)), spared=strand))
     except MoveBlocked:
         pass
     return False

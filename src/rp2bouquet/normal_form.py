@@ -38,7 +38,7 @@ import random
 from itertools import permutations, product
 from math import factorial
 
-from .geometry import Point, Rat, _seam_step, circle_point, pt, rat
+from .geometry import Point, Rat, _ints, _point, _seam_step, circle_point, pt, rat
 from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, _segment_gaps, validate
 from .invariants import (CyclicWord, DuplicateSymbol, InvariantTuple, MissingSymbol, _class_rows,
                          invariants, inv3)
@@ -114,7 +114,7 @@ def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
             s_a = circle_point(rat(u_a)).scale(inner)
             s_b = circle_point(rat(u_b)).scale(inner)
             q = circle_point(rat(7 * (n + 1 + i) + attempt, 7))
-            entry = _seam_step(q, q - s_a)
+            entry = _point(*_seam_step(_ints(q), _ints(q - s_a)))
             loops.append(LoopPath((
                 Leg((pt(0, 0), s_a, q)),
                 Leg((-q, entry, s_b, pt(0, 0))),

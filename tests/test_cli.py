@@ -306,6 +306,19 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     assert out.startswith("reproduced at move 1: kept records diverge from a rebuilt analysis")
 
 
+def test_fuzz_cross_check_compares_the_kept_leg_rows(tmp_path, monkeypatch):
+    set_analysis = diagram_mod._set_analysis
+
+    def shifted(d, value):
+        rows = tuple(tuple(i + 1 for i in row) for row in value.leg_starts)
+        set_analysis(d, dataclasses.replace(value, leg_starts=rows))
+
+    monkeypatch.setattr(diagram_mod, "_set_analysis", shifted)
+    code, out = run(["fuzz", "--seed", 20260815, "--trials", 1, "--cross-check", "--out", tmp_path])
+    assert code == 3
+    assert "kept leg_starts diverge from a rebuilt analysis" in out
+
+
 def test_fuzz_reports_an_exhausted_generator(tmp_path, monkeypatch):
     def exhausted(d, seed):
         raise Exhausted(f"no legal move found in 0 attempts (seed {seed})")

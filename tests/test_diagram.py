@@ -28,7 +28,6 @@ from rp2bouquet.diagram import (
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
-    _location_key,
     _make_seg,
     _meet,
     _skip_pair,
@@ -36,6 +35,7 @@ from rp2bouquet.diagram import (
 )
 from rp2bouquet.geometry import (
     SegKind,
+    _ints,
     SegmentIntersection,
     circle_point,
     on_unit_circle,
@@ -692,7 +692,7 @@ def test_a_huge_vertex_outside_the_disk_is_reported_without_floats():
 def test_location_key_is_canonical(p, k):
     """Equal points have equal keys, however their rationals were built."""
     q = pt(rat(p.x.numerator * k, p.x.denominator * k), rat(-p.y.numerator * k, -p.y.denominator * k))
-    assert _location_key(q) == _location_key(p)
+    assert _ints(q) == _ints(p)
 
 
 def test_location_key_separates_points():
@@ -700,7 +700,7 @@ def test_location_key_separates_points():
     have distinct keys."""
     values = sorted(set(lattice_x + lattice_y))
     points = [pt(x, y) for x in values for y in values]
-    assert len({_location_key(p) for p in points}) == len(points)
+    assert len({_ints(p) for p in points}) == len(points)
 
 
 def test_recurring_point_object_is_still_a_contact():

@@ -20,6 +20,8 @@ from rp2bouquet.geometry import (
     Point,
     _along,
     _direction,
+    _ints,
+    _point,
     _seam_step,
     angle_sort,
     circle_point,
@@ -59,7 +61,7 @@ def test_curl_points_match_point_arithmetic(a, b, t, w, h):
 
 @given(any_points, any_points, any_rats)
 def test_along_matches_point_arithmetic(a, b, s):
-    got = _along(a, b, s)
+    got = _point(*_along(a, b, s.numerator, s.denominator))
     assert got == a + (b - a).scale(s)
     assert all_fractions(got)
 
@@ -67,7 +69,7 @@ def test_along_matches_point_arithmetic(a, b, s):
 @given(circle_units, any_points)
 def test_seam_step_matches_reflection(u, d):
     p = circle_point(u)
-    got = _seam_step(p, d)
+    got = _point(*_seam_step(_ints(p), _ints(d)))
     assert got == -p + mat_apply(seam_reflection(p), d).scale(rat(1, 32))
     assert all_fractions(got)
 
@@ -78,9 +80,9 @@ def test_seam_step_keeps_the_unit_circle_error(p, d):
         seam_reflection(p)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            _seam_step(p, d)
+            _seam_step(_ints(p), _ints(d))
     else:
-        _seam_step(p, d)
+        _seam_step(_ints(p), _ints(d))
 
 
 @given(st.builds(rat, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rp2bouquet.diagram import _location_key
 from rp2bouquet.geometry import (
     CodirectionalVectors,
     Point,
     SegKind,
+    _ints,
     _proper_ints,
     angle_sort,
     antipode,
@@ -208,7 +208,7 @@ def test_proper_ints_give_the_built_crossing(a, b, c, d):
     signs = set()
     for ends, t1, t2 in (((p, q, u, v), res.t1, res.t2), ((p, q, v, u), res.t1, 1 - res.t2)):
         key, (n1, n2, den) = _proper_ints(*ends)
-        assert key == _location_key(res.point)
+        assert key == _ints(res.point)
         assert (rat(n1, den), rat(n2, den)) == (t1, t2)
         signs.add(den > 0)
     assert signs == {False, True}

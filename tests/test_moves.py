@@ -35,7 +35,6 @@ from rp2bouquet import normal_form, realize
 from rp2bouquet.diagram import (
     InvalidDiagram,
     _leg_starts,
-    _location_key,
     _position,
     _segment_records,
     _skip_pair,
@@ -43,12 +42,12 @@ from rp2bouquet.diagram import (
     analysis,
     vertex_directions,
 )
-from rp2bouquet.geometry import SegKind, rat, segment_intersection, unit_circle_side
+from rp2bouquet.geometry import SegKind, _ints, _point, rat, segment_intersection, unit_circle_side
 from rp2bouquet.normal_form import random_tuple
 
 
 def locations(d):
-    return sorted((c.location for c in crossings(d)), key=_location_key)
+    return sorted((c.location for c in crossings(d)), key=_ints)
 
 
 def segment_keys(d):
@@ -484,8 +483,8 @@ def test_exhausted_when_budget_removed(quad, monkeypatch):
 def test_proposals_that_return_none(quad, chord):
     rng = random.Random(0)
     # no outward direction at the vertex, nor along the negative x axis
-    assert moves_mod._outward_u(pt(0, 0), rng) is None
-    assert moves_mod._outward_u(moves_mod._along(*chord.segment(0, 1, 0), rat(1, 2)), rng) is None
+    assert moves_mod._outward_u(_ints(pt(0, 0)), rng) is None
+    assert moves_mod._outward_u(moves_mod._along(*chord.segment(0, 1, 0), 1, 2), rng) is None
     # a FingerPush on the middle of three segments has no other strand
     triangle = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((pt(0, 0), pt("1/2", 0), pt(0, "1/2"),
                                                           pt(0, 0))),)),))
@@ -509,8 +508,9 @@ def assert_kept_analysis_is_fresh(d):
     # every kept crossing's positions, shifted by the leg starts
     assert [(c.param_a, c.param_b) for c in crossings(d)] \
         == [(c.param_a, c.param_b) for c in crossings(fresh)]
-    # the segment records carried from move to move
+    # the segment records and leg-start rows carried from move to move
     assert analysis(d).records == tuple(_segment_records(d))
+    assert analysis(d).leg_starts == _leg_starts(d)
 
 
 def test_leg_starts_give_each_record_its_position():
@@ -816,7 +816,7 @@ def dropping_rule(d, spec):
         return None
     if spec.kind == "FingerPush":
         _, (_, f1, f2, _) = moves_mod._finger_points(d, spec)
-        return "outside" if max(unit_circle_side(f1), unit_circle_side(f2)) >= 0 else "strand"
+        return "outside" if max(unit_circle_side(_point(*f)) for f in (f1, f2)) >= 0 else "strand"
     return spec.kind
 
 
@@ -841,20 +841,134 @@ def assert_dropped_only_if_blocked(d, specs, tally):
             tally[rule] = tally.get(rule, 0) + 1
 
 
-def test_the_walk_drops_only_blocked_proposals():
-    """On chains of n = 1, 2, 3 loops grown to 300 segments, each proposal
-    and hostile spec that _certainly_blocked rejects is blocked; each rule
-    fires, and together they catch most blocked Detours and FingerPushes."""
-    tally = {}
+def walk_proposals():
+    """(d, specs) on chains of n = 1, 2, 3 loops grown to 300 segments: at
+    each diagram of a chain, four proposals and the hostile specs."""
     for n in (1, 2, 3):
         rng = random.Random(f"walk-drops:{n}")
         d = realize(random_tuple(n, rng.randrange(10 ** 9)))
         while sum(1 for _ in d.iter_segments()) < 300:
             specs = [moves_mod._propose_move(d, rng) for _ in range(4)]
-            assert_dropped_only_if_blocked(d, [s for s in specs if s] + hostile_specs(d, rng), tally)
+            yield d, [s for s in specs if s] + hostile_specs(d, rng)
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
+
+
+def test_the_walk_drops_only_blocked_proposals():
+    """On the walk chains, each proposal and hostile spec that
+    _certainly_blocked rejects is blocked; each rule fires, and together they
+    catch most blocked Detours and FingerPushes."""
+    tally = {}
+    for d, specs in walk_proposals():
+        assert_dropped_only_if_blocked(d, specs, tally)
     assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
     assert tally["dropped"] >= 0.85 * tally["blocked"], tally
+
+
+def template_ints(d, spec):
+    """The int points the drop check reads for a Detour or FingerPush, in
+    the order the builder splices them, or None on a bad parameter."""
+    try:
+        if spec.kind == "Detour":
+            return [p for chain in moves_mod._detour_points(d, spec)[2] for p in chain]
+        return list(moves_mod._finger_points(d, spec)[1])
+    except MoveBlocked:
+        return None
+
+
+def spliced_template(splice, spec):
+    """The same points as the builder spliced them into its candidate: a
+    finger follows the target's start, and an excursion follows the Detour's
+    two curls of four points each, each seam transition starting a leg."""
+    legs, s = splice.d2.loops[spec.loop].legs, spec.segment
+    if spec.kind == "FingerPush":
+        return legs[spec.leg].points[s + 1:s + 5]
+    return legs[spec.leg].points[s + 9:s + 11] + legs[spec.leg + 1].points[:3] + legs[spec.leg + 2].points[:3]
+
+
+def test_the_drop_check_reads_the_floats_of_the_spliced_points():
+    """On the walk chains, the int points of every Detour and FingerPush,
+    rounded by int division as the drop check rounds them, are float() of
+    the `Rat` points its builder splices, coordinate by coordinate: so _B
+    holds for them."""
+    seen = {"Detour": 0, "FingerPush": 0}
+    for d, specs in walk_proposals():
+        for spec in specs:
+            ints = template_ints(d, spec) if spec.kind in seen else None
+            if ints is None:
+                continue
+            spliced = spliced_template(moves_mod._BUILDERS[spec.kind][0](d, spec), spec)
+            assert [(xn / xd, yn / yd) for xn, xd, yn, yd in ints] \
+                == [(float(p.x), float(p.y)) for p in spliced], spec.to_line()
+            seen[spec.kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_the_float_pass_decides_most_drop_checks_and_agrees(monkeypatch):
+    """On the walk chains, the drop check gives every Detour and FingerPush
+    the verdict of its exact scan (_sure disabled, so every pair goes to
+    the exact predicates), and at least 90% of those checks build no `Rat`
+    end point and call no exact predicate."""
+    exact = {"calls": 0}
+
+    def counted(f):
+        def wrapper(*args):
+            exact["calls"] += 1
+            return f(*args)
+        return wrapper
+
+    checks = decided = 0
+    for d, specs in walk_proposals():
+        for spec in specs:
+            if spec.kind not in ("Detour", "FingerPush"):
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(diagram_mod, "_sure", lambda s, t: None)
+                want = moves_mod._certainly_blocked(d, spec)
+            with monkeypatch.context() as m:
+                for name in ("_point", "_meet", "_kind", "orient2d"):
+                    m.setattr(diagram_mod, name, counted(getattr(diagram_mod, name)))
+                before = exact["calls"]
+                assert moves_mod._certainly_blocked(d, spec) == want, spec.to_line()
+            checks += 1
+            decided += exact["calls"] == before
+    assert checks > 500 and decided >= 0.9 * checks, (checks, decided)
+
+
+def test_the_drop_check_gives_hostile_parameters_their_verdict(quad):
+    """A finger of reach 10^400 lies far outside the disk: the exact circle
+    test proves it blocked before any of its coordinates is rounded.  A
+    Detour or a FingerPush whose t or w lies outside (0, 1) gets no verdict,
+    and apply_move blocks it on its parameters."""
+    push = MoveSpec("FingerPush", 0, 0, 1, (rat(1, 2), rat(1, 8), rat(0), rat(0), rat(3), rat(1, 2),
+                                            rat(10 ** 400)))
+    assert moves_mod._certainly_blocked(quad, push)
+    with pytest.raises(MoveBlocked, match="PointOutsideDisk"):
+        apply_move(quad, push)
+    huge = rat(10 ** 400)
+    cases = [
+        (MoveSpec("Detour", 0, 0, 1, (rat(1), huge, rat(1, 8), rat(1, 2), rat(-2))), "detour window"),
+        (MoveSpec("Detour", 0, 0, 1, (rat(1), rat(1, 2), rat(-1, 8), rat(1, 2), rat(-2))), "detour window"),
+        (MoveSpec("FingerPush", 0, 0, 1, (rat(1, 2), huge, rat(0), rat(0), rat(3), rat(1, 2), rat(1, 4))),
+         "finger push window"),
+        (MoveSpec("FingerPush", 0, 0, 1, (rat(3, 2), rat(1, 8), rat(0), rat(0), rat(3), rat(1, 2), rat(1, 4))),
+         "finger push window"),
+    ]
+    for spec, message in cases:
+        assert not moves_mod._certainly_blocked(quad, spec), spec.to_line()
+        with pytest.raises(MoveBlocked, match=message):
+            apply_move(quad, spec)
+
+
+def test_certain_addition_decides_a_tiny_crossing_exactly(quad, monkeypatch):
+    """A chord 2^-59 long across the quad's top side rounds to one float
+    point, so no float sign is certain; the exact scan finds the crossing."""
+    meet = diagram_mod._meet
+    calls = []
+    monkeypatch.setattr(diagram_mod, "_meet", lambda s, t: calls.append(1) or meet(s, t))
+    tiny = rat(1, 2 ** 60)
+    chord = (pt("1/4", rat(1, 2) - tiny), pt("1/4", rat(1, 2) + tiny))
+    assert diagram_mod._certain_addition(quad, (0, 0, 1), int_chords([chord]))
+    assert calls
 
 
 def strands(c):
@@ -876,6 +990,11 @@ def reference_addition(d, target, chords, loop, spared, spare_target=True, skip_
     pairs += [(s, t) for s in chords for t in others]
     hits = (segment_intersection(*s, *t) for s, t in pairs)
     return any(h.kind is SegKind.PROPER and h.point not in spots for h in hits)
+
+
+def int_chords(chords):
+    """The chords as _certain_addition takes them: pairs of int points."""
+    return [(_ints(a), _ints(b)) for a, b in chords]
 
 
 def test_certain_addition_matches_a_brute_force_scan():
@@ -901,9 +1020,9 @@ def test_certain_addition_matches_a_brute_force_scan():
             a, b = d.segment(*target)
             e = b - a
             spots = [c.location for c in crossings(d) if target in strands(c)]
-            on = [moves_mod._along(a, b, rat(rng.randrange(1, 16), 16))]
+            on = [_point(*moves_mod._along(a, b, rng.randrange(1, 16), 16))]
             if spared:
-                on.append(moves_mod._along(*d.segment(*spared), rat(rng.randrange(1, 16), 16)))
+                on.append(_point(*moves_mod._along(*d.segment(*spared), rng.randrange(1, 16), 16)))
             chords = []
             for _ in range(rng.randrange(1, 3)):
                 p = rng.choice(rng.choice([spots or on, on, [pt(rat(rng.randrange(-11, 12), 16),
@@ -912,7 +1031,7 @@ def test_certain_addition_matches_a_brute_force_scan():
                 v = (pt(-e.y, e.x) + e.scale(rat(rng.randrange(-8, 9), 8))).scale(rat(1, 16))
                 chords.append((p - v, p + v))
             want = reference_addition(d, target, chords, loop, spared)
-            assert diagram_mod._certain_addition(d, target, chords, loop, spared) == want, \
+            assert diagram_mod._certain_addition(d, target, int_chords(chords), loop, spared) == want, \
                 (target, spared, loop, chords)
             changed["target"] += want != reference_addition(d, target, chords, loop, spared,
                                                            spare_target=False)
@@ -926,8 +1045,8 @@ def test_certain_addition_matches_a_brute_force_scan():
 def test_certain_addition_gives_no_verdict_past_the_square(quad):
     """_meet's float bound holds for points in [-1, 1]^2 only: a chord that
     reaches past it gets no verdict, although it crosses the quad twice."""
-    assert diagram_mod._certain_addition(quad, (0, 0, 1), ((pt("1/4", -1), pt("1/4", 1)),))
-    assert not diagram_mod._certain_addition(quad, (0, 0, 1), ((pt("1/4", -2), pt("1/4", 2)),))
+    assert diagram_mod._certain_addition(quad, (0, 0, 1), int_chords([(pt("1/4", -1), pt("1/4", 1))]))
+    assert not diagram_mod._certain_addition(quad, (0, 0, 1), int_chords([(pt("1/4", -2), pt("1/4", 2))]))
 
 
 # ---------------------------------------------------------------------------

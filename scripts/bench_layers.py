@@ -27,12 +27,15 @@ present signatures.  The rows:
   ``blocked_count`` (the splice found more or fewer counted crossings than
   its move adds) and ``blocked_other``; then each move kind by outcome.
   These rows also run on a third snapshot of the same chain, of about 1,500
-  segments, where a move's walks over every record and crossing are longest;
+  segments, and on a fourth, labelled 3000: the scale chain, seeded with 7
+  from ``realize(random_tuple(2, 7))``, at its first diagram of at least
+  3,000 segments, where a move's walks over every record and crossing are
+  longest;
 * ``_certainly_blocked`` in us per call, the drop check of random walks,
   over the Detours and FingerPushes among those proposals, on each of the
-  three snapshots;
+  four snapshots;
 * ``random_move_applied`` in us per walk step, over the seeds ``WALK_SEEDS``
-  on each of the three snapshots: each step proposes from the snapshot until
+  on each of the four snapshots: each step proposes from the snapshot until
   a move applies, so it pays for the proposals its walk drops or
   ``apply_move`` blocks on the way;
 * a fresh ``validate`` of the pencil: one loop of 40 chords through
@@ -63,10 +66,11 @@ and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
 verdicts (each window's first violation, or ``None``), of its
 ``apply_move`` outcomes (each block message, or the ``dumps`` of the
 result), of the drop check's verdicts, of the walk steps' applied move
-lines, of the pencil's violations and of the ``validate`` output and
-crossings of the zigzags and of the quadrant diagrams, which agree between
-versions that decide alike; also those diagrams' crossing counts and the
-number of drop checks."""
+lines, of the pencil's violations, of the ``validate`` output and
+crossings of the zigzags and of the quadrant diagrams and of the scale
+chain's ``dumps``, which agree between versions that decide alike; also
+those diagrams' crossing counts, the number of drop checks and the number
+of moves of the scale chain."""
 
 from __future__ import annotations
 
@@ -87,6 +91,7 @@ from pathlib import Path
 SEED = 20260815
 SIZES = (60, 450)
 LONG = 1500            # a third snapshot, for the apply_move rows only
+CHAIN = 3000           # the scale chain's snapshot, for the same rows
 PENCIL = 40            # chords of the pencil
 ZIGZAGS = (2000, 4000)  # N of the zigzags
 QUADRANTS = (1000, 2000)  # N of the quadrant diagrams
@@ -124,6 +129,18 @@ def snapshots(lib) -> list[str]:
             _, d = lib.random_move_applied(d, rng.randrange(10 ** 9))
         out.append(lib.dumps(d))
     return out
+
+
+def scale_chain(lib) -> tuple[str, int]:
+    """dumps of the scale chain at its first diagram of at least CHAIN
+    segments, and the number of moves to it."""
+    d = lib.realize(lib.random_tuple(2, 7))
+    rng = random.Random(7)
+    moves = 0
+    while sum(len(leg.points) - 1 for loop in d.loops for leg in loop.legs) < CHAIN:
+        _, d = lib.random_move_applied(d, rng.randrange(10 ** 9))
+        moves += 1
+    return lib.dumps(d), moves
 
 
 def proposals(lib, mods, d) -> tuple[list, list]:
@@ -258,8 +275,9 @@ def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
     texts = snapshots(lib)
+    chain_text, chain_moves = scale_chain(lib)
     out, verdicts, outcomes, drops, walks = {}, [], [], [], []
-    for size, text in zip(SIZES + (LONG,), texts):
+    for size, text in zip(SIZES + (LONG, CHAIN), texts + [chain_text]):
         checked = lib.loads(text)
         lib.validate(checked)
         specs, cases = proposals(lib, mods, checked)
@@ -312,6 +330,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "proper_pairs": len(pairs),
         "pencil_violations": len(fan_violations),
         "pencil_sha256": digest(fan_violations),
+        "chain_sha256": hashlib.sha256(chain_text.encode()).hexdigest(),
+        "chain_moves": chain_moves,
     }
     for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS)):
         found, counts = [], []

@@ -786,7 +786,6 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     shifts = leg_starts[loop] != row  # equal rows (each ends with the loop's end) move nothing
     kept: list[Crossing] = []
     dropped: list[Crossing] = []
-    past: list[tuple[int, int, int]] = []  # (index in kept, fa, fb)
     for c in base.crossings:
         # the record indices of its strands on the spliced loop, -1 elsewhere
         fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
@@ -794,8 +793,11 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         if i <= fa < j or i <= fb < j:
             dropped.append(c)
             continue
-        if shifts and (fa >= j or fb >= j):
-            past.append((len(kept), fa, fb))
+        if shifts and (fa >= j or fb >= j):  # re-addressed past the window
+            pa, pb = c.param_a, c.param_b
+            pa = LoopParam(*_position(leg_starts, loop, fa + delta), pa.frac) if fa >= j else pa
+            pb = LoopParam(*_position(leg_starts, loop, fb + delta), pb.frac) if fb >= j else pb
+            c = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
         kept.append(c)
     removed = {_ints(c.location) for c in dropped} if splice.check_persistence else set()
     hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
@@ -809,13 +811,6 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     err = splice.contract and splice.contract(additions, dropped, d2)
     if err:
         raise MoveBlocked(err)
-
-    for n, fa, fb in past:
-        c = kept[n]
-        pa, pb = c.param_a, c.param_b
-        pa = LoopParam(*_position(leg_starts, loop, fa + delta), pa.frac) if fa >= j else pa
-        pb = LoopParam(*_position(leg_starts, loop, fb + delta), pb.frac) if fb >= j else pb
-        kept[n] = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
     # the shift is monotone along the loop, so the kept crossings are still
     # sorted; only the few found ones are merged in
     for c in found:
@@ -862,9 +857,8 @@ def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, l
     skip = {rows[key[0]][key[1]] + key[2] for key in (target, spared) if key}
     start, stop = (0, len(records)) if loop is None else (rows[loop][0], rows[loop][-1])
     pool = records[start:stop]
-    longest = sorted(segs, key=lambda s: s.fminx - s.fmaxx + s.fminy - s.fmaxy)
     pairs = chain(((s, t, -1) for i, s in enumerate(segs) for t in segs[i + 2:]),
-                  ((s, t, j) for s in longest for j, t in _near(pool, start, [s]) if j not in skip))
+                  ((s, t, j) for s in segs for j, t in _near(pool, start, [s]) if j not in skip))
     # (s, t, j): a chord s and another chord t (j = -1) or the record t =
     # records[j].  A crossing with a record that is no crossing partner of the
     # target lies at none of the target's crossing locations: it is interior to

@@ -24,7 +24,8 @@ cases are distinguished exactly.
 Constructions work on the same integers.  A constructed point (`_along`,
 `_plus`, `_seam_step`, the templates of :mod:`rp2bouquet.moves`) is an *int
 point* (xn, xd, yn, yd), denominators positive and unreduced, and `_point`
-makes one `Rat` per coordinate.  Int division ``xn / xd`` is correctly
+makes one `Rat` per coordinate.  The constructors also take int points, so a
+`Point` is read once, by `_ints`.  Int division ``xn / xd`` is correctly
 rounded, so it is ``float()`` of that `Rat`, built or not.  A crossing stays
 ints (`_proper_ints`: its location in lowest terms, its parameters
 unreduced) until a splice passes its checks, so a move blocked on its count
@@ -119,10 +120,9 @@ def _point(xn: int, xd: int, yn: int, yd: int) -> Point:
     return Point(Rat(xn, xd), Rat(yn, yd))
 
 
-def _along(a: Point, b: Point, sn: int, sd: int) -> tuple[int, int, int, int]:
-    """a + (sn / sd)(b - a), sd > 0, as an int point."""
-    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
-    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
+def _along(a: tuple, b: tuple, sn: int, sd: int) -> tuple[int, int, int, int]:
+    """a + (sn / sd)(b - a) for int points a and b, sd > 0, as an int point."""
+    (axn, axd, ayn, ayd), (bxn, bxd, byn, byd) = a, b
     return (axn * bxd * sd + sn * (bxn * axd - axn * bxd), axd * bxd * sd,
             ayn * byd * sd + sn * (byn * ayd - ayn * byd), ayd * byd * sd)
 

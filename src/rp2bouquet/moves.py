@@ -24,7 +24,8 @@ Smallness never needs to be argued: the checks are exact.  A random walk
 drops unbuilt a proposal proved blocked, by floats where certain (_certainly_blocked).
 
 Templates in segment-local coordinates (e = segment vector, v = left normal),
-each point built on one integer denominator (see :mod:`rp2bouquet.geometry`):
+each point an int point built by `_along` and `_plus` (`_seam_step` past the
+seam) from the segment's ends (see :mod:`rp2bouquet.geometry`):
 
 * curl - four points making one loop over the segment, one self-crossing
   whose sign is -sign(h) before seam transport;
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
-from .geometry import Point, Rat, _along, _direction, _ints, _plus, _point, _seam_step, circle_point, rat
+from .geometry import Point, Rat, _along, _ints, _plus, _point, _seam_step, circle_point, rat
 from .diagram import (
     BouquetDiagram,
     Crossing,
@@ -173,34 +174,25 @@ class EditSpec(_Spec):
 # templates
 # ---------------------------------------------------------------------------
 
-def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[Point, Point]:
+def _get_segment(d: BouquetDiagram, loop: int, leg: int, seg: int) -> tuple[tuple, tuple]:
+    """The ends of segment (loop, leg, seg) as int points."""
     try:
-        return d.segment(loop, leg, seg)
+        a, b = d.segment(loop, leg, seg)
     except IndexError:
         raise MoveBlocked(f"no segment ({loop}, {leg}, {seg})") from None
+    return _ints(a), _ints(b)
 
 
-def _curl_points(a: Point, b: Point, t: Rat, w: Rat, h: Rat) -> tuple[Point, ...]:
+def _curl_points(a: tuple, b: tuple, t: Rat, w: Rat, h: Rat) -> tuple[Point, ...]:
     # one self-crossing between the first and last inserted segments, sign
-    # -sign(h) before seam transport, located at a + t*e + (2h/3)*v; the four
-    # points a + s*e + k*v, e = (ex, ey), v = (-ey, ex), share the denominator
-    # exd * eyd * sd * kd, with s = (t -+ w, t +- w/2) = sn / sd and k = h
-    axn, axd, ayn, ayd = a.x.numerator, a.x.denominator, a.y.numerator, a.y.denominator
-    bxn, bxd, byn, byd = b.x.numerator, b.x.denominator, b.y.numerator, b.y.denominator
-    exn, exd = bxn * axd - axn * bxd, axd * bxd
-    eyn, eyd = byn * ayd - ayn * byd, ayd * byd
-    tn, wn, kn, kd = t.numerator * w.denominator, w.numerator * t.denominator, h.numerator, h.denominator
-    sd = 2 * t.denominator * w.denominator
-    den = exd * eyd * sd * kd
-    x0, xe, xv = axn * bxd * eyd * sd * kd, exn * eyd * kd, eyn * exd * sd * kn
-    y0, ye, yv = ayn * byd * exd * sd * kd, eyn * exd * kd, exn * eyd * sd * kn
-    s1, s2, s3, s4 = 2 * (tn - wn), 2 * tn + wn, 2 * tn - wn, 2 * (tn + wn)
-    return (
-        Point(Rat(x0 + xe * s1, den), Rat(y0 + ye * s1, den)),
-        Point(Rat(x0 + xe * s2 - xv, den), Rat(y0 + ye * s2 + yv, den)),
-        Point(Rat(x0 + xe * s3 - xv, den), Rat(y0 + ye * s3 + yv, den)),
-        Point(Rat(x0 + xe * s4, den), Rat(y0 + ye * s4, den)),
-    )
+    # -sign(h) before seam transport, located at a + t*e + (2h/3)*v: the points
+    # a + s*e at s = t - w, t + w/2, t - w/2, t + w, the middle two moved by
+    # h*v, for the int points a, b, e = b - a and v = (-ey, ex)
+    exn, exd, eyn, eyd = _plus(b, a, -1, 1)
+    v, kn, kd, sd = (-eyn, eyd, exn, exd), h.numerator, h.denominator, 2 * t.denominator * w.denominator
+    tn, wn = 2 * t.numerator * w.denominator, w.numerator * t.denominator  # t = tn / sd, w = 2 * wn / sd
+    return (_point(*_along(a, b, tn - 2 * wn, sd)), _point(*_plus(_along(a, b, tn + wn, sd), v, kn, kd)),
+            _point(*_plus(_along(a, b, tn - wn, sd), v, kn, kd)), _point(*_along(a, b, tn + 2 * wn, sd)))
 
 
 def _window_ok(lo: Rat, hi: Rat) -> bool:
@@ -242,18 +234,19 @@ def _build_single_kink(d, spec) -> _Splice:
                           contract, (1, None, "single kink must add exactly 1 crossing"))
 
 
-def _seam_exit(a: Point, b: Point, x: tuple, q: tuple, noun: str) -> tuple:
-    """The int point after leaving segment ab at the int point x straight through
-    the seam point q, an int point too; MoveBlocked if that path folds back along ab."""
-    e, g = _direction(a, b), _plus(q, x, -1, 1)
-    # e x g and e . g, each times gxd * gyd > 0
-    cross, dot = e.x * g[2] * g[1] - e.y * g[0] * g[3], e.x * g[0] * g[3] + e.y * g[2] * g[1]
+def _seam_exit(a: tuple, b: tuple, x: tuple, q: tuple, noun: str) -> tuple:
+    """The int point after leaving segment ab at x straight through the seam
+    point q, all int points; MoveBlocked if that path folds back along ab."""
+    (exn, exd, eyn, eyd), g = _plus(b, a, -1, 1), _plus(q, x, -1, 1)
+    # e x g and e . g, each times exd * eyd * gxd * gyd > 0
+    ex, ey = exn * eyd, eyn * exd
+    cross, dot = ex * g[2] * g[1] - ey * g[0] * g[3], ex * g[0] * g[3] + ey * g[2] * g[1]
     if not (g[0] or g[2]) or (cross == 0 and dot < 0):
         raise MoveBlocked(f"{noun} exit folds back on the segment")
     return _seam_step(q, g)
 
 
-def _detour_points(d, spec) -> tuple[Point, Point, tuple]:
+def _detour_points(d, spec) -> tuple[tuple, tuple, tuple]:
     """A Detour's target a, b and its excursion (x1, q), (-q, y1, r), (-r, z1,
     x2) in int points; MoveBlocked on a bad parameter."""
     sig_raw, t, w, uq, ur = spec.params
@@ -327,9 +320,9 @@ def _finger_points(d, spec) -> tuple[tuple[int, int, int], tuple]:
         raise MoveBlocked("cannot push across an adjacent segment")
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     c, dd = _get_segment(d, loop2, leg2, seg2)
-    e, center = _direction(a, b), _along(a, b, t.numerator, t.denominator)
+    (exn, exd, eyn, eyd), center = _plus(b, a, -1, 1), _along(a, b, t.numerator, t.denominator)
     v = _plus(_along(c, dd, s2.numerator, s2.denominator), center, -1, 1)  # to the target on the strand
-    if not (v[0] or v[2]) or e.x * v[2] * v[1] == e.y * v[0] * v[3]:  # v zero or parallel to e
+    if not (v[0] or v[2]) or exn * eyd * v[2] * v[1] == eyn * exd * v[0] * v[3]:  # v zero or parallel to e
         raise MoveBlocked("finger direction is degenerate")
     x1, x2 = _along(a, b, lo.numerator, lo.denominator), _along(a, b, hi.numerator, hi.denominator)
     k = (reach.numerator + reach.denominator, reach.denominator)  # each finger reaches 1 + reach times v
@@ -520,8 +513,7 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
     segment `key`: mostly roughly outward from there, otherwise uniform."""
     uq = None
     if rng.random() < 0.75:
-        a, b = d.segment(*key)
-        uq = _outward_u(_along(a, b, center.numerator, center.denominator), rng)
+        uq = _outward_u(_along(*_get_segment(d, *key), center.numerator, center.denominator), rng)
     if uq is None:
         uq = _rand_rat(rng, -48, 49, 16)
     return uq

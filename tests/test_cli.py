@@ -279,7 +279,14 @@ def test_enumerate_rejects_nonpositive():
 def test_fuzz_small_campaign():
     code, out = run(["fuzz", "--seed", 11, "--trials", 4, "--steps", 5])
     assert code == 0
-    assert out.startswith("OK 4/4 trials, 20 moves")
+    assert out == "OK 4/4 trials, 20 moves\n"
+
+
+def test_fuzz_stdout_is_byte_stable(capsys):
+    """The wall time goes to stderr, so two runs print the same bytes."""
+    args = ["fuzz", "--seed", 11, "--trials", 4, "--steps", 5]
+    assert run(args) == run(args)
+    assert capsys.readouterr().err.startswith("fuzz took ")
 
 
 def test_fuzz_cross_check(tmp_path, monkeypatch):

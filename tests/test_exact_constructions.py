@@ -54,14 +54,14 @@ def test_curl_points_match_point_arithmetic(a, b, t, w, h):
         a + e.scale(t - w / 2) + v.scale(h),
         a + e.scale(t + w),
     )
-    got = _curl_points(a, b, t, w, h)
+    got = _curl_points(_ints(a), _ints(b), t, w, h)
     assert got == expected
     assert all_fractions(*got)
 
 
 @given(any_points, any_points, any_rats)
 def test_along_matches_point_arithmetic(a, b, s):
-    got = _point(*_along(a, b, s.numerator, s.denominator))
+    got = _point(*_along(_ints(a), _ints(b), s.numerator, s.denominator))
     assert got == a + (b - a).scale(s)
     assert all_fractions(got)
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -484,7 +485,7 @@ def test_proposals_that_return_none(quad, chord):
     rng = random.Random(0)
     # no outward direction at the vertex, nor along the negative x axis
     assert moves_mod._outward_u(_ints(pt(0, 0)), rng) is None
-    assert moves_mod._outward_u(moves_mod._along(*chord.segment(0, 1, 0), 1, 2), rng) is None
+    assert moves_mod._outward_u(moves_mod._along(*map(_ints, chord.segment(0, 1, 0)), 1, 2), rng) is None
     # a FingerPush on the middle of three segments has no other strand
     triangle = BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((pt(0, 0), pt("1/2", 0), pt(0, "1/2"),
                                                           pt(0, 0))),)),))
@@ -771,9 +772,14 @@ def test_a_splice_rebuilds_only_the_kept_crossings_past_its_window():
     """Subdividing segment 4 of loop 2's one leg moves every record past it
     by one: the kept crossings with a strand there get new positions, and
     every other kept crossing (before the window, or on other loops) is the
-    very same object as before."""
+    very same object as before.  A kink pair there that blocks on its count,
+    after re-addressing the same crossings, leaves the parent's analysis and
+    every crossing in it as they were."""
     d = realize(random_tuple(3, 1))
-    before = crossings(d)
+    before, kept = crossings(d), analysis(d)
+    with pytest.raises(MoveBlocked, match="^kink pair must add exactly 2 crossings, got more than 2$"):
+        apply_move(d, MoveSpec("KinkPair", 2, 0, 4, (rat(1, 4), rat(3, 4), rat(1, 8), rat(2))))
+    assert analysis(d) is kept and crossings(d) is before  # a tuple: each crossing in it too
     d2 = apply_move(d, MoveSpec("Subdivide", 2, 0, 4, (rat(1, 2),)))
 
     def past(c):
@@ -1020,9 +1026,9 @@ def test_certain_addition_matches_a_brute_force_scan():
             a, b = d.segment(*target)
             e = b - a
             spots = [c.location for c in crossings(d) if target in strands(c)]
-            on = [_point(*moves_mod._along(a, b, rng.randrange(1, 16), 16))]
+            on = [_point(*moves_mod._along(_ints(a), _ints(b), rng.randrange(1, 16), 16))]
             if spared:
-                on.append(_point(*moves_mod._along(*d.segment(*spared), rng.randrange(1, 16), 16)))
+                on.append(_point(*moves_mod._along(*map(_ints, d.segment(*spared)), rng.randrange(1, 16), 16)))
             chords = []
             for _ in range(rng.randrange(1, 3)):
                 p = rng.choice(rng.choice([spots or on, on, [pt(rat(rng.randrange(-11, 12), 16),
@@ -1105,6 +1111,29 @@ def test_every_decision_is_pinned():
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert specs >= 5000
     assert digest.hexdigest() == OUTCOME_DIGEST, (specs, digest.hexdigest())
+
+
+# SHA-256 of the "\n"-joined move lines of the scale chain, the seeded walk
+# from realize(random_tuple(2, 7)) to 3,000 segments
+CHAIN_3000_DIGEST = "52263db3a88fab57094d6d5d459d632dbbbf8a388a0073617e2b667e08bcf032"
+
+
+def test_a_walk_to_3000_segments_keeps_its_moves_and_its_analysis():
+    """The scale chain, ten times the size of the long-chain workload: each
+    step keeps the invariants, its move lines, size and crossings are
+    pinned, and its kept analysis equals a fresh one field by field."""
+    d = realize(random_tuple(2, 7))
+    rng = random.Random(7)
+    start, lines = invariants(d), []
+    while len(analysis(d).records) < 3000:
+        spec, d = random_move_applied(d, rng.randrange(10 ** 9))
+        assert invariants(d) == start, spec.to_line()
+        lines.append(spec.to_line())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_3000_DIGEST
+    assert (len(lines), sum(1 for _ in d.iter_segments()), len(crossings(d))) == (867, 3002, 694)
+    kept, fresh = analysis(d), analysis(rebuilt(d))
+    for f in dataclasses.fields(kept):
+        assert getattr(kept, f.name) == getattr(fresh, f.name), f.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""A small-scope exhaustive family: every one-loop, one-leg diagram with V at
-the origin and two or three interior points on the grid {-1/2, -1/4, 0, 1/4,
-1/2}^2 less the origin, 24^2 + 24^3 = 14,400 diagrams.  Degenerate
-configurations (collinear runs, shared points, contacts at V) are common on
-a grid, which is where exact code breaks."""
+"""Two small-scope exhaustive families, with V at the origin and interior
+points on the grid {-1/2, -1/4, 0, 1/4, 1/2}^2 less the origin.
+
+* One loop, one leg, two or three interior points: 24^2 + 24^3 = 14,400
+  diagrams.
+* One loop, two legs V -> p -> q and -q -> p' -> V through one of the 12
+  rational unit-circle points q with denominator 1 or 5, and grid points p
+  and p': 12 * 24^2 = 6,912 diagrams.
+
+Degenerate configurations (collinear runs, shared points, contacts at V,
+misaligned seam joints) are common on a grid, which is where exact code
+breaks."""
 
 import itertools
 import random
@@ -10,21 +17,32 @@ from collections import Counter
 
 import pytest
 
-from rp2bouquet import BouquetDiagram, Leg, LoopPath, crossings, invariants, pt, validate
+from rp2bouquet import BouquetDiagram, Leg, LoopPath, MoveBlocked, apply_move, crossings, invariants, pt, validate
 from rp2bouquet import moves as moves_mod
 from rp2bouquet.geometry import rat
 
 from test_diagram import brute_force_crossings, normalize_engine, normalize_oracle
-from test_moves import assert_dropped_only_if_blocked
+from test_moves import assert_dropped_only_if_blocked, assert_kept_analysis_is_fresh
 
 V = pt(0, 0)
 COORDS = [(x, y) for y in range(-2, 3) for x in range(-2, 3) if x or y]  # in quarters
 GRID = [pt(rat(x, 4), rat(y, 4)) for x, y in COORDS]
-# the grid's 8 symmetries (x, y) -> (±x, ±y), (±y, ±x) as permutations of its
-# indices: each is a disk isometry that fixes V and maps the grid to itself
-SYMMETRIES = [[COORDS.index((sx * x, sy * y) if keep else (sy * y, sx * x)) for x, y in COORDS]
-              for sx in (1, -1) for sy in (1, -1) for keep in (True, False)]
-# The Violation kinds the family reaches.  It cannot express the others:
+CIRCLE_COORDS = [(5, 0), (0, 5), (-5, 0), (0, -5)] + [
+    (sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)]  # in fifths
+CIRCLE = [pt(rat(x, 5), rat(y, 5)) for x, y in CIRCLE_COORDS]
+
+
+def symmetries(coords):
+    """The grid's 8 symmetries (x, y) -> (±x, ±y), (±y, ±x) as permutations
+    of the indices of coords, a list they map to itself: each is a disk
+    isometry that fixes V and commutes with the antipodal map."""
+    return [[coords.index((sx * x, sy * y) if keep else (sy * y, sx * x)) for x, y in coords]
+            for sx in (1, -1) for sy in (1, -1) for keep in (True, False)]
+
+
+SYMMETRIES = symmetries(COORDS)
+CIRCLE_SYMMETRIES = symmetries(CIRCLE_COORDS)
+# The Violation kinds the one-leg family reaches.  It cannot express the others:
 # - BadLoopCount, VertexOutsideDisk: there is one loop, and V is the origin;
 # - ShortLeg, LoopEndpointNotVertex: the one leg runs from V through 2-3 points to V;
 # - PointOutsideDisk, PointOnCircle: the grid lies inside the disk, |p| <= 1/sqrt(2);
@@ -36,6 +54,23 @@ SYMMETRIES = [[COORDS.index((sx * x, sy * y) if keep else (sy * y, sx * x)) for 
 #   one ray from V (CodirectionalAtVertex); two crossings at one point X put X on
 #   the two middle segments, which share a point, so they fold back too.
 REACHED = {"RepeatedPoint", "Cusp", "CodirectionalAtVertex"}
+# The kinds the two-leg family reaches.  It cannot express the others:
+# - BadLoopCount, VertexOutsideDisk, PointOutsideDisk, PointOnCircle: as above;
+# - ShortLeg, LoopEndpointNotVertex: each leg has three points, the first leg's
+#   first and the second leg's last being V;
+# - RepeatedPoint: p and p' are not V, and grid points are not on the circle;
+# - SeamPointOffCircle, SeamNotAntipodal: q is on the circle, the second leg
+#   starts at -q;
+# - CoincidentSeamPoints, AntipodalSeamPoints: they compare two seam exits, and
+#   the loop has one;
+# - NonTransversal, TriplePoint: the pair scan runs only on a structurally valid
+#   diagram, where SeamRegularity puts -q -> p' on the mirror image of the line
+#   through p and q in the line L through V normal to q.  So a touch puts V
+#   inside a segment (a Cusp at p or p'), p' on V -> p or p on p' -> V
+#   (CodirectionalAtVertex), or p' inside p -> q or p inside -q -> p', and then
+#   on L, where no grid point lies inside such a segment; among four segments,
+#   two crossings at one point need a touch.
+TWO_LEG_REACHED = {"SeamRegularity", "Cusp", "CodirectionalAtVertex"}
 
 
 def one_leg_family():
@@ -44,6 +79,14 @@ def one_leg_family():
     for k in (2, 3):
         for idx in itertools.product(range(len(GRID)), repeat=k):
             yield idx, BouquetDiagram(1, V, (LoopPath((Leg((V, *(GRID[i] for i in idx), V)),)),))
+
+
+def two_leg_family():
+    """((index of p in GRID, of q in CIRCLE, of p' in GRID), diagram) for every
+    diagram of the family."""
+    for k, q in enumerate(CIRCLE):
+        for i, j in itertools.product(range(len(GRID)), repeat=2):
+            yield (i, k, j), BouquetDiagram(1, V, (LoopPath((Leg((V, GRID[i], q)), Leg((-q, GRID[j], V)))),))
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +101,34 @@ def valid(family):
     return [d for d in family.values() if not validate(d)]
 
 
+@pytest.fixture(scope="module")
+def two_leg():
+    family = dict(two_leg_family())
+    assert len(family) == 6_912
+    return family
+
+
+@pytest.fixture(scope="module")
+def two_leg_valid(two_leg):
+    return [d for d in two_leg.values() if not validate(d)]
+
+
+def assert_orbits_share_kinds_and_invariants(family, image) -> Counter:
+    """Groups the family into orbits of the 8 symmetries, by the least image
+    image(n, idx) of each diagram's index tuple under symmetry n: every
+    member of an orbit has the same multiset of validate kinds and, when
+    valid, the same invariants.  Returns the count of orbits of each size."""
+    orbits = {}
+    for idx in family:
+        orbits.setdefault(min(image(n, idx) for n in range(8)), []).append(idx)
+    for members in orbits.values():
+        ds = [family[idx] for idx in members]
+        assert len({tuple(sorted(v.kind for v in validate(d))) for d in ds}) == 1, members
+        if not validate(ds[0]):
+            assert len({invariants(d) for d in ds}) == 1, members
+    return Counter(map(len, orbits.values()))
+
+
 def test_the_family_has_its_valid_diagrams_and_their_crossings(valid):
     assert len(valid) == 9_840
     for d in valid:
@@ -69,19 +140,9 @@ def test_the_family_reaches_exactly_the_kinds_it_can_express(family):
 
 
 def test_each_symmetry_orbit_shares_its_kinds_and_invariants(family):
-    """Grouped into orbits of the 8 symmetries, by the least image of each
-    diagram's index tuple: every member of an orbit has the same multiset of
-    validate kinds and, when valid, the same invariants."""
-    orbits = {}
-    for idx in family:
-        orbits.setdefault(min(tuple(s[i] for i in idx) for s in SYMMETRIES), []).append(idx)
+    sizes = assert_orbits_share_kinds_and_invariants(family, lambda n, idx: tuple(SYMMETRIES[n][i] for i in idx))
     # 80 orbits of diagrams that one symmetry besides the identity fixes
-    assert Counter(map(len, orbits.values())) == {8: 1_760, 4: 80}
-    for members in orbits.values():
-        ds = [family[idx] for idx in members]
-        assert len({tuple(sorted(v.kind for v in validate(d))) for d in ds}) == 1, members
-        if not validate(ds[0]):
-            assert len({invariants(d) for d in ds}) == 1, members
+    assert sizes == {8: 1_760, 4: 80}
 
 
 def test_the_walk_drops_only_blocked_proposals_on_the_family(valid):
@@ -94,3 +155,43 @@ def test_the_walk_drops_only_blocked_proposals_on_the_family(valid):
         assert_dropped_only_if_blocked(d, [s for s in specs if s], tally)
     assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
     assert tally["dropped"] >= 0.85 * tally["blocked"], tally
+
+
+def test_the_two_leg_family_has_its_valid_diagrams_and_their_crossings(two_leg_valid):
+    assert Counter(len(crossings(d)) for d in two_leg_valid) == {0: 96, 3: 32}
+    for d in two_leg_valid:
+        assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+
+
+def test_the_two_leg_family_reaches_exactly_the_kinds_it_can_express(two_leg):
+    assert {v.kind for d in two_leg.values() for v in validate(d)} == TWO_LEG_REACHED
+
+
+def test_each_two_leg_orbit_shares_its_kinds_and_invariants(two_leg):
+    """A symmetry maps p, q and p' alike, so it maps each diagram of the family
+    to one of the family."""
+    sizes = assert_orbits_share_kinds_and_invariants(
+        two_leg, lambda n, idx: (SYMMETRIES[n][idx[0]], CIRCLE_SYMMETRIES[n][idx[1]], SYMMETRIES[n][idx[2]]))
+    # 16 orbits of diagrams that one symmetry besides the identity fixes
+    assert sizes == {8: 856, 4: 16}
+
+
+def test_the_walk_and_its_moves_on_the_two_leg_family(two_leg_valid):
+    """The first two proposals on each valid diagram: every one a walk drops
+    unbuilt is blocked, and each that applies keeps the invariants and a
+    kept analysis equal to a fresh one."""
+    tally, applied = {}, 0
+    for seed, d in enumerate(two_leg_valid):
+        rng = random.Random(seed)
+        specs = [s for s in (moves_mod._propose_move(d, rng) for _ in range(2)) if s]
+        assert_dropped_only_if_blocked(d, specs, tally)
+        for spec in specs:
+            try:
+                d2 = apply_move(d, spec)
+            except MoveBlocked:
+                continue
+            assert invariants(d2) == invariants(d), spec.to_line()
+            assert_kept_analysis_is_fresh(d2)
+            applied += 1
+    assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
+    assert applied >= 100, (applied, tally)

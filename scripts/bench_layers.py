@@ -13,10 +13,10 @@ them alike.  A row calls one function directly, mostly a private one, so
 each source must have the private functions the rows name, with their
 present signatures.  The rows:
 
-* ``loads``, ``_structural_violations``, ``_segment_records``, a fresh
-  ``validate`` (a new diagram object, so no kept analysis), ``render_svg``
-  and ``dumps`` in ms per call, and ``invariants`` in us per call (the last
-  three on a validated diagram), on two snapshots of about 60 and about 450
+* ``loads``, ``_structural_violations``, a fresh ``validate`` (a new
+  diagram object, so no kept analysis), ``render_svg`` and ``dumps`` in ms
+  per call, and ``invariants`` in us per call (the last three on a
+  validated diagram), on two snapshots of about 60 and about 450
   segments: one seeded chain of ``realize`` plus ``random_move_applied``,
   cut when it first reaches each size;
 * ``_structural_ok`` in us per call: the structural walk ``_structural`` on
@@ -343,7 +343,10 @@ def rows(lib, mods) -> tuple[dict, dict]:
             counts.append(len(cs))
         checks[f"{name}_crossings"] = counts
         checks[f"{name}_sha256"] = digest(found)
-    seg = diagram._make_seg
+    def seg(a, b, f=diagram._make_seg):
+        # float(p.x) equals n / d, the float the structural check gives a record
+        return f(0, a, b, (float(a.x), float(a.y)), (float(b.x), float(b.y)))
+
     for bits in BITS:
         drawn = draws(geometry.Point, bits, 4)
 
@@ -355,8 +358,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
             for a, b, c, e in ts:
                 f(a, b, c, e)
 
-        filtered = [(seg(0, a, b), seg(0, c, e)) for a, b, c, e in drawn]
-        shared = [(seg(0, a, b), seg(0, b, e)) for a, b, c, e in drawn]
+        filtered = [(seg(a, b), seg(c, e)) for a, b, c, e in drawn]
+        shared = [(seg(a, b), seg(b, e)) for a, b, c, e in drawn]
         out[f"orient2d.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, orient)
         out[f"segment_intersection.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, intersect)
         out[f"_meet.filtered.ns@{bits}bits"] = ("ns", 1e9 / DRAWS, lambda p=filtered: meet(p))
@@ -371,7 +374,6 @@ def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> Non
     out[f"loads.ms@{size}"] = ("ms", 1e3, lambda: lib.loads(text))
     out[f"_structural_violations.ms@{size}"] = (
         "ms", 1e3, lambda: diagram._structural_violations(d, []))
-    out[f"_segment_records.ms@{size}"] = ("ms", 1e3, lambda: diagram._segment_records(d))
     out[f"validate.ms@{size}"] = ("ms", 1e3, lambda: fresh_validate(lib, d))
     out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(checked))
     out[f"dumps.ms@{size}"] = ("ms", 1e3, lambda: lib.dumps(checked))

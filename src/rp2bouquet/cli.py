@@ -82,12 +82,19 @@ def _artifact_script(seed: int, trial: int, step: int, start: BouquetDiagram,
     return lines
 
 
-def _divergence(d: BouquetDiagram, kind: str) -> str | None:
-    """Which part of d's kept analysis differs from a rebuilt one, if any."""
-    kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
-    for f in fields(kept):
-        if getattr(kept, f.name) != getattr(rebuilt, f.name):
-            return f"kept {f.name} diverge from a rebuilt analysis after {kind}"
+def _violation(d: BouquetDiagram, kind: str, reference: InvariantTuple,
+               cross_check: bool) -> str | None:
+    """What is wrong with d after a move of `kind`, if anything: with
+    `cross_check`, a part of its kept analysis that differs from a rebuilt
+    one; then an invariant tuple that differs from `reference`."""
+    if cross_check:
+        kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
+        for f in fields(kept):
+            if getattr(kept, f.name) != getattr(rebuilt, f.name):
+                return f"kept {f.name} diverge from a rebuilt analysis after {kind}"
+    current = invariants(d)
+    if current != reference:
+        return f"invariants changed after {kind}: {reference.text()!r} -> {current.text()!r}"
     return None
 
 
@@ -109,11 +116,7 @@ def fuzz_trial(seed: int, trial: int, steps: int,
                 trial, step, f"move generator exhausted: {exc}",
                 _artifact_script(seed, trial, step, start, applied))
         applied.append(spec)
-        problem = _divergence(d2, spec.kind) if cross_check else None
-        current = invariants(d2)
-        if problem is None and current != reference:
-            problem = (f"invariants changed after {spec.kind}: "
-                       f"{reference.text()!r} -> {current.text()!r}")
+        problem = _violation(d2, spec.kind, reference, cross_check)
         if problem is not None:
             return step, FuzzViolation(trial, step, problem,
                                        _artifact_script(seed, trial, step, start, applied))
@@ -153,13 +156,9 @@ def run_replay(lines: list[str]) -> tuple[bool, str]:
             d = apply_move(d, spec)
         except MoveBlocked as exc:
             return False, f"replay failed: move {i} ({spec.kind}) cannot be applied: {exc}"
-        problem = _divergence(d, spec.kind)
+        problem = _violation(d, spec.kind, reference, True)
         if problem is not None:
             return False, f"reproduced at move {i}: {problem}"
-        current = invariants(d)
-        if current != reference:
-            return False, (f"reproduced: invariants changed at move {i} ({spec.kind}): "
-                           f"{reference.text()!r} -> {current.text()!r}")
     return True, f"all {max(len(body) - 1, 0)} moves preserve {reference.text()!r}"
 
 

@@ -448,20 +448,11 @@ class _Seg:
     fby: float
 
 
-def _make_seg(li: int, a: Point, b: Point, fa=None, fb=None) -> _Seg:
-    # fa, fb: the floats the structural check gave, else n / d (float()'s
-    # value), which valid coordinates, in [-1, 1], never overflow
-    fax, fay = fa or (a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator)
-    fbx, fby = fb or (b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator)
+def _make_seg(li: int, a: Point, b: Point, fa: tuple[float, float], fb: tuple[float, float]) -> _Seg:
+    (fax, fay), (fbx, fby) = fa, fb
     fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
     fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
     return _Seg(li, a, b, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
-
-
-def _segment_records(d: BouquetDiagram) -> list[_Seg]:
-    """Records of every segment in (loop, leg, seg) order, from the points
-    alone: the reference for the records the structural check builds."""
-    return [_make_seg(li, a, b) for li, _, _, a, b in d.iter_segments()]
 
 
 def _leg_starts(d: BouquetDiagram) -> tuple[tuple[int, ...], ...]:

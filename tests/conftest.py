@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rp2bouquet import BouquetDiagram, Leg, LoopPath, pt
+from rp2bouquet.diagram import _make_seg
 
 settings.register_profile(
     "default",
@@ -13,6 +14,19 @@ settings.register_profile(
 settings.load_profile("default")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def record(li, a, b):
+    """The record of segment [a, b] of loop li, its floats n / d (float()'s
+    value, correctly rounded), as the structural check gives them."""
+    return _make_seg(li, a, b, (a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator),
+                     (b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator))
+
+
+def segment_records(d):
+    """Records of every segment in (loop, leg, seg) order, from the points
+    alone: the reference for the records the structural check builds."""
+    return [record(li, a, b) for li, _, _, a, b in d.iter_segments()]
 
 
 @pytest.fixture(scope="session")

@@ -289,6 +289,17 @@ def test_fuzz_stdout_is_byte_stable(capsys):
     assert capsys.readouterr().err.startswith("fuzz took ")
 
 
+def assert_replay_repeats_the_fuzz(fuzz_out, script):
+    """The replay of a violation script prints the fuzz's own text for its
+    trial, at the move after the fuzz's step: one judge decides both."""
+    prefix = f"VIOLATION trial={script.stem.rsplit('trial', 1)[1]} step="
+    line = next(ln for ln in fuzz_out.splitlines() if ln.startswith(prefix))
+    step, message = line[len(prefix):].split(": ", 1)
+    code, out = run(["fuzz", "--replay", script])
+    assert code == 3
+    assert out == f"reproduced at move {int(step) + 1}: {message}\n"
+
+
 def test_fuzz_cross_check(tmp_path, monkeypatch):
     args = ["fuzz", "--seed", 20260815, "--trials", 3, "--cross-check", "--out", tmp_path]
     code, out = run(args)
@@ -308,9 +319,7 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     scripts = sorted(tmp_path.glob("fuzz_violation_seed20260815_trial*.txt"))
     assert scripts
     # a replay always cross-checks, so it reproduces the divergence
-    code, out = run(["fuzz", "--replay", scripts[0]])
-    assert code == 3
-    assert out.startswith("reproduced at move 1: kept records diverge from a rebuilt analysis")
+    assert_replay_repeats_the_fuzz(out, scripts[0])
 
 
 def test_fuzz_cross_check_compares_the_kept_leg_rows(tmp_path, monkeypatch):
@@ -352,9 +361,7 @@ def test_fuzz_and_replay_report_a_changed_invariant(tmp_path, monkeypatch):
     assert code == 3
     assert out.startswith("VIOLATION trial=0 step=0: invariants changed after ")
     calls.clear()
-    code, out = run(["fuzz", "--replay", tmp_path / "fuzz_violation_seed5_trial0.txt"])
-    assert code == 3
-    assert out.startswith("reproduced: invariants changed at move 1 (")
+    assert_replay_repeats_the_fuzz(out, tmp_path / "fuzz_violation_seed5_trial0.txt")
 
 
 def test_run_fuzz_prints_progress_every_100_trials():

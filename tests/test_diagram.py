@@ -28,7 +28,6 @@ from rp2bouquet.diagram import (
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
-    _make_seg,
     _meet,
     _skip_pair,
     analysis,
@@ -44,6 +43,7 @@ from rp2bouquet.geometry import (
     unit_circle_side,
 )
 
+from conftest import record
 from test_invariants import reflect, rotate, transform
 
 
@@ -474,7 +474,7 @@ def assert_meet_is_exact(a, b, c, d):
     assume(a != b and c != d)
     # the precondition of the float bound
     assert all(-1 <= v <= 1 for p in (a, b, c, d) for v in (p.x, p.y))
-    s, t = _make_seg(0, a, b), _make_seg(1, c, d)
+    s, t = record(0, a, b), record(1, c, d)
     for (u, v), (p, q, r, w) in (((s, t), (a, b, c, d)), ((t, s), (c, d, a, b))):
         kind, frame, ints = _meet(u, v)
         want = segment_intersection(p, q, r, w)
@@ -578,7 +578,7 @@ steps = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 3, 7, 10]))
 def assert_check_leg_is_exact(points, vertex=pt(0, 0), segs=None, is_first=False, is_last=False):
     """The filtered _check_leg gives the violations of the exact reference,
     with no OverflowError, and returns the records of the checked segments,
-    as _make_seg builds them from the points alone, or [] if there is a
+    as record builds them from the points alone, or [] if there is a
     violation.  As in _structural_violations, a vertex outside the disk is
     reported first."""
     segs = range(len(points) - 1) if segs is None else segs
@@ -587,7 +587,7 @@ def assert_check_leg_is_exact(points, vertex=pt(0, 0), segs=None, is_first=False
     records = _check_leg(got, vertex, 0, 0, Leg(points), is_first, is_last, segs)
     exact_check_leg(want, vertex, 0, 0, Leg(points), is_first, is_last, segs)
     assert got == want
-    assert records == ([] if got else [_make_seg(0, points[i], points[i + 1]) for i in segs])
+    assert records == ([] if got else [record(0, points[i], points[i + 1]) for i in segs])
 
 
 @given(inner, inner, steps, st.booleans(), st.one_of(st.just(0), st.integers(60, 200)),
@@ -727,8 +727,8 @@ def test_sweep_orders_float_ties_exactly():
     NonTransversal report; a float-only stable sort would keep the input
     order and yield (A, B)."""
     third = rat(1, 3)
-    b = _make_seg(0, pt(third + rat(1, 10 ** 30), "1/8"), pt("1/2", "-1/8"))
-    a = _make_seg(1, pt(third, 0), pt("1/2", "1/4"))
+    b = record(0, pt(third + rat(1, 10 ** 30), "1/8"), pt("1/2", "-1/8"))
+    a = record(1, pt(third, 0), pt("1/2", "1/4"))
     assert a.fminx == b.fminx
     # a leg table under which a, the middle of three records of loop 1, does
     # not touch V, so the pair is not skipped as two segments at V
@@ -764,7 +764,7 @@ def test_sweep_sorts_only_float_ties_exactly(ends):
     """Sorting on the key (fminx, exact least x), which compares exactly only
     where the floats tie, yields the pairs of the exact key, in the same
     order."""
-    records = [_make_seg(0, a, b) for a, b in ends]
+    records = [record(0, a, b) for a, b in ends]
     leg_starts = ((0, len(records)),)
     assert list(_all_pairs(records, leg_starts)) == list(sweep_with_exact_key(records, leg_starts))
 

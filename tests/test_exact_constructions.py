@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rp2bouquet.diagram import Leg, _check_joint, _make_seg, _ray
+from rp2bouquet.diagram import Leg, _check_joint, _ray
 from rp2bouquet.geometry import (
     CodirectionalVectors,
     Point,
@@ -31,6 +31,8 @@ from rp2bouquet.geometry import (
     seam_reflection,
 )
 from rp2bouquet.moves import _curl_points
+
+from conftest import record
 
 rats = st.builds(rat, st.integers(-8, 8), st.integers(1, 8))
 big_rats = st.builds(rat, st.integers(-(2 ** 200), 2 ** 200), st.integers(1, 2 ** 200))
@@ -159,5 +161,5 @@ def test_int_joint_reports_non_antipodal_seam_points(u, v, before, after):
 @given(st.builds(rat, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)),
        st.builds(rat, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)))
 def test_make_seg_floats_are_float(x, y):
-    r = _make_seg(0, pt(x, y), pt(y, x))
+    r = record(0, pt(x, y), pt(y, x))
     assert (r.fax, r.fay, r.fbx, r.fby) == (float(x), float(y), float(y), float(x))

@@ -37,7 +37,6 @@ from rp2bouquet.diagram import (
     InvalidDiagram,
     _leg_starts,
     _position,
-    _segment_records,
     _skip_pair,
     _structural_violations,
     analysis,
@@ -45,6 +44,8 @@ from rp2bouquet.diagram import (
 )
 from rp2bouquet.geometry import SegKind, _ints, _point, rat, segment_intersection, unit_circle_side
 from rp2bouquet.normal_form import random_tuple
+
+from conftest import segment_records
 
 
 def locations(d):
@@ -510,7 +511,7 @@ def assert_kept_analysis_is_fresh(d):
     assert [(c.param_a, c.param_b) for c in crossings(d)] \
         == [(c.param_a, c.param_b) for c in crossings(fresh)]
     # the segment records and leg-start rows carried from move to move
-    assert analysis(d).records == tuple(_segment_records(d))
+    assert analysis(d).records == tuple(segment_records(d))
     assert analysis(d).leg_starts == _leg_starts(d)
 
 
@@ -749,7 +750,7 @@ def test_splice_window_matches_segment_identity():
                 diagram_mod._structural(out, d2, {splice.loop: splice.new}, changed)
                 if not out:
                     records = base.records[:i] + tuple(changed) + base.records[j:]
-                    assert records == tuple(_segment_records(d2)), spec.to_line()
+                    assert records == tuple(segment_records(d2)), spec.to_line()
                 kinds[spec.kind] = kinds.get(spec.kind, 0) + 1
             _, d = random_move_applied(d, rng.randrange(10 ** 9))
     assert set(kinds) == set(builders) and min(kinds.values()) >= 50, kinds

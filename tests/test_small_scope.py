@@ -1,4 +1,4 @@
-"""Two small-scope exhaustive families, with V at the origin and interior
+"""Three small-scope exhaustive families, with V at the origin and interior
 points on the grid {-1/2, -1/4, 0, 1/4, 1/2}^2 less the origin.
 
 * One loop, one leg, two or three interior points: 24^2 + 24^3 = 14,400
@@ -6,6 +6,11 @@ points on the grid {-1/2, -1/4, 0, 1/4, 1/2}^2 less the origin.
 * One loop, two legs V -> p -> q and -q -> p' -> V through one of the 12
   rational unit-circle points q with denominator 1 or 5, and grid points p
   and p': 12 * 24^2 = 6,912 diagrams.
+* Three loops: the fixed one-leg triangles V -> (1/2, 0) -> (0, 1/2) -> V and
+  V -> (1/2, 1/2) -> (-1/2, 1/4) -> V, valid together with 3 crossings, and
+  a third V -> p -> q -> V for grid points p and q: 24^2 = 576 diagrams.
+  The third loop can touch the triangles' segments and run through their
+  crossings, so this family reaches the pair scan's kinds.
 
 Degenerate configurations (collinear runs, shared points, contacts at V,
 misaligned seam joints) are common on a grid, which is where exact code
@@ -52,7 +57,8 @@ CIRCLE_SYMMETRIES = symmetries(CIRCLE_COORDS)
 #   diagram, and on a leg of at most four segments from V to V, an end point on a
 #   segment not next to it folds the leg back (a Cusp) or puts two half-edges on
 #   one ray from V (CodirectionalAtVertex); two crossings at one point X put X on
-#   the two middle segments, which share a point, so they fold back too.
+#   the two middle segments, which share a point, so they fold back too.  The
+#   three-loop family reaches both.
 REACHED = {"RepeatedPoint", "Cusp", "CodirectionalAtVertex"}
 # The kinds the two-leg family reaches.  It cannot express the others:
 # - BadLoopCount, VertexOutsideDisk, PointOutsideDisk, PointOnCircle: as above;
@@ -69,8 +75,17 @@ REACHED = {"RepeatedPoint", "Cusp", "CodirectionalAtVertex"}
 #   inside a segment (a Cusp at p or p'), p' on V -> p or p on p' -> V
 #   (CodirectionalAtVertex), or p' inside p -> q or p inside -q -> p', and then
 #   on L, where no grid point lies inside such a segment; among four segments,
-#   two crossings at one point need a touch.
+#   two crossings at one point need a touch.  The three-loop family reaches both.
 TWO_LEG_REACHED = {"SeamRegularity", "Cusp", "CodirectionalAtVertex"}
+# The kinds the three-loop family reaches.  It cannot express the others:
+# - BadLoopCount, VertexOutsideDisk, PointOutsideDisk, PointOnCircle: as above;
+# - ShortLeg, LoopEndpointNotVertex: each loop's one leg runs from V through two
+#   points to V;
+# - SeamPointOffCircle, SeamNotAntipodal, SeamRegularity, CoincidentSeamPoints and
+#   AntipodalSeamPoints: a one-leg loop has no seam point.
+THREE_LOOP_REACHED = {"RepeatedPoint", "Cusp", "CodirectionalAtVertex", "NonTransversal", "TriplePoint"}
+TRIANGLES = (LoopPath((Leg((V, pt("1/2", 0), pt(0, "1/2"), V)),)),
+             LoopPath((Leg((V, pt("1/2", "1/2"), pt("-1/2", "1/4"), V)),)))
 
 
 def one_leg_family():
@@ -87,6 +102,13 @@ def two_leg_family():
     for k, q in enumerate(CIRCLE):
         for i, j in itertools.product(range(len(GRID)), repeat=2):
             yield (i, k, j), BouquetDiagram(1, V, (LoopPath((Leg((V, GRID[i], q)), Leg((-q, GRID[j], V)))),))
+
+
+def three_loop_family():
+    """((index of p in GRID, of q in GRID), diagram) for every diagram of the
+    family."""
+    for i, j in itertools.product(range(len(GRID)), repeat=2):
+        yield (i, j), BouquetDiagram(3, V, (*TRIANGLES, LoopPath((Leg((V, GRID[i], GRID[j], V)),))))
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +133,38 @@ def two_leg():
 @pytest.fixture(scope="module")
 def two_leg_valid(two_leg):
     return [d for d in two_leg.values() if not validate(d)]
+
+
+@pytest.fixture(scope="module")
+def three_loop():
+    family = dict(three_loop_family())
+    assert len(family) == 576
+    return family
+
+
+@pytest.fixture(scope="module")
+def three_loop_valid(three_loop):
+    return [d for d in three_loop.values() if not validate(d)]
+
+
+def assert_walk_and_moves(valid, tally) -> int:
+    """The first two proposals on each valid diagram: every one a walk drops
+    unbuilt is blocked, and each that applies keeps the invariants and a
+    kept analysis equal to a fresh one.  Returns the count applied."""
+    applied = 0
+    for seed, d in enumerate(valid):
+        rng = random.Random(seed)
+        specs = [s for s in (moves_mod._propose_move(d, rng) for _ in range(2)) if s]
+        assert_dropped_only_if_blocked(d, specs, tally)
+        for spec in specs:
+            try:
+                d2 = apply_move(d, spec)
+            except MoveBlocked:
+                continue
+            assert invariants(d2) == invariants(d), spec.to_line()
+            assert_kept_analysis_is_fresh(d2)
+            applied += 1
+    return applied
 
 
 def assert_orbits_share_kinds_and_invariants(family, image) -> Counter:
@@ -177,21 +231,30 @@ def test_each_two_leg_orbit_shares_its_kinds_and_invariants(two_leg):
 
 
 def test_the_walk_and_its_moves_on_the_two_leg_family(two_leg_valid):
-    """The first two proposals on each valid diagram: every one a walk drops
-    unbuilt is blocked, and each that applies keeps the invariants and a
-    kept analysis equal to a fresh one."""
-    tally, applied = {}, 0
-    for seed, d in enumerate(two_leg_valid):
-        rng = random.Random(seed)
-        specs = [s for s in (moves_mod._propose_move(d, rng) for _ in range(2)) if s]
-        assert_dropped_only_if_blocked(d, specs, tally)
-        for spec in specs:
-            try:
-                d2 = apply_move(d, spec)
-            except MoveBlocked:
-                continue
-            assert invariants(d2) == invariants(d), spec.to_line()
-            assert_kept_analysis_is_fresh(d2)
-            applied += 1
+    tally = {}
+    applied = assert_walk_and_moves(two_leg_valid, tally)
     assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
     assert applied >= 100, (applied, tally)
+
+
+def test_the_three_loop_family_has_its_valid_diagrams_and_their_crossings(three_loop_valid):
+    assert len(three_loop_valid) == 222
+    for d in three_loop_valid:
+        assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+
+
+def test_the_three_loop_family_reaches_exactly_the_kinds_it_can_express(three_loop):
+    reached = Counter(kind for d in three_loop.values() for kind in {v.kind for v in validate(d)})
+    assert set(reached) == THREE_LOOP_REACHED
+    assert (reached["NonTransversal"], reached["TriplePoint"]) == (14, 12), reached
+
+
+def test_the_walk_and_its_moves_on_the_three_loop_family(three_loop_valid):
+    """As on the two-leg family.  A FingerPush here seldom puts a finger
+    point outside the disk (once in this family), so the outside rule gets
+    no floor."""
+    tally = {}
+    applied = assert_walk_and_moves(three_loop_valid, tally)
+    assert min(tally.get(rule, 0) for rule in ("Detour", "strand")) >= 5, tally
+    assert tally["dropped"] >= 0.85 * tally["blocked"], tally
+    assert applied >= 200, (applied, tally)

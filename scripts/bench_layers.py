@@ -15,10 +15,13 @@ present signatures.  The rows:
 
 * ``loads``, ``_structural_violations``, a fresh ``validate`` (a new
   diagram object, so no kept analysis), ``render_svg`` and ``dumps`` in ms
-  per call, and ``invariants`` in us per call (the last three on a
-  validated diagram), on two snapshots of about 60 and about 450
+  per call, and ``invariants`` and ``crossings`` in us per call (the last
+  four on a validated diagram), on two snapshots of about 60 and about 450
   segments: one seeded chain of ``realize`` plus ``random_move_applied``,
-  cut when it first reaches each size;
+  cut when it first reaches each size.  ``render_svg``, ``invariants`` and
+  ``crossings`` each get a copy of the kept analysis without what an
+  earlier call built and cached in it (the vertex star, the public
+  crossing tuple), so each call pays for building those;
 * ``_structural_ok`` in us per call: the structural walk ``_structural`` on
   the window of each of a fixed list of splices proposed on each snapshot,
   blocked ones included, as ``_apply_splice`` runs it;
@@ -70,11 +73,15 @@ lines, of the pencil's violations, of the ``validate`` output and
 crossings of the zigzags and of the quadrant diagrams and of the scale
 chain's ``dumps``, which agree between versions that decide alike; also
 those diagrams' crossing counts, the number of drop checks and the number
-of moves of the scale chain."""
+of moves of the scale chain.  After writing ``--out`` the script exits 1,
+naming the keys, if any source's decision checks (those digests and
+counts, not ``src_lines`` or ``snapshot_segments``) differ from the first
+source's."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -271,6 +278,17 @@ def fresh_validate(lib, d):
     return lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops))
 
 
+def uncached(diagram, d):
+    """d, given a copy of its kept analysis: dataclasses.replace drops what
+    the analysis caches on first use."""
+    diagram._set_analysis(d, dataclasses.replace(diagram.analysis(d)))
+    return d
+
+
+# the checks that name decisions, which agree between versions that decide alike
+DECISIONS = re.compile(r"_sha256$|_crossings$|^(drop_checks|proper_pairs|pencil_violations|chain_moves)$")
+
+
 def rows(lib, mods) -> tuple[dict, dict]:
     """name -> (unit, per-call scale, zero-argument call), and the checks."""
     diagram, cli, geometry = mods["diagram"], mods["cli"], mods["geometry"]
@@ -375,9 +393,10 @@ def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> Non
     out[f"_structural_violations.ms@{size}"] = (
         "ms", 1e3, lambda: diagram._structural_violations(d, []))
     out[f"validate.ms@{size}"] = ("ms", 1e3, lambda: fresh_validate(lib, d))
-    out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(checked))
+    out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(uncached(diagram, checked)))
     out[f"dumps.ms@{size}"] = ("ms", 1e3, lambda: lib.dumps(checked))
-    out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(checked))
+    out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(uncached(diagram, checked)))
+    out[f"crossings.us@{size}"] = ("us", 1e6, lambda: lib.crossings(uncached(diagram, checked)))
 
     def check_splices():
         for s in cases:
@@ -446,6 +465,11 @@ def main(argv=None) -> int:
             for label in labels[1:]},
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    differ = sorted({key for label in labels[1:] for key in checks[first]
+                     if DECISIONS.search(key) and checks[label].get(key) != checks[first][key]})
+    if differ:
+        print(f"decisions differ from {first}'s: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

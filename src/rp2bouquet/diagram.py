@@ -21,16 +21,21 @@ cleanly, and :func:`crossings` refuses to run on anything else.
 
 A diagram keeps its :class:`DiagramAnalysis`.  _analyze builds it from
 scratch; _apply_splice, through which every move and edit goes, updates the
-parent's for the new segments only.  The two must agree exactly (``rp2bouquet
-fuzz --cross-check`` compares them).
+parent's for the new segments only: each segment record and each crossing off
+the splice's window is kept as the very same object, so a splice moves,
+rebuilds and re-sorts nothing past its window.  The public :class:`Crossing`
+tuple and the vertex star are built from the kept analysis on first use.  A
+kept analysis must agree exactly with a rebuilt one (``rp2bouquet fuzz
+--cross-check`` compares them).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, starmap
 from math import gcd
 from typing import Callable, Iterator
@@ -45,6 +50,7 @@ from .geometry import (
     _point,
     _proper_ints,
     _reflect,
+    angle_sort,
     on_unit_circle,
     orient2d,
     rat,
@@ -227,14 +233,34 @@ class DiagramAnalysis:
     record holds no position: `leg_starts` holds the rows of
     :func:`_leg_starts`, the index of each leg's first record, and
     :func:`_position` finds a record's (leg, seg) from its index by one
-    bisect.  A splice thus keeps every record outside its window as it is.
-    `records` and `leg_starts` are empty for an invalid diagram.
+    bisect.  `pairs` holds each crossing in no fixed order, in the kept form
+    of :func:`_held`, which names its strands by their records, not their
+    positions.  A splice thus keeps every record and crossing off its window
+    as it is.  `crossings`, the public sorted tuple, and `star`, the
+    half-edges around V, are built on first use and cached (so
+    dataclasses.replace drops them).  `pairs`, `records` and `leg_starts`
+    are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
-    crossings: tuple[Crossing, ...]
+    pairs: tuple = field(default=(), compare=False, repr=False)
     records: tuple = field(default=(), compare=False, repr=False)
     leg_starts: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        index = {id(s): i for i, s in enumerate(self.records)}
+        return tuple(sorted((_pair_crossing(self.leg_starts, a, b, index[id(a)], index[id(b)], frame, ints)
+                             for a, b, frame, ints in self.pairs), key=Crossing.sort_key))
+
+    @cached_property
+    def star(self) -> tuple[HalfEdge, ...]:
+        # each loop's first record leaves V and its last one enters it
+        star = []
+        for li, row in enumerate(self.leg_starts):
+            s, t = self.records[row[0]], self.records[row[-1] - 1]
+            star += (HalfEdge(li, False), _direction(s.a, s.b)), (HalfEdge(li, True), _direction(t.b, t.a))
+        return _star_order(star)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +372,12 @@ def _star(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
     return out
 
 
+def _star_order(star: list[tuple[HalfEdge, Point]]) -> tuple[HalfEdge, ...]:
+    """The half-edges of `star` counterclockwise around V from direction
+    (1, 0); angular order ignores a positive factor, so _star's int vectors do."""
+    return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
+
+
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
     """Codirectional half-edges at V; every leg has at least two points."""
     star = _star(d)
@@ -369,13 +401,14 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
-def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records: list) -> None:
+def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records: list) -> bool:
     """The structural checks of d that read a segment of `windows` (loop ->
     its (leg, range of segments) pairs, as _check_leg takes them): per loop in
     order, ShortLeg for no legs, else _check_leg on each window and the joints
     at the leg ends they reach; then, while `out` is empty, the vertex star if
     a first or last segment was reached and the seam table if a joint was (a
-    seam point ends a segment).  `records` gets the records while `out` is empty."""
+    seam point ends a segment).  `records` gets the records while `out` is
+    empty.  Returns whether a first or last segment (a half-edge's) was reached."""
     star = seam = False
     for li, wins in windows.items():
         legs = d.loops[li].legs
@@ -398,6 +431,7 @@ def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records:
             _check_vertex_directions(out, d)
         if seam:
             _check_seam_table(out, d)
+    return star
 
 
 def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
@@ -483,21 +517,34 @@ def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
     return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in row
 
 
-def _pair_crossing(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
-    """The crossing of s = records[i] and t = records[j] from their PROPER
-    _meet: `ints` is _proper_ints(s.a, s.b, t.a, t.b) and `frame` the sign of
-    da x db, which is orient2d(s.a, s.b, t.b): t.a and t.b lie strictly on
-    opposite sides of s, so da x (t.b - t.a) = da x (t.b - s.a) - da x (t.a -
-    s.a) has the sign of its first term."""
-    (xn, xd, yn, yd), (n1, n2, den) = ints
-    pa = LoopParam(*_position(leg_starts, s.loop, i), Rat(n1, den))
-    pb = LoopParam(*_position(leg_starts, t.loop, j), Rat(n2, den))
-    at = Point(Rat(xn, xd), Rat(yn, yd))
-    # the lesser loop first, and on one loop the earlier parameter: records
-    # run in (loop, leg, seg) order, which no two share, so the index decides
+def _held(s: _Seg, t: _Seg, i: int, j: int, frame: int, ints) -> tuple:
+    """The kept form (a, b, frame, ints) of the PROPER _meet(s, t) = (frame,
+    ints) of s = records[i] and t = records[j]: the strands' records in
+    Crossing's order, the lesser index first (records run in (loop, leg, seg)
+    order), with the frame and the parameters of `ints` to match.  The frame
+    orient2d(s.a, s.b, t.b) is the sign of ds x dt: t.a and t.b lie strictly
+    on opposite sides of s, so ds x (t.b - t.a) = ds x (t.b - s.a) - ds x
+    (t.a - s.a) has the sign of its first term."""
     if j < i:
-        return Crossing(t.loop, s.loop, pb, pa, at, -frame)
-    return Crossing(s.loop, t.loop, pa, pb, at, frame)
+        at, (n1, n2, den) = ints
+        return t, s, -frame, (at, (n2, n1, den))
+    return s, t, frame, ints
+
+
+def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tuple:
+    """(key_a, key_b, frame), in Crossing's order and each key a (loop, leg, seg), of
+    the crossing of s = records[i] and t = records[j]: a crossing as contracts read it."""
+    if j < i:
+        s, t, i, j, frame = t, s, j, i, -frame
+    return (s.loop, *_position(leg_starts, s.loop, i)), (t.loop, *_position(leg_starts, t.loop, j)), frame
+
+
+def _pair_crossing(leg_starts, a: _Seg, b: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
+    """The Crossing of the kept (a, b, frame, ints), a = records[i], b = records[j]."""
+    (xn, xd, yn, yd), (n1, n2, den) = ints
+    return Crossing(a.loop, b.loop, LoopParam(*_position(leg_starts, a.loop, i), Rat(n1, den)),
+                    LoopParam(*_position(leg_starts, b.loop, j), Rat(n2, den)),
+                    Point(Rat(xn, xd), Rat(yn, yd)), frame)
 
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
@@ -546,7 +593,7 @@ def _sure(s: _Seg, t: _Seg) -> int | None:
 def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
     """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
     one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
-    else 0 and None: all ints, from which _pair_crossing builds the crossing."""
+    else 0 and None: all ints, from which _held makes the kept crossing."""
     frame = _sure(s, t)
     if frame is None:  # the floats decide nothing: the exact predicates do
         kind = _kind(s.a, s.b, t.a, t.b)
@@ -593,19 +640,19 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     records: list[_Seg] = []
     violations = _structural_violations(d, records)
     if violations:
-        return DiagramAnalysis(tuple(violations), ())
+        return DiagramAnalysis(tuple(violations))
     leg_starts = _leg_starts(d)
-    found: list[Crossing] = []
+    pairs: list[tuple] = []
     seen: set[tuple[int, int, int, int]] = set()
     triples: list[Violation] = []
-    # positions are looked up only for the pairs that cross or touch
+    # positions are looked up only for the pairs that touch or meet at a crossing
     for s, t, i, j in _all_pairs(records, leg_starts):
         kind, frame, ints = _meet(s, t)
         if kind is SegKind.PROPER:
-            c = _pair_crossing(leg_starts, s, t, i, j, frame, ints)
-            found.append(c)
+            pairs.append(_held(s, t, i, j, frame, ints))
             if ints[0] in seen:
-                triples.append(Violation("TriplePoint", c.loop_a, c.param_a.leg, c.param_a.seg,
+                a, k = pairs[-1][0], min(i, j)  # strand a's record and index
+                triples.append(Violation("TriplePoint", a.loop, *_position(leg_starts, a.loop, k),
                                          note="two crossings at the same point"))
             seen.add(ints[0])
         elif kind is SegKind.DEGENERATE:
@@ -615,9 +662,8 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
                 note=f"against loop={t.loop} leg={kt[0]} segment={kt[1]}"))
     violations += triples
     if violations:
-        return DiagramAnalysis(tuple(violations), ())
-    found.sort(key=Crossing.sort_key)
-    return DiagramAnalysis((), tuple(found), tuple(records), leg_starts)
+        return DiagramAnalysis(tuple(violations))
+    return DiagramAnalysis((), tuple(pairs), tuple(records), leg_starts)
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -646,7 +692,7 @@ class _Splice:
     loop: int
     d2: BouquetDiagram
     new: list[tuple[int, range]]
-    # (additions, dropped, d2) -> error message or None
+    # (additions, dropped, d2) -> error message or None, crossings as _triple gives them
     contract: Callable[[list, list, BouquetDiagram], str | None] | None
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
@@ -754,10 +800,11 @@ def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
     return base
 
 
-def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[Crossing]]:
-    """splice.d2, checked, with its analysis kept, and the additions.  Found crossings
-    stay ints until the checks pass (see _scan_changed); kept ones are rebuilt only if
-    they move.  The replaced records i .. j - 1 are counted off the two leg-start rows."""
+def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[tuple]]:
+    """splice.d2, checked, with its analysis kept, and the additions as _triple
+    gives them.  Found crossings stay ints (see _scan_changed); every record and
+    crossing off the window is kept as it is.  The replaced records i .. j - 1
+    are counted off the two leg-start rows."""
     base = _valid_analysis(d)
     d2, loop, (leg, segs) = splice.d2, splice.loop, splice.new[0]
     changed: list[_Seg] = []
@@ -765,7 +812,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     # d2 differs from a valid diagram only in the new segments, so only the
     # conditions _structural checks on their window can fail: its first violation
     # is that of re-checking the whole loop, the vertex star and the seam table
-    _structural(out, d2, {loop: splice.new}, changed)
+    at_v = _structural(out, d2, {loop: splice.new}, changed)
     if out:
         raise MoveBlocked(f"result not generic: {out[0]}")
 
@@ -774,39 +821,33 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     i = row[leg] + segs[0]
     j = i + len(changed) - delta
     records = base.records[:i] + tuple(changed) + base.records[j:]
-    shifts = leg_starts[loop] != row  # equal rows (each ends with the loop's end) move nothing
-    kept: list[Crossing] = []
-    dropped: list[Crossing] = []
-    for c in base.crossings:
-        # the record indices of its strands on the spliced loop, -1 elsewhere
-        fa = row[c.param_a.leg] + c.param_a.seg if c.loop_a == loop else -1
-        fb = row[c.param_b.leg] + c.param_b.seg if c.loop_b == loop else -1
-        if i <= fa < j or i <= fb < j:
-            dropped.append(c)
-            continue
-        if shifts and (fa >= j or fb >= j):  # re-addressed past the window
-            pa, pb = c.param_a, c.param_b
-            pa = LoopParam(*_position(leg_starts, loop, fa + delta), pa.frac) if fa >= j else pa
-            pb = LoopParam(*_position(leg_starts, loop, fb + delta), pb.frac) if fb >= j else pb
-            c = Crossing(c.loop_a, c.loop_b, pa, pb, c.location, c.frame)
-        kept.append(c)
-    removed = {_ints(c.location) for c in dropped} if splice.check_persistence else set()
-    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
-                                           splice.count)
+    where = {id(s): k for k, s in enumerate(base.records[i:j], i)}  # the replaced records
+    kept: list[tuple] = []
+    dropped: list[tuple] = []
+    for c in base.pairs:
+        (dropped if id(c[0]) in where or id(c[1]) in where else kept).append(c)
+    removed = {c[3][0] for c in dropped} if splice.check_persistence else set()
+    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed, splice.count)
     if refound != len(removed):
         raise MoveBlocked("an existing crossing would be destroyed")
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
-    found = [_pair_crossing(leg_starts, *hit) for hit in hits]
-    additions = [c for c in found if _ints(c.location) not in removed]
-    err = splice.contract and splice.contract(additions, dropped, d2)
-    if err:
-        raise MoveBlocked(err)
-    # the shift is monotone along the loop, so the kept crossings are still
-    # sorted; only the few found ones are merged in
-    for c in found:
-        insort(kept, c, key=Crossing.sort_key)
-    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts))
+    additions = [_triple(leg_starts, *hit) for hit in hits if hit[5][0] not in removed]
+    if splice.contract:
+        # the parent's indices of the replaced records and of the records the
+        # scan met (a changed one is no partner); a partner it did not meet gets
+        # -1, whose key names leg -1, as no addition's does
+        where.update((id(v), k if k < i else k - delta) for _, v, _, k, _, _ in hits)
+        dropped = [_triple(base.leg_starts, a, b, where.get(id(a), -1), where.get(id(b), -1), frame)
+                   for a, b, frame, _ in dropped]
+        err = splice.contract(additions, dropped, d2)
+        if err:
+            raise MoveBlocked(err)
+    kept += [_held(*hit) for hit in hits]
+    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts)
+    if not at_v and "star" in vars(base):  # no half-edge moved
+        vars(kept_analysis)["star"] = base.star
+    _set_analysis(d2, kept_analysis)
     return d2, additions
 
 
@@ -816,19 +857,21 @@ def _key(d: BouquetDiagram, i: int) -> tuple[int, int, int]:
     return (loop, *_position(analysis(d).leg_starts, loop, i))
 
 
-def _on_segment(d: BouquetDiagram, key: tuple[int, int, int]) -> Iterator[tuple[Crossing, LoopParam]]:
-    """(c, its parameter there) for each crossing c on segment `key`."""
-    loop, leg, seg = key
-    for c in analysis(d).crossings:
-        if c.loop_a == loop and c.param_a.leg == leg and c.param_a.seg == seg:
-            yield c, c.param_a
-        if c.loop_b == loop and c.param_b.leg == leg and c.param_b.seg == seg:
-            yield c, c.param_b
+def _on_segment(d: BouquetDiagram, key: tuple[int, int, int]) -> Iterator[tuple[tuple, int]]:
+    """(c, k) for each kept crossing c on segment `key` of valid d, whose
+    strand k (0 for a, 1 for b) runs along it."""
+    a = analysis(d)
+    s = a.records[a.leg_starts[key[0]][key[1]] + key[2]]
+    for c in a.pairs:
+        if c[0] is s:
+            yield c, 0
+        elif c[1] is s:
+            yield c, 1
 
 
 def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
     """The parameter intervals of segment `key` free of crossings, in order."""
-    cuts = [rat(0)] + sorted(p.frac for _, p in _on_segment(d, key)) + [rat(1)]
+    cuts = [rat(0)] + sorted(Rat(c[3][1][k], c[3][1][2]) for c, k in _on_segment(d, key)) + [rat(1)]
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
@@ -856,14 +899,13 @@ def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, l
     # the record, and in a valid diagram two records' interiors meet only at a
     # recorded crossing, so a location on the target would make the record a
     # partner.  Two chords can cross at no such location only if there is none.
-    crossed, rest = None, []  # the record indices of the target's crossings; the pairs left open
+    crossed, rest = None, []  # the records of the target's crossings, by identity; the pairs left open
     for s, t, j in pairs:
         frame = _sure(s, t)
         if frame:
             if crossed is None:
-                crossed = {rows[lp][p.leg] + p.seg for c, _ in _on_segment(d, target)
-                           for lp, p in ((c.loop_a, c.param_a), (c.loop_b, c.param_b))}
-            if (j not in crossed) if j >= 0 else not crossed:
+                crossed = {id(r) for c, _ in _on_segment(d, target) for r in c[:2]}
+            if (id(t) not in crossed) if j >= 0 else not crossed:
                 return True
         if frame != 0:
             rest.append((s, t))
@@ -871,7 +913,7 @@ def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, l
         return False
     for s, (a, b) in zip(segs, chords):
         s.a, s.b = _point(*a), _point(*b)
-    spots = {_ints(c.location) for c, _ in _on_segment(d, target)}
+    spots = {c[3][0] for c, _ in _on_segment(d, target)}
     return any(kind is SegKind.PROPER and ints[0] not in spots for kind, _, ints in starmap(_meet, rest))
 
 
@@ -884,16 +926,20 @@ def validate(d: BouquetDiagram) -> list[Violation]:
     return list(analysis(d).violations)
 
 
+def _generic_analysis(d: BouquetDiagram) -> DiagramAnalysis:
+    a = analysis(d)
+    if a.violations:
+        raise InvalidDiagram(f"{len(a.violations)} violation(s), first: {a.violations[0]}")
+    return a
+
+
 def crossings(d: BouquetDiagram) -> tuple[Crossing, ...]:
     """All transversal double points, sorted by (loop_a, param_a, loop_b, param_b).
 
     Raises :class:`InvalidDiagram` when the diagram is not in generic
     position: crossing data of a degenerate diagram would be meaningless.
     """
-    a = analysis(d)
-    if a.violations:
-        raise InvalidDiagram(f"{len(a.violations)} violation(s), first: {a.violations[0]}")
-    return a.crossings
+    return _generic_analysis(d).crossings
 
 
 def vertex_directions(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:

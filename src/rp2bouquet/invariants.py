@@ -36,8 +36,7 @@ from itertools import chain, groupby, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .diagram import BouquetDiagram, Crossing, HalfEdge, InvalidDiagram, _star, crossings
-from .geometry import angle_sort
+from .diagram import BouquetDiagram, HalfEdge, _generic_analysis, _star, _star_order, crossings
 
 __all__ = [
     "CyclicWord",
@@ -221,27 +220,26 @@ def _class_rows(words: list[CyclicWord], bits: list[tuple[int, ...]]) -> list[In
 # ---------------------------------------------------------------------------
 
 def _star_word(d: BouquetDiagram) -> tuple[HalfEdge, ...]:
-    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0);
-    angular order ignores a positive factor, so _star's int vectors do."""
-    star = _star(d)
-    return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
+    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0),
+    read off d itself: the kept analysis (see inv1) keeps them for a valid d."""
+    return _star_order(_star(d))
 
 
 def inv1(d: BouquetDiagram) -> CyclicWord:
     """Canonical cyclic word of half-edge symbols counterclockwise around V."""
-    crossings(d)  # assert generic position
-    return CyclicWord(_canonical(_star_word(d)))
+    return CyclicWord(_canonical(_generic_analysis(d).star))
 
 
 def inv2(d: BouquetDiagram) -> tuple[int, ...]:
     """Per-loop homotopy class in pi_1(RP^2): seam-crossing count mod 2."""
-    crossings(d)
+    _generic_analysis(d)  # assert generic position
     return tuple(loop.seam_crossings % 2 for loop in d.loops)
 
 
-def _index_term(c: Crossing) -> int:
-    """The term of self-crossing c in the signed index at orientation +1."""
-    return (-1 if c.param_a.leg % 2 else 1) * c.frame
+def _index_term(leg: int, frame: int) -> int:
+    """The term in the signed index at orientation +1 of a self-crossing
+    with frame `frame` whose first visit lies on leg `leg`."""
+    return (-1 if leg % 2 else 1) * frame
 
 
 def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
@@ -259,7 +257,7 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
         raise ValueError("orientation must be +1 or -1")
     if not 0 <= loop < len(d.loops):
         raise IndexError(f"no loop {loop} in a diagram of {len(d.loops)}")
-    return orientation * sum(_index_term(c) for c in crossings(d)
+    return orientation * sum(_index_term(c.param_a.leg, c.frame) for c in crossings(d)
                              if c.loop_a == loop and c.loop_b == loop)
 
 
@@ -270,9 +268,9 @@ def inv3(d: BouquetDiagram) -> tuple[int, ...]:
     and does not depend on the traversal orientation.
     """
     bits = [0] * d.n
-    for c in crossings(d):
-        if c.loop_a == c.loop_b:
-            bits[c.loop_a] ^= 1
+    for a, b, _, _ in _generic_analysis(d).pairs:
+        if a.loop == b.loop:
+            bits[a.loop] ^= 1
     return tuple(bits)
 
 

@@ -44,9 +44,12 @@ seam) from the segment's ends (see :mod:`rp2bouquet.geometry`):
 
 Every contract takes (additions, dropped, d2): the crossings found on the new
 segments less those at a location to find again, the crossings on replaced
-segments, and the candidate.  The locations to find again are the dropped
-ones, or none for a splice without check_persistence (the jiggle), whose
-additions are then every crossing found.
+segments, and the candidate.  Each crossing is a (key_a, key_b, frame) triple,
+a key being the (loop, leg, seg) of a strand, in :class:`Crossing`'s order: an
+addition is addressed in d2, a dropped crossing in d (a partner strand that the
+pass did not meet again gets a key on no segment).  No `Crossing` is built.
+The locations to find again are the dropped ones, or none for a splice without
+check_persistence (the jiggle), whose additions are then every crossing found.
 
 Every builder splices through diagram._splice_points, and
 diagram._apply_splice runs the checks above on the new segments only and
@@ -63,7 +66,6 @@ from typing import ClassVar
 from .geometry import Point, Rat, _along, _ints, _plus, _point, _seam_step, circle_point, rat
 from .diagram import (
     BouquetDiagram,
-    Crossing,
     MoveBlocked,
     _Splice,
     _apply_splice,
@@ -207,10 +209,10 @@ def _build_kink_pair(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
 
-    def contract(additions: list[Crossing], dropped, d2) -> str | None:
-        if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
+    def contract(additions: list[tuple], dropped, d2) -> str | None:
+        if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "kink pair may only add self-crossings of the target loop"
-        if sorted(_index_term(c) for c in additions) != [-1, 1]:
+        if sorted(_index_term(a[1], frame) for a, _, frame in additions) != [-1, 1]:
             return "kink pair crossings must have opposite signs"
         return None
 
@@ -225,8 +227,8 @@ def _build_single_kink(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
 
-    def contract(additions: list[Crossing], dropped, d2) -> str | None:
-        if any(c.loop_a != spec.loop or c.loop_b != spec.loop for c in additions):
+    def contract(additions: list[tuple], dropped, d2) -> str | None:
+        if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "single kink may only add a self-crossing of the target loop"
         return None
 
@@ -276,9 +278,9 @@ def _build_detour(d, spec) -> _Splice:
     curl_a = _curl_points(a, b, t - 3 * w / 4, w / 8, h)
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
 
-    def contract(additions: list[Crossing], dropped, d2) -> str | None:
-        if any(_index_term(c) != sigma for c in additions
-               if c.loop_a == spec.loop and c.loop_b == spec.loop):
+    def contract(additions: list[tuple], dropped, d2) -> str | None:
+        if any(_index_term(a[1], frame) != sigma for a, b, frame in additions
+               if a[0] == spec.loop and b[0] == spec.loop):
             return "detour curls must both carry the requested sign"
         return None
 
@@ -336,20 +338,17 @@ def _build_finger_push(d, spec) -> _Splice:
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
-    def contract(additions: list[Crossing], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, d2) -> str | None:
         seen_verticals = set()
-        for cr in additions:
-            sides = {
-                (cr.loop_a, cr.param_a.leg, cr.param_a.seg),
-                (cr.loop_b, cr.param_b.leg, cr.param_b.seg),
-            }
+        for a, b, _ in additions:
+            sides = {a, b}
             # so across another loop, no addition is a self-crossing
             if expected_other not in sides:
                 return "finger push crossing misses the chosen strand"
             seen_verticals |= sides & vertical_keys
         if len(seen_verticals) != 2:
             return "finger push must cross the strand with both fingers"
-        if loop2 == spec.loop and sum(_index_term(cr) for cr in additions) != 0:
+        if loop2 == spec.loop and sum(_index_term(a[1], frame) for a, _, frame in additions) != 0:
             return "same-loop finger push crossings must cancel"
         return None
 
@@ -373,11 +372,6 @@ def _build_subdivide(d, spec) -> _Splice:
 # jiggle (point move, no insertion)
 # ---------------------------------------------------------------------------
 
-def _crossing_signature(crs) -> list:
-    return sorted(((c.loop_a, c.param_a.leg, c.param_a.seg),
-                   (c.loop_b, c.param_b.leg, c.param_b.seg), c.frame) for c in crs)
-
-
 def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     dx, dy = spec.params
     loop, k, idx = spec.loop, spec.leg, spec.segment
@@ -395,10 +389,10 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     # word decides as a comparison of rotations would
     next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
 
-    def contract(additions: list[Crossing], dropped, d2) -> str | None:
-        if _crossing_signature(additions) != _crossing_signature(dropped):
+    def contract(additions: list[tuple], dropped, d2) -> str | None:
+        if sorted(additions) != sorted(dropped):
             return "jiggle would change the crossing pattern"
-        if next_to_v and _canonical(_star_word(d2)) != _canonical(_star_word(d)):
+        if next_to_v and _canonical(_star_word(d2)) != _canonical(_valid_analysis(d).star):
             return "jiggle would reorder the vertex star"
         return None
 
@@ -457,7 +451,7 @@ def apply_edit_outcome(d: BouquetDiagram, spec: EditSpec) -> EditOutcome:
     if not isinstance(spec, EditSpec):
         raise TypeError(f"an edit needs an EditSpec, got {type(spec).__name__}")
     d2, additions = _apply_splice(d, _BUILDERS[spec.kind][0](d, spec))
-    created = sum(1 for c in additions if c.loop_a == spec.loop and c.loop_b == spec.loop)
+    created = sum(1 for a, b, _ in additions if a[0] == spec.loop and b[0] == spec.loop)
     return EditOutcome(d2, spec.loop, created)
 
 

@@ -335,6 +335,28 @@ def test_fuzz_cross_check_compares_the_kept_leg_rows(tmp_path, monkeypatch):
     assert "kept leg_starts diverge from a rebuilt analysis" in out
 
 
+def test_fuzz_cross_check_compares_the_kept_crossings_and_star(tmp_path, monkeypatch):
+    """A kept crossing's frame flipped, or the kept star reversed, shows in
+    the public tuple or the star a rebuilt analysis gives."""
+    set_analysis = diagram_mod._set_analysis
+
+    def flipped(d, value):
+        if value.pairs:
+            (a, b, frame, ints), *rest = value.pairs
+            value = dataclasses.replace(value, pairs=((a, b, -frame, ints), *rest))
+        set_analysis(d, value)
+
+    def reversed_star(d, value):
+        vars(value)["star"] = value.star[::-1]
+        set_analysis(d, value)
+
+    for corrupted, name in ((flipped, "crossings"), (reversed_star, "star")):
+        monkeypatch.setattr(diagram_mod, "_set_analysis", corrupted)
+        code, out = run(["fuzz", "--seed", 20260815, "--trials", 1, "--cross-check", "--out", tmp_path])
+        assert code == 3
+        assert f"kept {name} diverge from a rebuilt analysis" in out
+
+
 def test_fuzz_reports_an_exhausted_generator(tmp_path, monkeypatch):
     def exhausted(d, seed):
         raise Exhausted(f"no legal move found in 0 attempts (seed {seed})")

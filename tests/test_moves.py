@@ -22,6 +22,7 @@ from rp2bouquet import (
     dumps,
     inv2,
     inv3,
+    inv1,
     invariants,
     pt,
     random_edit,
@@ -150,7 +151,8 @@ def test_detour_blocked_cases(chord):
 
 def test_blocked_on_the_count_builds_no_crossing(chord, monkeypatch):
     """The scan decides on int location keys, so the detour that picks up a
-    third self-crossing blocks on its count with no Crossing built."""
+    third self-crossing blocks on its count with no Crossing built; one that
+    applies builds none either, until its crossings are asked for."""
     validate(chord)  # the kept analysis, built before the builder breaks
 
     def build(*args):
@@ -161,9 +163,11 @@ def test_blocked_on_the_count_builds_no_crossing(chord, monkeypatch):
     with pytest.raises(MoveBlocked) as blocked:
         apply_move(chord, spec)
     assert str(blocked.value) == "detour must add exactly 2 self-crossings, got more than 2"
-    # the patched name is the builder: a detour that passes its count builds
+    d2 = apply_move(chord, detour_spec(1, 0))
+    assert inv3(d2) == (0,)  # the invariants read the kept form
+    # the patched name is the builder: the public tuple builds
     with pytest.raises(AssertionError, match="a Crossing was built"):
-        apply_move(chord, detour_spec(1, 0))
+        crossings(d2)
 
 
 def test_contracts_block_a_curl_on_the_wrong_side(quad, chord, monkeypatch):
@@ -208,7 +212,7 @@ def test_contracts_block_a_kink_across_another_loop(wedge, monkeypatch):
 def test_contract_blocks_a_same_loop_finger_that_does_not_cancel(quad, monkeypatch):
     """A sign reading mutated on purpose (every self-crossing counts +1)
     reaches the cancellation check of a same-loop finger push."""
-    monkeypatch.setattr(moves_mod, "_index_term", lambda c: 1)
+    monkeypatch.setattr(moves_mod, "_index_term", lambda leg, frame: 1)
     spec = MoveSpec("FingerPush", 0, 0, 1,
                     (rat(1, 2), rat(1, 8), rat(0), rat(0), rat(3), rat(1, 2), rat(1, 4)))
     with pytest.raises(MoveBlocked, match="^same-loop finger push crossings must cancel$"):
@@ -769,32 +773,77 @@ def test_splice_keeps_every_record_past_its_window():
     assert_kept_analysis_is_fresh(d2)
 
 
-def test_a_splice_rebuilds_only_the_kept_crossings_past_its_window():
+def test_a_splice_builds_no_crossing_for_a_kept_one(monkeypatch):
     """Subdividing segment 4 of loop 2's one leg moves every record past it
-    by one: the kept crossings with a strand there get new positions, and
-    every other kept crossing (before the window, or on other loops) is the
-    very same object as before.  A kink pair there that blocks on its count,
-    after re-addressing the same crossings, leaves the parent's analysis and
-    every crossing in it as they were."""
+    by one, yet keeps every crossing off that segment, past it too, as the
+    very same kept form, and builds no Crossing; nor does a kink pair there
+    that blocks on its count, which leaves the parent's analysis as it was.
+    The public tuple is built on first use, once per crossing."""
     d = realize(random_tuple(3, 1))
-    before, kept = crossings(d), analysis(d)
+    kept = analysis(d)
+    build, built = diagram_mod._pair_crossing, []
+    monkeypatch.setattr(diagram_mod, "_pair_crossing", lambda *args: built.append(args) or build(*args))
     with pytest.raises(MoveBlocked, match="^kink pair must add exactly 2 crossings, got more than 2$"):
         apply_move(d, MoveSpec("KinkPair", 2, 0, 4, (rat(1, 4), rat(3, 4), rat(1, 8), rat(2))))
-    assert analysis(d) is kept and crossings(d) is before  # a tuple: each crossing in it too
+    assert analysis(d) is kept
     d2 = apply_move(d, MoveSpec("Subdivide", 2, 0, 4, (rat(1, 2),)))
-
-    def past(c):
-        return any(loop == 2 and p.seg > 4 for loop, p in ((c.loop_a, c.param_a),
-                                                            (c.loop_b, c.param_b)))
-
-    moved = [c for c in before if past(c)]
-    same = [c for c in before if not past(c)]
-    assert len(moved) == 3 and len(same) == 4
-    assert any(2 in (c.loop_a, c.loop_b) for c in same)
-    after = {id(c) for c in crossings(d2)}
-    assert all(id(c) in after for c in same)
-    assert not any(id(c) in after for c in moved)
+    assert built == []
+    s = kept.records[kept.leg_starts[2][0] + 4]
+    off = [c for c in kept.pairs if c[0] is not s and c[1] is not s]
+    after = {id(c) for c in analysis(d2).pairs}
+    assert len(off) == 7 and all(id(c) in after for c in off)
+    past = {id(r) for r in kept.records[kept.leg_starts[2][0] + 5:kept.leg_starts[2][-1]]}
+    assert sum(1 for c in off if id(c[0]) in past or id(c[1]) in past) == 3
+    assert len(crossings(d2)) == len(built) == len(analysis(d2).pairs)
     assert_kept_analysis_is_fresh(d2)
+
+
+def test_the_public_crossing_tuple_is_built_once():
+    """crossings(d) builds its tuple once per kept analysis, and the
+    invariants never build it."""
+    d = realize(random_tuple(3, 1))
+    for seed in range(6):
+        _, d = random_move_applied(d, seed)
+        invariants(d)
+        assert "crossings" not in vars(analysis(d))
+        assert crossings(d) is crossings(d)
+
+
+def test_a_star_reordering_jiggle_keeps_no_stale_star(wedge, monkeypatch):
+    """With Jiggle's contract dropped, moving the point next to V on loop
+    0 of the wedge turns e1 past e2: the kept star of the result is built
+    afresh, not carried from the parent, whose star is already built."""
+    splice_points = moves_mod._splice_points
+    monkeypatch.setattr(moves_mod, "_splice_points", lambda d, loop, k, lo, hi, chains, contract, **kw:
+                        splice_points(d, loop, k, lo, hi, chains, None, **kw))
+    before = inv1(wedge)
+    d2 = apply_move(wedge, MoveSpec("Jiggle", 0, 0, 1, (rat(-1, 2), rat(1, 2))))
+    assert str(before) == "e1,e2,e1^-1,e2^-1"
+    assert inv1(d2) == inv1(rebuilt(d2)) != before
+
+
+def test_a_jiggle_that_swaps_a_partner_strand_is_blocked(monkeypatch):
+    """Moving point 17 makes segment 16 cross segment 13 instead of 12.  The
+    scan does not meet segment 12 again, so the dropped crossing's partner
+    gets no position, and the triple matches no addition."""
+    d = realize(random_tuple(1, 325664383))
+    for seed in (703013335, 663429604, 748087104, 123375122, 734025962, 551198391):
+        _, d = random_move_applied(d, seed)
+    assert [(c.param_a.seg, c.param_b.seg) for c in crossings(d)] == [(4, 6), (8, 10), (12, 16), (18, 20)]
+    seen = []
+    splice_points = moves_mod._splice_points
+
+    def recorded(d, loop, k, lo, hi, chains, contract, **kw):
+        return splice_points(d, loop, k, lo, hi, chains,
+                             lambda *args: seen.append(args[:2]) or contract(*args), **kw)
+
+    monkeypatch.setattr(moves_mod, "_splice_points", recorded)
+    with pytest.raises(MoveBlocked, match="^jiggle would change the crossing pattern$"):
+        apply_move(d, MoveSpec.from_line("Jiggle 0 0 17 -69/34816 -69/278528"))
+    (additions, dropped), = seen
+    assert additions == [((0, 0, 13), (0, 0, 16), -1)]
+    (partner, strand, frame), = dropped
+    assert (strand, frame) == ((0, 0, 16), -1) and partner[:2] == (0, -1)
 
 
 def test_template_through_an_existing_crossing_is_blocked(wedge):
@@ -1133,8 +1182,9 @@ def test_a_walk_to_3000_segments_keeps_its_moves_and_its_analysis():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHAIN_3000_DIGEST
     assert (len(lines), sum(1 for _ in d.iter_segments()), len(crossings(d))) == (867, 3002, 694)
     kept, fresh = analysis(d), analysis(rebuilt(d))
-    for f in dataclasses.fields(kept):
-        assert getattr(kept, f.name) == getattr(fresh, f.name), f.name
+    # the kept crossings, in no fixed order, are compared as the public tuple
+    for name in [f.name for f in dataclasses.fields(kept) if f.name != "pairs"] + ["crossings", "star"]:
+        assert getattr(kept, name) == getattr(fresh, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,11 @@ verdicts (each window's first violation, or ``None``), of its
 ``apply_move`` outcomes (each block message, or the ``dumps`` of the
 result), of the drop check's verdicts, of the walk steps' applied move
 lines, of the pencil's violations, of the ``validate`` output and
-crossings of the zigzags and of the quadrant diagrams and of the scale
-chain's ``dumps``, which agree between versions that decide alike; also
-those diagrams' crossing counts, the number of drop checks and the number
-of moves of the scale chain.  After writing ``--out`` the script exits 1,
+crossings of the zigzags and of the quadrant diagrams, of the scale
+chain's ``dumps`` and of ``render_svg`` on the snapshots and the scale
+chain's diagram (``svg_sha256``), which agree between versions that
+decide and draw alike; also those diagrams' crossing counts, the number
+of drop checks and the number of moves of the scale chain.  After writing ``--out`` the script exits 1,
 naming the keys, if any source's decision checks (those digests and
 counts, not ``src_lines`` or ``snapshot_segments``) differ from the first
 source's."""
@@ -350,6 +351,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "pencil_sha256": digest(fan_violations),
         "chain_sha256": hashlib.sha256(chain_text.encode()).hexdigest(),
         "chain_moves": chain_moves,
+        "svg_sha256": digest(cli.render_svg(lib.loads(t)) for t in texts + [chain_text]),
     }
     for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS)):
         found, counts = [], []

@@ -39,9 +39,11 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
-from .diagram import BouquetDiagram, DiagramFormatError, analysis, crossings, dumps, loads, validate
+from .diagram import BouquetDiagram, DiagramFormatError, _generic_analysis, analysis, dumps, loads, validate
+from .geometry import Rat
 from .invariants import InvariantTuple, MismatchedLoopCount, _text_lines, equiv, invariants
 from .moves import Exhausted, MoveBlocked, MoveSpec, apply_move, random_move_applied
 from .normal_form import LimitExceeded, RealizationError, enumerate_classes, random_tuple, realize
@@ -176,36 +178,41 @@ def _fmt(value) -> str:
     return "0.000000000" if text == "-0.000000000" else text
 
 
-def _xy(p) -> str:
-    # n / d is float() of a Rat; SVG y grows downward, diagram y grows upward
-    return f"{_fmt(p.x.numerator / p.x.denominator)},{_fmt(-(p.y.numerator / p.y.denominator))}"
-
-
 def render_svg(d: BouquetDiagram) -> str:
     """Static SVG figure: loops colored per index, crossings and seam points
     marked, the seam circle dashed.  Formatting is fixed-precision so output
-    is byte-stable; the exact rational core is never fed from this path.
-    Raises :class:`InvalidDiagram` (via `crossings`) for an invalid diagram."""
-    out = []
-    out.append('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-               'viewBox="-1.15 -1.15 2.3 2.3">')
-    out.append('<rect x="-1.15" y="-1.15" width="2.3" height="2.3" fill="white"/>')
-    out.append('<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
-               'stroke-width="0.012" stroke-dasharray="0.05,0.035"/>')
-    for li, loop in enumerate(d.loops):
+    is byte-stable; the exact rational core is never fed from this path.  It
+    reads the kept analysis, not the public crossing tuple.  Raises
+    :class:`InvalidDiagram`, as `crossings` does, for an invalid diagram."""
+    a = _generic_analysis(d)
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+           'viewBox="-1.15 -1.15 2.3 2.3">',
+           '<rect x="-1.15" y="-1.15" width="2.3" height="2.3" fill="white"/>',
+           '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
+           'stroke-width="0.012" stroke-dasharray="0.05,0.035"/>']
+    for li, row in enumerate(a.leg_starts):
         color = _PALETTE[li % len(_PALETTE)]
-        for leg in loop.legs:
-            points = " ".join(_xy(p) for p in leg.points)
+        legs = [a.records[i:j] for i, j in zip(row, row[1:])]
+        for leg in legs:
+            # a record's floats are float() of its end points; SVG y grows downward, diagram y upward
+            ends = [(s.fax, s.fay) for s in leg] + [(leg[-1].fbx, leg[-1].fby)]
+            points = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in ends)
             out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                        'stroke-width="0.014" stroke-linejoin="round"/>')
-        for leg in loop.legs[:-1]:
-            x, y = float(leg.points[-1].x), float(leg.points[-1].y)
+        for leg in legs[:-1]:
+            x, y = leg[-1].fbx, leg[-1].fby
             for mx, my in ((x, y), (-x, -y)):
                 out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
-    for c in crossings(d):
-        out.append(f'<circle cx="{_fmt(c.location.x)}" cy="{_fmt(-c.location.y)}" r="0.022" '
+    # crossings(d)'s order: strand a's record, then a's parameter n1 / den (equal only at
+    # a TriplePoint); unequal floats order the exact values, and Rat orders any that tie
+    index = {id(s): i for i, s in enumerate(a.records)}
+    spots = [(index[id(s)], n1 / den, n1, den, at) for s, _, _, (at, (n1, _, den)) in a.pairs]
+    if len({c[:2] for c in spots}) < len(spots):  # the stable sort below keeps this order
+        spots.sort(key=lambda c: (c[0], Rat(c[2], c[3])))
+    for *_, (xn, xd, yn, yd) in sorted(spots, key=itemgetter(0, 1)):
+        out.append(f'<circle cx="{_fmt(xn / xd)}" cy="{_fmt(-(yn / yd))}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
     out.append(f'<circle cx="{_fmt(d.vertex.x)}" cy="{_fmt(-d.vertex.y)}" r="0.025" '
                'fill="black"/>')

@@ -238,8 +238,9 @@ class DiagramAnalysis:
     positions.  A splice thus keeps every record and crossing off its window
     as it is.  `crossings`, the public sorted tuple, and `star`, the
     half-edges around V, are built on first use and cached (so
-    dataclasses.replace drops them).  `pairs`, `records` and `leg_starts`
-    are empty for an invalid diagram.
+    dataclasses.replace drops them); only :func:`crossings` and the fuzz
+    cross-check build the tuple, as the invariants and the renderer read `pairs`.
+    `pairs`, `records` and `leg_starts` are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]

@@ -32,11 +32,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, product, repeat
+from itertools import chain, groupby, pairwise, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .diagram import BouquetDiagram, HalfEdge, _generic_analysis, _star, _star_order, crossings
+from .diagram import BouquetDiagram, HalfEdge, _generic_analysis, _star, _star_order
 
 __all__ = [
     "CyclicWord",
@@ -257,8 +257,11 @@ def signed_index(d: BouquetDiagram, loop: int, orientation: int = 1) -> int:
         raise ValueError("orientation must be +1 or -1")
     if not 0 <= loop < len(d.loops):
         raise IndexError(f"no loop {loop} in a diagram of {len(d.loops)}")
-    return orientation * sum(_index_term(c.param_a.leg, c.frame) for c in crossings(d)
-                             if c.loop_a == loop and c.loop_b == loop)
+    a = _generic_analysis(d)
+    # the leg of each record of the loop; a kept crossing's first visit is on its record a
+    legs = {id(s): k for k, (i, j) in enumerate(pairwise(a.leg_starts[loop])) for s in a.records[i:j]}
+    return orientation * sum(_index_term(legs[id(s)], frame) for s, t, frame, _ in a.pairs
+                             if s.loop == t.loop == loop)
 
 
 def inv3(d: BouquetDiagram) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rp2bouquet import BouquetDiagram, Leg, LoopPath, pt
-from rp2bouquet.diagram import _make_seg
+from rp2bouquet.cli import _PALETTE, _SEAM_MARK, _fmt
+from rp2bouquet.diagram import _make_seg, crossings
 
 settings.register_profile(
     "default",
@@ -27,6 +28,39 @@ def segment_records(d):
     """Records of every segment in (loop, leg, seg) order, from the points
     alone: the reference for the records the structural check builds."""
     return [record(li, a, b) for li, _, _, a, b in d.iter_segments()]
+
+
+def reference_svg(d):
+    """The SVG of render_svg, drawn from the diagram's points and the public
+    crossing tuple: the reference for render_svg, which reads the kept
+    analysis.  Raises InvalidDiagram (via crossings) for an invalid d."""
+    def xy(p):
+        return f"{_fmt(p.x)},{_fmt(-p.y)}"
+
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+           'viewBox="-1.15 -1.15 2.3 2.3">',
+           '<rect x="-1.15" y="-1.15" width="2.3" height="2.3" fill="white"/>',
+           '<circle cx="0" cy="0" r="1" fill="none" stroke="#888888" '
+           'stroke-width="0.012" stroke-dasharray="0.05,0.035"/>']
+    for li, loop in enumerate(d.loops):
+        color = _PALETTE[li % len(_PALETTE)]
+        for leg in loop.legs:
+            points = " ".join(xy(p) for p in leg.points)
+            out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                       'stroke-width="0.014" stroke-linejoin="round"/>')
+        for leg in loop.legs[:-1]:
+            x, y = float(leg.points[-1].x), float(leg.points[-1].y)
+            for mx, my in ((x, y), (-x, -y)):
+                out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
+                           f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
+                           f'fill="{color}" stroke="black" stroke-width="0.006"/>')
+    for c in crossings(d):
+        out.append(f'<circle cx="{_fmt(c.location.x)}" cy="{_fmt(-c.location.y)}" r="0.022" '
+                   'fill="none" stroke="black" stroke-width="0.01"/>')
+    out.append(f'<circle cx="{_fmt(d.vertex.x)}" cy="{_fmt(-d.vertex.y)}" r="0.025" '
+               'fill="black"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -185,6 +185,17 @@ GOLDEN_SHA256 = {
     "svg": "32d0ecb3a67027b3c8820c3d21345895a153010e122167fb7e609ee7f9eee654",
 }
 
+# render_svg of each valid fixture in tests/data
+FIXTURE_SVG_SHA256 = {
+    "chord_kink.json": "4380c496fd8761c822225fb368b3671e6bbc79b8c3744eba08b4a6825889cfb8",
+    "circle.json": "01f385c9b65f936b7f31e284c473f6a95d382574ae5336733701794846498601",
+    "circle_after_moves.json": "45b9bb5193de03fe700030163f10fb14a1c88c089d1cc52804bbc2b600c37db0",
+    "figure_eight.json": "2496c072662a39bdc2e490d54a1b6b9fa3ef957715f19d6d8d80035b3db28aa8",
+    "seam_chord.json": "4cf73e25a5b83c162f88b9296f12df20f8d4cb3050adc7e3cf0df4aca671dd74",
+    "three_loops.json": "37c87fab44ea792e50e743c9a47152c5676b2221f453bd10edf1564aafa38291",
+    "two_loops.json": "b0bf73467203d0352d4bb60f96a1803d8224452de444a08f56a25db028c6c786",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -207,3 +218,8 @@ def test_acceptance_7_byte_stable_golden_outputs(data_dir):
         text = path.read_text()
         assert dumps(loads(text)) == text
     print("PASS 7: enumeration, realization, SVG, and JSON round trips byte-identical")
+
+
+def test_acceptance_7_fixture_svgs_are_pinned(data_dir):
+    valid = [p for p in sorted(data_dir.glob("*.json")) if p.name not in ("invalid_seam.json", "malformed.json")]
+    assert {p.name: _sha(render_svg(loads(p.read_text()))) for p in valid} == FIXTURE_SVG_SHA256

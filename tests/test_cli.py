@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import runpy
 import sys
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,17 +14,26 @@ from hypothesis import strategies as st
 
 from rp2bouquet import (
     MAX_REALIZE_N,
+    BouquetDiagram,
     Exhausted,
     InvalidDiagram,
     InvariantTuple,
+    Leg,
+    LoopPath,
+    crossings,
     dumps,
     loads,
+    pt,
     random_move_applied,
+    random_tuple,
+    rat,
     realize,
 )
 from rp2bouquet import cli as cli_mod
 from rp2bouquet import diagram as diagram_mod
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
+from rp2bouquet.diagram import analysis
+from conftest import reference_svg
 from test_normal_form import ENUMERATE_4_SHA256
 
 
@@ -492,6 +503,88 @@ def test_render_svg_refuses_an_invalid_diagram(data_dir):
     d = loads((data_dir / "invalid_seam.json").read_text())
     with pytest.raises(InvalidDiagram, match="SeamPointOffCircle"):
         render_svg(d)
+
+
+def valid_fixtures(data_dir):
+    return [loads(p.read_text()) for p in sorted(data_dir.glob("*.json"))
+            if p.name not in ("invalid_seam.json", "malformed.json")]
+
+
+def walk_diagrams():
+    """Seeded walks of 1 to 4 loops, each cut after 0 to 40 moves."""
+    for seed in range(48):
+        rng = random.Random(f"render-svg:{seed}")
+        d = realize(random_tuple(1 + seed % 4, rng.randrange(10 ** 9)))
+        for _ in range(rng.randrange(41)):
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+        yield d
+
+
+def test_render_svg_equals_the_reference_on_every_fixture(data_dir):
+    ds = valid_fixtures(data_dir)
+    assert len(ds) == 7
+    for d in ds:
+        assert render_svg(d) == reference_svg(d)
+
+
+def test_render_svg_equals_the_reference_on_seeded_walks():
+    """Byte-equal to the reference on walks that reach loops of several legs
+    (seam marks) and segments that carry several crossings as strand a
+    (ordered by their parameters there)."""
+    seams = shared = 0
+    for d in walk_diagrams():
+        assert render_svg(d) == reference_svg(d)
+        seams += sum(len(loop.legs) - 1 for loop in d.loops)
+        firsts = [(c.loop_a, c.param_a.leg, c.param_a.seg) for c in crossings(d)]
+        shared += len(firsts) - len(set(firsts))
+    assert seams > 20 and shared > 20
+
+
+# the midpoint of two adjacent floats whose texts at 9 decimals are
+# 0.250000000 and 0.250000001
+MIDPOINT = rat(9007199272755391, 2 ** 55)
+
+
+def two_close_crossings(e, m):
+    """One loop whose first segment, along y = 0 from V to (3/4 m, 0), is
+    crossed at x = m (MIDPOINT - e) and then at x = m (MIDPOINT + e): for a
+    tiny e both parameters there round to one float, yet the two circles
+    print apart.  For m = -1 the sweep, by least x, meets them in reverse."""
+    xs = [m * x for x in (rat(3, 4), MIDPOINT - e, MIDPOINT + e, rat(-1, 4))]
+    return BouquetDiagram(1, pt(0, 0), (LoopPath((Leg((
+        pt(0, 0), pt(xs[0], 0), pt(xs[0], "1/2"), pt(xs[1], "1/2"), pt(xs[1], "-1/4"),
+        pt(xs[2], "-1/4"), pt(xs[2], "1/4"), pt(xs[3], "1/4"), pt(0, 0))),)),))
+
+
+@pytest.mark.parametrize("m", [1, -1])
+@pytest.mark.parametrize("e", [rat(1, 10 ** 30), rat(-1, 10 ** 30), rat(1, 16)])
+def test_render_svg_orders_crossings_whose_floats_tie(e, m):
+    """Crossings on one segment whose parameters' floats tie are drawn in
+    the exact order of those parameters."""
+    d = two_close_crossings(e, m)
+    cs = [c for c in crossings(d) if (c.param_a.leg, c.param_a.seg) == (0, 0)]
+    assert len(cs) == 2
+    assert (float(cs[0].param_a.frac) == float(cs[1].param_a.frac)) == (abs(e) < rat(1, 16))
+    first, second = (f'cx="{float(c.location.x):.9f}"' for c in cs)
+    svg = render_svg(d)
+    assert svg == reference_svg(d)
+    assert first != second and svg.index(first) < svg.index(second)
+
+
+def test_render_svg_builds_no_crossing(data_dir, monkeypatch):
+    """render_svg reads the kept crossings: with _pair_crossing, which makes
+    each Crossing, patched to raise it draws the same bytes and leaves the
+    public tuple unbuilt."""
+    ds = valid_fixtures(data_dir) + list(islice(walk_diagrams(), 12))
+    want = [reference_svg(BouquetDiagram(d.n, d.vertex, d.loops)) for d in ds]
+
+    def build(*args):
+        raise AssertionError("render_svg built a Crossing")
+
+    monkeypatch.setattr(diagram_mod, "_pair_crossing", build)
+    for d, svg in zip(ds, want):
+        assert render_svg(d) == svg
+        assert "crossings" not in vars(analysis(d))
 
 
 # ---------------------------------------------------------------------------

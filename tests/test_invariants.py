@@ -40,10 +40,11 @@ from rp2bouquet import (
     validate,
 )
 from rp2bouquet import moves as moves_mod
+from rp2bouquet.diagram import analysis
 from rp2bouquet.geometry import Point, circle_point, mat_apply
 from rp2bouquet.normal_form import random_tuple
 
-from test_moves import hostile_specs
+from test_moves import detour_spec, hostile_specs
 
 
 def symbols_of(n):
@@ -222,6 +223,29 @@ def test_inv3_equals_crossing_parity_oracle():
         for i in range(d.n):
             raw = sum(1 for c in cs if c.loop_a == i and c.loop_b == i)
             assert inv3(d)[i] == raw % 2
+
+
+def test_signed_index_sums_the_kept_self_crossings(chord):
+    """signed_index equals the sum over the public tuple's self-crossings of
+    (-1)^(leg of the first visit) * frame, and leaves that tuple unbuilt, on
+    seeded walks from realized diagrams and from detours of the chord (whose
+    self-crossings on odd legs add up to a nonzero sum)."""
+    odd = 0
+    for seed in range(32):
+        rng = random.Random(f"signed-index:{seed}")
+        if seed % 4:
+            d = realize(random_tuple(1 + seed % 3, rng.randrange(10 ** 9)))
+        else:
+            d = apply_move(chord, detour_spec(rng.choice((1, -1)), rng.choice((0, 1))))
+        for _ in range(rng.randrange(41)):
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+        got = [signed_index(d, i, o) for i in range(d.n) for o in (1, -1)]
+        assert "crossings" not in vars(analysis(d))
+        selfs = [c for c in crossings(d) if c.loop_a == c.loop_b]
+        assert got == [o * sum((-1) ** c.param_a.leg * c.frame for c in selfs if c.loop_a == i)
+                       for i in range(d.n) for o in (1, -1)]
+        odd += sum(c.frame for c in selfs if c.param_a.leg % 2) != 0
+    assert odd >= 4
 
 
 def test_signed_index_orientation_argument():

@@ -21,7 +21,8 @@ present signatures.  The rows:
   cut when it first reaches each size.  ``render_svg``, ``invariants`` and
   ``crossings`` each get a copy of the kept analysis without what an
   earlier call built and cached in it (the vertex star, the public
-  crossing tuple), so each call pays for building those;
+  crossing tuple), so each call pays for building those.  ``loads`` and
+  ``dumps`` also run on the scale chain's diagram (below), labelled 3000;
 * ``_structural_ok`` in us per call: the structural walk ``_structural`` on
   the window of each of a fixed list of splices proposed on each snapshot,
   blocked ones included, as ``_apply_splice`` runs it;
@@ -71,9 +72,11 @@ verdicts (each window's first violation, or ``None``), of its
 result), of the drop check's verdicts, of the walk steps' applied move
 lines, of the pencil's violations, of the ``validate`` output and
 crossings of the zigzags and of the quadrant diagrams, of the scale
-chain's ``dumps`` and of ``render_svg`` on the snapshots and the scale
-chain's diagram (``svg_sha256``), which agree between versions that
-decide and draw alike; also those diagrams' crossing counts, the number
+chain's ``dumps``, of ``render_svg`` on the snapshots and the scale
+chain's diagram (``svg_sha256``) and of ``dumps(loads(t))`` for a fixed
+list of JSON diagrams whose points are not in lowest terms, have negative
+denominators or parts of up to 600 bits (``points_sha256``), which agree
+between versions that decide, draw and read alike; also those diagrams' crossing counts, the number
 of drop checks and the number of moves of the scale chain.  After writing ``--out`` the script exits 1,
 naming the keys, if any source's decision checks (those digests and
 counts, not ``src_lines`` or ``snapshot_segments``) differ from the first
@@ -263,6 +266,26 @@ def quadrant(lib, n: int):
     return one_loop(lib, points)
 
 
+def unreduced(k: int = 12) -> list[str]:
+    """k JSON diagrams of one loop whose points are not in lowest terms: each
+    coordinate a ratio of 20 or 600 bits, its parts times a factor of 1, 64
+    or 600 bits, and both negated for half of them, so that the denominator
+    is negative."""
+    rng = random.Random(f"{SEED}:points")
+
+    def point():
+        out = []
+        for _ in range(2):
+            bits = rng.choice((20, 600))
+            n, d = rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** bits)
+            f = rng.randrange(1, 2 ** rng.choice((1, 64, 600))) * rng.choice((1, -1))
+            out += [n * f, d * f]
+        return out
+
+    return [json.dumps({"n": 1, "vertex": point(), "loops": [{"legs": [[point() for _ in range(8)]]}]})
+            for _ in range(k)]
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -296,6 +319,9 @@ def rows(lib, mods) -> tuple[dict, dict]:
     texts = snapshots(lib)
     chain_text, chain_moves = scale_chain(lib)
     out, verdicts, outcomes, drops, walks = {}, [], [], [], []
+    chain_d = lib.loads(chain_text)
+    out[f"loads.ms@{CHAIN}"] = ("ms", 1e3, lambda: lib.loads(chain_text))
+    out[f"dumps.ms@{CHAIN}"] = ("ms", 1e3, lambda: lib.dumps(chain_d))
     for size, text in zip(SIZES + (LONG, CHAIN), texts + [chain_text]):
         checked = lib.loads(text)
         lib.validate(checked)
@@ -352,6 +378,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "chain_sha256": hashlib.sha256(chain_text.encode()).hexdigest(),
         "chain_moves": chain_moves,
         "svg_sha256": digest(cli.render_svg(lib.loads(t)) for t in texts + [chain_text]),
+        "points_sha256": digest(lib.dumps(lib.loads(t)) for t in unreduced()),
     }
     for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS)):
         found, counts = [], []

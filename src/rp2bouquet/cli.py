@@ -214,8 +214,8 @@ def render_svg(d: BouquetDiagram) -> str:
     for *_, (xn, xd, yn, yd) in sorted(spots, key=itemgetter(0, 1)):
         out.append(f'<circle cx="{_fmt(xn / xd)}" cy="{_fmt(-(yn / yd))}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
-    out.append(f'<circle cx="{_fmt(d.vertex.x)}" cy="{_fmt(-d.vertex.y)}" r="0.025" '
-               'fill="black"/>')
+    v = d.vertex
+    out.append(f'<circle cx="{_fmt(v.xn / v.xd)}" cy="{_fmt(-(v.yn / v.yd))}" r="0.025" fill="black"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

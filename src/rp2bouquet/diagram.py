@@ -35,9 +35,10 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, starmap
+from functools import cached_property, cmp_to_key
+from itertools import accumulate, chain, compress, count, islice, starmap
 from math import gcd
+from operator import eq
 from typing import Callable, Iterator
 
 from .geometry import (
@@ -45,8 +46,8 @@ from .geometry import (
     Rat,
     SegKind,
     _direction,
-    _ints,
     _kind,
+    _lowest,
     _point,
     _proper_ints,
     _reflect,
@@ -240,13 +241,15 @@ class DiagramAnalysis:
     half-edges around V, are built on first use and cached (so
     dataclasses.replace drops them); only :func:`crossings` and the fuzz
     cross-check build the tuple, as the invariants and the renderer read `pairs`.
-    `pairs`, `records` and `leg_starts` are empty for an invalid diagram.
+    `w` holds each loop's self-crossing count mod 2 (see :func:`_flipped`).
+    `pairs`, `records`, `leg_starts` and `w` are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
     pairs: tuple = field(default=(), compare=False, repr=False)
     records: tuple = field(default=(), compare=False, repr=False)
     leg_starts: tuple = field(default=(), compare=False, repr=False)
+    w: tuple[int, ...] = ()
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -285,7 +288,8 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
     # None outside [-1, 1]^2, so that no huge numerator overflows float()
     g = [None] if o == 0 else []
     for p in pts[max(o - 1, 0):segs[-1] + 3]:
-        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        xn, xd = p.xn, p.xd
+        yn, yd = p.yn, p.yd
         g.append((xn / xd, yn / yd) if -xd <= xn <= xd and -yd <= yn <= yd else None)
     for i in segs:
         if g[i - o + 1] == g[i - o + 2] and pts[i] == pts[i + 1]:  # unequal g: unequal points
@@ -297,9 +301,9 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
                 ex, ey, gx, gy = f1[0] - f0[0], f1[1] - f0[1], f2[0] - f1[0], f2[1] - f1[1]
                 if abs(ex * gy - ey * gx) > _B or ex * gx + ey * gy > _B:
                     continue  # a certain turn or step forward is no cusp
-            p0, p1, p2 = pts[i - 1], pts[i], pts[i + 1]
-            # (p1 - p0) x (p2 - p1) is the orientation determinant of the triple
-            if orient2d(p0, p1, p2) == 0 and (p1 - p0).dot(p2 - p1) < 0:
+            # positive multiples of p1 - p0 and p2 - p1: a cusp is an exact reversal
+            u, v = _direction(pts[i - 1], pts[i]), _direction(pts[i], pts[i + 1])
+            if u.xn * v.yn == u.yn * v.xn and u.xn * v.xn + u.yn * v.yn < 0:
                 out.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
     for i in points:
         if 0 < i < end:
@@ -331,18 +335,17 @@ def _check_joint(out: list[Violation], li: int, ki: int, a: Leg, b: Leg) -> None
     p, q = a.points[-1], b.points[0]
     if not on_unit_circle(p) or not on_unit_circle(q):
         return  # already reported as SeamPointOffCircle
-    # p = (x, y) / c: unit-circle points have equal denominators in lowest terms
-    x, y, c = p.x.numerator, p.y.numerator, p.x.denominator
-    if _ints(q) != (-x, c, -y, c):
+    if q != -p:
         out.append(Violation("SeamNotAntipodal", li, ki, note="legs must rejoin at the antipode"))
         return
     d_out = _direction(a.points[-2], p)
     d_in = _direction(q, b.points[1])
     if d_out.is_zero() or d_in.is_zero():
         return
-    # w = c^2 M(p) d_out, a positive multiple of M(p) (p - a[-2])
-    wx, wy = _reflect(x, y, d_out.x, d_out.y)
-    if not (wx * d_in.y == wy * d_in.x and wx * d_in.x + wy * d_in.y > 0):
+    # p = (x, y) / c (unit-circle points have equal denominators in lowest terms),
+    # and w = c^2 M(p) d_out, a positive multiple of M(p) (p - a[-2])
+    wx, wy = _reflect(p.xn, p.yn, d_out.xn, d_out.yn)
+    if not (wx * d_in.yn == wy * d_in.xn and wx * d_in.xn + wy * d_in.yn > 0):
         out.append(Violation("SeamRegularity", li, ki,
                              note="entry direction must match the reflected exit direction"))
 
@@ -359,8 +362,8 @@ def _equal_key_pairs(keys: list) -> list[tuple[int, int]]:
 
 def _ray(v: Point):
     """A key that codirectional nonzero int vectors share exactly; None for 0."""
-    g = gcd(v.x, v.y)
-    return (v.x // g, v.y // g) if g else None
+    g = gcd(v.xn, v.yn)  # _direction's denominators are 1
+    return (v.xn // g, v.yn // g) if g else None
 
 
 def _star(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
@@ -394,8 +397,7 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         for leg in loop.legs[:-1]:
             exits.append((li, leg.points[-1]))
     # a point and its antipode share a key: negation keeps the denominators
-    keys = [max((p.x.numerator, p.y.numerator), (-p.x.numerator, -p.y.numerator))
-            + (p.x.denominator, p.y.denominator) for _, p in exits]
+    keys = [max((p.xn, p.yn), (-p.xn, -p.yn)) + (p.xd, p.yd) for _, p in exits]
     for i, j in _equal_key_pairs(keys):
         (li, p), (lj, q) = exits[i], exits[j]
         kind = "CoincidentSeamPoints" if p == q else "AntipodalSeamPoints"
@@ -542,10 +544,9 @@ def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tup
 
 def _pair_crossing(leg_starts, a: _Seg, b: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
     """The Crossing of the kept (a, b, frame, ints), a = records[i], b = records[j]."""
-    (xn, xd, yn, yd), (n1, n2, den) = ints
+    at, (n1, n2, den) = ints
     return Crossing(a.loop, b.loop, LoopParam(*_position(leg_starts, a.loop, i), Rat(n1, den)),
-                    LoopParam(*_position(leg_starts, b.loop, j), Rat(n2, den)),
-                    Point(Rat(xn, xd), Rat(yn, yd)), frame)
+                    LoopParam(*_position(leg_starts, b.loop, j), Rat(n2, den)), _lowest(*at), frame)
 
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
@@ -606,19 +607,36 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
     return SegKind.PROPER, frame, _proper_ints(s.a, s.b, t.a, t.b)
 
 
-def _least_x(s: _Seg) -> Rat:
+def _least_x(s: _Seg) -> Point:
+    """The end point of record s of least x (either one on a tie)."""
+    a, b = s.a, s.b
     # unequal floats order the exact values, as float() is monotone
-    return s.a.x if s.fax < s.fbx else s.b.x if s.fbx < s.fax else min(s.a.x, s.b.x)
+    return a if s.fax < s.fbx or s.fax == s.fbx and a.xn * b.xd <= b.xn * a.xd else b
+
+
+def _sweep_order(records: list[_Seg]) -> list[int]:
+    """The record indices by (exact least x, index).  A stable sort on fminx
+    gives it, as unequal fminx order the exact values, unless two equal fminx
+    (a shared end point makes many) are out of exact order; then an exact sort."""
+    keys = [s.fminx for s in records]
+    order = sorted(range(len(records)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    for k in compress(count(), map(eq, ranked, islice(ranked, 1, None))):
+        p, q = _least_x(records[order[k]]), _least_x(records[order[k + 1]])
+        if p.xn * q.xd > q.xn * p.xd:
+            def exact(i: int, j: int) -> int:
+                p, q = _least_x(records[i]), _least_x(records[j])
+                return (keys[i] > keys[j]) - (keys[i] < keys[j]) or p.xn * q.xd - q.xn * p.xd or i - j
+
+            return sorted(order, key=cmp_to_key(exact))
+    return order
 
 
 def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, int, int]]:
     """(s, t, i, j) for the records s = records[i] and t = records[j] whose
-    float boxes meet, s later in the sweep.  The sweep order, (exact least x,
-    index), fixes the order of reported violations; the key (fminx, exact
-    least x) gives it, as float() is monotone (unequal fminx order the exact
-    values) and the sort is stable."""
-    keys = [(s.fminx, _least_x(s)) for s in records]
-    order = sorted(range(len(records)), key=keys.__getitem__)
+    float boxes meet, s later in the sweep.  The sweep order (_sweep_order)
+    fixes the order of reported violations."""
+    order = _sweep_order(records)
     active: list[int] = []
     for i in order:
         s = records[i]
@@ -664,7 +682,17 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     violations += triples
     if violations:
         return DiagramAnalysis(tuple(violations))
-    return DiagramAnalysis((), tuple(pairs), tuple(records), leg_starts)
+    return DiagramAnalysis((), tuple(pairs), tuple(records), leg_starts, _flipped((0,) * d.n, pairs))
+
+
+def _flipped(w: tuple[int, ...], held) -> tuple[int, ...]:
+    """The per-loop bits w with a loop's bit flipped for each self-crossing of
+    `held`, crossings whose first two items are their strands' records."""
+    bits = list(w)
+    for c in held:
+        if c[0].loop == c[1].loop:
+            bits[c[0].loop] ^= 1
+    return tuple(bits)
 
 
 def analysis(d: BouquetDiagram) -> DiagramAnalysis:
@@ -834,6 +862,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
     additions = [_triple(leg_starts, *hit) for hit in hits if hit[5][0] not in removed]
+    w = _flipped(base.w, chain(dropped, hits))
     if splice.contract:
         # the parent's indices of the replaced records and of the records the
         # scan met (a changed one is no partner); a partner it did not meet gets
@@ -845,7 +874,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         if err:
             raise MoveBlocked(err)
     kept += [_held(*hit) for hit in hits]
-    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts)
+    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
     if not at_v and "star" in vars(base):  # no half-edge moved
         vars(kept_analysis)["star"] = base.star
     _set_analysis(d2, kept_analysis)
@@ -962,7 +991,7 @@ def vertex_directions(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
 # ---------------------------------------------------------------------------
 
 def _point_to_json(p: Point) -> list[int]:
-    return [p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator]
+    return [p.xn, p.xd, p.yn, p.yd]
 
 
 def _point_from_json(obj) -> Point:
@@ -970,10 +999,9 @@ def _point_from_json(obj) -> Point:
     if not (isinstance(obj, list) and len(obj) == 4 and type(obj[0]) is int
             and type(obj[1]) is int and type(obj[2]) is int and type(obj[3]) is int):
         raise DiagramFormatError(f"point must be [xnum, xden, ynum, yden] of ints, got {obj!r}")
-    xn, xd, yn, yd = obj
-    if xd == 0 or yd == 0:
+    if obj[1] == 0 or obj[3] == 0:
         raise DiagramFormatError("zero denominator in point")
-    return Point(rat(xn, xd), rat(yn, yd))
+    return _point(*obj)
 
 
 def to_json_obj(d: BouquetDiagram) -> dict:

@@ -7,12 +7,16 @@ realizes this identification is orientation reversing; its differential at p is
 the reflection returned by :func:`seam_reflection`, a symmetric involution with
 determinant -1 that fixes the radial direction through p.
 
-All coordinates are exact rationals, `Rat` = `fractions.Fraction`.  Every
-integer predicate and the float filter rely on two facts of it: values are
-kept in lowest terms with a positive denominator, and ``float()`` is the
-correctly rounded ``numerator / denominator``, so within a relative 2^-53 of
-the exact value and monotone.  Every predicate here returns a true sign, and
-no decision rests on a tolerance.  Callers may filter with floats (in
+All coordinates are exact rationals.  A `Point` holds each coordinate as
+two ints in lowest terms with a positive denominator (xn / xd, yn / yd),
+reduced once, by `math.gcd`, when it is built; `x` and `y` are `Rat` =
+`fractions.Fraction` views of them, built on each read, for callers outside
+the engine.  Every integer predicate and the float filter rely on two facts
+of that form: equal values have equal ints, and ``xn / xd`` is the
+correctly rounded quotient on every supported Python (int true division
+is), so within a relative 2^-53 of the exact value and monotone; it equals
+``float(p.x)``.  Every predicate here returns a true sign, and no decision
+rests on a tolerance.  Callers may filter with floats (in
 :mod:`rp2bouquet.diagram`: the structural check, the segment scan and the
 walk's drop check), but only where a proved error bound makes the float
 answer certain; everything else falls back to these predicates.  This is
@@ -24,14 +28,13 @@ cases are distinguished exactly.
 Constructions work on the same integers.  A constructed point (`_along`,
 `_plus`, `_seam_step`, the templates of :mod:`rp2bouquet.moves`) is an *int
 point* (xn, xd, yn, yd), denominators positive and unreduced, and `_point`
-makes one `Rat` per coordinate.  The constructors also take int points, so a
-`Point` is read once, by `_ints`.  Int division ``xn / xd`` is correctly
-rounded, so it is ``float()`` of that `Rat`, built or not.  A crossing stays
-ints (`_proper_ints`: its location in lowest terms, its parameters
-unreduced) until a splice passes its checks, so a move blocked on its count
-builds no `Rat`.  A direction needed only up to a positive factor is a
-`Point` of ints (`_direction`); the predicates read ints as they read
-`Rat`s, through ``numerator`` and ``denominator``.
+reduces it into a `Point`.  The constructors also take int points, so a
+`Point` is read once, by `_ints`.  A crossing stays ints (`_proper_ints`:
+its location in lowest terms, which `_lowest` makes a `Point` of unchecked,
+its parameters unreduced) until a splice passes its checks, so a move
+blocked on its count builds no `Rat`.  A direction needed only up to a
+positive factor is a `Point` with denominators 1 (`_direction`).  Loading,
+checking, scanning and dumping a diagram thus build no `Rat` at all.
 
 Rational points on the unit circle come from the tangent-half-angle map
 
@@ -43,7 +46,7 @@ package pick seam points and directions without ever leaving Q^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cmp_to_key
 from fractions import Fraction as Rat
@@ -77,33 +80,92 @@ class CodirectionalVectors(ValueError):
     """Two vectors point in exactly the same direction (positively parallel)."""
 
 
-@dataclass(frozen=True, slots=True)
 class Point:
-    """A point of (or vector in) the rational plane."""
+    """A point of (or vector in) the rational plane, immutable.
 
-    x: Rat
-    y: Rat
+    It holds x = xn / xd and y = yn / yd as four ints in lowest terms with
+    positive denominators; `x` and `y` are `Rat` views, built on each read.
+    Equality, hashing and the repr are those of the pair (x, y)."""
+
+    __slots__ = ("xn", "xd", "yn", "yd")
+
+    def __new__(cls, x, y) -> "Point":
+        # an int or a Rat holds its value in lowest terms, denominator positive
+        return _lowest(x.numerator, x.denominator, y.numerator, y.denominator)
+
+    @property
+    def x(self) -> Rat:
+        return Rat(self.xn, self.xd)
+
+    @property
+    def y(self) -> Rat:
+        return Rat(self.yn, self.yd)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Point, (self.x, self.y)
+
+    def __repr__(self) -> str:
+        return f"Point(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.xn == other.xn and self.xd == other.xd and self.yn == other.yn and self.yd == other.yd
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return _point(*_plus(_ints(self), _ints(other), 1, 1))
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return _point(*_plus(_ints(self), _ints(other), -1, 1))
 
     def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
+        return _lowest(-self.xn, self.xd, -self.yn, self.yd)
 
     def scale(self, k) -> "Point":
-        return Point(self.x * k, self.y * k)
+        kn, kd = k.numerator, k.denominator
+        return _point(self.xn * kn, self.xd * kd, self.yn * kn, self.yd * kd)
 
     def dot(self, other: "Point") -> Rat:
-        return self.x * other.x + self.y * other.y
+        xd, yd = self.xd * other.xd, self.yd * other.yd
+        return Rat(self.xn * other.xn * yd + self.yn * other.yn * xd, xd * yd)
 
     def cross(self, other: "Point") -> Rat:
-        return self.x * other.y - self.y * other.x
+        xd, yd = self.xd * other.yd, self.yd * other.xd  # x other.y, y other.x
+        return Rat(self.xn * other.yn * yd - self.yn * other.xn * xd, xd * yd)
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.xn == 0 and self.yn == 0
+
+
+# the slots' own setters, which the frozen __setattr__ does not reach
+_XN, _XD, _YN, _YD = Point.xn.__set__, Point.xd.__set__, Point.yn.__set__, Point.yd.__set__
+_new = object.__new__
+
+
+def _lowest(xn: int, xd: int, yn: int, yd: int) -> Point:
+    """The Point (xn / xd, yn / yd) of ints already in lowest terms, xd, yd > 0."""
+    p = _new(Point)
+    _XN(p, xn)
+    _XD(p, xd)
+    _YN(p, yn)
+    _YD(p, yd)
+    return p
+
+
+def _point(xn: int, xd: int, yn: int, yd: int) -> Point:
+    """The Point (xn / xd, yn / yd) of any ints with nonzero denominators."""
+    gx = gcd(xn, xd) if xd > 0 else -gcd(xn, xd)
+    gy = gcd(yn, yd) if yd > 0 else -gcd(yn, yd)
+    return _lowest(xn // gx, xd // gx, yn // gy, yd // gy)
 
 
 def pt(x, y) -> Point:
@@ -113,11 +175,7 @@ def pt(x, y) -> Point:
 
 def _ints(p: Point) -> tuple[int, int, int, int]:
     """p as an int point, in lowest terms: a key equal for equal points."""
-    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-
-
-def _point(xn: int, xd: int, yn: int, yd: int) -> Point:
-    return Point(Rat(xn, xd), Rat(yn, yd))
+    return p.xn, p.xd, p.yn, p.yd
 
 
 def _along(a: tuple, b: tuple, sn: int, sd: int) -> tuple[int, int, int, int]:
@@ -134,10 +192,11 @@ def _plus(p: tuple, v: tuple, kn: int, kd: int) -> tuple[int, int, int, int]:
 
 
 def _direction(a: Point, b: Point) -> Point:
-    """b - a times the positive axd * bxd * ayd * byd: a Point of ints."""
-    axd, ayd, bxd, byd = a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator
-    return Point((b.x.numerator * axd - a.x.numerator * bxd) * ayd * byd,
-                 (b.y.numerator * ayd - a.y.numerator * byd) * axd * bxd)
+    """b - a times the positive axd * bxd * ayd * byd: a Point of ints
+    (denominators 1), so not in lowest terms as a vector."""
+    axd, ayd = a.xd, a.yd
+    bxd, byd = b.xd, b.yd
+    return _lowest((b.xn * axd - a.xn * bxd) * ayd * byd, 1, (b.yn * ayd - a.yn * byd) * axd * bxd, 1)
 
 
 def orient2d(a: Point, b: Point, c: Point) -> int:
@@ -162,12 +221,12 @@ def orient2d(a: Point, b: Point, c: Point) -> int:
     >>> orient2d(pt(0, 0), pt(1, 0), pt(2, 0))
     0
     """
-    axn, axd = a.x.numerator, a.x.denominator
-    ayn, ayd = a.y.numerator, a.y.denominator
-    bxn, bxd = b.x.numerator, b.x.denominator
-    byn, byd = b.y.numerator, b.y.denominator
-    cxn, cxd = c.x.numerator, c.x.denominator
-    cyn, cyd = c.y.numerator, c.y.denominator
+    axn, axd = a.xn, a.xd
+    ayn, ayd = a.yn, a.yd
+    bxn, bxd = b.xn, b.xd
+    byn, byd = b.yn, b.yd
+    cxn, cxd = c.xn, c.xd
+    cyn, cyd = c.yn, c.yd
     # (bx - ax)(cy - ay) and (by - ay)(cx - ax), both scaled by
     # axd * ayd * bxd * byd * cxd * cyd > 0
     left = (bxn * axd - axn * bxd) * (cyn * ayd - ayn * cyd) * byd * cxd
@@ -207,12 +266,11 @@ class SegmentIntersection:
 
 def _between_on_line(p: Point, u: Point, v: Point) -> bool:
     # p is known to be on the line through u, v; test membership in the
-    # closed segment by coordinate ranges (exact).
-    if u.x != v.x:
-        lo, hi = (u.x, v.x) if u.x < v.x else (v.x, u.x)
-        return lo <= p.x <= hi
-    lo, hi = (u.y, v.y) if u.y < v.y else (v.y, u.y)
-    return lo <= p.y <= hi
+    # closed segment by a coordinate on which u and v differ (exact): p lies
+    # between them when (p - u)(p - v) <= 0, here times pd^2 ud vd > 0
+    if u.xn != v.xn or u.xd != v.xd:
+        return (p.xn * u.xd - u.xn * p.xd) * (p.xn * v.xd - v.xn * p.xd) <= 0
+    return (p.yn * u.yd - u.yn * p.yd) * (p.yn * v.yd - v.yn * p.yd) <= 0
 
 
 def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentIntersection:
@@ -231,7 +289,7 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentInter
     if kind is not SegKind.PROPER:
         return SegmentIntersection(kind)
     (xn, xd, yn, yd), (n1, n2, den) = _proper_ints(a, b, c, d)
-    return SegmentIntersection(kind, Point(Rat(xn, xd), Rat(yn, yd)), Rat(n1, den), Rat(n2, den))
+    return SegmentIntersection(kind, _lowest(xn, xd, yn, yd), Rat(n1, den), Rat(n2, den))
 
 
 def _kind(a: Point, b: Point, c: Point, d: Point) -> SegKind:
@@ -261,22 +319,24 @@ def _kind(a: Point, b: Point, c: Point, d: Point) -> SegKind:
 
 def _proper_ints(a: Point, b: Point, c: Point, d: Point) -> tuple[tuple, tuple]:
     """The PROPER crossing of [a, b] and [c, d] as ints: its location (xn, xd,
-    yn, yd) in lowest terms, as its `Rat` coordinates hold it, and the
-    unreduced (n1, n2, den) with t1 = n1 / den and t2 = n2 / den."""
+    yn, yd) in lowest terms, as a `Point` holds it, and the unreduced (n1,
+    n2, den) with t1 = n1 / den and t2 = n2 / den."""
     # With e1 = b - a, e2 = d - c, f = c - a:
     #   t1 = (f x e2) / (e1 x e2),  t2 = (f x e1) / (e1 x e2),  point = a + t1 e1.
     # x coordinates are scaled by the product of their four denominators and
     # y coordinates likewise, which turns every quantity into an integer with
     # one common positive scale per ratio; only the location is reduced, by
     # one gcd per coordinate, whose sign makes each denominator positive.
-    axd, bxd, cxd, dxd = a.x.denominator, b.x.denominator, c.x.denominator, d.x.denominator
-    ayd, byd, cyd, dyd = a.y.denominator, b.y.denominator, c.y.denominator, d.y.denominator
+    axd, bxd = a.xd, b.xd
+    cxd, dxd = c.xd, d.xd
     ab, cd = axd * bxd, cxd * dxd
-    xa, xb = a.x.numerator * bxd * cd, b.x.numerator * axd * cd
-    xc, xd = c.x.numerator * dxd * ab, d.x.numerator * cxd * ab
+    xa, xb = a.xn * bxd * cd, b.xn * axd * cd
+    xc, xd = c.xn * dxd * ab, d.xn * cxd * ab
+    ayd, byd = a.yd, b.yd
+    cyd, dyd = c.yd, d.yd
     ab, cd = ayd * byd, cyd * dyd
-    ya, yb = a.y.numerator * byd * cd, b.y.numerator * ayd * cd
-    yc, yd = c.y.numerator * dyd * ab, d.y.numerator * cyd * ab
+    ya, yb = a.yn * byd * cd, b.yn * ayd * cd
+    yc, yd = c.yn * dyd * ab, d.yn * cyd * ab
     e1x, e1y, e2x, e2y, fx, fy = xb - xa, yb - ya, xd - xc, yd - yc, xc - xa, yc - ya
     den = e1x * e2y - e1y * e2x
     n1 = fx * e2y - fy * e2x
@@ -297,7 +357,8 @@ Mat2 = tuple[tuple[Rat, Rat], tuple[Rat, Rat]]
 
 def unit_circle_side(p: Point) -> int:
     """Exact sign of |p|^2 - 1: -1 inside the unit circle, 0 on it, +1 outside."""
-    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    xn, xd = p.xn, p.xd
+    yn, yd = p.yn, p.yd
     # |p|^2 - 1 scaled by (xd * yd)^2 > 0
     lhs = (xn * yd) ** 2 + (yn * xd) ** 2
     rhs = (xd * yd) ** 2
@@ -322,10 +383,11 @@ def circle_point(u) -> Point:
     >>> str(p.x), str(p.y)
     ('0', '1')
     """
-    u = rat(u)
+    if not isinstance(u, (int, Rat)):
+        u = rat(u)
     un, ud = u.numerator, u.denominator
     den = ud * ud + un * un
-    return Point(Rat(ud * ud - un * un, den), Rat(2 * un * ud, den))
+    return _point(ud * ud - un * un, den, 2 * un * ud, den)
 
 
 def seam_reflection(p: Point) -> Mat2:
@@ -379,8 +441,8 @@ def mat_apply(m: Mat2, v: Point) -> Point:
 def _half(v: Point) -> int:
     # 0 for angles in [0, pi) from (1, 0), 1 otherwise.  Denominators are
     # positive, so each sign is that of the numerator.
-    y = v.y.numerator
-    return 0 if y > 0 or (y == 0 and v.x.numerator > 0) else 1
+    y = v.yn
+    return 0 if y > 0 or (y == 0 and v.xn > 0) else 1
 
 
 def _angle_cmp(u: Point, v: Point) -> int:
@@ -388,8 +450,9 @@ def _angle_cmp(u: Point, v: Point) -> int:
     if hu != hv:
         return hu - hv
     # one half-plane spans less than pi, so u x v orders it; zero means
-    # codirectional, as antipodal vectors lie in different halves
-    cr = u.cross(v)
+    # codirectional, as antipodal vectors lie in different halves.  Here
+    # u x v is times uyd * vxd * uxd * vyd > 0.
+    cr = u.xn * v.yn * u.yd * v.xd - u.yn * v.xn * u.xd * v.yd
     if cr:
         return -1 if cr > 0 else 1
     raise CodirectionalVectors(f"({u.x}, {u.y}) and ({v.x}, {v.y}) are codirectional")

@@ -268,13 +268,9 @@ def inv3(d: BouquetDiagram) -> tuple[int, ...]:
     """Per-loop parity of the signed self-intersection index.
 
     Every contribution is +-1, so this equals the self-crossing count mod 2
-    and does not depend on the traversal orientation.
+    and does not depend on the traversal orientation.  The analysis keeps it.
     """
-    bits = [0] * d.n
-    for a, b, _, _ in _generic_analysis(d).pairs:
-        if a.loop == b.loop:
-            bits[a.loop] ^= 1
-    return tuple(bits)
+    return _generic_analysis(d).w
 
 
 def invariants(d: BouquetDiagram) -> InvariantTuple:

@@ -482,6 +482,13 @@ def _rand_rat(rng: random.Random, lo_num: int, hi_num: int, den: int) -> Rat:
     return rat(rng.randrange(lo_num, hi_num), den)
 
 
+def _extent(a: Point, b: Point) -> tuple[int, int]:
+    """max(|bx - ax|, |by - ay|) as an unreduced (n, d), d > 0."""
+    xn, xd = abs(b.xn * a.xd - a.xn * b.xd), a.xd * b.xd
+    yn, yd = abs(b.yn * a.yd - a.yn * b.yd), a.yd * b.yd
+    return (xn, xd) if xn * yd >= yn * xd else (yn, yd)
+
+
 def _outward_u(p: tuple, rng: random.Random) -> Rat | None:
     """Tan-half-angle of roughly the outward radial direction at the int point p.
 
@@ -531,11 +538,11 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
             return None
         if idx == len(pts) - 2 and leg < len(lp.legs) - 1:
             return None
-        d1 = pts[idx] - pts[idx - 1]
-        d2 = pts[idx + 1] - pts[idx]
-        scale = min(max(abs(d1.x), abs(d1.y)), max(abs(d2.x), abs(d2.y)))
-        dx = scale * _rand_rat(rng, -40, 41, 256)
-        dy = scale * _rand_rat(rng, -40, 41, 256)
+        # the scale: the lesser of the two segments' extents, as sn / sd
+        (n1, d1), (n2, d2) = _extent(pts[idx - 1], pts[idx]), _extent(pts[idx], pts[idx + 1])
+        sn, sd = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
+        dx = Rat(sn * rng.randrange(-40, 41), 256 * sd)  # scale times a random k / 256
+        dy = Rat(sn * rng.randrange(-40, 41), 256 * sd)
         if dx == 0 and dy == 0:
             return None
         return MoveSpec("Jiggle", loop, leg, idx, (dx, dy))

@@ -38,7 +38,7 @@ import random
 from itertools import permutations, product
 from math import factorial
 
-from .geometry import Point, Rat, _ints, _point, _seam_step, circle_point, pt, rat
+from .geometry import Point, Rat, _ints, _point, _seam_step, circle_point, rat
 from .diagram import BouquetDiagram, HalfEdge, Leg, LoopPath, _segment_gaps, validate
 from .invariants import (CyclicWord, DuplicateSymbol, InvariantTuple, MissingSymbol, _class_rows,
                          invariants, inv3)
@@ -94,7 +94,7 @@ def _arc_points(radius: Rat, u_from: int, u_to: int) -> list[Point]:
     """
     step = 1 if u_to > u_from else -1
     inner = [rat(4 * u_from + step * (2 * k + 1), 4) for k in range(2 * abs(u_to - u_from))]
-    return [circle_point(u).scale(radius) for u in [rat(u_from), *inner, rat(u_to)]]
+    return [circle_point(u).scale(radius) for u in [u_from, *inner, u_to]]
 
 
 def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
@@ -107,19 +107,19 @@ def _build_base(t: InvariantTuple, n: int, attempt: int) -> BouquetDiagram:
         if t.h[i] == 0:
             radius = rat(n + 1 + i, 2 * n + 2 + attempt)
             radius *= rat(64 * n + attempt * i, 64 * n + attempt * n)
-            petal = [pt(0, 0)] + _arc_points(radius, u_a, u_b) + [pt(0, 0)]
+            petal = [Point(0, 0)] + _arc_points(radius, u_a, u_b) + [Point(0, 0)]
             loops.append(LoopPath((Leg(tuple(petal)),)))
         else:
             inner = rat(i + 1, 8 * (n + 1) + attempt)
-            s_a = circle_point(rat(u_a)).scale(inner)
-            s_b = circle_point(rat(u_b)).scale(inner)
+            s_a = circle_point(u_a).scale(inner)
+            s_b = circle_point(u_b).scale(inner)
             q = circle_point(rat(7 * (n + 1 + i) + attempt, 7))
             entry = _point(*_seam_step(_ints(q), _ints(q - s_a)))
             loops.append(LoopPath((
-                Leg((pt(0, 0), s_a, q)),
-                Leg((-q, entry, s_b, pt(0, 0))),
+                Leg((Point(0, 0), s_a, q)),
+                Leg((-q, entry, s_b, Point(0, 0))),
             )))
-    return BouquetDiagram(n, pt(0, 0), tuple(loops))
+    return BouquetDiagram(n, Point(0, 0), tuple(loops))
 
 
 def _flip_parity(d: BouquetDiagram, loop: int) -> BouquetDiagram:

@@ -6,6 +6,7 @@ import random
 import runpy
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -22,15 +23,19 @@ from rp2bouquet import (
     LoopPath,
     crossings,
     dumps,
+    inv3,
+    invariants,
     loads,
     pt,
     random_move_applied,
     random_tuple,
     rat,
     realize,
+    validate,
 )
 from rp2bouquet import cli as cli_mod
 from rp2bouquet import diagram as diagram_mod
+from rp2bouquet.normal_form import _flip_parity
 from rp2bouquet.cli import main, render_svg, run_fuzz, run_replay
 from rp2bouquet.diagram import analysis
 from conftest import reference_svg
@@ -538,6 +543,53 @@ def test_render_svg_equals_the_reference_on_seeded_walks():
         firsts = [(c.loop_a, c.param_a.leg, c.param_a.seg) for c in crossings(d)]
         shared += len(firsts) - len(set(firsts))
     assert seams > 20 and shared > 20
+
+
+def test_the_read_path_builds_no_fraction(data_dir, monkeypatch):
+    """loads, validate, invariants, dumps and render_svg read the ints a Point
+    holds: on every valid fixture and on 20 seeded walks of 40 moves, none of
+    them builds a Fraction."""
+    texts = [dumps(d) for d in valid_fixtures(data_dir)]
+    for seed in range(20):
+        rng = random.Random(f"read-path:{seed}")
+        d = realize(random_tuple(1 + seed % 4, rng.randrange(10 ** 9)))
+        for _ in range(40):
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+        texts.append(dumps(d))
+    built = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) and built == 1  # the counter counts
+    built = 0
+    for text in texts:
+        d = loads(text)
+        assert validate(d) == []
+        invariants(d)
+        assert dumps(d) == text
+        render_svg(d)
+    assert built == 0
+
+
+def test_cross_check_compares_the_kept_w_bits(monkeypatch):
+    """A splice that left its loop's w bit unflipped, here a mutant of
+    diagram._flipped, shows against a rebuilt analysis once an edit adds one
+    self-crossing; the splice itself flips it."""
+    d = realize(InvariantTuple.parse("order=e1,e2,e1^-1,e2^-1; h=01; w=00"))
+    with monkeypatch.context() as m:
+        m.setattr(diagram_mod, "_flipped", lambda w, held: w)
+        mutant = _flip_parity(d, 1)
+    edited = _flip_parity(d, 1)
+    assert inv3(edited) == (0, 1) == analysis(BouquetDiagram(2, d.vertex, edited.loops)).w
+    assert inv3(mutant) == (0, 0)
+    assert cli_mod._violation(edited, "SingleKink", invariants(edited), True) is None
+    assert (cli_mod._violation(mutant, "SingleKink", invariants(edited), True)
+            == "kept w diverge from a rebuilt analysis after SingleKink")
 
 
 # the midpoint of two adjacent floats whose texts at 9 decimals are

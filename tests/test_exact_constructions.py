@@ -116,7 +116,7 @@ def test_int_directions_sort_and_key_as_fraction_vectors(pairs, copies):
     pairs = [(p0, p1) for p0, p1 in pairs if p0 != p1]
     exact = [p1 - p0 for p0, p1 in pairs]
     ints = [_direction(p0, p1) for p0, p1 in pairs]
-    assert all(type(v.x) is int and type(v.y) is int for v in ints)
+    assert all(v.xd == 1 and v.yd == 1 for v in ints)  # _direction gives denominators of 1
     assert sorted_or_codirectional(ints) == sorted_or_codirectional(exact)
     for i in range(len(pairs)):
         for j in range(len(pairs)):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from rp2bouquet.geometry import (
     Point,
     SegKind,
     _ints,
+    _point,
     _proper_ints,
     angle_sort,
     antipode,
@@ -23,6 +26,7 @@ from rp2bouquet.geometry import (
     segment_intersection,
     unit_circle_side,
 )
+from rp2bouquet.diagram import DiagramFormatError, _point_from_json, dumps, loads
 
 rats = st.builds(rat, st.integers(-8, 8), st.integers(1, 8))
 points = st.builds(pt, rats, rats)
@@ -285,6 +289,11 @@ def test_circle_point_on_circle(u):
         assert circle_point(-1 / u) == -p
 
 
+def test_circle_point_takes_a_string_an_int_or_a_fraction():
+    assert circle_point("1/2") == circle_point(rat(1, 2)) == pt("3/5", "4/5")
+    assert circle_point(1) == circle_point(rat(1)) == pt(0, 1)
+
+
 def test_circle_point_angle_monotone():
     us = [rat(k, 2) for k in range(-6, 7)]
     angles = [math.atan2(float(circle_point(u).y), float(circle_point(u).x)) for u in us]
@@ -391,3 +400,76 @@ def test_angle_sort_codirectional_axis_and_big_vectors():
     # antipodal and nearly codirectional vectors sort
     eps = rat(1, 2 ** 200)
     assert angle_sort([pt(1, eps), pt(1, 0), pt(-1, 0), pt(1, -eps)]) == [1, 0, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the int Point against a pair of Fractions
+# ---------------------------------------------------------------------------
+
+# parts of up to 600 bits, and nonzero denominators of either sign
+parts = st.integers(-(2 ** 600), 2 ** 600)
+dens = parts.filter(bool)
+coords = st.one_of(rats, st.builds(Fraction, parts, st.integers(1, 2 ** 600)))
+
+
+def lowest(x: Fraction, y: Fraction) -> tuple[int, int, int, int]:
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+@given(parts, dens, parts, dens)
+def test_point_holds_lowest_terms_of_any_construction(xn, xd, yn, yd):
+    """From unreduced ints with either sign of denominator (_point), from
+    Fractions and from ints, a Point holds the lowest terms of the value,
+    denominators positive."""
+    x, y = Fraction(xn, xd), Fraction(yn, yd)
+    assert _ints(_point(xn, xd, yn, yd)) == lowest(x, y) == _ints(Point(x, y))
+    assert _ints(Point(xn, yn)) == (xn, 1, yn, 1)
+    assert _point(xn, xd, yn, yd) == Point(x, y) == pt(x, y)
+
+
+@given(coords, coords, coords, coords, st.one_of(coords, st.integers(-5, 5)))
+def test_point_agrees_with_a_pair_of_fractions(ax, ay, bx, by, k):
+    p, q = Point(ax, ay), Point(bx, by)
+    assert (p.x, p.y) == (ax, ay) and type(p.x) is Fraction and type(p.y) is Fraction
+    assert (p == q) == ((ax, ay) == (bx, by)) and (p != q) == ((ax, ay) != (bx, by))
+    assert p == Point(Fraction(ax), Fraction(ay)) and p != (ax, ay)
+    assert hash(p) == hash((ax, ay)) == hash(Point(ax, ay))
+    assert repr(p) == f"Point(x={ax!r}, y={ay!r})"
+    for got, (x, y) in ((p + q, (ax + bx, ay + by)), (p - q, (ax - bx, ay - by)), (-p, (-ax, -ay)),
+                        (p.scale(k), (ax * k, ay * k))):
+        assert _ints(got) == lowest(Fraction(x), Fraction(y))
+    assert p.dot(q) == ax * bx + ay * by and type(p.dot(q)) is Fraction
+    assert p.cross(q) == ax * by - ay * bx and type(p.cross(q)) is Fraction
+    assert p.is_zero() == (ax == 0 and ay == 0)
+
+
+def test_point_is_immutable_and_keeps_its_repr():
+    p = pt("1/2", "-3/4")
+    for name in ("x", "y", "xn", "xd", "yn", "yd", "z"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert _ints(p) == (1, 2, -3, 4)
+    assert repr(p) == "Point(x=Fraction(1, 2), y=Fraction(-3, 4))"
+    assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == copy.deepcopy(p) == p
+    assert Point(0, 0).is_zero() and not pt(0, "1/9").is_zero()
+
+
+def test_loads_reduces_points_and_dumps_them_in_lowest_terms():
+    text = '{"n":1,"vertex":[0,1,0,1],"loops":[{"legs":[[[0,1,0,1],[2,4,-3,-6],[3,-6,0,5],[0,1,0,1]]]}]}'
+    points = loads(text).loops[0].legs[0].points
+    assert points[1:3] == (pt("1/2", "1/2"), pt("-1/2", 0))
+    assert dumps(loads(text)) == text.replace("[2,4,-3,-6],[3,-6,0,5]", "[1,2,1,2],[-1,2,0,1]") + "\n"
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, True, 0, 1], "point must be [xnum, xden, ynum, yden] of ints, got [1, True, 0, 1]"),
+    ([1, 2, 0.5, 1], "point must be [xnum, xden, ynum, yden] of ints, got [1, 2, 0.5, 1]"),
+    ([1, 0, 0, 1], "zero denominator in point"),
+    ([1, 2, 3, 0], "zero denominator in point"),
+])
+def test_point_from_json_rejects_what_it_did(obj, message):
+    with pytest.raises(DiagramFormatError) as exc:
+        _point_from_json(obj)
+    assert str(exc.value) == message

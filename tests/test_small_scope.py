@@ -1,4 +1,4 @@
-"""Three small-scope exhaustive families, with V at the origin and interior
+"""Four small-scope exhaustive families, with V at the origin and interior
 points on the grid {-1/2, -1/4, 0, 1/4, 1/2}^2 less the origin.
 
 * One loop, one leg, two or three interior points: 24^2 + 24^3 = 14,400
@@ -6,6 +6,10 @@ points on the grid {-1/2, -1/4, 0, 1/4, 1/2}^2 less the origin.
 * One loop, two legs V -> p -> q and -q -> p' -> V through one of the 12
   rational unit-circle points q with denominator 1 or 5, and grid points p
   and p': 12 * 24^2 = 6,912 diagrams.
+* Two loops of two legs each, V -> p -> q and -q -> s -> V, through any two
+  of the 12 circle points q: 12^2 = 144 diagrams.  Each loop's p is fixed and
+  its s is the reflected exit step from -q, so only the seam table, which
+  compares the two seam exits, can fail.
 * Three loops: the fixed one-leg triangles V -> (1/2, 0) -> (0, 1/2) -> V and
   V -> (1/2, 1/2) -> (-1/2, 1/4) -> V, valid together with 3 crossings, and
   a third V -> p -> q -> V for grid points p and q: 24^2 = 576 diagrams.
@@ -24,7 +28,7 @@ import pytest
 
 from rp2bouquet import BouquetDiagram, Leg, LoopPath, MoveBlocked, apply_move, crossings, invariants, pt, validate
 from rp2bouquet import moves as moves_mod
-from rp2bouquet.geometry import rat
+from rp2bouquet.geometry import mat_apply, rat, seam_reflection
 
 from test_diagram import brute_force_crossings, normalize_engine, normalize_oracle
 from test_moves import assert_dropped_only_if_blocked, assert_kept_analysis_is_fresh
@@ -68,7 +72,7 @@ REACHED = {"RepeatedPoint", "Cusp", "CodirectionalAtVertex"}
 # - SeamPointOffCircle, SeamNotAntipodal: q is on the circle, the second leg
 #   starts at -q;
 # - CoincidentSeamPoints, AntipodalSeamPoints: they compare two seam exits, and
-#   the loop has one;
+#   the loop has one (the two-exit family reaches both);
 # - NonTransversal, TriplePoint: the pair scan runs only on a structurally valid
 #   diagram, where SeamRegularity puts -q -> p' on the mirror image of the line
 #   through p and q in the line L through V normal to q.  So a touch puts V
@@ -102,6 +106,25 @@ def two_leg_family():
     for k, q in enumerate(CIRCLE):
         for i, j in itertools.product(range(len(GRID)), repeat=2):
             yield (i, k, j), BouquetDiagram(1, V, (LoopPath((Leg((V, GRID[i], q)), Leg((-q, GRID[j], V)))),))
+
+
+# The first interior point of each loop in the two-exit family.  Neither lies on
+# a line through V and one of the 12 circle points, so no leg folds back at it.
+EXIT_P = (pt("1/4", "1/4"), pt("-1/2", "1/4"))
+
+
+def exit_loop(p, q):
+    """V -> p -> q, then -q -> s -> V for s = -q + M(q)(q - p) / 8 inside the
+    disk, so that the joint is regular (see seam_reflection)."""
+    s = -q + mat_apply(seam_reflection(q), q - p).scale(rat(1, 8))
+    return LoopPath((Leg((V, p, q)), Leg((-q, s, V))))
+
+
+def two_exit_family():
+    """((index in CIRCLE of loop 0's q, of loop 1's), diagram) for every
+    diagram of the family."""
+    for k, m in itertools.product(range(len(CIRCLE)), repeat=2):
+        yield (k, m), BouquetDiagram(2, V, (exit_loop(EXIT_P[0], CIRCLE[k]), exit_loop(EXIT_P[1], CIRCLE[m])))
 
 
 def three_loop_family():
@@ -235,6 +258,26 @@ def test_the_walk_and_its_moves_on_the_two_leg_family(two_leg_valid):
     applied = assert_walk_and_moves(two_leg_valid, tally)
     assert min(tally.get(rule, 0) for rule in ("Detour", "outside", "strand")) >= 5, tally
     assert applied >= 100, (applied, tally)
+
+
+def test_the_two_exit_family_reaches_the_seam_table_kinds_and_no_other():
+    """A diagram of the family is invalid exactly when its two seam exits
+    coincide or are antipodal, and then the seam table reports just that;
+    the valid ones have the crossings of the brute-force oracle, and the
+    walk and its moves keep their contracts on them."""
+    family = dict(two_exit_family())
+    assert len(family) == 144
+    for (k, m), d in family.items():
+        kinds = [v.kind for v in validate(d)]
+        if CIRCLE[k] == CIRCLE[m]:
+            assert kinds == ["CoincidentSeamPoints"], (k, m)
+        elif CIRCLE[k] == -CIRCLE[m]:
+            assert kinds == ["AntipodalSeamPoints"], (k, m)
+        else:
+            assert kinds == [], (k, m)
+            assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+    valid = [d for d in family.values() if not validate(d)]
+    assert assert_walk_and_moves(valid, {}) >= 50
 
 
 def test_the_three_loop_family_has_its_valid_diagrams_and_their_crossings(three_loop_valid):

@@ -62,10 +62,13 @@ present signatures.  The rows:
   the first one's end (``shared_end``: the filter never decides a shared
   end point, so ``_meet`` falls back to the exact ``_kind``).
 
-A sample is the mean over enough calls to last a few ms.  Each row gives
-the median and quartiles of ``--reps`` samples, and for each source after
-the first, the median ratio of its samples to the first source's taken next
-to them.  Each source also records the line count of its ``rp2bouquet/``
+A sample is the mean over one count of calls per row, the same for every
+source: enough calls to last a few ms at the median of three warm-up calls
+of the slowest source.  Each row gives the median and quartiles of
+``--reps`` samples, and for each source after the first, the median ratio
+of its samples to the first source's taken next to them.  A row is marked
+``"wide": true`` in every source when some source's quartile spread exceeds
+a quarter of its median: its ratio is too noisy to read, so rerun it.  Each source also records the line count of its ``rp2bouquet/``
 and the SHA-256 of its snapshots' ``dumps``, of its ``_structural_ok``
 verdicts (each window's first violation, or ``None``), of its
 ``apply_move`` outcomes (each block message, or the ``dumps`` of the
@@ -447,6 +450,12 @@ def summary(samples: list[float]) -> dict:
             "iqr": round(q3 - q1, 4), "n": len(samples)}
 
 
+def wide(samples: list[float]) -> bool:
+    """Whether the quartile spread of samples exceeds a quarter of their median."""
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q3 - q1 > q2 / 4
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True, metavar="[LABEL=]DIR",
@@ -467,14 +476,14 @@ def main(argv=None) -> int:
     samples = {label: {} for label in labels}
     for name in dict.fromkeys(name for label in labels for name in tables[label]):
         having = [label for label in labels if name in tables[label]]
-        inner = {}
-        for label in having:
-            one = sample(tables[label][name][2], 1)  # also warms the call up
-            inner[label] = max(1, int(SAMPLE_S / max(one, 1e-9)))
+        # the warm-up calls also warm each source's call up
+        slowest = max(statistics.median(sample(tables[label][name][2], 1) for _ in range(3)) for label in having)
+        inner = max(1, int(SAMPLE_S / max(slowest, 1e-9)))
         for r in range(args.reps):
             for label in (having if r % 2 == 0 else having[::-1]):
                 unit, scale, call = tables[label][name]
-                samples[label].setdefault(name, []).append(sample(call, inner[label]) * scale)
+                samples[label].setdefault(name, []).append(sample(call, inner) * scale)
+    noisy = {name for xs in samples.values() for name, x in xs.items() if wide(x)}
     first = labels[0]
     report = {
         "script": "scripts/bench_layers.py",
@@ -483,7 +492,8 @@ def main(argv=None) -> int:
                         "machine": platform.machine(), "cpus": os.cpu_count()},
         "reps": args.reps,
         "sources": {label: {**checks[label],
-                            "rows": {name: {"unit": tables[label][name][0], **summary(xs)}
+                            "rows": {name: {"unit": tables[label][name][0], **summary(xs),
+                                            **({"wide": True} if name in noisy else {})}
                                      for name, xs in samples[label].items()}}
                     for label in labels},
         # the median over reps of each sample's ratio to the first source's

@@ -235,7 +235,8 @@ class DiagramAnalysis:
     :func:`_leg_starts`, the index of each leg's first record, and
     :func:`_position` finds a record's (leg, seg) from its index by one
     bisect.  `pairs` holds each crossing in no fixed order, in the kept form
-    of :func:`_held`, which names its strands by their records, not their
+    (a, b, frame, ints) that :func:`_meet` gives on its strands' records in
+    record order, which names its strands by their records, not their
     positions.  A splice thus keeps every record and crossing off its window
     as it is.  `crossings`, the public sorted tuple, and `star`, the
     half-edges around V, are built on first use and cached (so
@@ -520,25 +521,9 @@ def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
     return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in row
 
 
-def _held(s: _Seg, t: _Seg, i: int, j: int, frame: int, ints) -> tuple:
-    """The kept form (a, b, frame, ints) of the PROPER _meet(s, t) = (frame,
-    ints) of s = records[i] and t = records[j]: the strands' records in
-    Crossing's order, the lesser index first (records run in (loop, leg, seg)
-    order), with the frame and the parameters of `ints` to match.  The frame
-    orient2d(s.a, s.b, t.b) is the sign of ds x dt: t.a and t.b lie strictly
-    on opposite sides of s, so ds x (t.b - t.a) = ds x (t.b - s.a) - ds x
-    (t.a - s.a) has the sign of its first term."""
-    if j < i:
-        at, (n1, n2, den) = ints
-        return t, s, -frame, (at, (n2, n1, den))
-    return s, t, frame, ints
-
-
 def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tuple:
-    """(key_a, key_b, frame), in Crossing's order and each key a (loop, leg, seg), of
-    the crossing of s = records[i] and t = records[j]: a crossing as contracts read it."""
-    if j < i:
-        s, t, i, j, frame = t, s, j, i, -frame
+    """(key_a, key_b, frame), each key a (loop, leg, seg), of the kept crossing of
+    s = records[i] and t = records[j], i < j: a crossing as contracts read it."""
     return (s.loop, *_position(leg_starts, s.loop, i)), (t.loop, *_position(leg_starts, t.loop, j)), frame
 
 
@@ -595,7 +580,10 @@ def _sure(s: _Seg, t: _Seg) -> int | None:
 def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
     """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
     one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
-    else 0 and None: all ints, from which _held makes the kept crossing."""
+    else 0 and None: all ints.  On records in record order, (s, t, frame, ints)
+    is the kept crossing, in Crossing's order: the frame is the sign of ds x dt,
+    as ds x (t.b - t.a) = ds x (t.b - s.a) - ds x (t.a - s.a) and t.a and t.b
+    lie strictly on opposite sides of s."""
     frame = _sure(s, t)
     if frame is None:  # the floats decide nothing: the exact predicates do
         kind = _kind(s.a, s.b, t.a, t.b)
@@ -666,9 +654,9 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     triples: list[Violation] = []
     # positions are looked up only for the pairs that touch or meet at a crossing
     for s, t, i, j in _all_pairs(records, leg_starts):
-        kind, frame, ints = _meet(s, t)
+        kind, frame, ints = _meet(s, t) if i < j else _meet(t, s)
         if kind is SegKind.PROPER:
-            pairs.append(_held(s, t, i, j, frame, ints))
+            pairs.append((s, t, frame, ints) if i < j else (t, s, frame, ints))
             if ints[0] in seen:
                 a, k = pairs[-1][0], min(i, j)  # strand a's record and index
                 triples.append(Violation("TriplePoint", a.loop, *_position(leg_starts, a.loop, k),
@@ -761,31 +749,18 @@ def _near(records, start: int, segs: list[_Seg]) -> list[tuple[int, _Seg]]:
             if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
 
 
-def _changed_pairs(records, leg_starts, lo: int, hi: int) -> Iterator[tuple]:
-    """(u, v, i, j) for the changed records u = records[i], lo <= i < hi,
-    and the records v = records[j] whose float boxes meet u's, in record
-    order, each pair once; _meet decides each pair exactly.  Every splice
-    builds a segment, so lo < hi."""
-    changed = records[lo:hi]
-    near = _near(records, 0, changed)
-    for i, u in enumerate(changed, lo):
-        for j, v in near:
-            if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
-                continue  # disjoint for certain
-            # a pair of changed records comes once, from its later one
-            if lo <= j <= i or _skip_pair(u, v, i, j, leg_starts):
-                continue
-            yield u, v, i, j
-
-
 def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
                   count) -> tuple[list[tuple], int, int]:
-    """One pass over the pairs of the changed records[lo:hi]: the crossings
-    found, each as the arguments (u, v, i, j, frame, ints) of _pair_crossing,
-    how many of `removed` (the locations on replaced segments) were found
-    again, and the tally of additions (crossings at no location in `removed`)
-    the splice's `count` counts.  No `Crossing` is built: a location is the
-    int key of _proper_ints and a strand's loop its record's.
+    """One pass over the pairs of a changed record u = records[i], lo <= i < hi
+    (every splice builds a segment), and a record v = records[j] whose float
+    box meets u's, each pair once; _meet decides each pair exactly.  Returns
+    the crossings found, each as _meet's kept crossing of a = records[i] and
+    b = records[j], i < j, in the arguments (a, b, i, j, frame, ints) of
+    _triple and _pair_crossing; how many of `removed` (the locations on
+    replaced segments) were found again; and the tally of additions
+    (crossings at no location in `removed`) the splice's `count` counts.  No
+    `Crossing` is built: a location is the int key of _proper_ints and a
+    strand's loop its record's.
 
     MoveBlocked at the first certain violation: a non-transversal contact (as each
     segment of a crossing at V makes with loop 0's first one, a pair no scan skips:
@@ -800,25 +775,33 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     found: list[tuple] = []
     seen: set[tuple[int, int, int, int]] = set()
     refound = counted = 0
-    for u, v, i, j in _changed_pairs(records, leg_starts, lo, hi):
-        kind, frame, ints = _meet(u, v)
-        if kind is SegKind.DEGENERATE:
-            leg, seg = _position(leg_starts, v.loop, j)
-            raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
-                              f"segment={seg} non-transversally")
-        if kind is not SegKind.PROPER:
-            continue
-        key = ints[0]
-        if key in seen:
-            raise MoveBlocked("two crossings would coincide")
-        seen.add(key)
-        found.append((u, v, i, j, frame, ints))
-        if key in removed:
-            refound += 1
-        elif counts is None or u.loop == v.loop == counts:
-            counted += 1
-        if counted > limit and refound == len(removed):
-            raise MoveBlocked(f"{exactly}, got more than {limit}")
+    changed = records[lo:hi]
+    near = _near(records, 0, changed)
+    for i, u in enumerate(changed, lo):
+        for j, v in near:
+            if v.fmaxx < u.fminx or v.fminx > u.fmaxx or v.fmaxy < u.fminy or v.fminy > u.fmaxy:
+                continue  # disjoint for certain
+            # a pair of changed records comes once, from its later one
+            if lo <= j <= i or _skip_pair(u, v, i, j, leg_starts):
+                continue
+            kind, frame, ints = _meet(u, v) if i < j else _meet(v, u)
+            if kind is SegKind.DEGENERATE:
+                leg, seg = _position(leg_starts, v.loop, j)
+                raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
+                                  f"segment={seg} non-transversally")
+            if kind is not SegKind.PROPER:
+                continue
+            key = ints[0]
+            if key in seen:
+                raise MoveBlocked("two crossings would coincide")
+            seen.add(key)
+            found.append((u, v, i, j, frame, ints) if i < j else (v, u, j, i, frame, ints))
+            if key in removed:
+                refound += 1
+            elif counts is None or u.loop == v.loop == counts:
+                counted += 1
+            if counted > limit and refound == len(removed):
+                raise MoveBlocked(f"{exactly}, got more than {limit}")
     return found, refound, counted
 
 
@@ -865,15 +848,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     w = _flipped(base.w, chain(dropped, hits))
     if splice.contract:
         # the parent's indices of the replaced records and of the records the
-        # scan met (a changed one is no partner); a partner it did not meet gets
-        # -1, whose key names leg -1, as no addition's does
-        where.update((id(v), k if k < i else k - delta) for _, v, _, k, _, _ in hits)
+        # scan met (a changed one is no strand of a dropped crossing); a partner
+        # it did not meet gets -1, whose key names leg -1, as no addition's does
+        for a, b, ia, ib, _, _ in hits:
+            where[id(a)], where[id(b)] = ia if ia < i else ia - delta, ib if ib < i else ib - delta
         dropped = [_triple(base.leg_starts, a, b, where.get(id(a), -1), where.get(id(b), -1), frame)
                    for a, b, frame, _ in dropped]
         err = splice.contract(additions, dropped, d2)
         if err:
             raise MoveBlocked(err)
-    kept += [_held(*hit) for hit in hits]
+    kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
     kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
     if not at_v and "star" in vars(base):  # no half-edge moved
         vars(kept_analysis)["star"] = base.star
@@ -900,9 +884,11 @@ def _on_segment(d: BouquetDiagram, key: tuple[int, int, int]) -> Iterator[tuple[
 
 
 def _segment_gaps(d: BouquetDiagram, key: tuple[int, int, int]) -> list[tuple[Rat, Rat]]:
-    """The parameter intervals of segment `key` free of crossings, in order."""
+    """The parameter intervals of segment `key` free of crossings, in order.  None is
+    empty: a crossing's parameter lies strictly inside (0, 1), and two equal ones on
+    a segment would meet at one point, a TriplePoint ("two crossings would coincide")."""
     cuts = [rat(0)] + sorted(Rat(c[3][1][k], c[3][1][2]) for c, k in _on_segment(d, key)) + [rat(1)]
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, loop: int | None = None,

@@ -519,6 +519,81 @@ def assert_kept_analysis_is_fresh(d):
     assert analysis(d).leg_starts == _leg_starts(d)
 
 
+# ---------------------------------------------------------------------------
+# a from-scratch verdict for every move (differential testing: McKeeman 1998)
+# ---------------------------------------------------------------------------
+
+VERDICT_CATEGORIES = ("params", "not generic", "persistence", "count", "contract")
+
+
+def reference_verdict(d, spec, fresh):
+    """The verdict on spec from its builder and contract (the move's
+    specification), the fresh validate and the fresh crossings alone, none
+    of the splice path: (category, None) for a blocked spec, one of
+    VERDICT_CATEGORIES, else ("applied", its additions as sorted (key_a,
+    key_b, frame) triples).  fresh is crossings(rebuilt(d))."""
+    try:
+        splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
+    except MoveBlocked:
+        return "params", None
+    d2 = rebuilt(splice.d2)  # no kept analysis
+    if validate(d2):
+        return "not generic", None
+    i, j, new = splice_window(d, splice)
+    replaced = set(segment_keys(d)[i:j])
+    changed = {(splice.loop, k, s) for k, segs in new for s in segs}
+    dropped = [c for c in fresh if replaced.intersection(strands(c))]
+    found = [c for c in crossings(d2) if changed.intersection(strands(c))]
+    spots = {c.location for c in dropped} if splice.check_persistence else set()
+    if not spots <= {c.location for c in found}:
+        return "persistence", None
+    additions = sorted((*strands(c), c.frame) for c in found if c.location not in spots)
+    if splice.count:
+        n, counts, _ = splice.count
+        if sum(counts is None or a[0] == b[0] == counts for a, b, _ in additions) != n:
+            return "count", None
+    if splice.contract and splice.contract(additions, [(*strands(c), c.frame) for c in dropped], d2):
+        return "contract", None
+    return "applied", additions
+
+
+def assert_verdicts_agree(d, specs, tally):
+    """Each spec gets the same verdict from the engine (the builder through
+    _apply_splice) as from reference_verdict, and an applied one the same
+    additions; tally counts the reference's verdicts by category."""
+    fresh = crossings(rebuilt(d))
+    for spec in specs:
+        want, additions = reference_verdict(d, spec, fresh)
+        tally[want] = tally.get(want, 0) + 1
+        try:
+            _, got = diagram_mod._apply_splice(d, moves_mod._BUILDERS[spec.kind][0](d, spec))
+        except MoveBlocked as exc:
+            assert want != "applied", f"{spec.to_line()}: blocked, {exc}"
+        else:
+            assert want == "applied", f"{spec.to_line()}: applied, the reference says {want}"
+            assert sorted(got) == additions, spec.to_line()
+
+
+def test_every_verdict_matches_a_from_scratch_reference(wedge):
+    """On seeded chains, every proposal, hostile spec and SingleKink gets the
+    reference's verdict, and each category of block fires.  No proposal
+    reaches persistence, as a window avoids the crossings on its segment: the
+    KinkPair of test_kink_pair_blocked_over_existing_crossing does."""
+    tally = {}
+    assert_verdicts_agree(wedge, [MoveSpec("KinkPair", 0, 0, 1, (rat(3, 8), rat(3, 4), rat(1, 16), rat(1, 16)))],
+                          tally)
+    assert tally == {"persistence": 1}
+    for seed in range(6):
+        rng = random.Random(f"verdict:{seed}")
+        d = realize(random_tuple(rng.choice((1, 2, 3)), rng.randrange(10 ** 9)))
+        for _ in range(12):
+            specs = [moves_mod._propose_move(d, rng) for _ in range(8)]
+            assert_verdicts_agree(d, [s for s in specs if s] + hostile_specs(d, rng) + single_kink_specs(d, rng),
+                                  tally)
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert all(tally.get(c, 0) >= 1 for c in VERDICT_CATEGORIES + ("applied",)), tally
+
+
 def test_leg_starts_give_each_record_its_position():
     """On realized and moved diagrams, _position over _leg_starts gives each
     record index the (leg, seg) of a brute-force walk of iter_segments, and
@@ -561,6 +636,27 @@ def test_incremental_analysis_after_edits(quad):
         _, out = random_edit(d, seed)
         d = out.diagram
         assert_kept_analysis_is_fresh(d)
+
+
+def assert_gaps_tile_each_segment(d):
+    """On every segment of valid d, _segment_gaps tiles [0, 1], one gap more
+    than the crossings on the segment, and no gap is empty: the crossing
+    parameters on a segment are interior and distinct."""
+    on = [strand for c in crossings(d) for strand in strands(c)]
+    for key in segment_keys(d):
+        gaps = diagram_mod._segment_gaps(d, key)
+        ends = [t for gap in gaps for t in gap]
+        assert ends[0] == 0 and ends[-1] == 1 and ends[1:-1:2] == ends[2:-1:2], key
+        assert all(lo < hi for lo, hi in gaps) and len(gaps) == 1 + on.count(key), key
+
+
+def test_the_gaps_of_every_segment_tile_the_unit_interval():
+    for seed in range(4):
+        rng = random.Random(f"gaps:{seed}")
+        d = realize(random_tuple(seed % 3 + 1, rng.randrange(10 ** 9)))
+        for _ in range(20):
+            assert_gaps_tile_each_segment(d)
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
 
 
 def hostile_specs(d, rng):

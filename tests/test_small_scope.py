@@ -31,7 +31,8 @@ from rp2bouquet import moves as moves_mod
 from rp2bouquet.geometry import mat_apply, rat, seam_reflection
 
 from test_diagram import brute_force_crossings, normalize_engine, normalize_oracle
-from test_moves import assert_dropped_only_if_blocked, assert_kept_analysis_is_fresh
+from test_moves import (VERDICT_CATEGORIES, assert_dropped_only_if_blocked, assert_gaps_tile_each_segment,
+                        assert_kept_analysis_is_fresh, assert_verdicts_agree)
 
 V = pt(0, 0)
 COORDS = [(x, y) for y in range(-2, 3) for x in range(-2, 3) if x or y]  # in quarters
@@ -210,6 +211,7 @@ def test_the_family_has_its_valid_diagrams_and_their_crossings(valid):
     assert len(valid) == 9_840
     for d in valid:
         assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+        assert_gaps_tile_each_segment(d)
 
 
 def test_the_family_reaches_exactly_the_kinds_it_can_express(family):
@@ -238,6 +240,7 @@ def test_the_two_leg_family_has_its_valid_diagrams_and_their_crossings(two_leg_v
     assert Counter(len(crossings(d)) for d in two_leg_valid) == {0: 96, 3: 32}
     for d in two_leg_valid:
         assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+        assert_gaps_tile_each_segment(d)
 
 
 def test_the_two_leg_family_reaches_exactly_the_kinds_it_can_express(two_leg):
@@ -276,6 +279,7 @@ def test_the_two_exit_family_reaches_the_seam_table_kinds_and_no_other():
         else:
             assert kinds == [], (k, m)
             assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+            assert_gaps_tile_each_segment(d)
     valid = [d for d in family.values() if not validate(d)]
     assert assert_walk_and_moves(valid, {}) >= 50
 
@@ -284,6 +288,7 @@ def test_the_three_loop_family_has_its_valid_diagrams_and_their_crossings(three_
     assert len(three_loop_valid) == 222
     for d in three_loop_valid:
         assert normalize_engine(crossings(d)) == normalize_oracle(brute_force_crossings(d))
+        assert_gaps_tile_each_segment(d)
 
 
 def test_the_three_loop_family_reaches_exactly_the_kinds_it_can_express(three_loop):
@@ -301,3 +306,21 @@ def test_the_walk_and_its_moves_on_the_three_loop_family(three_loop_valid):
     assert min(tally.get(rule, 0) for rule in ("Detour", "strand")) >= 5, tally
     assert tally["dropped"] >= 0.85 * tally["blocked"], tally
     assert applied >= 200, (applied, tally)
+
+
+def test_every_family_verdict_matches_the_from_scratch_reference(family, two_leg_valid, three_loop_valid):
+    """The first proposal on every valid diagram of the two-leg, two-exit and
+    three-loop families, and of the one-leg family on one valid diagram per
+    symmetry orbit (the least index tuple), gets the verdict of
+    reference_verdict; every category but persistence fires (no proposal
+    window holds a crossing)."""
+    orbits = {min(tuple(SYMMETRIES[n][i] for i in idx) for n in range(8)) for idx in family}
+    one_leg = [family[idx] for idx in sorted(orbits) if not validate(family[idx])]
+    two_exit = [d for _, d in two_exit_family() if not validate(d)]
+    tally = {}
+    for valid in (one_leg, two_leg_valid, two_exit, three_loop_valid):
+        for seed, d in enumerate(valid):
+            rng = random.Random(seed)
+            assert_verdicts_agree(d, [s for s in [moves_mod._propose_move(d, rng)] if s], tally)
+    assert len(one_leg) == 1_230
+    assert set(tally) == set(VERDICT_CATEGORIES) - {"persistence"} | {"applied"}, tally

@@ -39,11 +39,10 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 from pathlib import Path
 
-from .diagram import BouquetDiagram, DiagramFormatError, _generic_analysis, analysis, dumps, loads, validate
-from .geometry import Rat
+from .diagram import (BouquetDiagram, DiagramFormatError, _crossing_order, _generic_analysis, analysis, dumps,
+                      loads, validate)
 from .invariants import InvariantTuple, MismatchedLoopCount, _text_lines, equiv, invariants
 from .moves import Exhausted, MoveBlocked, MoveSpec, apply_move, random_move_applied
 from .normal_form import LimitExceeded, RealizationError, enumerate_classes, random_tuple, realize
@@ -205,13 +204,7 @@ def render_svg(d: BouquetDiagram) -> str:
                 out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
-    # crossings(d)'s order: strand a's record, then a's parameter n1 / den (equal only at
-    # a TriplePoint); unequal floats order the exact values, and Rat orders any that tie
-    index = {id(s): i for i, s in enumerate(a.records)}
-    spots = [(index[id(s)], n1 / den, n1, den, at) for s, _, _, (at, (n1, _, den)) in a.pairs]
-    if len({c[:2] for c in spots}) < len(spots):  # the stable sort below keeps this order
-        spots.sort(key=lambda c: (c[0], Rat(c[2], c[3])))
-    for *_, (xn, xd, yn, yd) in sorted(spots, key=itemgetter(0, 1)):
+    for _, _, _, ((xn, xd, yn, yd), _) in _crossing_order(a):  # crossings(d)'s order
         out.append(f'<circle cx="{_fmt(xn / xd)}" cy="{_fmt(-(yn / yd))}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
     v = d.vertex

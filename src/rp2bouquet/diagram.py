@@ -255,8 +255,8 @@ class DiagramAnalysis:
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
         index = {id(s): i for i, s in enumerate(self.records)}
-        return tuple(sorted((_pair_crossing(self.leg_starts, a, b, index[id(a)], index[id(b)], frame, ints)
-                             for a, b, frame, ints in self.pairs), key=Crossing.sort_key))
+        return tuple(_pair_crossing(self.leg_starts, a, b, index[id(a)], index[id(b)], frame, ints)
+                     for a, b, frame, ints in _crossing_order(self))
 
     @cached_property
     def star(self) -> tuple[HalfEdge, ...]:
@@ -527,6 +527,16 @@ def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tup
     return (s.loop, *_position(leg_starts, s.loop, i)), (t.loop, *_position(leg_starts, t.loop, j)), frame
 
 
+def _crossing_order(a: DiagramAnalysis) -> list[tuple]:
+    """The kept crossings of `a` in crossings(d)'s order: by strand a's record, then a's n1 / den
+    (equal only at a TriplePoint); floats order them, and Rat where two floats tie."""
+    index = {id(s): i for i, s in enumerate(a.records)}
+    keys = [(index[id(s)], n1 / den) for s, _, _, (_, (n1, _, den)) in a.pairs]
+    if len(set(keys)) < len(keys):
+        keys = [(i, Rat(n1, den)) for (i, _), (_, _, _, (_, (n1, _, den))) in zip(keys, a.pairs)]
+    return [a.pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
 def _pair_crossing(leg_starts, a: _Seg, b: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
     """The Crossing of the kept (a, b, frame, ints), a = records[i], b = records[j]."""
     at, (n1, n2, den) = ints
@@ -709,8 +719,8 @@ class _Splice:
     loop: int
     d2: BouquetDiagram
     new: list[tuple[int, range]]
-    # (additions, dropped, d2) -> error message or None, crossings as _triple gives them
-    contract: Callable[[list, list, BouquetDiagram], str | None] | None
+    # (additions, dropped, d2's kept analysis) -> error message or None, crossings as _triple gives them
+    contract: Callable[[list, list, DiagramAnalysis], str | None] | None
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
     # _apply_splice checks the tally before `contract` runs
@@ -805,19 +815,12 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     return found, refound, counted
 
 
-def _valid_analysis(d: BouquetDiagram) -> DiagramAnalysis:
-    base = analysis(d)
-    if base.violations:
-        raise InvalidDiagram(f"cannot move on an invalid diagram: {base.violations[0]}")
-    return base
-
-
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[tuple]]:
     """splice.d2, checked, with its analysis kept, and the additions as _triple
     gives them.  Found crossings stay ints (see _scan_changed); every record and
     crossing off the window is kept as it is.  The replaced records i .. j - 1
     are counted off the two leg-start rows."""
-    base = _valid_analysis(d)
+    base = _generic_analysis(d)
     d2, loop, (leg, segs) = splice.d2, splice.loop, splice.new[0]
     changed: list[_Seg] = []
     out: list[Violation] = []
@@ -846,6 +849,10 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
     additions = [_triple(leg_starts, *hit) for hit in hits if hit[5][0] not in removed]
     w = _flipped(base.w, chain(dropped, hits))
+    kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
+    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
+    if not at_v and "star" in vars(base):  # no half-edge moved
+        vars(kept_analysis)["star"] = base.star
     if splice.contract:
         # the parent's indices of the replaced records and of the records the
         # scan met (a changed one is no strand of a dropped crossing); a partner
@@ -854,13 +861,9 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
             where[id(a)], where[id(b)] = ia if ia < i else ia - delta, ib if ib < i else ib - delta
         dropped = [_triple(base.leg_starts, a, b, where.get(id(a), -1), where.get(id(b), -1), frame)
                    for a, b, frame, _ in dropped]
-        err = splice.contract(additions, dropped, d2)
+        err = splice.contract(additions, dropped, kept_analysis)
         if err:
             raise MoveBlocked(err)
-    kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
-    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
-    if not at_v and "star" in vars(base):  # no half-edge moved
-        vars(kept_analysis)["star"] = base.star
     _set_analysis(d2, kept_analysis)
     return d2, additions
 

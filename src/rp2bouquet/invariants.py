@@ -36,7 +36,7 @@ from itertools import chain, groupby, pairwise, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .diagram import BouquetDiagram, HalfEdge, _generic_analysis, _star, _star_order
+from .diagram import BouquetDiagram, HalfEdge, _generic_analysis
 
 __all__ = [
     "CyclicWord",
@@ -218,12 +218,6 @@ def _class_rows(words: list[CyclicWord], bits: list[tuple[int, ...]]) -> list[In
 # ---------------------------------------------------------------------------
 # the three components
 # ---------------------------------------------------------------------------
-
-def _star_word(d: BouquetDiagram) -> tuple[HalfEdge, ...]:
-    """The 2n half-edge symbols counterclockwise around V, from direction (1, 0),
-    read off d itself: the kept analysis (see inv1) keeps them for a valid d."""
-    return _star_order(_star(d))
-
 
 def inv1(d: BouquetDiagram) -> CyclicWord:
     """Canonical cyclic word of half-edge symbols counterclockwise around V."""

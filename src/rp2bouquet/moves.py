@@ -42,12 +42,12 @@ seam) from the segment's ends (see :mod:`rp2bouquet.geometry`):
   segments may move with it, so instead of surviving they must keep their
   strands and frames, and the half-edges at the vertex must keep their order.
 
-Every contract takes (additions, dropped, d2): the crossings found on the new
+Every contract takes (additions, dropped, kept): the crossings found on the new
 segments less those at a location to find again, the crossings on replaced
-segments, and the candidate.  Each crossing is a (key_a, key_b, frame) triple,
-a key being the (loop, leg, seg) of a strand, in :class:`Crossing`'s order: an
-addition is addressed in d2, a dropped crossing in d (a partner strand that the
-pass did not meet again gets a key on no segment).  No `Crossing` is built.
+segments, and the candidate d2's kept analysis.  Each crossing is a (key_a,
+key_b, frame) triple, no `Crossing`, a key being the (loop, leg, seg) of a
+strand, in :class:`Crossing`'s order: an addition is addressed in d2, a dropped
+crossing in d (a partner the pass did not meet again gets a key on no segment).
 The locations to find again are the dropped ones, or none for a splice without
 check_persistence (the jiggle), whose additions are then every crossing found.
 
@@ -70,12 +70,12 @@ from .diagram import (
     _Splice,
     _apply_splice,
     _certain_addition,
+    _generic_analysis,
     _key,
     _segment_gaps,
     _splice_points,
-    _valid_analysis,
 )
-from .invariants import _canonical, _index_term, _star_word
+from .invariants import _canonical, _index_term
 
 __all__ = [
     "MOVE_KINDS",
@@ -209,7 +209,7 @@ def _build_kink_pair(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
 
-    def contract(additions: list[tuple], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, kept) -> str | None:
         if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "kink pair may only add self-crossings of the target loop"
         if sorted(_index_term(a[1], frame) for a, _, frame in additions) != [-1, 1]:
@@ -227,7 +227,7 @@ def _build_single_kink(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
 
-    def contract(additions: list[tuple], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, kept) -> str | None:
         if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "single kink may only add a self-crossing of the target loop"
         return None
@@ -278,7 +278,7 @@ def _build_detour(d, spec) -> _Splice:
     curl_a = _curl_points(a, b, t - 3 * w / 4, w / 8, h)
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
 
-    def contract(additions: list[tuple], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, kept) -> str | None:
         if any(_index_term(a[1], frame) != sigma for a, b, frame in additions
                if a[0] == spec.loop and b[0] == spec.loop):
             return "detour curls must both carry the requested sign"
@@ -338,7 +338,7 @@ def _build_finger_push(d, spec) -> _Splice:
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
-    def contract(additions: list[tuple], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, kept) -> str | None:
         seen_verticals = set()
         for a, b, _ in additions:
             sides = {a, b}
@@ -389,10 +389,10 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     # word decides as a comparison of rotations would
     next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
 
-    def contract(additions: list[tuple], dropped, d2) -> str | None:
+    def contract(additions: list[tuple], dropped, kept) -> str | None:
         if sorted(additions) != sorted(dropped):
             return "jiggle would change the crossing pattern"
-        if next_to_v and _canonical(_star_word(d2)) != _canonical(_valid_analysis(d).star):
+        if next_to_v and _canonical(kept.star) != _canonical(_generic_analysis(d).star):
             return "jiggle would reorder the vertex star"
         return None
 
@@ -523,7 +523,7 @@ def _seam_u(d: BouquetDiagram, rng: random.Random, key, center: Rat) -> Rat:
 def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
     kind = rng.choices(MOVE_KINDS, weights=(24, 14, 20, 27, 15))[0]
     # records are in iter_segments order, so this draws what a list of keys did
-    records = _valid_analysis(d).records
+    records = _generic_analysis(d).records
     i = rng.randrange(len(records))
     loop, leg, seg = _key(d, i)
 
@@ -585,7 +585,7 @@ def _propose_move(d: BouquetDiagram, rng: random.Random) -> MoveSpec | None:
 
 def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random) -> EditSpec | None:
     kind = kinds[rng.randrange(len(kinds))]
-    loop, leg, seg = _key(d, rng.randrange(len(_valid_analysis(d).records)))
+    loop, leg, seg = _key(d, rng.randrange(len(_generic_analysis(d).records)))
     center, half = _free_window(d, rng, (loop, leg, seg))
     if kind == "SingleKink":
         w = half / 2

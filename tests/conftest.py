@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rp2bouquet import BouquetDiagram, Leg, LoopPath, pt
+from rp2bouquet import BouquetDiagram, Crossing, Leg, LoopPath, pt
 from rp2bouquet.cli import _PALETTE, _SEAM_MARK, _fmt
 from rp2bouquet.diagram import _make_seg, crossings
 
@@ -32,8 +32,10 @@ def segment_records(d):
 
 def reference_svg(d):
     """The SVG of render_svg, drawn from the diagram's points and the public
-    crossing tuple: the reference for render_svg, which reads the kept
-    analysis.  Raises InvalidDiagram (via crossings) for an invalid d."""
+    crossing tuple, sorted here by Crossing.sort_key so that the order is not
+    taken from the function render_svg shares with crossings(d): the reference
+    for render_svg, which reads the kept analysis.  Raises InvalidDiagram (via
+    crossings) for an invalid d."""
     def xy(p):
         return f"{_fmt(p.x)},{_fmt(-p.y)}"
 
@@ -54,7 +56,7 @@ def reference_svg(d):
                 out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
-    for c in crossings(d):
+    for c in sorted(crossings(d), key=Crossing.sort_key):
         out.append(f'<circle cx="{_fmt(c.location.x)}" cy="{_fmt(-c.location.y)}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
     out.append(f'<circle cx="{_fmt(d.vertex.x)}" cy="{_fmt(-d.vertex.y)}" r="0.025" '

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rp2bouquet import (
     MAX_REALIZE_N,
     BouquetDiagram,
+    Crossing,
     Exhausted,
     InvalidDiagram,
     InvariantTuple,
@@ -621,6 +622,23 @@ def test_render_svg_orders_crossings_whose_floats_tie(e, m):
     svg = render_svg(d)
     assert svg == reference_svg(d)
     assert first != second and svg.index(first) < svg.index(second)
+
+
+def test_crossings_come_in_sort_key_order():
+    """crossings(d), built in diagram._crossing_order's order, equals its own
+    sort by Crossing.sort_key, kept and rebuilt: on the six two_close_crossings
+    cases, four of whose parameters tie as floats, and on seeded walks."""
+    ds = [two_close_crossings(e, m) for e in (rat(1, 10 ** 30), rat(-1, 10 ** 30), rat(1, 16)) for m in (1, -1)]
+    for d in ds + list(walk_diagrams()):
+        for x in (d, BouquetDiagram(d.n, d.vertex, d.loops)):
+            cs = crossings(x)
+            assert list(cs) == sorted(cs, key=Crossing.sort_key)
+
+    def tied(d):
+        firsts = [(c.loop_a, c.param_a.leg, c.param_a.seg, float(c.param_a.frac)) for c in crossings(d)]
+        return len(set(firsts)) < len(firsts)
+
+    assert [tied(d) for d in ds] == [True] * 4 + [False] * 2
 
 
 def test_render_svg_builds_no_crossing(data_dir, monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from rp2bouquet import (
     signed_index,
     validate,
 )
+from rp2bouquet import cli as cli_mod
 from rp2bouquet import diagram as diagram_mod
 from rp2bouquet import moves as moves_mod
 from rp2bouquet import normal_form, realize
@@ -47,6 +49,9 @@ from rp2bouquet.geometry import SegKind, _ints, _point, rat, segment_intersectio
 from rp2bouquet.normal_form import random_tuple
 
 from conftest import segment_records
+
+# the package exports the function invariants under the module's name
+invariants_mod = import_module("rp2bouquet.invariants")
 
 
 def locations(d):
@@ -528,7 +533,7 @@ VERDICT_CATEGORIES = ("params", "not generic", "persistence", "count", "contract
 
 def reference_verdict(d, spec, fresh):
     """The verdict on spec from its builder and contract (the move's
-    specification), the fresh validate and the fresh crossings alone, none
+    specification), the fresh validate, crossings and analysis alone, none
     of the splice path: (category, None) for a blocked spec, one of
     VERDICT_CATEGORIES, else ("applied", its additions as sorted (key_a,
     key_b, frame) triples).  fresh is crossings(rebuilt(d))."""
@@ -552,7 +557,7 @@ def reference_verdict(d, spec, fresh):
         n, counts, _ = splice.count
         if sum(counts is None or a[0] == b[0] == counts for a, b, _ in additions) != n:
             return "count", None
-    if splice.contract and splice.contract(additions, [(*strands(c), c.frame) for c in dropped], d2):
+    if splice.contract and splice.contract(additions, [(*strands(c), c.frame) for c in dropped], analysis(d2)):
         return "contract", None
     return "applied", additions
 
@@ -1304,6 +1309,14 @@ def test_moves_reach_the_kept_analysis_only_through_the_splice_entry_points():
     normal_form.py reads the gaps only.  Neither knows the analysis layout or
     the scan helpers."""
     assert private_imports(moves_mod) == {
-        "diagram": {"_Splice", "_splice_points", "_apply_splice", "_valid_analysis", "_key", "_segment_gaps",
+        "diagram": {"_Splice", "_splice_points", "_apply_splice", "_generic_analysis", "_key", "_segment_gaps",
                     "_certain_addition"}}
     assert private_imports(normal_form) == {"diagram": {"_segment_gaps"}, "moves": set()}
+
+
+def test_the_readers_take_one_star_and_one_crossing_order_from_diagram():
+    """invariants.py reads the kept analysis, its star among it, through the
+    validity guard alone; cli.py takes the same guard and the one function
+    that orders the kept crossings.  Neither builds a second star or order."""
+    assert private_imports(invariants_mod) == {"diagram": {"_generic_analysis"}}
+    assert private_imports(cli_mod) == {"diagram": {"_generic_analysis", "_crossing_order"}, "moves": set()}

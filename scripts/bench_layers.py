@@ -52,7 +52,10 @@ present signatures.  The rows:
   horizontals top left and N/2 long verticals bottom right, N = 1,000 and
   2,000 (2N + 1 segments, N/2 crossings);
 * ``_meet``, and the integer crossing kernel ``_proper_ints``, in ns per
-  call, on the pairs of the 450-segment snapshot that cross properly;
+  call, on the pairs of the 450-segment snapshot that cross properly, and
+  ``_meet`` on its pairs that the absolute float bound ``_B`` leaves to
+  later stages (``fallback``: tiny kinks, decided exactly or by a bound
+  relative to the differences);
 * in ns per call, on random points in [-1, 1]^2 whose coordinates have
   numerators and denominators of 8, 50 and 570 bits: ``orient2d`` on
   triples; on pairs of segments, ``segment_intersection``, ``_meet`` on
@@ -64,7 +67,9 @@ present signatures.  The rows:
 
 A sample is the mean over one count of calls per row, the same for every
 source: enough calls to last a few ms at the median of three warm-up calls
-of the slowest source.  Each row gives the median and quartiles of
+of the slowest source.  A call that outlasts a sample already fixes one
+call per sample, so such a row (the fresh ``validate`` of the zigzags, say)
+gets that one warm-up call.  Each row gives the median and quartiles of
 ``--reps`` samples, and for each source after the first, the median ratio
 of its samples to the first source's taken next to them.  A row is marked
 ``"wide": true`` in every source when some source's quartile spread exceeds
@@ -213,6 +218,27 @@ def proper_pairs(lib, diagram, d) -> list:
             if lib.segment_intersection(s.a, s.b, t.a, t.b).kind.value == "proper"]
 
 
+def float_orient(r, x, y) -> float:
+    """The float orientation determinant of record r's line and (x, y), as
+    ``_sure`` computes it."""
+    return (r.fbx - r.fax) * (y - r.fay) - (r.fby - r.fay) * (x - r.fax)
+
+
+def fallback_pairs(diagram, d) -> list:
+    """(s, t), in record order, for the record pairs of valid d on which
+    ``_sure``'s first stage, the absolute bound ``_B``, decides nothing."""
+    a, bound = diagram.analysis(d), diagram._B
+    out = []
+    for s, t, i, j in diagram._all_pairs(list(a.records), a.leg_starts):
+        s, t = (s, t) if i < j else (t, s)
+        oc, od = float_orient(s, t.fax, t.fay), float_orient(s, t.fbx, t.fby)
+        oa, ob = float_orient(t, s.fax, s.fay), float_orient(t, s.fbx, s.fby)
+        one_side = [(p > bound and q > bound) or (p < -bound and q < -bound) for p, q in ((oc, od), (oa, ob))]
+        if not any(one_side) and min(map(abs, (oc, od, oa, ob))) <= bound:
+            out.append((s, t))
+    return out
+
+
 def draws(point, bits: int, k: int) -> list:
     """DRAWS tuples of k random points with coordinates of `bits` bits."""
     rng = random.Random(f"{SEED}:{bits}")
@@ -313,7 +339,8 @@ def uncached(diagram, d):
 
 
 # the checks that name decisions, which agree between versions that decide alike
-DECISIONS = re.compile(r"_sha256$|_crossings$|^(drop_checks|proper_pairs|pencil_violations|chain_moves)$")
+DECISIONS = re.compile(
+    r"_sha256$|_crossings$|^(drop_checks|proper_pairs|fallback_pairs|pencil_violations|chain_moves)$")
 
 
 def rows(lib, mods) -> tuple[dict, dict]:
@@ -349,7 +376,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
         walks += [lib.random_move_applied(checked, seed)[0].to_line() for seed in WALK_SEEDS]
         out[f"random_move_applied.us@{size}"] = (
             "us", 1e6 / len(WALK_SEEDS), lambda d=checked: walk_steps(lib, d))
-    pairs = proper_pairs(lib, diagram, lib.loads(texts[len(SIZES) - 1]))
+    read = lib.loads(texts[len(SIZES) - 1])
+    pairs, fallback = proper_pairs(lib, diagram, read), fallback_pairs(diagram, read)
     ends = [(s.a, s.b, t.a, t.b) for s, t in pairs]
 
     def meet(pairs, f=diagram._meet):
@@ -357,6 +385,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
             f(s, t)
 
     out[f"_meet.proper.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(pairs), lambda: meet(pairs))
+    out[f"_meet.fallback.ns@{SIZES[-1]}"] = ("ns", 1e9 / len(fallback), lambda: meet(fallback))
 
     def kernel(ends=ends, f=geometry._proper_ints):
         for a, b, c, e in ends:
@@ -376,6 +405,7 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "drop_checks": len(drops),
         "walks_sha256": digest(walks),
         "proper_pairs": len(pairs),
+        "fallback_pairs": len(fallback),
         "pencil_violations": len(fan_violations),
         "pencil_sha256": digest(fan_violations),
         "chain_sha256": hashlib.sha256(chain_text.encode()).hexdigest(),
@@ -444,6 +474,13 @@ def sample(call, inner: int) -> float:
     return (time.perf_counter() - start) / inner
 
 
+def warm_up(call) -> float:
+    """The median time of three warm-up calls, or of one that outlasts a
+    sample: the count of calls per sample is then one anyway."""
+    first = sample(call, 1)
+    return first if first > SAMPLE_S else statistics.median([first, sample(call, 1), sample(call, 1)])
+
+
 def summary(samples: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4),
@@ -477,7 +514,7 @@ def main(argv=None) -> int:
     for name in dict.fromkeys(name for label in labels for name in tables[label]):
         having = [label for label in labels if name in tables[label]]
         # the warm-up calls also warm each source's call up
-        slowest = max(statistics.median(sample(tables[label][name][2], 1) for _ in range(3)) for label in having)
+        slowest = max(warm_up(tables[label][name][2]) for label in having)
         inner = max(1, int(SAMPLE_S / max(slowest, 1e-9)))
         for r in range(args.reps):
             for label in (having if r % 2 == 0 else having[::-1]):

@@ -47,7 +47,6 @@ from .geometry import (
     SegKind,
     _direction,
     _kind,
-    _lowest,
     _point,
     _proper_ints,
     _reflect,
@@ -237,11 +236,12 @@ class DiagramAnalysis:
     bisect.  `pairs` holds each crossing in no fixed order, in the kept form
     (a, b, frame, ints) that :func:`_meet` gives on its strands' records in
     record order, which names its strands by their records, not their
-    positions.  A splice thus keeps every record and crossing off its window
-    as it is.  `crossings`, the public sorted tuple, and `star`, the
-    half-edges around V, are built on first use and cached (so
-    dataclasses.replace drops them); only :func:`crossings` and the fuzz
-    cross-check build the tuple, as the invariants and the renderer read `pairs`.
+    positions, and its location by unreduced ints (see :func:`_located`).
+    A splice thus keeps every record and crossing off its window as it is.
+    `crossings`, the public sorted tuple, and `star`, the half-edges around
+    V, are built on first use and cached (so dataclasses.replace drops
+    them); only :func:`crossings` and the fuzz cross-check build the tuple,
+    as the invariants and the renderer read `pairs`.
     `w` holds each loop's self-crossing count mod 2 (see :func:`_flipped`).
     `pairs`, `records`, `leg_starts` and `w` are empty for an invalid diagram.
     """
@@ -276,7 +276,7 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
                is_first: bool, is_last: bool, segs: range) -> list[_Seg]:
     """The leg conditions that read one of the segments `segs`, i.e. those at
     their end points; range(len(leg.points) - 1) checks the whole leg.  Floats
-    decide where _B or _C makes them certain, exact predicates everywhere else.
+    decide where _B, _bound or _C makes them certain, exact predicates everywhere else.
     Returns the records of `segs`, built from those floats, while `out` holds
     no violation, else []: a point with no floats (outside [-1, 1]^2) is always
     reported, by this leg or by VertexOutsideDisk before it."""
@@ -300,8 +300,12 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
             f0, f1, f2 = g[i - o], g[i - o + 1], g[i - o + 2]
             if f0 and f1 and f2:
                 ex, ey, gx, gy = f1[0] - f0[0], f1[1] - f0[1], f2[0] - f1[0], f2[1] - f1[1]
-                if abs(ex * gy - ey * gx) > _B or ex * gx + ey * gy > _B:
+                turn, step = ex * gy - ey * gx, ex * gx + ey * gy
+                if abs(turn) > _B or step > _B:
                     continue  # a certain turn or step forward is no cusp
+                r = _bound(abs(ex) + abs(ey), abs(gx) + abs(gy))
+                if abs(turn) > r or step > r:
+                    continue
             # positive multiples of p1 - p0 and p2 - p1: a cusp is an exact reversal
             u, v = _direction(pts[i - 1], pts[i]), _direction(pts[i], pts[i + 1])
             if u.xn * v.yn == u.yn * v.xn and u.xn * v.xn + u.yn * v.yn < 0:
@@ -541,7 +545,7 @@ def _pair_crossing(leg_starts, a: _Seg, b: _Seg, i: int, j: int, frame: int, int
     """The Crossing of the kept (a, b, frame, ints), a = records[i], b = records[j]."""
     at, (n1, n2, den) = ints
     return Crossing(a.loop, b.loop, LoopParam(*_position(leg_starts, a.loop, i), Rat(n1, den)),
-                    LoopParam(*_position(leg_starts, b.loop, j), Rat(n2, den)), _lowest(*at), frame)
+                    LoopParam(*_position(leg_starts, b.loop, j), Rat(n2, den)), _point(*at), frame)
 
 
 # A float orientation determinant whose magnitude exceeds _B has the sign of
@@ -567,9 +571,22 @@ _B = 2.0 ** -46
 _C = 2.0 ** -49
 
 
+# Where |fdet| <= _B, a bound relative to the differences may decide yet
+# (after Shewchuk 1997).  Each float difference di is within E = 2^-51 of its
+# exact Di (above), and di dj - Di Dj = ei dj + ej di - ei ej with |ei| <= E, so
+# d1 d2 -+ d3 d4 is within E (|d1| + |d2| + |d3| + |d4|) + 2E^2 of the exact
+# value; rounding the products and their difference adds (2u + u^2)(|d1 d2| +
+# |d3 d4|) < E (|d1 d2| + |d3 d4|) at most.  With n = |vx| + |vy| and m = |wx| +
+# |wy|, v x w or v . w is thus within E (n + m + n m) + 2E^2; _bound doubles it,
+# for its own roundings (2^-50 relative) and underflow (2^-1074 an operation).
+def _bound(n: float, m: float) -> float:
+    """The error bound of a float v x w or v . w, n = |vx| + |vy| and m = |wx| + |wy|."""
+    return 2.0 ** -50 * (n + m + n * m) + 2.0 ** -100
+
+
 def _sure(s: _Seg, t: _Seg) -> int | None:
     """0 (EMPTY) or the frame (PROPER) where the float end points of s and t
-    make the kind certain (see _B), else None."""
+    make the kind certain (see _B, then _bound), else None."""
     ax, ay, bx, by = s.fax, s.fay, s.fbx, s.fby
     cx, cy, dx, dy = t.fax, t.fay, t.fbx, t.fby
     ex, ey = bx - ax, by - ay
@@ -583,6 +600,14 @@ def _sure(s: _Seg, t: _Seg) -> int | None:
     if (oa > _B and ob > _B) or (oa < -_B and ob < -_B):
         return 0
     if abs(oc) > _B and abs(od) > _B and abs(oa) > _B and abs(ob) > _B:
+        return 1 if od > 0 else -1
+    # _B decides nothing (tiny kinks): the same tests, each bounded by its differences
+    e, f, ac = abs(ex) + abs(ey), abs(fx) + abs(fy), abs(cx - ax) + abs(cy - ay)
+    bc, bd = _bound(e, ac), _bound(e, abs(dx - ax) + abs(dy - ay))
+    ba, bb = _bound(f, ac), _bound(f, abs(bx - cx) + abs(by - cy))
+    if (oc > bc and od > bd) or (oc < -bc and od < -bd) or (oa > ba and ob > bb) or (oa < -ba and ob < -bb):
+        return 0
+    if abs(oc) > bc and abs(od) > bd and abs(oa) > ba and abs(ob) > bb:
         return 1 if od > 0 else -1
     return None
 
@@ -603,6 +628,19 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
     elif not frame:
         return SegKind.EMPTY, 0, None
     return SegKind.PROPER, frame, _proper_ints(s.a, s.b, t.a, t.b)
+
+
+def _located(spots: dict, at: tuple, add: bool = False) -> bool:
+    """Whether `spots` holds `at`, unreduced ints of _proper_ints (with `add`, it does after),
+    keyed by floats, which equal locations share; cross-multiplication decides a float tie."""
+    xn, xd, yn, yd = at
+    held = spots.setdefault((xn / xd, yn / yd), []) if add else spots.get((xn / xd, yn / yd), ())
+    for pn, pd, qn, qd in held:
+        if xn * pd == pn * xd and yn * qd == qn * yd:
+            return True
+    if add:
+        held.append(at)
+    return False
 
 
 def _least_x(s: _Seg) -> Point:
@@ -660,18 +698,17 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
         return DiagramAnalysis(tuple(violations))
     leg_starts = _leg_starts(d)
     pairs: list[tuple] = []
-    seen: set[tuple[int, int, int, int]] = set()
+    seen: dict = {}
     triples: list[Violation] = []
     # positions are looked up only for the pairs that touch or meet at a crossing
     for s, t, i, j in _all_pairs(records, leg_starts):
         kind, frame, ints = _meet(s, t) if i < j else _meet(t, s)
         if kind is SegKind.PROPER:
             pairs.append((s, t, frame, ints) if i < j else (t, s, frame, ints))
-            if ints[0] in seen:
+            if _located(seen, ints[0], True):
                 a, k = pairs[-1][0], min(i, j)  # strand a's record and index
                 triples.append(Violation("TriplePoint", a.loop, *_position(leg_starts, a.loop, k),
                                          note="two crossings at the same point"))
-            seen.add(ints[0])
         elif kind is SegKind.DEGENERATE:
             ks, kt = _position(leg_starts, s.loop, i), _position(leg_starts, t.loop, j)
             violations.append(Violation(
@@ -725,8 +762,8 @@ class _Splice:
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
     # _apply_splice checks the tally before `contract` runs
     count: tuple[int, int | None, str] | None
-    # `removed` holds the dropped crossings' locations, each to be found again;
-    # off, it is empty and every crossing found is an addition
+    # `removed` holds the dropped crossings' locations (for _located), each to
+    # be found again; off, it is empty and every crossing found is an addition
     check_persistence: bool
 
 
@@ -759,18 +796,19 @@ def _near(records, start: int, segs: list[_Seg]) -> list[tuple[int, _Seg]]:
             if not (v.fmaxx < lox or v.fminx > hix or v.fmaxy < loy or v.fminy > hiy)]
 
 
-def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
-                  count) -> tuple[list[tuple], int, int]:
+def _scan_changed(records, leg_starts, lo: int, hi: int, removed: dict,
+                  count) -> tuple[list[tuple], list[tuple], int, int]:
     """One pass over the pairs of a changed record u = records[i], lo <= i < hi
     (every splice builds a segment), and a record v = records[j] whose float
     box meets u's, each pair once; _meet decides each pair exactly.  Returns
     the crossings found, each as _meet's kept crossing of a = records[i] and
     b = records[j], i < j, in the arguments (a, b, i, j, frame, ints) of
-    _triple and _pair_crossing; how many of `removed` (the locations on
-    replaced segments) were found again; and the tally of additions
-    (crossings at no location in `removed`) the splice's `count` counts.  No
-    `Crossing` is built: a location is the int key of _proper_ints and a
-    strand's loop its record's.
+    _triple and _pair_crossing; those of them that are additions (at no
+    location in `removed`, the locations on replaced segments, as _located
+    keys them); how many of `removed` were not found again; and the tally of
+    additions the splice's `count` counts.  No `Crossing` is built: a
+    location is the unreduced ints of _proper_ints and a strand's loop its
+    record's.
 
     MoveBlocked at the first certain violation: a non-transversal contact (as each
     segment of a crossing at V makes with loop 0's first one, a pair no scan skips:
@@ -783,8 +821,9 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
     """
     limit, counts, exactly = count or (float("inf"), None, "")
     found: list[tuple] = []
-    seen: set[tuple[int, int, int, int]] = set()
-    refound = counted = 0
+    added: list[tuple] = []
+    seen: dict = {}
+    missing, counted = sum(map(len, removed.values())), 0
     changed = records[lo:hi]
     near = _near(records, 0, changed)
     for i, u in enumerate(changed, lo):
@@ -801,18 +840,18 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: set,
                                   f"segment={seg} non-transversally")
             if kind is not SegKind.PROPER:
                 continue
-            key = ints[0]
-            if key in seen:
+            if _located(seen, ints[0], True):
                 raise MoveBlocked("two crossings would coincide")
-            seen.add(key)
             found.append((u, v, i, j, frame, ints) if i < j else (v, u, j, i, frame, ints))
-            if key in removed:
-                refound += 1
-            elif counts is None or u.loop == v.loop == counts:
-                counted += 1
-            if counted > limit and refound == len(removed):
+            if removed and _located(removed, ints[0]):
+                missing -= 1
+            else:
+                added.append(found[-1])
+                if counts is None or u.loop == v.loop == counts:
+                    counted += 1
+            if counted > limit and not missing:
                 raise MoveBlocked(f"{exactly}, got more than {limit}")
-    return found, refound, counted
+    return found, added, missing, counted
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[tuple]]:
@@ -841,13 +880,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     dropped: list[tuple] = []
     for c in base.pairs:
         (dropped if id(c[0]) in where or id(c[1]) in where else kept).append(c)
-    removed = {c[3][0] for c in dropped} if splice.check_persistence else set()
-    hits, refound, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed, splice.count)
-    if refound != len(removed):
+    removed: dict = {}
+    for c in dropped if splice.check_persistence else ():
+        _located(removed, c[3][0], True)
+    hits, added, missing, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
+                                                  splice.count)
+    if missing:
         raise MoveBlocked("an existing crossing would be destroyed")
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
-    additions = [_triple(leg_starts, *hit) for hit in hits if hit[5][0] not in removed]
+    additions = [_triple(leg_starts, *hit) for hit in added]
     w = _flipped(base.w, chain(dropped, hits))
     kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
     kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
@@ -932,8 +974,11 @@ def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, l
         return False
     for s, (a, b) in zip(segs, chords):
         s.a, s.b = _point(*a), _point(*b)
-    spots = {c[3][0] for c, _ in _on_segment(d, target)}
-    return any(kind is SegKind.PROPER and ints[0] not in spots for kind, _, ints in starmap(_meet, rest))
+    spots: dict = {}
+    for c, _ in _on_segment(d, target):
+        _located(spots, c[3][0], True)
+    return any(kind is SegKind.PROPER and not _located(spots, ints[0])
+               for kind, _, ints in starmap(_meet, rest))
 
 
 # ---------------------------------------------------------------------------

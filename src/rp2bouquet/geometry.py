@@ -30,11 +30,13 @@ Constructions work on the same integers.  A constructed point (`_along`,
 point* (xn, xd, yn, yd), denominators positive and unreduced, and `_point`
 reduces it into a `Point`.  The constructors also take int points, so a
 `Point` is read once, by `_ints`.  A crossing stays ints (`_proper_ints`:
-its location in lowest terms, which `_lowest` makes a `Point` of unchecked,
-its parameters unreduced) until a splice passes its checks, so a move
-blocked on its count builds no `Rat`.  A direction needed only up to a
-positive factor is a `Point` with denominators 1 (`_direction`).  Loading,
-checking, scanning and dumping a diagram thus build no `Rat` at all.
+its location and its parameters unreduced) until a splice passes its
+checks, so a move blocked on its count builds no `Rat`; ``xn / xd`` is
+correctly rounded whatever the ints, so the scans key a location by its
+floats, confirm a float tie exactly, and leave `_point` to reduce it for a
+public `Crossing`.  A direction needed only up to a positive factor is a
+`Point` with denominators 1 (`_direction`).  Loading, checking, scanning
+and dumping a diagram thus build no `Rat` at all.
 
 Rational points on the unit circle come from the tangent-half-angle map
 
@@ -288,8 +290,8 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point) -> SegmentInter
     kind = _kind(a, b, c, d)
     if kind is not SegKind.PROPER:
         return SegmentIntersection(kind)
-    (xn, xd, yn, yd), (n1, n2, den) = _proper_ints(a, b, c, d)
-    return SegmentIntersection(kind, _lowest(xn, xd, yn, yd), Rat(n1, den), Rat(n2, den))
+    at, (n1, n2, den) = _proper_ints(a, b, c, d)
+    return SegmentIntersection(kind, _point(*at), Rat(n1, den), Rat(n2, den))
 
 
 def _kind(a: Point, b: Point, c: Point, d: Point) -> SegKind:
@@ -318,15 +320,16 @@ def _kind(a: Point, b: Point, c: Point, d: Point) -> SegKind:
 
 
 def _proper_ints(a: Point, b: Point, c: Point, d: Point) -> tuple[tuple, tuple]:
-    """The PROPER crossing of [a, b] and [c, d] as ints: its location (xn, xd,
-    yn, yd) in lowest terms, as a `Point` holds it, and the unreduced (n1,
-    n2, den) with t1 = n1 / den and t2 = n2 / den."""
+    """The PROPER crossing of [a, b] and [c, d] as unreduced ints: its
+    location (xn, xd, yn, yd), x = xn / xd and y = yn / yd with denominators
+    of den's sign, which `_point` reduces into a `Point`, and (n1, n2, den)
+    with t1 = n1 / den and t2 = n2 / den."""
     # With e1 = b - a, e2 = d - c, f = c - a:
     #   t1 = (f x e2) / (e1 x e2),  t2 = (f x e1) / (e1 x e2),  point = a + t1 e1.
     # x coordinates are scaled by the product of their four denominators and
     # y coordinates likewise, which turns every quantity into an integer with
-    # one common positive scale per ratio; only the location is reduced, by
-    # one gcd per coordinate, whose sign makes each denominator positive.
+    # one common positive scale per ratio.  Nothing is reduced: no decision
+    # needs lowest terms, and the two gcds would cost half the kernel.
     axd, bxd = a.xd, b.xd
     cxd, dxd = c.xd, d.xd
     ab, cd = axd * bxd, cxd * dxd
@@ -341,11 +344,8 @@ def _proper_ints(a: Point, b: Point, c: Point, d: Point) -> tuple[tuple, tuple]:
     den = e1x * e2y - e1y * e2x
     n1 = fx * e2y - fy * e2x
     n2 = fx * e1y - fy * e1x
-    xnum, xden = xa * den + e1x * n1, axd * bxd * cxd * dxd * den
-    ynum, yden = ya * den + e1y * n1, ayd * byd * cyd * dyd * den
-    sign = 1 if den > 0 else -1
-    gx, gy = sign * gcd(xnum, xden), sign * gcd(ynum, yden)
-    return (xnum // gx, xden // gx, ynum // gy, yden // gy), (n1, n2, den)
+    return ((xa * den + e1x * n1, axd * bxd * cxd * dxd * den,
+             ya * den + e1y * n1, ayd * byd * cyd * dyd * den), (n1, n2, den))
 
 
 # ---------------------------------------------------------------------------

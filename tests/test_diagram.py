@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -16,25 +17,36 @@ from rp2bouquet import (
     dumps,
     loads,
     pt,
+    random_move_applied,
+    random_tuple,
     rat,
+    realize,
     to_json_obj,
     validate,
     vertex_directions,
 )
 from rp2bouquet.diagram import (
     HalfEdge,
+    MoveBlocked,
     Violation,
     _all_pairs,
+    _apply_splice,
     _check_leg,
     _check_seam_table,
     _check_vertex_directions,
+    _crossing_order,
+    _kind,
     _meet,
     _skip_pair,
+    _splice_points,
+    _sure,
     analysis,
 )
 from rp2bouquet.geometry import (
     SegKind,
     _ints,
+    _point,
+    _proper_ints,
     SegmentIntersection,
     circle_point,
     on_unit_circle,
@@ -185,6 +197,23 @@ TRIPLE = (lens(pt("1/2", 0), pt(0, "1/2")),
 def test_triple_point():
     d = BouquetDiagram(3, pt(0, 0), TRIPLE)
     assert "TriplePoint" in kinds(d)
+
+
+def test_one_location_from_unequal_ints():
+    """The three crossings of TRIPLE, built from segments of different
+    denominators, have unequal unreduced ints at one location: the fresh
+    scan reports a TriplePoint, and a splice that builds the third strand
+    through the other two's crossing is blocked."""
+    (a, b), (c, d), (e, f) = (loop.legs[0].points[1:3] for loop in TRIPLE)  # the middle segments
+    ats = [_proper_ints(*ends) for ends in ((a, b, c, d), (a, b, e, f), (c, d, e, f))]
+    assert len({at for at, _ in ats}) == 3
+    assert {_point(*at) for at, _ in ats} == {pt("1/4", "1/4")}
+    assert "TriplePoint" in kinds(BouquetDiagram(3, pt(0, 0), TRIPLE))
+    apart = BouquetDiagram(3, pt(0, 0), TRIPLE[:2] + (lens(pt("-1/2", "-1/8"), pt("-1/8", "-1/2")),))
+    assert validate(apart) == []
+    splice = _splice_points(apart, 2, 0, 1, 3, ((e, f),), None)
+    with pytest.raises(MoveBlocked, match="^two crossings would coincide$"):
+        _apply_splice(apart, splice)
 
 
 def test_pair_violations_in_sweep_order_then_triple_points():
@@ -519,6 +548,63 @@ def test_meet_matches_exact_anywhere(a, b, c, d):
     assert_meet_is_exact(a, b, c, d)
 
 
+# tiny kinks: lengths 1e-8 to 1e-14, far below the absolute bound _B, and
+# short integer directions
+tiny = st.integers(8, 14).map(lambda k: rat(1, 10 ** k))
+nudges = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda v: pt(*v))
+
+
+@st.composite
+def tiny_kinks(draw):
+    """Segments [a, b] and [c, d], each 1e-8 to 1e-14 long, a off any float
+    (see `inner`).  c is b, a point of the line through a and b (in [a, b]
+    or not), a point a few lengths from a, or a point anywhere; d is c plus
+    a tiny step, along [a, b] or not."""
+    a, e = draw(inner), draw(tiny)
+    b = a + draw(nudges).scale(e)
+    where = draw(st.sampled_from(["end", "line", "near", "far"]))
+    if where == "end":
+        c = b
+    elif where == "line":
+        c = a + (b - a).scale(rat(draw(st.integers(-4, 8)), 4))
+    elif where == "near":
+        c = a + draw(nudges).scale(e * rat(1, draw(st.integers(1, 4))))
+    else:
+        c = draw(inner)
+    step = b - a if draw(st.booleans()) else draw(nudges)
+    return a, b, c, c + step.scale(draw(tiny) * draw(st.sampled_from([1, -1, rat(1, 3)])))
+
+
+@given(tiny_kinks())
+def test_sure_matches_exact_at_tiny_kinks(ends):
+    """Where the relative bound decides a tiny kink, it decides as the exact
+    predicates: 0 only for EMPTY, and for PROPER orient2d's frame."""
+    a, b, c, d = ends
+    assume(c != d)
+    s, t = record(0, a, b), record(1, c, d)
+    for (u, v), (p, q, r, w) in (((s, t), (a, b, c, d)), ((t, s), (c, d, a, b))):
+        frame, kind = _sure(u, v), _kind(p, q, r, w)
+        if frame is not None:
+            assert kind is (SegKind.PROPER if frame else SegKind.EMPTY)
+            assert frame in (0, orient2d(p, q, w))
+    assert_meet_is_exact(a, b, c, d)
+
+
+def test_sure_decides_tiny_kinks():
+    """Segments 1e-14 long near each other, whose float determinants (about
+    1e-28) _B leaves undecided: the relative bound decides a crossing and a
+    miss on one side of either line, and leaves a touch to the exact
+    predicates."""
+    a, e = pt("1/3", "2/7"), rat(1, 10 ** 14)
+    b = a + pt(e, 0)
+    cases = [((a + pt(e / 2, -e), a + pt(e / 2, e)), 1),   # crossing, frame +1
+             ((a + pt(-e, e), a + pt(2 * e, e)), 0),      # above [a, b]
+             ((a + pt(2 * e, -e), a + pt(2 * e, e)), 0),  # right of it, across its line
+             ((b, a + pt(2 * e, e)), None)]               # touching it
+    for (c, d), want in cases:
+        assert _sure(record(0, a, b), record(1, c, d)) == want
+
+
 # ---------------------------------------------------------------------------
 # the float-filtered leg check decides exactly as the exact one
 # ---------------------------------------------------------------------------
@@ -599,6 +685,18 @@ def test_check_leg_matches_exact_at_corners(p0, p1, t, forward, e, sign):
     v = p1 - p0
     assume(not v.is_zero())
     bend = pt(-v.y, v.x).scale(rat(sign, 2 ** e)) if e else pt(0, 0)
+    assert_check_leg_is_exact((p0, p1, p1 + v.scale(t if forward else -t) + bend))
+
+
+@given(inner, tiny, nudges, steps, st.booleans(), st.one_of(st.just(0), st.integers(1, 80)),
+       st.sampled_from([-1, 1]))
+def test_check_leg_matches_exact_at_tiny_kinks(p0, e, v, t, forward, k, sign):
+    """As at_corners, for steps 1e-8 to 1e-14 long, which only the relative
+    bound decides, and bends from a right angle down to 2^-80: below it an
+    exact backtrack and a bent one round alike."""
+    v = v.scale(e)
+    bend = pt(-v.y, v.x).scale(rat(sign, 2 ** k)) if k else pt(0, 0)
+    p1 = p0 + v
     assert_check_leg_is_exact((p0, p1, p1 + v.scale(t if forward else -t) + bend))
 
 
@@ -701,6 +799,39 @@ def test_location_key_separates_points():
     values = sorted(set(lattice_x + lattice_y))
     points = [pt(x, y) for x in values for y in values]
     assert len({_ints(p) for p in points}) == len(points)
+
+
+def test_unequal_locations_of_equal_floats():
+    """A vertical segment crosses two horizontals 2^-80 apart, at locations
+    whose floats are equal: they are two crossings, both from a fresh scan
+    and from a splice that builds the vertical."""
+    v, eps = pt("-1/4", "-1/4"), rat(1, 2 ** 80)
+    lower, upper = rat(1, 4), rat(1, 4) + eps
+    # across to the right at y = 1/4, up by 2^-80, back to the left above it, then up
+    start = (v, pt("-1/2", lower), pt("1/2", lower), pt("1/2", upper), pt("-1/2", upper), pt("-1/2", "1/2"))
+    d = one_loop(*start, pt(0, "1/2"), pt(0, "-1/2"), v, vertex=v)
+    assert validate(d) == []
+    assert [c.location for c in crossings(d)] == [pt(0, lower), pt(0, upper)]
+    assert {(float(c.location.x), float(c.location.y)) for c in crossings(d)} == {(0.0, 0.25)}
+    apart = one_loop(*start, pt("-3/4", "1/2"), pt("-3/4", "-1/2"), v, vertex=v)
+    assert crossings(apart) == ()
+    vertical = _splice_points(apart, 0, 0, 6, 8, ((pt(0, "1/2"), pt(0, "-1/2")),), None)
+    d2, additions = _apply_splice(apart, vertical)
+    assert len(additions) == 2 and crossings(d2) == crossings(d)
+
+
+def test_crossing_locations_are_in_lowest_terms():
+    """crossings(d) reduces each kept location, unreduced ints, to a Point
+    in lowest terms: the one _point gives."""
+    d = realize(random_tuple(2, 5))
+    for seed in range(12):
+        _, d = random_move_applied(d, seed)
+    a = analysis(d)
+    assert len(a.crossings) > 4
+    for c, (*_, (at, _)) in zip(a.crossings, _crossing_order(a)):
+        p = c.location
+        assert p == _point(*at)  # equal ints: Point's equality
+        assert math.gcd(p.xn, p.xd) == 1 == math.gcd(p.yn, p.yd)
 
 
 def test_recurring_point_object_is_still_a_contact():

@@ -200,9 +200,11 @@ def test_proper_big_rationals_against_fraction_oracle(a, b, c, d):
 
 @given(*[st.one_of(points, big_points, huge_points)] * 4)
 def test_proper_ints_give_the_built_crossing(a, b, c, d):
-    """The integer kernel gives the location key of the crossing that
-    segment_intersection builds, and its parameters unreduced, for either
-    sign of e1 x e2 (swapping c and d flips it)."""
+    """The integer kernel gives the crossing that segment_intersection
+    builds, location and parameters unreduced, for either sign of e1 x e2
+    (swapping c and d flips it): `_point` reduces the location to the built
+    point exactly, and its floats, which the scans key locations by, are
+    the point's."""
     # of three pairings of four points in convex position, one crosses
     hits = [q for q in ((a, b, c, d), (a, c, b, d), (a, d, b, c))
             if q[0] != q[1] and q[2] != q[3] and segment_intersection(*q).kind is SegKind.PROPER]
@@ -212,7 +214,9 @@ def test_proper_ints_give_the_built_crossing(a, b, c, d):
     signs = set()
     for ends, t1, t2 in (((p, q, u, v), res.t1, res.t2), ((p, q, v, u), res.t1, 1 - res.t2)):
         key, (n1, n2, den) = _proper_ints(*ends)
-        assert key == _ints(res.point)
+        assert _point(*key) == res.point
+        p = res.point
+        assert (key[0] / key[1], key[2] / key[3]) == (p.xn / p.xd, p.yn / p.yd)
         assert (rat(n1, den), rat(n2, den)) == (t1, t2)
         signs.add(den > 0)
     assert signs == {False, True}

@@ -204,7 +204,7 @@ def render_svg(d: BouquetDiagram) -> str:
                 out.append(f'<rect x="{_fmt(mx - _SEAM_MARK)}" y="{_fmt(-my - _SEAM_MARK)}" '
                            f'width="{_fmt(2 * _SEAM_MARK)}" height="{_fmt(2 * _SEAM_MARK)}" '
                            f'fill="{color}" stroke="black" stroke-width="0.006"/>')
-    for _, _, _, ((xn, xd, yn, yd), _) in _crossing_order(a):  # crossings(d)'s order
+    for _, _, _, ((xn, xd, yn, yd), _) in _crossing_order(a)[0]:  # crossings(d)'s order
         out.append(f'<circle cx="{_fmt(xn / xd)}" cy="{_fmt(-(yn / yd))}" r="0.022" '
                    'fill="none" stroke="black" stroke-width="0.01"/>')
     v = d.vertex

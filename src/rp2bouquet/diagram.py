@@ -254,9 +254,9 @@ class DiagramAnalysis:
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
-        index = {id(s): i for i, s in enumerate(self.records)}
+        order, index = _crossing_order(self)
         return tuple(_pair_crossing(self.leg_starts, a, b, index[id(a)], index[id(b)], frame, ints)
-                     for a, b, frame, ints in _crossing_order(self))
+                     for a, b, frame, ints in order)
 
     @cached_property
     def star(self) -> tuple[HalfEdge, ...]:
@@ -385,6 +385,13 @@ def _star_order(star: list[tuple[HalfEdge, Point]]) -> tuple[HalfEdge, ...]:
     """The half-edges of `star` counterclockwise around V from direction
     (1, 0); angular order ignores a positive factor, so _star's int vectors do."""
     return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
+
+
+def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
+    # e1, the least symbol, occurs once, so the least rotation starts there
+    i = symbols.index(HalfEdge(0, False))
+    forward = symbols[i:] + symbols[:i]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
@@ -531,14 +538,15 @@ def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tup
     return (s.loop, *_position(leg_starts, s.loop, i)), (t.loop, *_position(leg_starts, t.loop, j)), frame
 
 
-def _crossing_order(a: DiagramAnalysis) -> list[tuple]:
+def _crossing_order(a: DiagramAnalysis) -> tuple[list[tuple], dict[int, int]]:
     """The kept crossings of `a` in crossings(d)'s order: by strand a's record, then a's n1 / den
-    (equal only at a TriplePoint); floats order them, and Rat where two floats tie."""
+    (equal only at a TriplePoint); floats order them, and Rat where two floats tie.  Also the
+    index {id(record): its index} that orders them."""
     index = {id(s): i for i, s in enumerate(a.records)}
     keys = [(index[id(s)], n1 / den) for s, _, _, (_, (n1, _, den)) in a.pairs]
     if len(set(keys)) < len(keys):
         keys = [(i, Rat(n1, den)) for (i, _), (_, _, _, (_, (n1, _, den))) in zip(keys, a.pairs)]
-    return [a.pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
+    return [a.pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)], index
 
 
 def _pair_crossing(leg_starts, a: _Seg, b: _Seg, i: int, j: int, frame: int, ints) -> Crossing:
@@ -756,20 +764,20 @@ class _Splice:
     loop: int
     d2: BouquetDiagram
     new: list[tuple[int, range]]
-    # (additions, dropped, d2's kept analysis) -> error message or None, crossings as _triple gives them
-    contract: Callable[[list, list, DiagramAnalysis], str | None] | None
+    # additions -> error message or None, each a crossing as _triple gives it
+    contract: Callable[[list], str | None] | None
     # (n, counts, exactly): the splice adds exactly n counted additions (counts
     # None: every one; a loop: its self-crossings); _scan_changed stops past n,
     # _apply_splice checks the tally before `contract` runs
     count: tuple[int, int | None, str] | None
-    # `removed` holds the dropped crossings' locations (for _located), each to
-    # be found again; off, it is empty and every crossing found is an addition
-    check_persistence: bool
+    # a point move (the jiggle) has one new segment per replaced one, whose crossings keep
+    # their strands and frames instead of their locations; every crossing found is an addition
+    point_move: bool
 
 
 def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
                    chains: tuple[tuple[Point, ...], ...], contract, count=None,
-                   check_persistence=True) -> _Splice:
+                   point_move=False) -> _Splice:
     """Replace points[lo:hi] of the leg, 0 < lo <= hi < len(points), by the
     chains, in an unchecked d2.  A seam transition ends every chain but the
     last, so each later chain starts a new leg.  The replaced segments are
@@ -784,7 +792,7 @@ def _splice_points(d: BouquetDiagram, loop: int, leg: int, lo: int, hi: int,
            for k, run in enumerate(runs, leg)]
     spliced = LoopPath(legs[:leg] + tuple(Leg(run) for run in runs) + legs[leg + 1:])
     d2 = BouquetDiagram(d.n, d.vertex, d.loops[:loop] + (spliced,) + d.loops[loop + 1:])
-    return _Splice(loop, d2, new, contract, count, check_persistence)
+    return _Splice(loop, d2, new, contract, count, point_move)
 
 
 def _near(records, start: int, segs: list[_Seg]) -> list[tuple[int, _Seg]]:
@@ -855,10 +863,10 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: dict,
 
 
 def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, list[tuple]]:
-    """splice.d2, checked, with its analysis kept, and the additions as _triple
-    gives them.  Found crossings stay ints (see _scan_changed); every record and
-    crossing off the window is kept as it is.  The replaced records i .. j - 1
-    are counted off the two leg-start rows."""
+    """splice.d2, checked in the order of the moves docstring, with its analysis
+    kept, and the additions as _triple gives them.  Found crossings stay ints (see
+    _scan_changed); every record and crossing off the window is kept as it is.
+    The replaced records i .. j - 1 are counted off the two leg-start rows."""
     base = _generic_analysis(d)
     d2, loop, (leg, segs) = splice.d2, splice.loop, splice.new[0]
     changed: list[_Seg] = []
@@ -871,17 +879,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked(f"result not generic: {out[0]}")
 
     row, leg_starts = base.leg_starts[loop], _leg_starts(d2)
-    delta = leg_starts[loop][-1] - row[-1]  # how far each record past the window moves
     i = row[leg] + segs[0]
-    j = i + len(changed) - delta
+    j = i + len(changed) - (leg_starts[loop][-1] - row[-1])
     records = base.records[:i] + tuple(changed) + base.records[j:]
-    where = {id(s): k for k, s in enumerate(base.records[i:j], i)}  # the replaced records
+    where = set(map(id, base.records[i:j]))  # the replaced records
     kept: list[tuple] = []
     dropped: list[tuple] = []
     for c in base.pairs:
         (dropped if id(c[0]) in where or id(c[1]) in where else kept).append(c)
     removed: dict = {}
-    for c in dropped if splice.check_persistence else ():
+    for c in () if splice.point_move else dropped:
         _located(removed, c[3][0], True)
     hits, added, missing, counted = _scan_changed(records, leg_starts, i, i + len(changed), removed,
                                                   splice.count)
@@ -889,23 +896,28 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         raise MoveBlocked("an existing crossing would be destroyed")
     if splice.count and counted != splice.count[0]:
         raise MoveBlocked(f"{splice.count[2]}, got {counted}")
+    if splice.point_move:  # each replaced record becomes the new one at its index
+        moved = dict(zip(map(id, base.records[i:j]), changed))
+        held = sorted((id(moved.get(id(a), a)), id(moved.get(id(b), b)), frame) for a, b, frame, _ in dropped)
+        if held != sorted((id(a), id(b), frame) for a, b, _, _, frame, _ in hits):
+            raise MoveBlocked("jiggle would change the crossing pattern")
     additions = [_triple(leg_starts, *hit) for hit in added]
+    if splice.contract:
+        err = splice.contract(additions)
+        if err:
+            raise MoveBlocked(err)
     w = _flipped(base.w, chain(dropped, hits))
     kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
     kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
-    if not at_v and "star" in vars(base):  # no half-edge moved
-        vars(kept_analysis)["star"] = base.star
-    if splice.contract:
-        # the parent's indices of the replaced records and of the records the
-        # scan met (a changed one is no strand of a dropped crossing); a partner
-        # it did not meet gets -1, whose key names leg -1, as no addition's does
-        for a, b, ia, ib, _, _ in hits:
-            where[id(a)], where[id(b)] = ia if ia < i else ia - delta, ib if ib < i else ib - delta
-        dropped = [_triple(base.leg_starts, a, b, where.get(id(a), -1), where.get(id(b), -1), frame)
-                   for a, b, frame, _ in dropped]
-        err = splice.contract(additions, dropped, kept_analysis)
-        if err:
-            raise MoveBlocked(err)
+    # every template starts and ends on its target segment (its first and last inserted
+    # points are a + s(b - a), 0 < s < 1), so only a jiggle of the point next to V turns a
+    # half-edge, and only one (a three-point one-leg loop is codirectional at V): that can
+    # reorder the star but never reverse it, so canonical words decide as rotations would
+    if not at_v:  # no half-edge moved
+        if "star" in vars(base):
+            vars(kept_analysis)["star"] = base.star
+    elif _canonical(kept_analysis.star) != _canonical(base.star):
+        raise MoveBlocked("jiggle would reorder the vertex star")
     _set_analysis(d2, kept_analysis)
     return d2, additions
 

@@ -36,7 +36,7 @@ from itertools import chain, groupby, pairwise, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .diagram import BouquetDiagram, HalfEdge, _generic_analysis
+from .diagram import BouquetDiagram, HalfEdge, _canonical, _generic_analysis
 
 __all__ = [
     "CyclicWord",
@@ -80,13 +80,6 @@ def _check_symbols(symbols: tuple[HalfEdge, ...]) -> int:
             if HalfEdge(i, inverted) not in seen:
                 raise MissingSymbol(f"symbol {HalfEdge(i, inverted)} missing")
     return n
-
-
-def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
-    # e1, the least symbol, occurs once, so the least rotation starts there
-    i = symbols.index(HalfEdge(0, False))
-    forward = symbols[i:] + symbols[:i]
-    return min(forward, forward[:1] + forward[:0:-1])
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ trusted, in this order -
 * in one pass over the changed segments, every contact must be a transversal
   crossing apart from all other crossings and from the vertex;
 * every crossing of the input diagram must survive at its exact location
-  (so a template never lands on top of existing geometry);
-* the freshly created crossings must match the move's contract exactly, e.g.
-  a kink pair adds two self-crossings of opposite sign and nothing else.
+  (so a template never lands on top of existing geometry), or, for a point
+  move (the jiggle), on the same strands with the same frame;
+* the freshly created crossings must match the move's count and contract
+  exactly, e.g. a kink pair adds two self-crossings of opposite sign and
+  nothing else;
+* the half-edges at the vertex must keep their cyclic order.
 
 Any failure raises :class:`MoveBlocked` at the first certain violation.  A
 splice declares its count of new crossings and the pass checks it, stopping
@@ -38,18 +41,14 @@ seam) from the segment's ends (see :mod:`rp2bouquet.geometry`):
 * seam reroute (edit) - replaces a window with a one-transition trip through
   the seam, flipping the loop's homotopy class bit;
 * single kink (edit) - one curl, flipping the loop's parity bit;
-* jiggle - no template: one interior point moves.  The crossings on its two
-  segments may move with it, so instead of surviving they must keep their
-  strands and frames, and the half-edges at the vertex must keep their order.
+* jiggle - no template and no contract: one interior point moves (a point
+  move), and the crossings on its two segments may move with it.
 
-Every contract takes (additions, dropped, kept): the crossings found on the new
-segments less those at a location to find again, the crossings on replaced
-segments, and the candidate d2's kept analysis.  Each crossing is a (key_a,
-key_b, frame) triple, no `Crossing`, a key being the (loop, leg, seg) of a
-strand, in :class:`Crossing`'s order: an addition is addressed in d2, a dropped
-crossing in d (a partner the pass did not meet again gets a key on no segment).
-The locations to find again are the dropped ones, or none for a splice without
-check_persistence (the jiggle), whose additions are then every crossing found.
+A contract takes the additions alone: the crossings found on the new segments
+less those at a location to find again (the crossings on replaced segments;
+none for a point move, whose additions are then every crossing found).  Each
+is a (key_a, key_b, frame) triple in d2, no `Crossing`, a key being the (loop,
+leg, seg) of a strand, in :class:`Crossing`'s order.
 
 Every builder splices through diagram._splice_points, and
 diagram._apply_splice runs the checks above on the new segments only and
@@ -75,7 +74,7 @@ from .diagram import (
     _segment_gaps,
     _splice_points,
 )
-from .invariants import _canonical, _index_term
+from .invariants import _index_term
 
 __all__ = [
     "MOVE_KINDS",
@@ -209,7 +208,7 @@ def _build_kink_pair(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t1, w, h) + _curl_points(a, b, t2, w, -h)
 
-    def contract(additions: list[tuple], dropped, kept) -> str | None:
+    def contract(additions: list[tuple]) -> str | None:
         if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "kink pair may only add self-crossings of the target loop"
         if sorted(_index_term(a[1], frame) for a, _, frame in additions) != [-1, 1]:
@@ -227,7 +226,7 @@ def _build_single_kink(d, spec) -> _Splice:
     a, b = _get_segment(d, spec.loop, spec.leg, spec.segment)
     inserted = _curl_points(a, b, t, w, h)
 
-    def contract(additions: list[tuple], dropped, kept) -> str | None:
+    def contract(additions: list[tuple]) -> str | None:
         if any(a[0] != spec.loop or b[0] != spec.loop for a, b, _ in additions):
             return "single kink may only add a self-crossing of the target loop"
         return None
@@ -278,7 +277,7 @@ def _build_detour(d, spec) -> _Splice:
     curl_a = _curl_points(a, b, t - 3 * w / 4, w / 8, h)
     curl_b = _curl_points(a, b, t - w / 4, w / 8, h)
 
-    def contract(additions: list[tuple], dropped, kept) -> str | None:
+    def contract(additions: list[tuple]) -> str | None:
         if any(_index_term(a[1], frame) != sigma for a, b, frame in additions
                if a[0] == spec.loop and b[0] == spec.loop):
             return "detour curls must both carry the requested sign"
@@ -338,7 +337,7 @@ def _build_finger_push(d, spec) -> _Splice:
     expected_other = (loop2, leg2, seg2 + len(inserted) if later else seg2)
     vertical_keys = {(spec.loop, spec.leg, spec.segment + 1), (spec.loop, spec.leg, spec.segment + 3)}
 
-    def contract(additions: list[tuple], dropped, kept) -> str | None:
+    def contract(additions: list[tuple]) -> str | None:
         seen_verticals = set()
         for a, b, _ in additions:
             sides = {a, b}
@@ -376,27 +375,13 @@ def _build_jiggle(d: BouquetDiagram, spec: MoveSpec) -> _Splice:
     dx, dy = spec.params
     loop, k, idx = spec.loop, spec.leg, spec.segment
     try:
-        legs = d.loops[loop].legs
-        pts = legs[k].points
+        pts = d.loops[loop].legs[k].points
     except IndexError:
         raise MoveBlocked(f"no leg ({loop}, {k})") from None
     if not (1 <= idx <= len(pts) - 2):
         raise MoveBlocked("only interior polyline points can be jiggled")
     moved = pts[idx] + Point(dx, dy)
-    # only a point next to V moves a half-edge, and only one of them (a
-    # three-point one-leg loop is codirectional at V); moving one of 2n
-    # half-edges can reorder the star but never reverse it, so the canonical
-    # word decides as a comparison of rotations would
-    next_to_v = (k, idx) in ((0, 1), (len(legs) - 1, len(pts) - 2))
-
-    def contract(additions: list[tuple], dropped, kept) -> str | None:
-        if sorted(additions) != sorted(dropped):
-            return "jiggle would change the crossing pattern"
-        if next_to_v and _canonical(kept.star) != _canonical(_generic_analysis(d).star):
-            return "jiggle would reorder the vertex star"
-        return None
-
-    return _splice_points(d, loop, k, idx, idx + 1, ((moved,),), contract, check_persistence=False)
+    return _splice_points(d, loop, k, idx, idx + 1, ((moved,),), None, point_move=True)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +601,7 @@ def _propose_edit(d: BouquetDiagram, kinds: tuple[str, ...], rng: random.Random)
 
 def _certainly_blocked(d: BouquetDiagram, spec: MoveSpec) -> bool:
     """Whether a rule above proves apply_move(d, spec) blocked, d valid;
-    False is no verdict."""
+    False is no verdict, as for every edit."""
     key = (spec.loop, spec.leg, spec.segment)
     try:
         if spec.kind == "Detour":
@@ -634,14 +619,14 @@ def _certainly_blocked(d: BouquetDiagram, spec: MoveSpec) -> bool:
 _RETRY_BUDGET = 10_000
 
 
-def _first_legal(noun: str, seed: int, propose, apply, blocked=None) -> tuple:
-    """(spec, apply(spec)) for the first proposal that applies, drawing the
-    proposals from the seeded stream of `noun` and dropping unbuilt those that
-    `blocked` proves blocked; Exhausted past the budget."""
+def _first_legal(noun: str, seed: int, d: BouquetDiagram, propose, apply) -> tuple:
+    """(spec, apply(spec)) for the first proposal on d that applies, drawing
+    the proposals from the seeded stream of `noun` and dropping unbuilt those
+    that _certainly_blocked proves blocked; Exhausted past the budget."""
     rng = random.Random(f"rp2bouquet-{noun}:{seed}")
     for _ in range(_RETRY_BUDGET):
         spec = propose(rng)
-        if spec is not None and not (blocked and blocked(spec)):
+        if spec is not None and not _certainly_blocked(d, spec):
             try:
                 return spec, apply(spec)
             except MoveBlocked:
@@ -651,8 +636,7 @@ def _first_legal(noun: str, seed: int, propose, apply, blocked=None) -> tuple:
 
 def random_move_applied(d: BouquetDiagram, seed: int) -> tuple[MoveSpec, BouquetDiagram]:
     """Deterministically propose and apply one legal random move."""
-    return _first_legal("move", seed, partial(_propose_move, d), partial(apply_move, d),
-                        partial(_certainly_blocked, d))
+    return _first_legal("move", seed, d, partial(_propose_move, d), partial(apply_move, d))
 
 
 def random_move(d: BouquetDiagram, seed: int) -> MoveSpec:
@@ -670,4 +654,4 @@ def random_edit(d: BouquetDiagram, seed: int, kind: str | None = None) -> tuple[
     if kind is not None and kind not in EDIT_KINDS:
         raise ValueError(f"unknown edit kind {kind!r}")
     kinds = EDIT_KINDS if kind is None else (kind,)
-    return _first_legal("edit", seed, partial(_propose_edit, d, kinds), partial(apply_edit_outcome, d))
+    return _first_legal("edit", seed, d, partial(_propose_edit, d, kinds), partial(apply_edit_outcome, d))

@@ -828,7 +828,7 @@ def test_crossing_locations_are_in_lowest_terms():
         _, d = random_move_applied(d, seed)
     a = analysis(d)
     assert len(a.crossings) > 4
-    for c, (*_, (at, _)) in zip(a.crossings, _crossing_order(a)):
+    for c, (*_, (at, _)) in zip(a.crossings, _crossing_order(a)[0]):
         p = c.location
         assert p == _point(*at)  # equal ints: Point's equality
         assert math.gcd(p.xn, p.xd) == 1 == math.gcd(p.yn, p.yd)

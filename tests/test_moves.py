@@ -293,13 +293,17 @@ def test_jiggle_blocked_cases(quad):
         apply_move(quad, MoveSpec("Jiggle", 0, 0, 1, (rat(-1), rat(1, 2))))
 
 
-def test_jiggle_blocked_by_vertex_order():
-    # moving the corner (1/2, 0) up to (1/2, 1/4) turns loop 0's first
-    # half-edge past both half-edges of the petal without meeting it
+def square_and_petal():
     square = LoopPath((Leg((pt(0, 0), pt("1/2", 0), pt("1/2", "-1/2"), pt(0, "-1/2"),
                             pt(0, 0))),))
     petal = LoopPath((Leg((pt(0, 0), pt("1/8", "1/40"), pt("1/8", "1/20"), pt(0, 0))),))
-    d = BouquetDiagram(2, pt(0, 0), (square, petal))
+    return BouquetDiagram(2, pt(0, 0), (square, petal))
+
+
+def test_jiggle_blocked_by_vertex_order():
+    # moving the corner (1/2, 0) up to (1/2, 1/4) turns loop 0's first
+    # half-edge past both half-edges of the petal without meeting it
+    d = square_and_petal()
     assert validate(d) == []
     with pytest.raises(MoveBlocked, match="reorder the vertex star"):
         apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
@@ -536,7 +540,9 @@ def reference_verdict(d, spec, fresh):
     specification), the fresh validate, crossings and analysis alone, none
     of the splice path: (category, None) for a blocked spec, one of
     VERDICT_CATEGORIES, else ("applied", its additions as sorted (key_a,
-    key_b, frame) triples).  fresh is crossings(rebuilt(d))."""
+    key_b, frame) triples).  fresh is crossings(rebuilt(d)).  A point move
+    that changes the crossing pattern and a splice that reorders the vertex
+    star count as "contract"."""
     try:
         splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
     except MoveBlocked:
@@ -549,7 +555,7 @@ def reference_verdict(d, spec, fresh):
     changed = {(splice.loop, k, s) for k, segs in new for s in segs}
     dropped = [c for c in fresh if replaced.intersection(strands(c))]
     found = [c for c in crossings(d2) if changed.intersection(strands(c))]
-    spots = {c.location for c in dropped} if splice.check_persistence else set()
+    spots = set() if splice.point_move else {c.location for c in dropped}
     if not spots <= {c.location for c in found}:
         return "persistence", None
     additions = sorted((*strands(c), c.frame) for c in found if c.location not in spots)
@@ -557,7 +563,10 @@ def reference_verdict(d, spec, fresh):
         n, counts, _ = splice.count
         if sum(counts is None or a[0] == b[0] == counts for a, b, _ in additions) != n:
             return "count", None
-    if splice.contract and splice.contract(additions, [(*strands(c), c.frame) for c in dropped], analysis(d2)):
+    # a point move keeps its segments' keys, so its crossings keep their triples
+    if splice.point_move and additions != sorted((*strands(c), c.frame) for c in dropped):
+        return "contract", None
+    if splice.contract and splice.contract(additions) or inv1(d2) != inv1(d):
         return "contract", None
     return "applied", additions
 
@@ -910,41 +919,36 @@ def test_the_public_crossing_tuple_is_built_once():
         assert crossings(d) is crossings(d)
 
 
-def test_a_star_reordering_jiggle_keeps_no_stale_star(wedge, monkeypatch):
-    """With Jiggle's contract dropped, moving the point next to V on loop
-    0 of the wedge turns e1 past e2: the kept star of the result is built
-    afresh, not carried from the parent, whose star is already built."""
-    splice_points = moves_mod._splice_points
-    monkeypatch.setattr(moves_mod, "_splice_points", lambda d, loop, k, lo, hi, chains, contract, **kw:
-                        splice_points(d, loop, k, lo, hi, chains, None, **kw))
-    before = inv1(wedge)
-    d2 = apply_move(wedge, MoveSpec("Jiggle", 0, 0, 1, (rat(-1, 2), rat(1, 2))))
-    assert str(before) == "e1,e2,e1^-1,e2^-1"
+def test_a_star_reordering_jiggle_keeps_no_stale_star(monkeypatch):
+    """With the splice's star rule switched off, the jiggle of
+    test_jiggle_blocked_by_vertex_order turns e1 past both half-edges of the
+    petal: the kept star of the result is built afresh, not carried from the
+    parent, whose star is already built."""
+    d = square_and_petal()
+    monkeypatch.setattr(diagram_mod, "_canonical", lambda symbols: ())
+    before = inv1(d)
+    d2 = apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
+    assert str(before) == "e1,e1^-1,e2^-1,e2"
     assert inv1(d2) == inv1(rebuilt(d2)) != before
 
 
-def test_a_jiggle_that_swaps_a_partner_strand_is_blocked(monkeypatch):
-    """Moving point 17 makes segment 16 cross segment 13 instead of 12.  The
-    scan does not meet segment 12 again, so the dropped crossing's partner
-    gets no position, and the triple matches no addition."""
+def test_a_jiggle_that_swaps_a_partner_strand_is_blocked():
+    """Moving point 17 makes segment 16 cross segment 13 instead of 12: the
+    strands change though the count and frame do not."""
     d = realize(random_tuple(1, 325664383))
     for seed in (703013335, 663429604, 748087104, 123375122, 734025962, 551198391):
         _, d = random_move_applied(d, seed)
     assert [(c.param_a.seg, c.param_b.seg) for c in crossings(d)] == [(4, 6), (8, 10), (12, 16), (18, 20)]
-    seen = []
-    splice_points = moves_mod._splice_points
+    spec = MoveSpec.from_line("Jiggle 0 0 17 -69/34816 -69/278528")
 
-    def recorded(d, loop, k, lo, hi, chains, contract, **kw):
-        return splice_points(d, loop, k, lo, hi, chains,
-                             lambda *args: seen.append(args[:2]) or contract(*args), **kw)
+    def on_16(d):
+        pairs = [(c.param_a.seg, c.param_b.seg, c.frame) for c in crossings(d)]
+        return [p for p in pairs if 16 in p[:2]]
 
-    monkeypatch.setattr(moves_mod, "_splice_points", recorded)
+    assert on_16(d) == [(12, 16, -1)]
+    assert on_16(rebuilt(moves_mod._build_jiggle(d, spec).d2)) == [(13, 16, -1)]
     with pytest.raises(MoveBlocked, match="^jiggle would change the crossing pattern$"):
-        apply_move(d, MoveSpec.from_line("Jiggle 0 0 17 -69/34816 -69/278528"))
-    (additions, dropped), = seen
-    assert additions == [((0, 0, 13), (0, 0, 16), -1)]
-    (partner, strand, frame), = dropped
-    assert (strand, frame) == ((0, 0, 16), -1) and partner[:2] == (0, -1)
+        apply_move(d, spec)
 
 
 def test_template_through_an_existing_crossing_is_blocked(wedge):
@@ -1292,12 +1296,12 @@ def test_a_walk_to_3000_segments_keeps_its_moves_and_its_analysis():
 # the kept analysis is diagram.py's own
 # ---------------------------------------------------------------------------
 
-def private_imports(module):
+def private_imports(module, siblings=("diagram", "moves")):
     """{sibling module: the private names `module` imports from it}, for
-    imports from .diagram and .moves."""
+    imports from the `siblings`."""
     found = {}
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("diagram", "moves"):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in siblings:
             found.setdefault(node.module, set()).update(
                 alias.name for alias in node.names if alias.name.startswith("_"))
     return found
@@ -1311,12 +1315,16 @@ def test_moves_reach_the_kept_analysis_only_through_the_splice_entry_points():
     assert private_imports(moves_mod) == {
         "diagram": {"_Splice", "_splice_points", "_apply_splice", "_generic_analysis", "_key", "_segment_gaps",
                     "_certain_addition"}}
+    # the splice keeps the vertex star: moves reads only the index terms of invariants
+    assert private_imports(moves_mod, ("invariants",)) == {"invariants": {"_index_term"}}
     assert private_imports(normal_form) == {"diagram": {"_segment_gaps"}, "moves": set()}
 
 
 def test_the_readers_take_one_star_and_one_crossing_order_from_diagram():
     """invariants.py reads the kept analysis, its star among it, through the
-    validity guard alone; cli.py takes the same guard and the one function
-    that orders the kept crossings.  Neither builds a second star or order."""
-    assert private_imports(invariants_mod) == {"diagram": {"_generic_analysis"}}
+    validity guard alone, and words the star by the canonical form the
+    splice's star rule compares; cli.py takes the same guard and the one
+    function that orders the kept crossings.  Neither builds a second star
+    or order."""
+    assert private_imports(invariants_mod) == {"diagram": {"_canonical", "_generic_analysis"}}
     assert private_imports(cli_mod) == {"diagram": {"_generic_analysis", "_crossing_order"}, "moves": set()}

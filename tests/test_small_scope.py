@@ -28,11 +28,14 @@ import pytest
 
 from rp2bouquet import BouquetDiagram, Leg, LoopPath, MoveBlocked, apply_move, crossings, invariants, pt, validate
 from rp2bouquet import moves as moves_mod
+from rp2bouquet import random_move_applied, realize
+from rp2bouquet.diagram import _apply_splice, _ray, _star
 from rp2bouquet.geometry import mat_apply, rat, seam_reflection
+from rp2bouquet.normal_form import random_tuple
 
 from test_diagram import brute_force_crossings, normalize_engine, normalize_oracle
 from test_moves import (VERDICT_CATEGORIES, assert_dropped_only_if_blocked, assert_gaps_tile_each_segment,
-                        assert_kept_analysis_is_fresh, assert_verdicts_agree)
+                        assert_kept_analysis_is_fresh, assert_verdicts_agree, hostile_specs, single_kink_specs)
 
 V = pt(0, 0)
 COORDS = [(x, y) for y in range(-2, 3) for x in range(-2, 3) if x or y]  # in quarters
@@ -324,3 +327,52 @@ def test_every_family_verdict_matches_the_from_scratch_reference(family, two_leg
             assert_verdicts_agree(d, [s for s in [moves_mod._propose_move(d, rng)] if s], tally)
     assert len(one_leg) == 1_230
     assert set(tally) == set(VERDICT_CATEGORIES) - {"persistence"} | {"applied"}, tally
+
+
+def rays(d):
+    """Each half-edge at V with the ray of its direction."""
+    return [(h, _ray(v)) for h, v in _star(d)]
+
+
+def assert_templates_keep_the_star(d, specs, reached):
+    """Each spec whose splice reaches its loop's first or last segment leaves
+    every half-edge's ray as it is, applied or not; reached counts by kind the
+    applied ones."""
+    for spec in specs:
+        try:
+            splice = moves_mod._BUILDERS[spec.kind][0](d, spec)
+        except MoveBlocked:
+            continue
+        legs = splice.d2.loops[splice.loop].legs
+        if not any(k == 0 and segs.start == 0 or k == len(legs) - 1 and segs.stop == len(legs[k].points) - 1
+                   for k, segs in splice.new):
+            continue
+        assert rays(splice.d2) == rays(d), spec.to_line()
+        try:
+            _apply_splice(d, splice)
+        except MoveBlocked:
+            continue
+        reached[spec.kind] += 1
+
+
+def test_only_a_jiggle_turns_a_half_edge(valid, two_leg_valid, three_loop_valid):
+    """The precondition of the splice's star rule: a template starts and ends
+    on its target segment, so every move and edit kind but Jiggle keeps the
+    direction of each half-edge at V, on seeded chains' proposals, hostile
+    specs and the small-scope families; each kind reaches V and applies."""
+    reached = Counter()
+
+    def specs(d, rng, moves):
+        edits = [moves_mod._propose_edit(d, moves_mod.EDIT_KINDS, rng) for _ in range(2)]
+        found = [moves_mod._propose_move(d, rng) for _ in range(moves)] + edits
+        return [s for s in found + hostile_specs(d, rng) + single_kink_specs(d, rng) if s and s.kind != "Jiggle"]
+
+    for seed in range(6):
+        rng = random.Random(f"star-kept:{seed}")
+        d = realize(random_tuple(rng.choice((1, 2, 3)), rng.randrange(10 ** 9)))
+        for _ in range(12):
+            assert_templates_keep_the_star(d, specs(d, rng, 8), reached)
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    for seed, d in enumerate(valid[::8] + two_leg_valid + three_loop_valid):
+        assert_templates_keep_the_star(d, specs(d, random.Random(seed), 2), reached)
+    assert set(reached) == set(moves_mod.MOVE_KINDS + moves_mod.EDIT_KINDS) - {"Jiggle"}, reached

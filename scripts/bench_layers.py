@@ -20,8 +20,11 @@ present signatures.  The rows:
   segments: one seeded chain of ``realize`` plus ``random_move_applied``,
   cut when it first reaches each size.  ``render_svg``, ``invariants`` and
   ``crossings`` each get a copy of the kept analysis without what an
-  earlier call built and cached in it (the vertex star, the public
-  crossing tuple), so each call pays for building those.  ``loads`` and
+  earlier call built and cached in it (the public crossing tuple), so each
+  call pays for building that.  The order word at V is a field of the
+  analysis: a fresh ``validate`` builds it and ``invariants`` only reads
+  it (a tree that built the vertex star on first use did so in
+  ``invariants``, on the copy).  ``loads`` and
   ``dumps`` also run on the scale chain's diagram (below), labelled 3000;
 * ``_structural_ok`` in us per call: the structural walk ``_structural`` on
   the window of each of a fixed list of splices proposed on each snapshot,

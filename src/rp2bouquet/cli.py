@@ -91,7 +91,7 @@ def _violation(d: BouquetDiagram, kind: str, reference: InvariantTuple,
     if cross_check:
         kept, rebuilt = analysis(d), analysis(BouquetDiagram(d.n, d.vertex, d.loops))
         # the kept crossings, in no fixed order, are compared as the public tuple
-        for name in [f.name for f in fields(kept) if f.name != "pairs"] + ["crossings", "star"]:
+        for name in [f.name for f in fields(kept) if f.name != "pairs"] + ["crossings"]:
             if getattr(kept, name) != getattr(rebuilt, name):
                 return f"kept {name} diverge from a rebuilt analysis after {kind}"
     current = invariants(d)

@@ -24,9 +24,9 @@ scratch; _apply_splice, through which every move and edit goes, updates the
 parent's for the new segments only: each segment record and each crossing off
 the splice's window is kept as the very same object, so a splice moves,
 rebuilds and re-sorts nothing past its window.  The public :class:`Crossing`
-tuple and the vertex star are built from the kept analysis on first use.  A
-kept analysis must agree exactly with a rebuilt one (``rp2bouquet fuzz
---cross-check`` compares them).
+tuple is built from the kept analysis on first use; a splice carries the order
+word at V (_order) over.  A kept analysis must agree exactly with a rebuilt one
+(``rp2bouquet fuzz --cross-check`` compares them).
 """
 
 from __future__ import annotations
@@ -238,12 +238,12 @@ class DiagramAnalysis:
     record order, which names its strands by their records, not their
     positions, and its location by unreduced ints (see :func:`_located`).
     A splice thus keeps every record and crossing off its window as it is.
-    `crossings`, the public sorted tuple, and `star`, the half-edges around
-    V, are built on first use and cached (so dataclasses.replace drops
-    them); only :func:`crossings` and the fuzz cross-check build the tuple,
-    as the invariants and the renderer read `pairs`.
-    `w` holds each loop's self-crossing count mod 2 (see :func:`_flipped`).
-    `pairs`, `records`, `leg_starts` and `w` are empty for an invalid diagram.
+    `crossings`, the public sorted tuple, is built on first use and cached
+    (so dataclasses.replace drops it); only :func:`crossings` and the fuzz
+    cross-check build it, as the invariants and the renderer read `pairs`.
+    `w` holds each loop's self-crossing count mod 2 (see :func:`_flipped`),
+    `order` the word of the half-edges around V (see :func:`_order`); all
+    but `violations` are empty for an invalid diagram.
     """
 
     violations: tuple[Violation, ...]
@@ -251,21 +251,13 @@ class DiagramAnalysis:
     records: tuple = field(default=(), compare=False, repr=False)
     leg_starts: tuple = field(default=(), compare=False, repr=False)
     w: tuple[int, ...] = ()
+    order: tuple[HalfEdge, ...] = ()
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
         order, index = _crossing_order(self)
         return tuple(_pair_crossing(self.leg_starts, a, b, index[id(a)], index[id(b)], frame, ints)
                      for a, b, frame, ints in order)
-
-    @cached_property
-    def star(self) -> tuple[HalfEdge, ...]:
-        # each loop's first record leaves V and its last one enters it
-        star = []
-        for li, row in enumerate(self.leg_starts):
-            s, t = self.records[row[0]], self.records[row[-1] - 1]
-            star += (HalfEdge(li, False), _direction(s.a, s.b)), (HalfEdge(li, True), _direction(t.b, t.a))
-        return _star_order(star)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +373,6 @@ def _star(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
     return out
 
 
-def _star_order(star: list[tuple[HalfEdge, Point]]) -> tuple[HalfEdge, ...]:
-    """The half-edges of `star` counterclockwise around V from direction
-    (1, 0); angular order ignores a positive factor, so _star's int vectors do."""
-    return tuple(star[i][0] for i in angle_sort([direction for _, direction in star]))
-
-
 def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
     # e1, the least symbol, occurs once, so the least rotation starts there
     i = symbols.index(HalfEdge(0, False))
@@ -394,13 +380,20 @@ def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
     return min(forward, forward[:1] + forward[:0:-1])
 
 
-def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> None:
-    """Codirectional half-edges at V; every leg has at least two points."""
+def _order(star: list[tuple[HalfEdge, Point]]) -> tuple[HalfEdge, ...]:
+    """The canonical word of the half-edges of `star` (_star) counterclockwise
+    around V; angular order ignores a positive factor, so _star's int vectors do."""
+    return _canonical(tuple([star[i][0] for i in angle_sort([direction for _, direction in star])]))
+
+
+def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
+    """Codirectional half-edges at V (every leg has at least two points); returns _star(d)."""
     star = _star(d)
     for i, j in _equal_key_pairs([_ray(v) for _, v in star]):
         li, lj = star[i][0].loop, star[j][0].loop
         out.append(Violation("CodirectionalAtVertex", li,
                              note=f"half-edges of loops {li} and {lj}"))
+    return star
 
 
 def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
@@ -416,15 +409,15 @@ def _check_seam_table(out: list[Violation], d: BouquetDiagram) -> None:
         out.append(Violation(kind, li, note=f"loops {li} and {lj}"))
 
 
-def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records: list) -> bool:
+def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records: list) -> list | None:
     """The structural checks of d that read a segment of `windows` (loop ->
     its (leg, range of segments) pairs, as _check_leg takes them): per loop in
     order, ShortLeg for no legs, else _check_leg on each window and the joints
     at the leg ends they reach; then, while `out` is empty, the vertex star if
     a first or last segment was reached and the seam table if a joint was (a
     seam point ends a segment).  `records` gets the records while `out` is
-    empty.  Returns whether a first or last segment (a half-edge's) was reached."""
-    star = seam = False
+    empty.  Returns the star if it checked one (a half-edge's segment was reached), else None."""
+    at_v = seam = False
     for li, wins in windows.items():
         legs = d.loops[li].legs
         if not legs:
@@ -439,19 +432,19 @@ def _structural(out: list[Violation], d: BouquetDiagram, windows: dict, records:
         joints = dict.fromkeys(ki for ki in ends if 0 <= ki < last)
         for ki in joints:
             _check_joint(out, li, ki, legs[ki], legs[ki + 1])
-        star |= -1 in ends or last in ends
+        at_v |= -1 in ends or last in ends
         seam |= bool(joints)
-    if not out:
-        if star:
-            _check_vertex_directions(out, d)
-        if seam:
-            _check_seam_table(out, d)
+    if out:
+        return None
+    star = _check_vertex_directions(out, d) if at_v else None
+    if seam:
+        _check_seam_table(out, d)
     return star
 
 
-def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
-    """Every structural violation of d: the header checks, then _structural
-    over every segment, which fills `records` in (loop, leg, seg) order."""
+def _structural_violations(d: BouquetDiagram, records: list) -> tuple[list[Violation], list | None]:
+    """Every structural violation of d (the header checks, then _structural over every
+    segment, which fills `records` in (loop, leg, seg) order) and the star it returns."""
     out: list[Violation] = []
     if d.n < 1:
         out.append(Violation("BadLoopCount", note="n must be >= 1"))
@@ -459,9 +452,9 @@ def _structural_violations(d: BouquetDiagram, records: list) -> list[Violation]:
         out.append(Violation("BadLoopCount", note=f"expected {d.n} loops, found {len(d.loops)}"))
     if unit_circle_side(d.vertex) >= 0:
         out.append(Violation("VertexOutsideDisk"))
-    _structural(out, d, {li: [(ki, range(len(leg.points) - 1)) for ki, leg in enumerate(loop.legs)]
-                         for li, loop in enumerate(d.loops)}, records)
-    return out
+    star = _structural(out, d, {li: [(ki, range(len(leg.points) - 1)) for ki, leg in enumerate(loop.legs)]
+                                for li, loop in enumerate(d.loops)}, records)
+    return out, star
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +602,8 @@ def _sure(s: _Seg, t: _Seg) -> int | None:
         return 0
     if abs(oc) > _B and abs(od) > _B and abs(oa) > _B and abs(ob) > _B:
         return 1 if od > 0 else -1
+    if not (oc and od) and not (oa and ob):
+        return None  # a 0.0 in each test fails every positive bound below
     # _B decides nothing (tiny kinks): the same tests, each bounded by its differences
     e, f, ac = abs(ex) + abs(ey), abs(fx) + abs(fy), abs(cx - ax) + abs(cy - ay)
     bc, bd = _bound(e, ac), _bound(e, abs(dx - ax) + abs(dy - ay))
@@ -701,7 +696,7 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     """The structural violations, else each NonTransversal pair in sweep order and then
     a TriplePoint for each crossing at an earlier one's location, keyed as _scan_changed."""
     records: list[_Seg] = []
-    violations = _structural_violations(d, records)
+    violations, star = _structural_violations(d, records)
     if violations:
         return DiagramAnalysis(tuple(violations))
     leg_starts = _leg_starts(d)
@@ -725,7 +720,8 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     violations += triples
     if violations:
         return DiagramAnalysis(tuple(violations))
-    return DiagramAnalysis((), tuple(pairs), tuple(records), leg_starts, _flipped((0,) * d.n, pairs))
+    w = _flipped((0,) * d.n, pairs)
+    return DiagramAnalysis((), tuple(pairs), tuple(records), leg_starts, w, _order(star))
 
 
 def _flipped(w: tuple[int, ...], held) -> tuple[int, ...]:
@@ -874,7 +870,7 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
     # d2 differs from a valid diagram only in the new segments, so only the
     # conditions _structural checks on their window can fail: its first violation
     # is that of re-checking the whole loop, the vertex star and the seam table
-    at_v = _structural(out, d2, {loop: splice.new}, changed)
+    star = _structural(out, d2, {loop: splice.new}, changed)
     if out:
         raise MoveBlocked(f"result not generic: {out[0]}")
 
@@ -906,19 +902,16 @@ def _apply_splice(d: BouquetDiagram, splice: _Splice) -> tuple[BouquetDiagram, l
         err = splice.contract(additions)
         if err:
             raise MoveBlocked(err)
-    w = _flipped(base.w, chain(dropped, hits))
-    kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
-    kept_analysis = DiagramAnalysis((), tuple(kept), records, leg_starts, w)
     # every template starts and ends on its target segment (its first and last inserted
     # points are a + s(b - a), 0 < s < 1), so only a jiggle of the point next to V turns a
     # half-edge, and only one (a three-point one-leg loop is codirectional at V): that can
-    # reorder the star but never reverse it, so canonical words decide as rotations would
-    if not at_v:  # no half-edge moved
-        if "star" in vars(base):
-            vars(kept_analysis)["star"] = base.star
-    elif _canonical(kept_analysis.star) != _canonical(base.star):
+    # reorder the star but never reverse it, so canonical words decide as rotations would;
+    # a splice whose window misses V moves no half-edge, and one that passes keeps the word
+    if star and _order(star) != base.order:
         raise MoveBlocked("jiggle would reorder the vertex star")
-    _set_analysis(d2, kept_analysis)
+    kept += [(a, b, frame, ints) for a, b, _, _, frame, ints in hits]
+    w = _flipped(base.w, chain(dropped, hits))
+    _set_analysis(d2, DiagramAnalysis((), tuple(kept), records, leg_starts, w, base.order))
     return d2, additions
 
 

@@ -446,12 +446,9 @@ def _half(v: Point) -> int:
 
 
 def _angle_cmp(u: Point, v: Point) -> int:
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return hu - hv
-    # one half-plane spans less than pi, so u x v orders it; zero means
-    # codirectional, as antipodal vectors lie in different halves.  Here
-    # u x v is times uyd * vxd * uxd * vyd > 0.
+    # u and v lie in one half (_half), which spans less than pi, so u x v orders
+    # them; zero means codirectional, as antipodal vectors lie in different
+    # halves.  Here u x v is times uyd * vxd * uxd * vyd > 0.
     cr = u.xn * v.yn * u.yd * v.xd - u.yn * v.xn * u.xd * v.yd
     if cr:
         return -1 if cr > 0 else 1
@@ -475,4 +472,6 @@ def angle_sort(vectors: Sequence[Point]) -> list[int]:
     for v in vectors:
         if v.is_zero():
             raise ValueError("cannot angle-sort a zero vector")
-    return sorted(range(len(vectors)), key=cmp_to_key(lambda i, j: _angle_cmp(vectors[i], vectors[j])))
+    halves = [_half(v) for v in vectors]
+    return sorted(range(len(vectors)),
+                  key=cmp_to_key(lambda i, j: halves[i] - halves[j] or _angle_cmp(vectors[i], vectors[j])))

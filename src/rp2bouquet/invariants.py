@@ -214,7 +214,7 @@ def _class_rows(words: list[CyclicWord], bits: list[tuple[int, ...]]) -> list[In
 
 def inv1(d: BouquetDiagram) -> CyclicWord:
     """Canonical cyclic word of half-edge symbols counterclockwise around V."""
-    return CyclicWord(_canonical(_generic_analysis(d).star))
+    return CyclicWord(_generic_analysis(d).order)
 
 
 def inv2(d: BouquetDiagram) -> tuple[int, ...]:

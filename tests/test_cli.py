@@ -352,9 +352,9 @@ def test_fuzz_cross_check_compares_the_kept_leg_rows(tmp_path, monkeypatch):
     assert "kept leg_starts diverge from a rebuilt analysis" in out
 
 
-def test_fuzz_cross_check_compares_the_kept_crossings_and_star(tmp_path, monkeypatch):
-    """A kept crossing's frame flipped, or the kept star reversed, shows in
-    the public tuple or the star a rebuilt analysis gives."""
+def test_fuzz_cross_check_compares_the_kept_crossings_and_order(tmp_path, monkeypatch):
+    """A kept crossing's frame flipped, or the kept order word reversed, shows
+    in the public tuple or the order word a rebuilt analysis gives."""
     set_analysis = diagram_mod._set_analysis
 
     def flipped(d, value):
@@ -363,11 +363,10 @@ def test_fuzz_cross_check_compares_the_kept_crossings_and_star(tmp_path, monkeyp
             value = dataclasses.replace(value, pairs=((a, b, -frame, ints), *rest))
         set_analysis(d, value)
 
-    def reversed_star(d, value):
-        vars(value)["star"] = value.star[::-1]
-        set_analysis(d, value)
+    def reversed_order(d, value):
+        set_analysis(d, dataclasses.replace(value, order=value.order[::-1]))
 
-    for corrupted, name in ((flipped, "crossings"), (reversed_star, "star")):
+    for corrupted, name in ((flipped, "crossings"), (reversed_order, "order")):
         monkeypatch.setattr(diagram_mod, "_set_analysis", corrupted)
         code, out = run(["fuzz", "--seed", 20260815, "--trials", 1, "--cross-check", "--out", tmp_path])
         assert code == 3

@@ -26,3 +26,9 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_names_every_committed_bench_run():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert [p.name for p in sorted(root.glob("BENCH_*.json")) if f"`{p.name}`" not in readme] == []

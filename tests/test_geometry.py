@@ -138,6 +138,16 @@ def test_collinear_disjoint_is_empty():
     assert res.kind is SegKind.EMPTY
 
 
+def test_vertical_collinear_touch_at_an_end_is_degenerate():
+    """Vertical segments on one line that meet only at a shared end point,
+    either way round: the touching end is between the other's ends by its y
+    coordinate alone, with a zero factor in the product that decides it."""
+    res = segment_intersection(pt(0, 0), pt(0, 1), pt(0, 0), pt(0, -1))
+    assert res.kind is SegKind.DEGENERATE
+    res = segment_intersection(pt(0, 1), pt(0, 0), pt(0, -1), pt(0, 0))
+    assert res.kind is SegKind.DEGENERATE
+
+
 def test_zero_length_segment_rejected():
     with pytest.raises(ValueError):
         segment_intersection(pt(0, 0), pt(0, 0), pt(1, 0), pt(1, 1))

@@ -45,7 +45,7 @@ from rp2bouquet.diagram import (
     analysis,
     vertex_directions,
 )
-from rp2bouquet.geometry import SegKind, _ints, _point, rat, segment_intersection, unit_circle_side
+from rp2bouquet.geometry import SegKind, _ints, _point, angle_sort, rat, segment_intersection, unit_circle_side
 from rp2bouquet.normal_form import random_tuple
 
 from conftest import segment_records
@@ -721,7 +721,7 @@ def test_touched_only_structural_check_matches_full_check():
                         continue
                     touched = []
                     diagram_mod._structural(touched, splice.d2, {splice.loop: splice.new}, [])
-                    full = _structural_violations(splice.d2, [])
+                    full, _ = _structural_violations(splice.d2, [])
                     assert touched[:1] == full[:1], spec.to_line()
                     proposals += 1
                     kinds.update(v.kind for v in full[:1])
@@ -919,17 +919,68 @@ def test_the_public_crossing_tuple_is_built_once():
         assert crossings(d) is crossings(d)
 
 
-def test_a_star_reordering_jiggle_keeps_no_stale_star(monkeypatch):
-    """With the splice's star rule switched off, the jiggle of
-    test_jiggle_blocked_by_vertex_order turns e1 past both half-edges of the
-    petal: the kept star of the result is built afresh, not carried from the
-    parent, whose star is already built."""
+def reaches_v(splice):
+    """Whether a window of the splice holds a loop's first or last segment."""
+    legs = splice.d2.loops[splice.loop].legs
+    return any(k == 0 and segs.start == 0 or k == len(legs) - 1 and segs.stop == len(legs[k].points) - 1
+               for k, segs in splice.new)
+
+
+def test_the_order_word_is_built_once_and_carried(monkeypatch):
+    """_order runs once per fresh valid analysis and once per splice whose
+    window reaches V that is applied or blocked by the star rule, and never
+    for any other splice; every applied splice carries its parent's word as
+    the very same object, and it equals a rebuilt one.  Seeded chains, and
+    the jiggle that turns the square's first half-edge down, which moves e1
+    from first to last around V but keeps the cyclic order, and the one of
+    test_jiggle_blocked_by_vertex_order, which the star rule blocks."""
+    calls, want, at_v = [0], [0], [0]
+    build, analyze, apply_splice = diagram_mod._order, diagram_mod._analyze, moves_mod._apply_splice
+
+    def order(d):
+        calls[0] += 1
+        return build(d)
+
+    def fresh(d):
+        a = analyze(d)
+        want[0] += not a.violations
+        return a
+
+    def spliced(d, splice):
+        reach = reaches_v(splice)
+        at_v[0] += reach
+        try:
+            d2, additions = apply_splice(d, splice)
+        except MoveBlocked as exc:
+            want[0] += str(exc) == "jiggle would reorder the vertex star"
+            raise
+        want[0] += reach
+        assert analysis(d2).order is analysis(d).order
+        assert analysis(d2).order == analysis(rebuilt(d2)).order
+        return d2, additions
+
+    monkeypatch.setattr(diagram_mod, "_order", order)
+    monkeypatch.setattr(diagram_mod, "_analyze", fresh)
+    monkeypatch.setattr(moves_mod, "_apply_splice", spliced)
     d = square_and_petal()
-    monkeypatch.setattr(diagram_mod, "_canonical", lambda symbols: ())
-    before = inv1(d)
-    d2 = apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
-    assert str(before) == "e1,e1^-1,e2^-1,e2"
-    assert inv1(d2) == inv1(rebuilt(d2)) != before
+    d2 = apply_move(d, MoveSpec.from_line("Jiggle 0 0 1 0/1 -1/8"))
+
+    def counterclockwise(d):
+        star = vertex_directions(d)
+        return [str(star[i][0]) for i in angle_sort([v for _, v in star])]
+
+    assert (counterclockwise(d), counterclockwise(d2)) == (["e1", "e2", "e2^-1", "e1^-1"],
+                                                            ["e2", "e2^-1", "e1^-1", "e1"])
+    with pytest.raises(MoveBlocked, match="^jiggle would reorder the vertex star$"):
+        apply_move(d, MoveSpec("Jiggle", 0, 0, 1, (rat(0), rat(1, 4))))
+    assert str(inv1(d2)) == "e1,e1^-1,e2^-1,e2"
+    splices = at_v[0]
+    for seed in range(6):
+        d = realize(random_tuple(seed % 3 + 1, seed))
+        rng = random.Random(seed)
+        for _ in range(40):
+            _, d = random_move_applied(d, rng.randrange(10 ** 9))
+    assert calls == want and at_v[0] - splices >= 15, (calls, want, at_v)
 
 
 def test_a_jiggle_that_swaps_a_partner_strand_is_blocked():
@@ -1288,7 +1339,7 @@ def test_a_walk_to_3000_segments_keeps_its_moves_and_its_analysis():
     assert (len(lines), sum(1 for _ in d.iter_segments()), len(crossings(d))) == (867, 3002, 694)
     kept, fresh = analysis(d), analysis(rebuilt(d))
     # the kept crossings, in no fixed order, are compared as the public tuple
-    for name in [f.name for f in dataclasses.fields(kept) if f.name != "pairs"] + ["crossings", "star"]:
+    for name in [f.name for f in dataclasses.fields(kept) if f.name != "pairs"] + ["crossings"]:
         assert getattr(kept, name) == getattr(fresh, name), name
 
 
@@ -1321,9 +1372,9 @@ def test_moves_reach_the_kept_analysis_only_through_the_splice_entry_points():
 
 
 def test_the_readers_take_one_star_and_one_crossing_order_from_diagram():
-    """invariants.py reads the kept analysis, its star among it, through the
-    validity guard alone, and words the star by the canonical form the
-    splice's star rule compares; cli.py takes the same guard and the one
+    """invariants.py reads the kept analysis, its order word among it,
+    through the validity guard alone, and spells a parsed word by the
+    canonical form that word is in; cli.py takes the same guard and the one
     function that orders the kept crossings.  Neither builds a second star
     or order."""
     assert private_imports(invariants_mod) == {"diagram": {"_canonical", "_generic_analysis"}}

@@ -26,6 +26,9 @@ present signatures.  The rows:
   it (a tree that built the vertex star on first use did so in
   ``invariants``, on the copy).  ``loads`` and
   ``dumps`` also run on the scale chain's diagram (below), labelled 3000;
+* ``read`` in ms per call, end to end on the same two snapshots: ``loads``,
+  then a fresh ``validate``, ``invariants``, ``dumps`` and ``render_svg``,
+  the round perfbench's ``classify`` unit makes on each corpus diagram;
 * ``_structural_ok`` in us per call: the structural walk ``_structural`` on
   the window of each of a fixed list of splices proposed on each snapshot,
   blocked ones included, as ``_apply_splice`` runs it;
@@ -54,6 +57,9 @@ present signatures.  The rows:
   segments, N - 3 crossings), and the quadrant diagram of N/2 long
   horizontals top left and N/2 long verticals bottom right, N = 1,000 and
   2,000 (2N + 1 segments, N/2 crossings);
+* a fresh ``validate`` of the needles, m = 40 and 80: one loop from V
+  through (1/3 + k 10^-200, +-1/5 + k 10^-200), k = 0..m-1, the sign
+  alternating in k, whose m - 2 crossings all lie in one float cell;
 * ``_meet``, and the integer crossing kernel ``_proper_ints``, in ns per
   call, on the pairs of the 450-segment snapshot that cross properly, and
   ``_meet`` on its pairs that the absolute float bound ``_B`` leaves to
@@ -82,7 +88,7 @@ verdicts (each window's first violation, or ``None``), of its
 ``apply_move`` outcomes (each block message, or the ``dumps`` of the
 result), of the drop check's verdicts, of the walk steps' applied move
 lines, of the pencil's violations, of the ``validate`` output and
-crossings of the zigzags and of the quadrant diagrams, of the scale
+crossings of the zigzags, of the quadrant diagrams and of the needles, of the scale
 chain's ``dumps``, of ``render_svg`` on the snapshots and the scale
 chain's diagram (``svg_sha256``) and of ``dumps(loads(t))`` for a fixed
 list of JSON diagrams whose points are not in lowest terms, have negative
@@ -117,6 +123,8 @@ CHAIN = 3000           # the scale chain's snapshot, for the same rows
 PENCIL = 40            # chords of the pencil
 ZIGZAGS = (2000, 4000)  # N of the zigzags
 QUADRANTS = (1000, 2000)  # N of the quadrant diagrams
+NEEDLES = (40, 80)     # m of the needles
+NEEDLE_DIGITS = 200    # their step is 10^-NEEDLE_DIGITS
 SPLICES = 40           # proposals per snapshot for the _structural_ok row
 WALK_SEEDS = range(24)  # random_move_applied seeds per snapshot
 DRAWS = 200            # random triples, or segment pairs, per sample
@@ -298,6 +306,14 @@ def quadrant(lib, n: int):
     return one_loop(lib, points)
 
 
+def needle(lib, m: int):
+    """Through (1/3 + k e, +-1/5 + k e) for k = 0..m-1, e = 10^-NEEDLE_DIGITS,
+    the sign alternating in k: the segment back to V crosses the needles
+    m - 2 times, at locations that all round to one float point."""
+    e = Fraction(1, 10 ** NEEDLE_DIGITS)
+    return one_loop(lib, [lib.pt(Fraction(1, 3) + k * e, Fraction((-1) ** k, 5) + k * e) for k in range(m)])
+
+
 def unreduced(k: int = 12) -> list[str]:
     """k JSON diagrams of one loop whose points are not in lowest terms: each
     coordinate a ratio of 20 or 600 bits, its parts times a factor of 1, 64
@@ -332,6 +348,16 @@ def first_violation(diagram, splice):
 def fresh_validate(lib, d):
     """validate on a new diagram object equal to d, so no kept analysis."""
     return lib.validate(lib.BouquetDiagram(d.n, d.vertex, d.loops))
+
+
+def read(lib, cli, text):
+    """One diagram of perfbench's classify unit: loads, then a fresh
+    validate (loads builds a new diagram), invariants, dumps and render_svg."""
+    d = lib.loads(text)
+    lib.validate(d)
+    lib.invariants(d)
+    lib.dumps(d)
+    cli.render_svg(d)
 
 
 def uncached(diagram, d):
@@ -416,7 +442,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
         "svg_sha256": digest(cli.render_svg(lib.loads(t)) for t in texts + [chain_text]),
         "points_sha256": digest(lib.dumps(lib.loads(t)) for t in unreduced()),
     }
-    for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS)):
+    for name, build, sizes in (("zigzag", zigzag, ZIGZAGS), ("quadrant", quadrant, QUADRANTS),
+                               ("needle", needle, NEEDLES)):
         found, counts = [], []
         for n in sizes:
             d = build(lib, n)
@@ -426,7 +453,8 @@ def rows(lib, mods) -> tuple[dict, dict]:
             counts.append(len(cs))
         checks[f"{name}_crossings"] = counts
         checks[f"{name}_sha256"] = digest(found)
-    def seg(a, b, f=diagram._make_seg):
+    # a record is _Seg(loop, a, b, fa, fb), or _make_seg's in a tree whose _Seg takes its box
+    def seg(a, b, f=getattr(diagram, "_make_seg", diagram._Seg)):
         # float(p.x) equals n / d, the float the structural check gives a record
         return f(0, a, b, (float(a.x), float(a.y)), (float(b.x), float(b.y)))
 
@@ -460,6 +488,7 @@ def read_rows(out: dict, lib, mods, size: int, text: str, checked, cases) -> Non
     out[f"validate.ms@{size}"] = ("ms", 1e3, lambda: fresh_validate(lib, d))
     out[f"render_svg.ms@{size}"] = ("ms", 1e3, lambda: cli.render_svg(uncached(diagram, checked)))
     out[f"dumps.ms@{size}"] = ("ms", 1e3, lambda: lib.dumps(checked))
+    out[f"read.ms@{size}"] = ("ms", 1e3, lambda: read(lib, cli, text))
     out[f"invariants.us@{size}"] = ("us", 1e6, lambda: lib.invariants(uncached(diagram, checked)))
     out[f"crossings.us@{size}"] = ("us", 1e6, lambda: lib.crossings(uncached(diagram, checked)))
 

@@ -193,9 +193,10 @@ def render_svg(d: BouquetDiagram) -> str:
         color = _PALETTE[li % len(_PALETTE)]
         legs = [a.records[i:j] for i, j in zip(row, row[1:])]
         for leg in legs:
-            # a record's floats are float() of its end points; SVG y grows downward, diagram y upward
-            ends = [(s.fax, s.fay) for s in leg] + [(leg[-1].fbx, leg[-1].fby)]
-            points = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in ends)
+            # a record's floats are float() of its end points; SVG y grows downward, diagram y upward;
+            # as _fmt, with each -0.000000000 mended once per string (each number has 9 decimals)
+            points = " ".join([f"{s.fax:.9f},{-s.fay:.9f}" for s in leg] + [f"{leg[-1].fbx:.9f},{-leg[-1].fby:.9f}"])
+            points = points.replace("-0.000000000", "0.000000000")
             out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                        'stroke-width="0.014" stroke-linejoin="round"/>')
         for leg in legs[:-1]:

@@ -46,6 +46,7 @@ from .geometry import (
     Rat,
     SegKind,
     _direction,
+    _ints,
     _kind,
     _point,
     _proper_ints,
@@ -284,33 +285,31 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
         xn, xd = p.xn, p.xd
         yn, yd = p.yn, p.yd
         g.append((xn / xd, yn / yd) if -xd <= xn <= xd and -yd <= yn <= yd else None)
-    for i in segs:
-        if g[i - o + 1] == g[i - o + 2] and pts[i] == pts[i + 1]:  # unequal g: unequal points
-            out.append(Violation("RepeatedPoint", li, ki, i))
-    for i in points:
-        if 0 < i < end:
-            f0, f1, f2 = g[i - o], g[i - o + 1], g[i - o + 2]
-            if f0 and f1 and f2:
-                ex, ey, gx, gy = f1[0] - f0[0], f1[1] - f0[1], f2[0] - f1[0], f2[1] - f1[1]
-                turn, step = ex * gy - ey * gx, ex * gx + ey * gy
-                if abs(turn) > _B or step > _B:
-                    continue  # a certain turn or step forward is no cusp
-                r = _bound(abs(ex) + abs(ey), abs(gx) + abs(gy))
-                if abs(turn) > r or step > r:
-                    continue
-            # positive multiples of p1 - p0 and p2 - p1: a cusp is an exact reversal
-            u, v = _direction(pts[i - 1], pts[i]), _direction(pts[i], pts[i + 1])
-            if u.xn * v.yn == u.yn * v.xn and u.xn * v.xn + u.yn * v.yn < 0:
-                out.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
-    for i in points:
-        if 0 < i < end:
-            f = g[i - o + 1]  # None: outside [-1, 1]^2, so outside the disk
-            q = f[0] * f[0] + f[1] * f[1] - 1.0 if f else 1.0
-            side = 1 if q > _C else -1 if q < -_C else unit_circle_side(pts[i])
-            if side > 0:
-                out.append(Violation("PointOutsideDisk", li, ki, i))
-            elif side == 0:
-                out.append(Violation("PointOnCircle", li, ki, i, "non-seam point on the seam circle"))
+    # one pass over the points, i < end (zip stops at g's end), one list per kind
+    repeats, cusps, disk, last = [], [], [], segs[-1]
+    for i, f0, f1, f2 in zip(points, g, g[1:], g[2:]):
+        if f1 == f2 and i <= last and pts[i] == pts[i + 1]:  # unequal floats: unequal points
+            repeats.append(Violation("RepeatedPoint", li, ki, i))
+        if not i:
+            continue
+        q = f1[0] * f1[0] + f1[1] * f1[1] - 1.0 if f1 else 1.0  # None: outside [-1, 1]^2, so the disk
+        side = 1 if q > _C else -1 if q < -_C else unit_circle_side(pts[i])
+        if side >= 0:
+            disk.append(Violation("PointOutsideDisk", li, ki, i) if side else
+                        Violation("PointOnCircle", li, ki, i, "non-seam point on the seam circle"))
+        if f0 and f1 and f2:
+            ex, ey, gx, gy = f1[0] - f0[0], f1[1] - f0[1], f2[0] - f1[0], f2[1] - f1[1]
+            turn, step = ex * gy - ey * gx, ex * gx + ey * gy
+            if abs(turn) > _B or step > _B:
+                continue  # a certain turn or step forward is no cusp
+            r = _bound(abs(ex) + abs(ey), abs(gx) + abs(gy))
+            if abs(turn) > r or step > r:
+                continue
+        # positive multiples of p1 - p0 and p2 - p1: a cusp is an exact reversal
+        u, v = _direction(pts[i - 1], pts[i]), _direction(pts[i], pts[i + 1])
+        if u.xn * v.yn == u.yn * v.xn and u.xn * v.xn + u.yn * v.yn < 0:
+            cusps.append(Violation("Cusp", li, ki, i, "exact direction reversal"))
+    out += repeats + cusps + disk
     for idx, must_be_vertex in ((0, is_first), (end, is_last)):
         if idx not in points:
             continue
@@ -321,7 +320,7 @@ def _check_leg(out: list[Violation], vertex: Point, li: int, ki: int, leg: Leg,
         else:
             if not on_unit_circle(p):
                 out.append(Violation("SeamPointOffCircle", li, ki, idx))
-    return [] if out else [_make_seg(li, a, b, fa, fb) for a, b, fa, fb
+    return [] if out else [_Seg(li, a, b, fa, fb) for a, b, fa, fb
                            in zip(pts[o:segs[-1] + 1], pts[o + 1:], g[1:], g[2:])]
 
 
@@ -373,17 +372,20 @@ def _star(d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
     return out
 
 
-def _canonical(symbols: tuple[HalfEdge, ...]) -> tuple[HalfEdge, ...]:
+def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of `word` or of its reversal, a word of half-edges as ints
+    2 loop + inverted, whose order is the symbol order."""
     # e1, the least symbol, occurs once, so the least rotation starts there
-    i = symbols.index(HalfEdge(0, False))
-    forward = symbols[i:] + symbols[:i]
+    i = word.index(0)
+    forward = word[i:] + word[:i]
     return min(forward, forward[:1] + forward[:0:-1])
 
 
 def _order(star: list[tuple[HalfEdge, Point]]) -> tuple[HalfEdge, ...]:
     """The canonical word of the half-edges of `star` (_star) counterclockwise
-    around V; angular order ignores a positive factor, so _star's int vectors do."""
-    return _canonical(tuple([star[i][0] for i in angle_sort([direction for _, direction in star])]))
+    around V; angular order ignores a positive factor, so _star's int vectors do.
+    _star lists half-edge k = 2 loop + inverted at index k, so angle_sort's indices are its ints."""
+    return tuple([star[k][0] for k in _canonical(tuple(angle_sort([direction for _, direction in star])))])
 
 
 def _check_vertex_directions(out: list[Violation], d: BouquetDiagram) -> list[tuple[HalfEdge, Point]]:
@@ -462,7 +464,7 @@ def _structural_violations(d: BouquetDiagram, records: list) -> tuple[list[Viola
 # ---------------------------------------------------------------------------
 
 # not frozen: nothing hashes a record, and frozen sets each field by a slow object.__setattr__
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class _Seg:
     """One segment of loop `loop` with its end points in floats and the float
     box of those.  Its leg, its index in the leg and whether it touches V are
@@ -474,7 +476,8 @@ class _Seg:
     other's: float() is monotone (see :mod:`rp2bouquet.geometry`).  The float
     end points (`fax` ...) give orientation signs that are trusted only beyond
     a proved error bound (see :func:`_meet`); any other pair is decided by the
-    exact predicates.
+    exact predicates.  A record is built from its end points and their floats
+    `fa` and `fb`, and computes its box itself.
     """
 
     loop: int
@@ -489,12 +492,12 @@ class _Seg:
     fbx: float
     fby: float
 
-
-def _make_seg(li: int, a: Point, b: Point, fa: tuple[float, float], fb: tuple[float, float]) -> _Seg:
-    (fax, fay), (fbx, fby) = fa, fb
-    fminx, fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
-    fminy, fmaxy = (fay, fby) if fay <= fby else (fby, fay)
-    return _Seg(li, a, b, fminx, fmaxx, fminy, fmaxy, fax, fay, fbx, fby)
+    def __init__(self, loop: int, a: Point, b: Point, fa: tuple[float, float], fb: tuple[float, float]):
+        self.loop, self.a, self.b = loop, a, b
+        self.fax, self.fay = fax, fay = fa
+        self.fbx, self.fby = fbx, fby = fb
+        self.fminx, self.fmaxx = (fax, fbx) if fax <= fbx else (fbx, fax)
+        self.fminy, self.fmaxy = (fay, fby) if fay <= fby else (fby, fay)
 
 
 def _leg_starts(d: BouquetDiagram) -> tuple[tuple[int, ...], ...]:
@@ -515,14 +518,15 @@ def _position(leg_starts: tuple[tuple[int, ...], ...], loop: int, i: int) -> tup
 
 
 def _skip_pair(s: _Seg, t: _Seg, i: int, j: int, leg_starts) -> bool:
-    """Whether the scans skip records s and t, at indices i and j."""
-    # a record touches V when it is the first or last record of its loop
+    """Whether the scans skip records s and t, at indices i and j: both touch V (each is the
+    first or last record of its loop), as the codirection check handles their overlap, or they
+    are of one loop and one is the next record in the other's leg, a consecutive corner whose
+    cusp or overlap is handled structurally (by index, as a point may recur elsewhere in a
+    loop).  _all_pairs tabulates these two facts per record."""
     row, other = leg_starts[s.loop], leg_starts[t.loop]
-    if (i == row[0] or i == row[-1] - 1) and (j == other[0] or j == other[-1] - 1):
-        return True  # both touch V; overlap handled by the codirection check
-    # neighbours in one leg: a consecutive corner, whose cusp or overlap is
-    # handled structurally; by index, as a point may recur elsewhere in a loop
-    return abs(i - j) == 1 and s.loop == t.loop and max(i, j) not in row
+    if i in (row[0], row[-1] - 1) and j in (other[0], other[-1] - 1):
+        return True
+    return s.loop == t.loop and abs(i - j) == 1 and max(i, j) not in row  # no leg starts at max(i, j)
 
 
 def _triple(leg_starts, s: _Seg, t: _Seg, i: int, j: int, frame: int, *_) -> tuple:
@@ -615,14 +619,16 @@ def _sure(s: _Seg, t: _Seg) -> int | None:
     return None
 
 
-def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
+def _meet(s: _Seg, t: _Seg, frame: int | None = 0) -> tuple[SegKind, int, tuple | None]:
     """The kind of segment_intersection(s.a, s.b, t.a, t.b), and for a PROPER
     one the frame orient2d(s.a, s.b, t.b) and _proper_ints(s.a, s.b, t.a, t.b),
     else 0 and None: all ints.  On records in record order, (s, t, frame, ints)
     is the kept crossing, in Crossing's order: the frame is the sign of ds x dt,
     as ds x (t.b - t.a) = ds x (t.b - s.a) - ds x (t.a - s.a) and t.a and t.b
-    lie strictly on opposite sides of s."""
-    frame = _sure(s, t)
+    lie strictly on opposite sides of s.  A scan passes `frame` = _sure(s, t) once it
+    has dropped the pairs _sure proves disjoint (0); with the default 0, _meet calls _sure."""
+    if frame == 0:
+        frame = _sure(s, t)
     if frame is None:  # the floats decide nothing: the exact predicates do
         kind = _kind(s.a, s.b, t.a, t.b)
         if kind is not SegKind.PROPER:
@@ -635,14 +641,25 @@ def _meet(s: _Seg, t: _Seg) -> tuple[SegKind, int, tuple | None]:
 
 def _located(spots: dict, at: tuple, add: bool = False) -> bool:
     """Whether `spots` holds `at`, unreduced ints of _proper_ints (with `add`, it does after),
-    keyed by floats, which equal locations share; cross-multiplication decides a float tie."""
+    keyed by floats, which equal locations share; cross-multiplication decides a float tie.
+    A crowded cell, of more than 4 locations (the needles put every crossing in one), holds
+    them as a set of lowest-terms ints instead, so that a lookup there is one reduction."""
     xn, xd, yn, yd = at
-    held = spots.setdefault((xn / xd, yn / yd), []) if add else spots.get((xn / xd, yn / yd), ())
+    key = (xn / xd, yn / yd)
+    held = spots.setdefault(key, []) if add else spots.get(key, ())
+    if type(held) is set:
+        reduced = _ints(_point(*at))
+        found = reduced in held
+        if add:
+            held.add(reduced)
+        return found
     for pn, pd, qn, qd in held:
         if xn * pd == pn * xd and yn * qd == qn * yd:
             return True
     if add:
         held.append(at)
+        if len(held) > 4:
+            spots[key] = {_ints(_point(*p)) for p in held}
     return False
 
 
@@ -673,19 +690,30 @@ def _sweep_order(records: list[_Seg]) -> list[int]:
 
 def _all_pairs(records: list[_Seg], leg_starts) -> Iterator[tuple[_Seg, _Seg, int, int]]:
     """(s, t, i, j) for the records s = records[i] and t = records[j] whose
-    float boxes meet, s later in the sweep.  The sweep order (_sweep_order)
-    fixes the order of reported violations."""
+    float boxes meet and that _skip_pair keeps, s later in the sweep.  The
+    sweep order (_sweep_order) fixes the order of reported violations.  Its
+    two facts per record are tabulated once, by record index up to the leg
+    table's end: `at_v`, whether the record touches V, and `after`, the next
+    record in its leg (-1 at a leg's end).  The same-loop test stays, so that
+    the rule is _skip_pair's for any leg table, even one whose rows overlap."""
+    at_v, after = [False] * leg_starts[-1][-1], list(range(1, leg_starts[-1][-1] + 1))
+    for row in leg_starts:
+        at_v[row[0]] = at_v[row[-1] - 1] = True
+        for k in row[1:]:
+            after[k - 1] = -1
     order = _sweep_order(records)
     active: list[int] = []
     for i in order:
-        s = records[i]
+        s, at, next_i = records[i], at_v[i], after[i]
         kept = []
         for j in active:
             t = records[j]
             if t.fmaxx < s.fminx:
                 continue
             kept.append(j)
-            if t.fminy > s.fmaxy or t.fmaxy < s.fminy or _skip_pair(s, t, i, j, leg_starts):
+            if t.fminy > s.fmaxy or t.fmaxy < s.fminy:
+                continue
+            if at and at_v[j] or (next_i == j or after[j] == i) and s.loop == t.loop:
                 continue
             yield s, t, i, j
         kept.append(i)
@@ -705,11 +733,14 @@ def _analyze(d: BouquetDiagram) -> DiagramAnalysis:
     triples: list[Violation] = []
     # positions are looked up only for the pairs that touch or meet at a crossing
     for s, t, i, j in _all_pairs(records, leg_starts):
-        kind, frame, ints = _meet(s, t) if i < j else _meet(t, s)
+        a, b = (s, t) if i < j else (t, s)  # record order
+        if (frame := _sure(a, b)) == 0:
+            continue
+        kind, frame, ints = _meet(a, b, frame)
         if kind is SegKind.PROPER:
-            pairs.append((s, t, frame, ints) if i < j else (t, s, frame, ints))
+            pairs.append((a, b, frame, ints))
             if _located(seen, ints[0], True):
-                a, k = pairs[-1][0], min(i, j)  # strand a's record and index
+                k = min(i, j)  # strand a's index
                 triples.append(Violation("TriplePoint", a.loop, *_position(leg_starts, a.loop, k),
                                          note="two crossings at the same point"))
         elif kind is SegKind.DEGENERATE:
@@ -837,7 +868,10 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: dict,
             # a pair of changed records comes once, from its later one
             if lo <= j <= i or _skip_pair(u, v, i, j, leg_starts):
                 continue
-            kind, frame, ints = _meet(u, v) if i < j else _meet(v, u)
+            a, b = (u, v) if i < j else (v, u)  # record order
+            if (frame := _sure(a, b)) == 0:
+                continue
+            kind, frame, ints = _meet(a, b, frame)
             if kind is SegKind.DEGENERATE:
                 leg, seg = _position(leg_starts, v.loop, j)
                 raise MoveBlocked(f"template touches loop={v.loop} leg={leg} "
@@ -846,7 +880,7 @@ def _scan_changed(records, leg_starts, lo: int, hi: int, removed: dict,
                 continue
             if _located(seen, ints[0], True):
                 raise MoveBlocked("two crossings would coincide")
-            found.append((u, v, i, j, frame, ints) if i < j else (v, u, j, i, frame, ints))
+            found.append((a, b, min(i, j), max(i, j), frame, ints))
             if removed and _located(removed, ints[0]):
                 missing -= 1
             else:
@@ -951,8 +985,7 @@ def _certain_addition(d: BouquetDiagram, target: tuple[int, int, int], chords, l
     if not all(-xd <= xn <= xd and -yd <= yn <= yd for chord in chords for xn, xd, yn, yd in chord):
         return False
     # xn / xd is correctly rounded, so it is float() of the exact coordinate
-    segs = [_make_seg(-1, None, None, (a[0] / a[1], a[2] / a[3]), (b[0] / b[1], b[2] / b[3]))
-            for a, b in chords]
+    segs = [_Seg(-1, None, None, (a[0] / a[1], a[2] / a[3]), (b[0] / b[1], b[2] / b[3])) for a, b in chords]
     records, rows = analysis(d).records, analysis(d).leg_starts
     skip = {rows[key[0]][key[1]] + key[2] for key in (target, spared) if key}
     start, stop = (0, len(records)) if loop is None else (rows[loop][0], rows[loop][-1])
@@ -1078,7 +1111,7 @@ def from_json_obj(obj) -> BouquetDiagram:
         for leg_obj in legs_obj:
             if not isinstance(leg_obj, list) or len(leg_obj) < 2:
                 raise DiagramFormatError("each leg needs at least two points")
-            legs.append(Leg(tuple(_point_from_json(p) for p in leg_obj)))
+            legs.append(Leg(tuple(map(_point_from_json, leg_obj))))
         parsed_loops.append(LoopPath(tuple(legs)))
     return BouquetDiagram(n, _point_from_json(vertex), tuple(parsed_loops))
 

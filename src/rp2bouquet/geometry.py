@@ -167,6 +167,8 @@ def _point(xn: int, xd: int, yn: int, yd: int) -> Point:
     """The Point (xn / xd, yn / yd) of any ints with nonzero denominators."""
     gx = gcd(xn, xd) if xd > 0 else -gcd(xn, xd)
     gy = gcd(yn, yd) if yd > 0 else -gcd(yn, yd)
+    if gx == gy == 1:  # already in lowest terms, as every canonical JSON point is
+        return _lowest(xn, xd, yn, yd)
     return _lowest(xn // gx, xd // gx, yn // gy, yd // gy)
 
 

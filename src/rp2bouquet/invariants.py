@@ -98,7 +98,8 @@ class CyclicWord:
     def from_symbols(symbols) -> "CyclicWord":
         symbols = tuple(symbols)
         _check_symbols(symbols)
-        return CyclicWord(_canonical(symbols))
+        by_int = {2 * s.loop + s.inverted: s for s in symbols}  # the symbol order's ints
+        return CyclicWord(tuple([by_int[k] for k in _canonical(tuple(by_int))]))
 
     @property
     def n(self) -> int:

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from rp2bouquet import BouquetDiagram, Crossing, Leg, LoopPath, pt
 from rp2bouquet.cli import _PALETTE, _SEAM_MARK, _fmt
-from rp2bouquet.diagram import _make_seg, crossings
+from rp2bouquet.diagram import _Seg, crossings
 
 settings.register_profile(
     "default",
@@ -20,8 +20,8 @@ DATA_DIR = Path(__file__).parent / "data"
 def record(li, a, b):
     """The record of segment [a, b] of loop li, its floats n / d (float()'s
     value, correctly rounded), as the structural check gives them."""
-    return _make_seg(li, a, b, (a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator),
-                     (b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator))
+    return _Seg(li, a, b, (a.x.numerator / a.x.denominator, a.y.numerator / a.y.denominator),
+                (b.x.numerator / b.x.denominator, b.y.numerator / b.y.denominator))
 
 
 def segment_records(d):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import io
@@ -325,8 +326,10 @@ def test_fuzz_cross_check(tmp_path, monkeypatch):
     set_analysis = diagram_mod._set_analysis
 
     def corrupted(d, value):
-        # only a splice keeps an analysis: its first record's float box widened
-        first = dataclasses.replace(value.records[0], fminx=value.records[0].fminx - 1)
+        # only a splice keeps an analysis: its first record's float box widened (a record's
+        # __init__ takes its end points' floats, so the copy is widened in place)
+        first = copy.copy(value.records[0])
+        first.fminx -= 1
         set_analysis(d, dataclasses.replace(value, records=(first,) + value.records[1:]))
 
     monkeypatch.setattr(diagram_mod, "_set_analysis", corrupted)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import rp2bouquet
 from rp2bouquet import (
     BouquetDiagram,
     DiagramFormatError,
@@ -29,6 +31,7 @@ from rp2bouquet.diagram import (
     HalfEdge,
     MoveBlocked,
     Violation,
+    _Seg,
     _all_pairs,
     _apply_splice,
     _check_leg,
@@ -56,6 +59,7 @@ from rp2bouquet.geometry import (
 )
 
 from conftest import record
+from test_fixtures import load_script
 from test_invariants import reflect, rotate, transform
 
 
@@ -753,6 +757,20 @@ def test_check_leg_matches_exact_on_mixed_legs(case):
     assert_check_leg_is_exact(*case)
 
 
+def test_check_leg_reports_each_kind_in_its_own_order():
+    """One leg with a PointOutsideDisk at point 1, a Cusp at point 3 and a
+    RepeatedPoint at segment 5: the one pass over its points reports the
+    repeats, then the cusps, then the disk tests, as the exact reference does,
+    not in the order of the points."""
+    points = (pt(0, 0), pt("9/10", "9/10"), pt("1/4", 0), pt("1/2", 0), pt("3/8", 0),
+              pt(0, "1/2"), pt(0, "1/2"), pt(0, 0))
+    got, exact = [], []
+    _check_leg(got, pt(0, 0), 0, 0, Leg(points), True, True, range(len(points) - 1))
+    exact_check_leg(exact, pt(0, 0), 0, 0, Leg(points), True, True, range(len(points) - 1))
+    assert got == exact
+    assert [(v.kind, v.segment) for v in got] == [("RepeatedPoint", 5), ("Cusp", 3), ("PointOutsideDisk", 1)]
+
+
 def test_check_leg_cases():
     """Each case the filter must leave to exact arithmetic, once by hand."""
     third, tiny = rat(1, 3), rat(1, 2 ** 80)
@@ -898,6 +916,33 @@ def test_sweep_sorts_only_float_ties_exactly(ends):
     records = [record(0, a, b) for a, b in ends]
     leg_starts = ((0, len(records)),)
     assert list(_all_pairs(records, leg_starts)) == list(sweep_with_exact_key(records, leg_starts))
+
+
+def assert_sweep_skips_as_skip_pair(records, leg_starts):
+    """_all_pairs, on copies of `records` whose float boxes all meet, yields
+    once each record pair that _skip_pair keeps, and no other: the sweep's
+    per-record tables agree with _skip_pair on every pair."""
+    boxed = [_Seg(s.loop, s.a, s.b, (-1.0, -1.0), (1.0, 1.0)) for s in records]
+    got = [frozenset((i, j)) for _, _, i, j in _all_pairs(boxed, leg_starts)]
+    want = {frozenset((i, j)) for i, j in itertools.combinations(range(len(boxed)), 2)
+            if not _skip_pair(boxed[i], boxed[j], i, j, leg_starts)}
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_sweep_tables_skip_as_skip_pair():
+    """On the two snapshots of scripts/bench_layers.py's read rows (about 60
+    and 450 segments), and on a leg table whose two rows overlap, so that
+    record 1 of loop 1 is next to record 0, of loop 0, in loop 1's leg: the
+    sweep skips that pair only if it drops the same-loop test."""
+    bench = load_script("bench_layers")
+    for text in bench.snapshots(rp2bouquet)[:len(bench.SIZES)]:
+        a = analysis(loads(text))
+        assert a.records and not a.violations
+        assert_sweep_skips_as_skip_pair(a.records, a.leg_starts)
+    ends = [(pt(0, 0), pt("1/4", "1/8")), (pt("1/4", "1/8"), pt("1/2", 0)), (pt("1/2", 0), pt(0, 0))]
+    records = [record(loop, a, b) for loop, (a, b) in zip((0, 1, 1), ends)]
+    assert_sweep_skips_as_skip_pair(records, ((0, 3), (0, 3)))
+    assert not _skip_pair(records[0], records[1], 0, 1, ((0, 3), (0, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -163,3 +163,15 @@ def test_int_joint_reports_non_antipodal_seam_points(u, v, before, after):
 def test_make_seg_floats_are_float(x, y):
     r = record(0, pt(x, y), pt(y, x))
     assert (r.fax, r.fay, r.fbx, r.fby) == (float(x), float(y), float(y), float(x))
+
+
+parts = st.one_of(st.integers(-12, 12), st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(parts, parts.filter(bool), parts, parts.filter(bool))
+def test_point_is_the_reduced_fraction_pair(xn, xd, yn, yd):
+    """_point gives Fraction's lowest terms, denominators positive, on ints of
+    either sign, whether they are in lowest terms already (both gcds 1, which
+    _point passes through) or not."""
+    p, x, y = _point(xn, xd, yn, yd), Fraction(xn, xd), Fraction(yn, yd)
+    assert (p.xn, p.xd, p.yn, p.yd) == (x.numerator, x.denominator, y.numerator, y.denominator)

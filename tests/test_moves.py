@@ -1171,6 +1171,75 @@ def test_the_drop_check_gives_hostile_parameters_their_verdict(quad):
             apply_move(quad, spec)
 
 
+def test_meet_sees_only_the_pairs_sure_leaves_open(monkeypatch):
+    """Both scans, a fresh validate's and a splice's, drop each box-meeting
+    pair that _sure proves disjoint and hand _meet the frame _sure gave, on
+    a realized diagram and the applied moves of a seeded chain from it."""
+    meet, sure = diagram_mod._meet, diagram_mod._sure
+    calls = []
+
+    def wrapped(s, t, frame=0):
+        calls.append((sure(s, t), frame))
+        return meet(s, t, frame)
+
+    monkeypatch.setattr(diagram_mod, "_meet", wrapped)
+    rng = random.Random("meet-after-sure")
+    d = realize(random_tuple(2, 5))
+    fresh = spliced = 0
+    for _ in range(40):
+        calls.clear()
+        validate(rebuilt(d))
+        fresh += len(calls)
+        assert all(frame == want != 0 for want, frame in calls)
+        spec = moves_mod._propose_move(d, rng)
+        calls.clear()
+        try:
+            d = apply_move(d, spec) if spec else d
+        except MoveBlocked:
+            pass
+        spliced += len(calls)
+        assert all(frame == want != 0 for want, frame in calls)
+    assert fresh > 200 and spliced > 40, (fresh, spliced)
+    pairs = list(diagram_mod._all_pairs(analysis(d).records, analysis(d).leg_starts))
+    assert sum(sure(*((s, t) if i < j else (t, s))) == 0 for s, t, i, j in pairs) > len(pairs) / 4
+
+
+def needle(m, digits):
+    """One loop from V through (1/3 + k e, +-1/5 + k e), k = 0..m-1, e =
+    10^-digits, the sign alternating in k, and back to V."""
+    e = rat(1, 10 ** digits)
+    v = pt(0, 0)
+    return BouquetDiagram(1, v, (LoopPath((Leg((v, *(pt(rat(1, 3) + k * e, rat((-1) ** k, 5) + k * e)
+                                                     for k in range(m)), v)),)),))
+
+
+def test_a_crowded_float_cell_is_held_as_a_set(monkeypatch):
+    """The needle's m - 2 crossings, of the segment back to V with the
+    needles, all round to one float point: _located holds them as a list,
+    then, past 4, as a set of lowest-terms ints, in a fresh validate and in
+    a splice.  A Subdivide of that segment finds each crossing again, looking
+    it up in the crowded cell of the replaced ones, and gets the verdict of
+    reference_verdict."""
+    m = 12
+    d = needle(m, 40)
+    assert validate(d) == [] and len(crossings(d)) == m - 2
+    assert len({(float(c.location.x), float(c.location.y)) for c in crossings(d)}) == 1
+    located, lookups = diagram_mod._located, set()
+
+    def watched(spots, at, add=False):
+        xn, xd, yn, yd = at
+        lookups.add((type(spots.get((xn / xd, yn / yd))) is set, add))
+        return located(spots, at, add)
+
+    monkeypatch.setattr(diagram_mod, "_located", watched)
+    assert validate(rebuilt(d)) == []
+    assert lookups == {(False, True), (True, True)}
+    tally = {}
+    assert_verdicts_agree(d, [MoveSpec("Subdivide", 0, 0, m, (rat(1, 2),))], tally)
+    assert tally == {"applied": 1} and (True, False) in lookups
+    assert_kept_analysis_is_fresh(apply_move(d, MoveSpec("Subdivide", 0, 0, m, (rat(1, 2),))))
+
+
 def test_certain_addition_decides_a_tiny_crossing_exactly(quad, monkeypatch):
     """A chord 2^-59 long across the quad's top side rounds to one float
     point, so no float sign is certain; the exact scan finds the crossing."""

@@ -29,11 +29,11 @@ import pytest
 from rp2bouquet import BouquetDiagram, Leg, LoopPath, MoveBlocked, apply_move, crossings, invariants, pt, validate
 from rp2bouquet import moves as moves_mod
 from rp2bouquet import random_move_applied, realize
-from rp2bouquet.diagram import _apply_splice, _ray, _star
+from rp2bouquet.diagram import _apply_splice, _ray, _star, analysis
 from rp2bouquet.geometry import mat_apply, rat, seam_reflection
 from rp2bouquet.normal_form import random_tuple
 
-from test_diagram import brute_force_crossings, normalize_engine, normalize_oracle
+from test_diagram import assert_sweep_skips_as_skip_pair, brute_force_crossings, normalize_engine, normalize_oracle
 from test_moves import (VERDICT_CATEGORIES, assert_dropped_only_if_blocked, assert_gaps_tile_each_segment,
                         assert_kept_analysis_is_fresh, assert_verdicts_agree, hostile_specs, single_kink_specs)
 
@@ -327,6 +327,14 @@ def test_every_family_verdict_matches_the_from_scratch_reference(family, two_leg
             assert_verdicts_agree(d, [s for s in [moves_mod._propose_move(d, rng)] if s], tally)
     assert len(one_leg) == 1_230
     assert set(tally) == set(VERDICT_CATEGORIES) - {"persistence"} | {"applied"}, tally
+
+
+def test_the_sweep_tables_skip_as_skip_pair_on_every_family(valid, two_leg_valid, three_loop_valid):
+    """On every valid diagram of the four families, the sweep's per-record
+    tables skip exactly the record pairs that _skip_pair skips."""
+    two_exit = [d for _, d in two_exit_family() if not validate(d)]
+    for d in itertools.chain(valid, two_leg_valid, two_exit, three_loop_valid):
+        assert_sweep_skips_as_skip_pair(analysis(d).records, analysis(d).leg_starts)
 
 
 def rays(d):
